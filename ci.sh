@@ -6,8 +6,8 @@
 # dependencies).
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
-# Steps: build test fmt clippy sfcheck sarif fix cache threads strategy
-#        artifacts bench
+# Steps: build test fmt clippy sfcheck sarif fix threads strategy
+#        artifacts bench perf
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -73,158 +73,6 @@ step_fix() {
     diff -rq --exclude target --exclude .git ./crates "$tmp/crates" >&2 || true
     exit 1
   fi
-}
-
-step_cache() {
-  echo "==> sfcheck: incremental cache (cold vs warm, byte-identity + hit mode + speedup)"
-  local bin=target/release/sfcheck cold_json warm_json cold_sarif warm_sarif
-  local t0 t1 cold_ms warm_ms best_warm_ms i t mode
-  cargo build -q --release --offline -p sfcheck
-  cold_json="$(mktemp)"; warm_json="$(mktemp)"
-  cold_sarif="$(mktemp)"; warm_sarif="$(mktemp)"
-  CLEANUP_PATHS+=("$cold_json" "$warm_json" "$cold_sarif" "$warm_sarif")
-  rm -rf target/sfcheck-cache
-  t0="$(date +%s%N)"; "$bin" --json > "$cold_json"; t1="$(date +%s%N)"
-  cold_ms=$(( (t1 - t0) / 1000000 ))
-  "$bin" --sarif > "$cold_sarif"
-  # Best of three warm runs: end-to-end millisecond timings are noisy on
-  # loaded runners, so the wall-clock bound below is a loose sanity check
-  # — the hard gate is the stats.json hit mode.
-  best_warm_ms=""
-  for i in 1 2 3; do
-    t0="$(date +%s%N)"; "$bin" --json > "$warm_json"; t1="$(date +%s%N)"
-    warm_ms=$(( (t1 - t0) / 1000000 ))
-    if [ -z "$best_warm_ms" ] || [ "$warm_ms" -lt "$best_warm_ms" ]; then
-      best_warm_ms="$warm_ms"
-    fi
-  done
-  "$bin" --sarif > "$warm_sarif"
-  echo "    cold: ${cold_ms}ms, warm (best of 3): ${best_warm_ms}ms"
-  if ! cmp -s "$cold_json" "$warm_json"; then
-    echo "    ERROR: warm --json output differs from cold" >&2
-    diff "$cold_json" "$warm_json" | head >&2 || true
-    exit 1
-  fi
-  if ! cmp -s "$cold_sarif" "$warm_sarif"; then
-    echo "    ERROR: warm --sarif output differs from cold" >&2
-    exit 1
-  fi
-  # The semantic cache gate: an unchanged tree must take the full-skip
-  # path, and stats.json records which path ran. Wall clock can lie on a
-  # loaded runner; the recorded mode cannot.
-  mode="$(sed -n 's/.*"mode"[[:space:]]*:[[:space:]]*"\([^"]*\)".*/\1/p' target/sfcheck-cache/stats.json)"
-  if [ "$mode" != "warm-full" ]; then
-    echo "    ERROR: expected a warm-full cache hit on the unchanged tree, stats.json says mode='$mode'" >&2
-    exit 1
-  fi
-  if [ $(( best_warm_ms * 2 )) -gt "$cold_ms" ]; then
-    echo "    ERROR: best warm run (${best_warm_ms}ms) is not >=2x faster than cold (${cold_ms}ms)" >&2
-    exit 1
-  fi
-  # Warm hits must be thread-count independent, like everything else.
-  for t in 1 4 8; do
-    SMARTFEAT_THREADS="$t" "$bin" --json > "$warm_json"
-    if ! cmp -s "$cold_json" "$warm_json"; then
-      echo "    ERROR: warm --json under SMARTFEAT_THREADS=$t differs from cold" >&2
-      exit 1
-    fi
-  done
-  echo "    byte-identical across cold/warm and SMARTFEAT_THREADS=1/4/8"
-  mkdir -p ci-artifacts
-  cp target/sfcheck-cache/stats.json ci-artifacts/sfcheck-cache-stats.json
-  echo "    wrote ci-artifacts/sfcheck-cache-stats.json ($(cat ci-artifacts/sfcheck-cache-stats.json))"
-
-  # v4 lock lints through the full binary: a fixture tree tripping all
-  # four, cold/warm byte-identity, the partial path for a non-lock edit,
-  # and the forced-full path for a lock-relevant edit (DESIGN.md §16).
-  echo "==> sfcheck: lock-lint fixture tree (cold/warm identity + invalidation paths)"
-  local fixroot lockfile fix_cold fix_warm fix_ref fmode lint
-  fixroot="$(mktemp -d)"
-  fix_cold="$(mktemp)"; fix_warm="$(mktemp)"; fix_ref="$(mktemp)"
-  CLEANUP_PATHS+=("$fixroot" "$fix_cold" "$fix_warm" "$fix_ref")
-  mkdir -p "$fixroot/crates/app/src"
-  printf '[package]\nname = "app"\n' > "$fixroot/crates/app/Cargo.toml"
-  lockfile="$fixroot/crates/app/src/lib.rs"
-  cat > "$lockfile" <<'FIXTURE'
-use std::sync::Mutex;
-static ALPHA: Mutex<u64> = Mutex::new(0);
-static BETA: Mutex<u64> = Mutex::new(0);
-pub fn ordered() {
-    let a = ALPHA.lock().unwrap();
-    let b = BETA.lock().unwrap();
-    drop(b);
-    drop(a);
-}
-pub fn reversed() {
-    let b = BETA.lock().unwrap();
-    let a = ALPHA.lock().unwrap();
-    drop(a);
-    drop(b);
-}
-pub fn twice() {
-    let a = ALPHA.lock().unwrap();
-    let b = ALPHA.lock().unwrap();
-    drop(b);
-    drop(a);
-}
-pub fn held(worker: std::thread::JoinHandle<()>) {
-    let a = ALPHA.lock().unwrap();
-    let _r = worker.join();
-    drop(a);
-}
-pub fn forgotten() {
-    let _ = ALPHA.lock();
-}
-FIXTURE
-  printf 'pub fn plain(n: u64) -> u64 { n + 1 }\n' > "$fixroot/crates/app/src/plain.rs"
-  "$bin" --root "$fixroot" --json > "$fix_cold" || true
-  for lint in lock-order-inversion double-lock held-lock-blocking guard-discipline; do
-    if ! grep -q "\"$lint\"" "$fix_cold"; then
-      echo "    ERROR: lock fixture did not trip $lint" >&2
-      exit 1
-    fi
-  done
-  for t in 1 4 8; do
-    SMARTFEAT_THREADS="$t" "$bin" --root "$fixroot" --json > "$fix_warm" || true
-    if ! cmp -s "$fix_cold" "$fix_warm"; then
-      echo "    ERROR: warm lock-fixture --json under SMARTFEAT_THREADS=$t differs from cold" >&2
-      exit 1
-    fi
-    SMARTFEAT_THREADS="$t" "$bin" --root "$fixroot" --sarif > "$fix_warm" || true
-    "$bin" --root "$fixroot" --no-cache --sarif > "$fix_ref" || true
-    if ! cmp -s "$fix_warm" "$fix_ref"; then
-      echo "    ERROR: warm lock-fixture --sarif under SMARTFEAT_THREADS=$t differs from --no-cache" >&2
-      exit 1
-    fi
-  done
-  # A non-lock edit keeps the scoped partial path...
-  printf '// trailing comment, no lock relevance\n' >> "$fixroot/crates/app/src/plain.rs"
-  "$bin" --root "$fixroot" --json > "$fix_warm" || true
-  fmode="$(sed -n 's/.*"mode"[[:space:]]*:[[:space:]]*"\([^"]*\)".*/\1/p' "$fixroot/target/sfcheck-cache/stats.json")"
-  if [ "$fmode" != "warm-partial" ]; then
-    echo "    ERROR: non-lock edit should take the partial path, stats.json says mode='$fmode'" >&2
-    exit 1
-  fi
-  "$bin" --root "$fixroot" --no-cache --json > "$fix_ref" || true
-  if ! cmp -s "$fix_warm" "$fix_ref"; then
-    echo "    ERROR: partial-path lock-fixture --json differs from --no-cache" >&2
-    exit 1
-  fi
-  # ...while a lock-relevant edit forces full re-analysis (order pairs
-  # can span call-graph-disconnected files, so scoping would be unsound).
-  printf '// touched: still mentions Mutex\n' >> "$lockfile"
-  "$bin" --root "$fixroot" --json > "$fix_warm" || true
-  fmode="$(sed -n 's/.*"mode"[[:space:]]*:[[:space:]]*"\([^"]*\)".*/\1/p' "$fixroot/target/sfcheck-cache/stats.json")"
-  if [ "$fmode" != "cold" ]; then
-    echo "    ERROR: lock-relevant edit must force full re-analysis, stats.json says mode='$fmode'" >&2
-    exit 1
-  fi
-  "$bin" --root "$fixroot" --no-cache --json > "$fix_ref" || true
-  if ! cmp -s "$fix_warm" "$fix_ref"; then
-    echo "    ERROR: post-lock-edit --json differs from --no-cache" >&2
-    exit 1
-  fi
-  echo "    lock fixture: all four lints live, identity holds, invalidation paths verified"
 }
 
 step_threads() {
@@ -308,7 +156,17 @@ step_bench() {
   done
 }
 
-ALL_STEPS=(build test fmt clippy sfcheck sarif fix cache threads strategy artifacts bench)
+step_perf() {
+  # perfbench/ is its own cargo workspace (BENCHMARK.json runs it), so the
+  # root `cargo test` never compiles it: this step catches an API change
+  # in the root crates that breaks the benchmark. --smoke runs every
+  # workload once at a small size; it is not a timing gate.
+  echo "==> perfbench: unit tests + smoke run"
+  cargo test -q --offline --manifest-path perfbench/Cargo.toml
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
+}
+
+ALL_STEPS=(build test fmt clippy sfcheck sarif fix threads strategy artifacts bench perf)
 
 main() {
   local steps=("$@") s

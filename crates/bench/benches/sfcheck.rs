@@ -2,10 +2,9 @@
 //! lex+parse throughput, CFG construction over every parsed body, the
 //! cross-file passes (symbol resolution, call graph, dataflow, taint,
 //! stream registry, lock discipline) over a synthetic workspace, the
-//! lock-pass interprocedural fixpoint on a lock-heavy tree, and the
-//! end-to-end `run_check` cost cold vs warm — the pair behind the CI
-//! `cache` step's warm-full-hit assertion and its loose ≥2x
-//! best-of-three wall-clock bound. The blessed medians live in
+//! lock-pass interprocedural fixpoint on a lock-heavy tree, and one
+//! end-to-end `run_check` over a small on-disk workspace. The blessed
+//! medians live in
 //! `BENCH_PR10.json` (regenerate with `SMARTFEAT_BENCH_JSON=$PWD/BENCH_PR10.json
 //! cargo bench -p smartfeat-bench --bench sfcheck`); CI's bench-smoke job
 //! checks the benchmark set still matches that file's line count.
@@ -147,11 +146,10 @@ fn bench_global_passes(c: &mut Criterion) {
                 .collect();
             let ws = resolve::build(parsed, &manifests);
             let cg = callgraph::build(&ws);
-            let mut findings = dataflow::run_scoped(&ws, &cg, None);
-            findings.extend(taint::run(&ws, None));
-            findings.extend(taint::run_volatile(&ws));
+            let mut findings = dataflow::run(&ws, &cg);
+            findings.extend(taint::run(&ws));
             findings.extend(streams::run(&ws));
-            findings.extend(locks::run(&ws, &cg, None));
+            findings.extend(locks::run(&ws, &cg));
             findings.len()
         })
     });
@@ -181,11 +179,11 @@ fn bench_lock_fixpoint(c: &mut Criterion) {
     let ws = resolve::build(parsed, &manifests);
     let cg = callgraph::build(&ws);
     c.bench_function("locks/fixpoint_8_files", |b| {
-        b.iter(|| locks::run(&ws, &cg, None).len())
+        b.iter(|| locks::run(&ws, &cg).len())
     });
 }
 
-/// On-disk fixture for the end-to-end pair; lives under the system temp
+/// On-disk fixture for the end-to-end run; lives under the system temp
 /// dir so `cargo bench` never writes into the repo tree.
 fn write_fixture() -> PathBuf {
     let root = std::env::temp_dir().join(format!("sfcheck-bench-{}", std::process::id()));
@@ -217,16 +215,8 @@ fn write_fixture() -> PathBuf {
 fn bench_end_to_end(c: &mut Criterion) {
     let root = write_fixture();
 
-    c.bench_function("run_check/cold_no_cache", |b| {
-        let mut opts = CheckOptions::new(&root);
-        opts.no_cache = true;
-        b.iter(|| run_check(&opts).expect("fixture scan runs").waived.len())
-    });
-
-    c.bench_function("run_check/warm_full", |b| {
+    c.bench_function("run_check/full", |b| {
         let opts = CheckOptions::new(&root);
-        // Prime the cache; every timed iteration is then a warm-full hit.
-        run_check(&opts).expect("priming run");
         b.iter(|| run_check(&opts).expect("fixture scan runs").waived.len())
     });
 

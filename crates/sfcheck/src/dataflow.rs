@@ -39,22 +39,11 @@ pub const SEED_DERIVATION: &str = "seed-derivation";
 
 /// Run all cross-file lints; findings are sorted by the caller.
 pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
-    run_scoped(ws, cg, None)
-}
-
-/// Scoped variant for the incremental cache ([`crate::cache`]): with a
-/// `dirty` set of file indices, the closure lints iterate only fns in
-/// dirty files and panic-reachability emits only findings landing in
-/// dirty files. This equals the full run restricted to dirty files
-/// because every finding's file is call-graph-connected to the fn that
-/// produces it and the dirty set is closed under call-graph components
-/// (DESIGN.md §15).
-pub fn run_scoped(ws: &Workspace, cg: &CallGraph, dirty: Option<&BTreeSet<usize>>) -> Vec<Finding> {
     let mut out = Vec::new();
     let entries: BTreeSet<FnId> = ws.marked(PARALLEL_ENTRY).into_iter().collect();
     let derivations: BTreeSet<FnId> = ws.marked(SEED_DERIVATION).into_iter().collect();
-    par_capture_and_seed_lints(ws, cg, &entries, &derivations, dirty, &mut out);
-    panic_reachability_lint(ws, cg, dirty, &mut out);
+    par_capture_and_seed_lints(ws, cg, &entries, &derivations, &mut out);
+    panic_reachability_lint(ws, cg, &mut out);
     out
 }
 
@@ -187,12 +176,11 @@ fn par_capture_and_seed_lints(
     cg: &CallGraph,
     entries: &BTreeSet<FnId>,
     derivations: &BTreeSet<FnId>,
-    dirty: Option<&BTreeSet<usize>>,
     out: &mut Vec<Finding>,
 ) {
     for id in 0..ws.fns.len() {
         let info = &ws.fns[id];
-        if info.is_test || dirty.is_some_and(|d| !d.contains(&info.file)) {
+        if info.is_test {
             continue;
         }
         let Some(body) = ws.body_of(id) else { continue };
@@ -500,12 +488,7 @@ fn check_seed_discipline(
 
 /// Panic sites in non-test lib code reachable from the core crate's
 /// public `pipeline` fns.
-fn panic_reachability_lint(
-    ws: &Workspace,
-    cg: &CallGraph,
-    dirty: Option<&BTreeSet<usize>>,
-    out: &mut Vec<Finding>,
-) {
+fn panic_reachability_lint(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Finding>) {
     let roots: Vec<FnId> = ws
         .fns
         .iter()
@@ -525,12 +508,6 @@ fn panic_reachability_lint(
     for &target in parent.keys() {
         let info = &ws.fns[target];
         if info.is_test || ws.files[info.file].class != crate::walker::FileClass::Lib {
-            continue;
-        }
-        // BFS from the full root set keeps the reported call path (and so
-        // the message bytes) identical to a cold run; only emission is
-        // scoped to dirty files.
-        if dirty.is_some_and(|d| !d.contains(&info.file)) {
             continue;
         }
         for site in &cg.panic_sites[target] {

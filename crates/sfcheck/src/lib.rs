@@ -12,7 +12,6 @@
 
 pub mod ast;
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -74,11 +73,6 @@ pub struct CheckOptions {
     /// `old=new` path-prefix rewrites applied to baseline entries at load
     /// (`--baseline-remap`), so file moves don't resurrect legacy findings.
     pub baseline_remap: Vec<(String, String)>,
-    /// Disable the incremental analysis cache (`--no-cache`).
-    pub no_cache: bool,
-    /// Cache directory; `None` means `<root>/target/sfcheck-cache`
-    /// (`--cache-dir`).
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl CheckOptions {
@@ -89,8 +83,6 @@ impl CheckOptions {
             baseline_path: None,
             fix_dry_run: false,
             baseline_remap: Vec::new(),
-            no_cache: false,
-            cache_dir: None,
         }
     }
 
@@ -131,17 +123,10 @@ impl Outcome {
 /// honored), so output order is a function of the sorted walk, never of
 /// scheduling. The **global phase** is serial: it builds the workspace
 /// symbol table and call graph from the per-file ASTs, runs the
-/// [`dataflow`] and [`taint`] lints over the dirty file set and the
-/// [`streams`] registry plus the obs-volatile discipline over
-/// everything, merges their findings back into
-/// each file's stream, and only then applies that file's waivers — one
-/// waiver mechanism for token and cross-file lints alike.
-///
-/// The [`cache`] wraps both phases: an unchanged tree replays the whole
-/// pre-baseline result, a partially changed tree reuses per-file scans
-/// and clean files' cross-file findings. Warm output is byte-identical
-/// to cold — the report and SARIF documents are always rebuilt from the
-/// (replayed or computed) findings.
+/// [`dataflow`], [`taint`], [`locks`] and [`streams`] passes, merges
+/// their findings back into each file's stream, and only then applies
+/// that file's waivers — one waiver mechanism for token and cross-file
+/// lints alike.
 pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
     let sources = walker::rust_sources(&opts.root)?;
     let manifests = walker::manifests(&opts.root)?;
@@ -156,26 +141,55 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
     let files_scanned = sources.len();
     let manifests_scanned = manifests.len();
 
-    let cache = cache::Cache::open(
-        &opts.root,
-        opts.cache_dir.as_deref(),
-        opts.no_cache,
-        &sources,
-        &manifests,
-    );
-
-    let (findings, waived) = if let Some(hit) = cache.try_full_hit(&sources, &manifests) {
-        cache.write_stats(&cache::Stats {
-            mode: "warm-full",
-            files_total: files_scanned,
-            files_reused: files_scanned,
-            global: "skipped",
-            dirty_files: 0,
+    // Per-file phase, parallel and ordered.
+    let threads = smartfeat_par::resolve_threads(0);
+    let scans: Vec<(ast::File, (Vec<Finding>, Vec<lints::Waiver>))> =
+        smartfeat_par::par_map(threads, &sources, |file| {
+            let tokens = lexer::lex(&file.text);
+            (parser::parse(&tokens), lints::scan_rust_raw(file, &tokens))
         });
-        (hit.findings, hit.waived)
-    } else {
-        analyze(&cache, sources, &manifests)
-    };
+    let (parsed, mut raw_by_file): (Vec<_>, Vec<_>) = sources
+        .into_iter()
+        .zip(scans)
+        .map(|(source, (tree, raw))| ((source, tree), raw))
+        .unzip();
+
+    // Global phase: symbol table, call graph, then the cross-file passes,
+    // whose findings are filed under the file they land in.
+    let ws = resolve::build(parsed, &manifests);
+    let cg = callgraph::build(&ws);
+    let index_of: BTreeMap<&str, usize> = ws
+        .files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.rel_path.as_str(), i))
+        .collect();
+    let mut global = dataflow::run(&ws, &cg);
+    global.extend(taint::run(&ws));
+    global.extend(locks::run(&ws, &cg));
+    global.extend(streams::run(&ws));
+    for finding in global {
+        if let Some(&i) = index_of.get(finding.file.as_str()) {
+            raw_by_file[i].0.push(finding);
+        }
+    }
+
+    let mut findings: Vec<Finding> = Vec::new();
+    let mut waived: Vec<Waived> = Vec::new();
+    for (raw, waivers) in raw_by_file {
+        let mut result = lints::apply_waivers(raw, &waivers);
+        findings.append(&mut result.findings);
+        waived.append(&mut result.waived);
+    }
+    for manifest in &manifests {
+        let mut result = scan_manifest(manifest);
+        findings.append(&mut result.findings);
+        waived.append(&mut result.waived);
+    }
+    // The walk is sorted, but sort again so the report order is a
+    // contract of the output, not an accident of scan order.
+    findings.sort();
+    waived.sort();
 
     let mut baseline = Baseline::load(&opts.resolved_baseline())?;
     for (old, new) in &opts.baseline_remap {
@@ -200,131 +214,6 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
         report,
         sarif,
     })
-}
-
-/// Cold / warm-partial analysis: the per-file phase (with per-file cache
-/// reuse), symbol table and call graph, scoped cross-file passes, waiver
-/// application, the manifest scan, and the cache write-back.
-fn analyze(
-    cache: &cache::Cache,
-    sources: Vec<walker::SourceFile>,
-    manifests: &[walker::SourceFile],
-) -> (Vec<Finding>, Vec<Waived>) {
-    // Per-file phase, parallel and ordered. Unchanged files replay their
-    // token-lint results from the cache; lex and parse always run because
-    // the symbol table needs every AST.
-    let threads = smartfeat_par::resolve_threads(0);
-    let scans: Vec<(ast::File, Vec<Finding>, Vec<lints::Waiver>, bool)> =
-        smartfeat_par::par_map(threads, &sources, |file| {
-            let tokens = lexer::lex(&file.text);
-            let tree = parser::parse(&tokens);
-            match cache.file_entry(file, cache::fnv1a(file.text.as_bytes())) {
-                Some((raw, waivers)) => (tree, raw, waivers, true),
-                None => {
-                    let (raw, waivers) = lints::scan_rust_raw(file, &tokens);
-                    (tree, raw, waivers, false)
-                }
-            }
-        });
-
-    let mut files_reused = 0usize;
-    let mut raw_by_file: Vec<(Vec<Finding>, Vec<lints::Waiver>)> = Vec::with_capacity(scans.len());
-    let mut parsed: Vec<(walker::SourceFile, ast::File)> = Vec::with_capacity(scans.len());
-    for (source, (tree, raw, waivers, reused)) in sources.iter().zip(scans) {
-        files_reused += usize::from(reused);
-        raw_by_file.push((raw, waivers));
-        parsed.push((source.clone(), tree));
-    }
-    let ws = resolve::build(parsed, manifests);
-    let cg = callgraph::build(&ws);
-    let plan = cache.plan_global(&sources, manifests, &ws, &cg);
-
-    // Cross-file passes. Dataflow and determinism-taint findings are
-    // cacheable per file — each finding's file is call-graph-connected to
-    // the function that produced it, so the dirty closure re-derives
-    // exactly the affected set. The seed-stream registry and the
-    // obs-volatile discipline are global by nature — stream claims in
-    // unconnected crates collide, and the volatile-field set is harvested
-    // from comment annotations that neither the global fingerprint nor
-    // the call graph can see — and cheap, so both always re-run un-scoped
-    // and their findings stay out of the cached bucket.
-    let index_of: BTreeMap<&str, usize> = ws
-        .files
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.rel_path.as_str(), i))
-        .collect();
-    let dirty = plan.dirty.as_ref();
-    let mut global_by_file: BTreeMap<usize, Vec<Finding>> = plan.cached.clone();
-    let mut fresh = dataflow::run_scoped(&ws, &cg, dirty);
-    fresh.extend(taint::run(&ws, dirty));
-    fresh.extend(locks::run(&ws, &cg, dirty));
-    for finding in fresh {
-        if let Some(&i) = index_of.get(finding.file.as_str()) {
-            global_by_file.entry(i).or_default().push(finding);
-        }
-    }
-    let mut uncached = streams::run(&ws);
-    uncached.extend(taint::run_volatile(&ws));
-    let mut uncached_by_file: BTreeMap<usize, Vec<Finding>> = BTreeMap::new();
-    for finding in uncached {
-        if let Some(&i) = index_of.get(finding.file.as_str()) {
-            uncached_by_file.entry(i).or_default().push(finding);
-        }
-    }
-
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut waived: Vec<Waived> = Vec::new();
-    for (idx, (raw, waivers)) in raw_by_file.iter().enumerate() {
-        let mut merged = raw.clone();
-        if let Some(extra) = global_by_file.get(&idx) {
-            merged.extend(extra.iter().cloned());
-        }
-        if let Some(extra) = uncached_by_file.get(&idx) {
-            merged.extend(extra.iter().cloned());
-        }
-        let mut result = lints::apply_waivers(merged, waivers);
-        findings.append(&mut result.findings);
-        waived.append(&mut result.waived);
-    }
-    for manifest in manifests {
-        let mut result = scan_manifest(manifest);
-        findings.append(&mut result.findings);
-        waived.append(&mut result.waived);
-    }
-    // The walk is sorted, but sort again so the report order is a
-    // contract of the output, not an accident of scan order.
-    findings.sort();
-    waived.sort();
-
-    cache.store(
-        &sources,
-        manifests,
-        &ws,
-        &cg,
-        &raw_by_file,
-        &global_by_file,
-        &findings,
-        &waived,
-    );
-    let stats = match dirty {
-        Some(d) => cache::Stats {
-            mode: "warm-partial",
-            files_total: sources.len(),
-            files_reused,
-            global: "partial",
-            dirty_files: d.len(),
-        },
-        None => cache::Stats {
-            mode: "cold",
-            files_total: sources.len(),
-            files_reused,
-            global: "full",
-            dirty_files: sources.len(),
-        },
-    };
-    cache.write_stats(&stats);
-    (findings, waived)
 }
 
 /// The workspace root enclosing `start` (nearest `[workspace]` manifest).

@@ -839,15 +839,10 @@ const MARKER_TYPOS: [(&str, &str); 3] = [
     ("sfcheck:parallel_entry", "sfcheck:parallel-entry"),
 ];
 
-/// Run the lock-discipline lints.
-///
-/// Summaries and acquisition pairs are always computed whole-workspace —
-/// an inversion's two sides can live in call-graph-disconnected files,
-/// so no dirty closure is sound for the model itself (the cache instead
-/// fingerprints lock-relevant files; see `cache::global_fingerprint`).
-/// Emission is dirty-scoped: a finding is kept only when its file is in
-/// the dirty set, and clean files replay theirs from the cache.
-pub fn run(ws: &Workspace, cg: &CallGraph, dirty: Option<&BTreeSet<usize>>) -> Vec<Finding> {
+/// Run the lock-discipline lints. Summaries and acquisition pairs are
+/// computed whole-workspace: an inversion's two sides can live in
+/// call-graph-disconnected files.
+pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
     let pass = Pass::build(ws, cg);
     let mut out: Vec<Finding> = Vec::new();
     let mut pairs: Pairs = BTreeMap::new();
@@ -860,20 +855,16 @@ pub fn run(ws: &Workspace, cg: &CallGraph, dirty: Option<&BTreeSet<usize>>) -> V
         let ctx = FnCtx::new(&pass, id, body);
         let cfg = Cfg::build(body);
         let facts = cfg::fixpoint(&cfg, &ctx);
-        let mut fn_findings = Vec::new();
         for (b, entry) in facts.iter().enumerate() {
             let Some(entry) = entry else { continue };
             let mut fact = entry.clone();
             let mut emit = Emit {
-                findings: &mut fn_findings,
+                findings: &mut out,
                 pairs: &mut pairs,
             };
             for step in &cfg.blocks[b].steps {
                 ctx.step_fact(&mut fact, step, Some(&mut emit));
             }
-        }
-        if dirty.is_none_or(|d| d.contains(&info.file)) {
-            out.append(&mut fn_findings);
         }
     }
     for ((a, b), w) in &pairs {
@@ -883,25 +874,23 @@ pub fn run(ws: &Workspace, cg: &CallGraph, dirty: Option<&BTreeSet<usize>>) -> V
         let Some(rev) = pairs.get(&(b.clone(), a.clone())) else {
             continue;
         };
-        if dirty.is_none_or(|d| d.contains(&w.file)) {
-            out.push(finding_at(
-                ws,
-                w.file,
-                w.pos,
-                "lock-order-inversion",
-                format!(
-                    "lock-order-inversion: `{a}` then `{b}` (path: {}) but `{b}` then \
-                     `{a}` (path: {}) — opposite acquisition orders can deadlock",
-                    w.chain.join(" → "),
-                    rev.chain.join(" → "),
-                ),
-            ));
-        }
+        out.push(finding_at(
+            ws,
+            w.file,
+            w.pos,
+            "lock-order-inversion",
+            format!(
+                "lock-order-inversion: `{a}` then `{b}` (path: {}) but `{b}` then \
+                 `{a}` (path: {}) — opposite acquisition orders can deadlock",
+                w.chain.join(" → "),
+                rev.chain.join(" → "),
+            ),
+        ));
     }
     // Marker typos: an `sfcheck:` lock annotation that silently does
     // nothing is a discipline hole, not a style nit.
     for (idx, file) in ws.files.iter().enumerate() {
-        if file.class == FileClass::Test || dirty.is_some_and(|d| !d.contains(&idx)) {
+        if file.class == FileClass::Test {
             continue;
         }
         for (lno, line) in file.text.lines().enumerate() {
@@ -971,7 +960,7 @@ mod tests {
 
     fn lints_of(src: &str) -> Vec<Finding> {
         let (ws, cg) = ws_from(&[("crates/app/src/lib.rs", src)]);
-        run(&ws, &cg, None)
+        run(&ws, &cg)
     }
 
     const TWO_MUTEXES: &str = "static A: Mutex<i32> = Mutex::new(0);\n\
@@ -1200,9 +1189,7 @@ mod tests {
 
     #[test]
     fn inversion_pairs_survive_disconnected_call_components() {
-        // The two sides live in files with no call path between them —
-        // the shape the lock footprint in the cache fingerprint exists
-        // for.
+        // The two sides live in files with no call path between them.
         let shared = "static A: Mutex<i32> = Mutex::new(0);\n\
                       static B: Mutex<i32> = Mutex::new(0);\n";
         let one = "pub fn f() { let a = A.lock().unwrap(); let b = B.lock().unwrap(); drop(b); drop(a); }\n";
@@ -1212,15 +1199,9 @@ mod tests {
             ("crates/app/src/one.rs", one),
             ("crates/app/src/two.rs", two),
         ]);
-        let found = run(&ws, &cg, None);
+        let found = run(&ws, &cg);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].lint, "lock-order-inversion");
-        // Dirty-scoped emission keeps the finding only for its own file.
-        let dirty: BTreeSet<usize> = [1usize].into_iter().collect();
-        let scoped = run(&ws, &cg, Some(&dirty));
-        assert_eq!(scoped.len(), 1, "{scoped:?}");
-        let other: BTreeSet<usize> = [2usize].into_iter().collect();
-        assert!(run(&ws, &cg, Some(&other)).is_empty());
     }
 
     #[test]

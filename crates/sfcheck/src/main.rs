@@ -8,8 +8,6 @@
 //! cargo run -p sfcheck -- --fix           # apply mechanical fixes to the tree
 //! cargo run -p sfcheck -- --write-baseline  # record current findings as the baseline
 //! cargo run -p sfcheck -- --baseline-remap crates/old=crates/new  # follow a move
-//! cargo run -p sfcheck -- --no-cache       # ignore target/sfcheck-cache
-//! cargo run -p sfcheck -- --cache-dir DIR  # cache somewhere else
 //! ```
 //!
 //! Exit codes: `0` clean (or fully baselined/waived), `1` live findings,
@@ -31,8 +29,6 @@ struct Cli {
     fix_dry_run: bool,
     fix: bool,
     write_baseline: bool,
-    no_cache: bool,
-    cache_dir: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Cli, SfError> {
@@ -45,8 +41,6 @@ fn parse_args() -> Result<Cli, SfError> {
         fix_dry_run: false,
         fix: false,
         write_baseline: false,
-        no_cache: false,
-        cache_dir: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -56,13 +50,6 @@ fn parse_args() -> Result<Cli, SfError> {
             "--fix-dry-run" => cli.fix_dry_run = true,
             "--fix" => cli.fix = true,
             "--write-baseline" => cli.write_baseline = true,
-            "--no-cache" => cli.no_cache = true,
-            "--cache-dir" => {
-                cli.cache_dir =
-                    Some(PathBuf::from(args.next().ok_or_else(|| {
-                        SfError::new("--cache-dir requires a directory argument")
-                    })?));
-            }
             "--root" => {
                 cli.root =
                     Some(PathBuf::from(args.next().ok_or_else(|| {
@@ -90,8 +77,7 @@ fn parse_args() -> Result<Cli, SfError> {
                      \n\
                      USAGE: sfcheck [--root DIR] [--baseline PATH] \
                      [--baseline-remap OLD=NEW]... [--json] [--sarif] \
-                     [--fix-dry-run] [--fix] [--write-baseline] \
-                     [--no-cache] [--cache-dir DIR]\n\
+                     [--fix-dry-run] [--fix] [--write-baseline]\n\
                      \n\
                      Exit codes: 0 clean, 1 live findings, 2 tool error."
                 );
@@ -120,8 +106,6 @@ fn run() -> Result<bool, SfError> {
     opts.baseline_path = cli.baseline;
     opts.fix_dry_run = cli.fix_dry_run;
     opts.baseline_remap = cli.baseline_remap;
-    opts.no_cache = cli.no_cache;
-    opts.cache_dir = cli.cache_dir;
 
     let outcome = run_check(&opts)?;
 
@@ -159,12 +143,17 @@ fn run() -> Result<bool, SfError> {
             .baseline_path
             .clone()
             .unwrap_or_else(|| root.join("sfcheck.baseline.json"));
-        let doc = Baseline::to_json(&outcome.findings).emit();
+        // Record every unwaived finding, not just the live ones: a finding
+        // the old baseline already covered must stay covered.
+        let mut all = outcome.findings;
+        all.extend(outcome.baselined);
+        all.sort();
+        let doc = Baseline::to_json(&all).emit();
         std::fs::write(&path, doc + "\n")
             .map_err(|e| SfError::new(format!("write baseline {}: {e}", path.display())))?;
         eprintln!(
             "sfcheck: wrote {} finding(s) to {}",
-            outcome.findings.len(),
+            all.len(),
             path.display()
         );
         return Ok(true);

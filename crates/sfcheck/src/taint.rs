@@ -629,23 +629,13 @@ fn build_summaries(ws: &Workspace) -> Summaries {
     sums
 }
 
-/// Run the `determinism-taint` lint. `dirty` scopes *emission* (and the
-/// per-fn walks that produce it) to the given files; summaries are
-/// always computed over the whole workspace, so a clean file's cached
-/// findings stay byte-identical to a cold run's.
-///
-/// The companion `obs-volatile-discipline` lint is [`run_volatile`], not
-/// part of this pass: its verdicts depend on comment annotations the
-/// cache's dirty closure cannot see, so it must never be scoped.
-pub fn run(ws: &Workspace, dirty: Option<&BTreeSet<usize>>) -> Vec<Finding> {
+/// Run the `determinism-taint` and `obs-volatile-discipline` lints.
+pub fn run(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let sums = build_summaries(ws);
     for id in 0..ws.fns.len() {
         let info = &ws.fns[id];
-        if !sums.analyzed[id]
-            || ws.files[info.file].class != FileClass::Lib
-            || dirty.is_some_and(|d| !d.contains(&info.file))
-        {
+        if !sums.analyzed[id] || ws.files[info.file].class != FileClass::Lib {
             continue;
         }
         let Some(body) = ws.body_of(id) else { continue };
@@ -667,17 +657,6 @@ pub fn run(ws: &Workspace, dirty: Option<&BTreeSet<usize>>) -> Vec<Finding> {
             ));
         }
     }
-    out
-}
-
-/// Run the `obs-volatile-discipline` lint, always over the whole
-/// workspace. The volatile-field set is harvested from `// sfcheck:…`
-/// comments, which are invisible to both the cache's global fingerprint
-/// and its call-graph dirty closure — an annotation edit in one obs file
-/// must flip verdicts in another, so this pass is never scoped to a
-/// dirty set and its findings are never replayed from the cache.
-pub fn run_volatile(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
     volatile_discipline(ws, &mut out);
     out
 }
@@ -826,15 +805,8 @@ mod tests {
         crate::resolve::build(parsed, &manifests)
     }
 
-    /// Both taint-family lints over a workspace, like the pipeline runs.
-    fn run_all(ws: &Workspace) -> Vec<Finding> {
-        let mut out = run(ws, None);
-        out.extend(run_volatile(ws));
-        out
-    }
-
     fn run_on(core: &str) -> Vec<Finding> {
-        run_all(&ws_of(core))
+        run(&ws_of(core))
     }
 
     fn lints_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -947,7 +919,7 @@ mod tests {
              pub fn report(&self, v: WorkStat) -> u64 {\nlet leak = v.ns;\nleak\n}\n}",
         )];
         let ws = crate::resolve::build(parsed, &manifests);
-        let findings = run_all(&ws);
+        let findings = run(&ws);
         assert_eq!(lints_of(&findings), ["obs-volatile-discipline"]);
         assert!(findings[0].message.contains("`ns`"));
     }

@@ -1,12 +1,14 @@
 //! The gate itself, as a test: the repository must be sfcheck-clean, and
 //! the `--json` report must be byte-identical across runs and thread
 //! counts (the tool's own output obeys the determinism contract it
-//! enforces).
+//! enforces). The same matrix runs over a fixture tripping every lock
+//! lint, and `--write-baseline` is checked end to end.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sfcheck::{run_check, CheckOptions};
+use smartfeat_frame::json::JsonValue;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -56,40 +58,45 @@ fn json_report_is_byte_identical_across_runs() {
     assert_eq!(a, b, "report emission must be deterministic");
 }
 
-/// Run the CLI binary end-to-end with one output flag under a given
-/// `SMARTFEAT_THREADS` setting. Uses the binary cargo already built for
-/// this test run (`CARGO_BIN_EXE_*`), so no nested cargo invocation
-/// fights over the target-dir lock.
-fn run_cli(flag: &str, threads: &str) -> Vec<u8> {
+/// Run the CLI binary end-to-end over `root` with the given arguments
+/// under a `SMARTFEAT_THREADS` setting, asserting the exit code. Uses the
+/// binary cargo already built for this test run (`CARGO_BIN_EXE_*`), so
+/// no nested cargo invocation fights over the target-dir lock.
+fn run_cli(root: &Path, args: &[&str], threads: &str, want_exit: i32) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_sfcheck"))
-        .arg(flag)
+        .args(args)
         .arg("--root")
-        .arg(workspace_root())
+        .arg(root)
         .env("SMARTFEAT_THREADS", threads)
         .output()
         .expect("sfcheck binary runs");
-    assert!(
-        out.status.success(),
-        "sfcheck {flag} exited {:?} under SMARTFEAT_THREADS={threads}:\n{}",
+    assert_eq!(
         out.status.code(),
+        Some(want_exit),
+        "sfcheck {args:?} on {} under SMARTFEAT_THREADS={threads}:\n{}",
+        root.display(),
         String::from_utf8_lossy(&out.stderr)
     );
     out.stdout
+}
+
+/// Run `flag` at 1, 4 and 8 threads plus a repeat at 1, assert all four
+/// outputs are byte-identical, and return the output as text.
+fn thread_matrix(root: &Path, flag: &str, want_exit: i32) -> String {
+    let one = run_cli(root, &[flag], "1", want_exit);
+    for threads in ["4", "8", "1"] {
+        let again = run_cli(root, &[flag], threads, want_exit);
+        assert_eq!(one, again, "{flag} differs between 1 and {threads} threads");
+    }
+    String::from_utf8(one).expect("output is UTF-8")
 }
 
 /// Golden matrix: the CLI binary, run end-to-end under different
 /// `SMARTFEAT_THREADS` settings, must print byte-identical JSON.
 #[test]
 fn json_report_is_byte_identical_across_thread_counts() {
-    let one = run_cli("--json", "1");
-    let four = run_cli("--json", "4");
-    let eight = run_cli("--json", "8");
-    let one_again = run_cli("--json", "1");
-    assert_eq!(one, four, "report differs between 1 and 4 threads");
-    assert_eq!(one, eight, "report differs between 1 and 8 threads");
-    assert_eq!(one, one_again, "report differs between repeated runs");
+    let text = thread_matrix(&workspace_root(), "--json", 0);
     // Sanity: the output is the report, not an empty stream.
-    let text = String::from_utf8(one).expect("report is UTF-8");
     assert!(text.contains("\"summary\""));
 }
 
@@ -97,14 +104,121 @@ fn json_report_is_byte_identical_across_thread_counts() {
 /// runs and across thread counts, and structurally a SARIF 2.1.0 file.
 #[test]
 fn sarif_document_is_byte_identical_across_thread_counts() {
-    let one = run_cli("--sarif", "1");
-    let four = run_cli("--sarif", "4");
-    let eight = run_cli("--sarif", "8");
-    let one_again = run_cli("--sarif", "1");
-    assert_eq!(one, four, "SARIF differs between 1 and 4 threads");
-    assert_eq!(one, eight, "SARIF differs between 1 and 8 threads");
-    assert_eq!(one, one_again, "SARIF differs between repeated runs");
-    let text = String::from_utf8(one).expect("SARIF is UTF-8");
+    let text = thread_matrix(&workspace_root(), "--sarif", 0);
     assert!(text.contains("\"version\":\"2.1.0\""));
     assert!(text.contains("\"name\":\"sfcheck\""));
+}
+
+/// A throwaway workspace root with one `app` crate holding `files`.
+fn fixture_root(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("sfcheck-gate-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("crates/app/src")).expect("mkdir");
+    std::fs::write(
+        root.join("crates/app/Cargo.toml"),
+        "[package]\nname = \"app\"\n",
+    )
+    .expect("write manifest");
+    for (rel, text) in files {
+        std::fs::write(root.join(rel), text).expect("write fixture");
+    }
+    root
+}
+
+/// Trips all four lock lints: an order inversion (`ordered`/`reversed`),
+/// a double lock (`twice`), a blocking join under a guard (`held`), and a
+/// discarded guard (`forgotten`).
+const LOCK_FIXTURE: &str = "use std::sync::Mutex;
+static ALPHA: Mutex<u64> = Mutex::new(0);
+static BETA: Mutex<u64> = Mutex::new(0);
+pub fn ordered() {
+    let a = ALPHA.lock().unwrap();
+    let b = BETA.lock().unwrap();
+    drop(b);
+    drop(a);
+}
+pub fn reversed() {
+    let b = BETA.lock().unwrap();
+    let a = ALPHA.lock().unwrap();
+    drop(a);
+    drop(b);
+}
+pub fn twice() {
+    let a = ALPHA.lock().unwrap();
+    let b = ALPHA.lock().unwrap();
+    drop(b);
+    drop(a);
+}
+pub fn held(worker: std::thread::JoinHandle<()>) {
+    let a = ALPHA.lock().unwrap();
+    let _r = worker.join();
+    drop(a);
+}
+pub fn forgotten() {
+    let _ = ALPHA.lock();
+}
+";
+
+/// The lock lints through the release binary: all four fire live, and
+/// both documents are byte-identical at every thread count.
+#[test]
+fn lock_fixture_is_byte_identical_across_thread_counts() {
+    let root = fixture_root(
+        "locks",
+        &[
+            ("crates/app/src/lib.rs", LOCK_FIXTURE),
+            (
+                "crates/app/src/plain.rs",
+                "pub fn plain(n: u64) -> u64 { n + 1 }\n",
+            ),
+        ],
+    );
+    let json = thread_matrix(&root, "--json", 1);
+    let sarif = thread_matrix(&root, "--sarif", 1);
+    let _ = std::fs::remove_dir_all(&root);
+    for lint in [
+        "lock-order-inversion",
+        "double-lock",
+        "held-lock-blocking",
+        "guard-discipline",
+    ] {
+        let quoted = format!("\"{lint}\"");
+        assert!(json.contains(&quoted), "report lacks {lint}:\n{json}");
+        assert!(sarif.contains(&quoted), "SARIF lacks {lint}");
+    }
+}
+
+/// `summary.<key>` of an emitted JSON report.
+fn summary_count(report: &[u8], key: &str) -> u64 {
+    let text = std::str::from_utf8(report).expect("report is UTF-8");
+    JsonValue::parse(text)
+        .expect("report parses")
+        .get("summary")
+        .and_then(|s| s.get(key))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("report has summary.{key}"))
+}
+
+/// Rewriting the baseline keeps the findings it already covered: with
+/// finding A baselined and a new finding B live, `--write-baseline` must
+/// record both, so the next run is clean with two baselined.
+#[test]
+fn write_baseline_keeps_already_baselined_findings() {
+    let wall = "pub fn a() -> std::time::Instant { std::time::Instant::now() }\n";
+    let root = fixture_root("baseline", &[("crates/app/src/lib.rs", wall)]);
+    run_cli(&root, &["--write-baseline"], "1", 0);
+    let first = run_cli(&root, &["--json"], "1", 0);
+    assert_eq!(summary_count(&first, "baselined"), 1);
+
+    let env = "pub fn b() -> Option<String> { std::env::var(\"B\").ok() }\n";
+    std::fs::write(root.join("crates/app/src/lib.rs"), format!("{wall}{env}")).expect("edit");
+    let before = run_cli(&root, &["--json"], "1", 1);
+    assert_eq!(summary_count(&before, "findings"), 1);
+    assert_eq!(summary_count(&before, "baselined"), 1);
+
+    run_cli(&root, &["--write-baseline"], "1", 0);
+    let after = run_cli(&root, &["--json"], "1", 0);
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(summary_count(&after, "findings"), 0);
+    assert_eq!(summary_count(&after, "baselined"), 2);
 }

@@ -45,7 +45,7 @@ const OBS_SRC: &str =
     let b = pair(\"volatile\", v.ns);\na\n}\n}\n\
     pub fn pair(k: &str, v: u64) -> u64 { v }";
 
-/// Build a six-crate workspace: the skeleton above plus fixture files.
+/// Build a seven-crate workspace: the skeleton above plus fixture files.
 /// An `extra` entry whose path matches a skeleton file replaces it.
 fn fixture_ws(extra: &[(&str, &str)]) -> Workspace {
     let manifests = vec![
@@ -55,6 +55,7 @@ fn fixture_ws(extra: &[(&str, &str)]) -> Workspace {
         manifest("crates/obs/Cargo.toml", "smartfeat-obs"),
         manifest("crates/par/Cargo.toml", "smartfeat-par"),
         manifest("crates/rng/Cargo.toml", "smartfeat-rng"),
+        manifest("crates/util/Cargo.toml", "smartfeat-util"),
     ];
     let mut files: Vec<(String, String)> = vec![
         ("crates/rng/src/lib.rs".into(), RNG_SRC.into()),
@@ -84,8 +85,7 @@ fn fixture_ws(extra: &[(&str, &str)]) -> Workspace {
 /// registry, as a sorted lint-id list (one entry per finding).
 fn verdict(extra: &[(&str, &str)]) -> Vec<&'static str> {
     let ws = fixture_ws(extra);
-    let mut findings = taint::run(&ws, None);
-    findings.extend(taint::run_volatile(&ws));
+    let mut findings = taint::run(&ws);
     findings.extend(streams::run(&ws));
     let mut lints: Vec<&'static str> = findings.iter().map(|f| f.lint).collect();
     lints.sort_unstable();
@@ -164,15 +164,10 @@ fn v3_passes_never_panic_on_token_soup() {
         }
         let ws = fixture_ws(&[("crates/core/src/lib.rs", soup.as_str())]);
         let cg = callgraph::build(&ws);
-        let dirty: BTreeSet<usize> = (0..ws.files.len()).collect();
-        let _ = dataflow::run_scoped(&ws, &cg, None);
-        let _ = dataflow::run_scoped(&ws, &cg, Some(&dirty));
-        let _ = taint::run(&ws, None);
-        let _ = taint::run(&ws, Some(&dirty));
-        let _ = taint::run_volatile(&ws);
+        let _ = dataflow::run(&ws, &cg);
+        let _ = taint::run(&ws);
         let _ = streams::run(&ws);
-        let _ = locks::run(&ws, &cg, None);
-        let _ = locks::run(&ws, &cg, Some(&dirty));
+        let _ = locks::run(&ws, &cg);
         // CFG totality: every parsed body builds, and the lowering
         // partitions statements — each lands in exactly one block, so the
         // block-wise count equals an independent recursive count.
@@ -190,36 +185,6 @@ fn v3_passes_never_panic_on_token_soup() {
     });
 }
 
-/// Scoping emission to a dirty subset never *invents* findings: the
-/// scoped run's output is exactly the full run's, filtered to the subset.
-#[test]
-fn scoped_taint_run_is_a_filter_of_the_full_run() {
-    let extra = [
-        (
-            "crates/core/src/lib.rs",
-            "use smartfeat_frame::csv::write_csv;\npub fn dump() {\n\
-             let path = std::env::var(\"OUT\").unwrap_or_default();\nwrite_csv(&path);\n}",
-        ),
-        (
-            "crates/ml/src/lib.rs",
-            "use smartfeat_frame::csv::write_csv;\nuse smartfeat_par::resolve_threads;\n\
-             pub fn fit() {\nlet n = resolve_threads(0);\nwrite_csv(n);\n}",
-        ),
-    ];
-    let ws = fixture_ws(&extra);
-    let full = taint::run(&ws, None);
-    assert_eq!(full.len(), 2, "{full:?}");
-    for only in 0..ws.files.len() {
-        let dirty: BTreeSet<usize> = [only].into_iter().collect();
-        let scoped = taint::run(&ws, Some(&dirty));
-        let expected: Vec<_> = full
-            .iter()
-            .filter(|f| f.file == ws.files[only].rel_path)
-            .collect();
-        assert_eq!(scoped.iter().collect::<Vec<_>>(), expected, "file {only}");
-    }
-}
-
 /// The fixture oracle: ~20 hand-verdicted workspaces. Each entry is the
 /// fixture files plus the exact sorted lint-id list the v3 passes must
 /// produce — derived by hand from the documented semantics, not from the
@@ -234,6 +199,18 @@ fn fixture_verdicts_match_hand_rolled_oracle() {
     const TAINT: &str = "determinism-taint";
     const STREAM: &str = "seed-stream-collision";
     const VOLATILE: &str = "obs-volatile-discipline";
+    /// Reads the environment and hands it to the frame sink through
+    /// `smartfeat_util::decorate`.
+    const CORE_DECORATE_SRC: &str =
+        "use smartfeat_frame::csv::write_csv;\nuse smartfeat_util::decorate;\n\
+         pub fn dump() {\nlet p = std::env::var(\"OUT\").unwrap_or_default();\n\
+         let d = decorate(p);\nwrite_csv(&d);\n}";
+    /// A metrics report that leaks `ns` outside the volatile section but
+    /// carries no annotation itself.
+    const OBS_REPORT_SRC: &str = "pub struct WorkStat {\npub ns: u64,\n}\n\
+         pub struct Rec;\nimpl Rec {\n\
+         // sfcheck:metrics-report\n\
+         pub fn report(&self, v: WorkStat) -> u64 {\nlet leak = v.ns;\nleak\n}\n}";
     const FIXTURES: &[Fixture] = &[
         (
             "env read flowing to a sink",
@@ -312,6 +289,28 @@ fn fixture_verdicts_match_hand_rolled_oracle() {
             &[TAINT],
         ),
         (
+            "taint chain across three crates",
+            &[
+                (
+                    "crates/util/src/lib.rs",
+                    "pub fn decorate(s: String) -> String { s }",
+                ),
+                ("crates/core/src/lib.rs", CORE_DECORATE_SRC),
+            ],
+            &[TAINT],
+        ),
+        (
+            "three-crate chain broken by a constant-returning middle crate",
+            &[
+                (
+                    "crates/util/src/lib.rs",
+                    "pub fn decorate(s: String) -> String { String::new() }",
+                ),
+                ("crates/core/src/lib.rs", CORE_DECORATE_SRC),
+            ],
+            &[],
+        ),
+        (
             "helper returning a constant drops taint",
             &[(
                 "crates/core/src/lib.rs",
@@ -371,6 +370,28 @@ fn fixture_verdicts_match_hand_rolled_oracle() {
                  pub fn report(&self, v: WorkStat) -> u64 {\nlet leak = v.ns;\nleak\n}\n}",
             )],
             &[VOLATILE],
+        ),
+        (
+            "volatile annotation in another obs file than the report",
+            &[
+                ("crates/obs/src/lib.rs", OBS_REPORT_SRC),
+                (
+                    "crates/obs/src/fields.rs",
+                    "pub struct Stats {\n// sfcheck:volatile-field(ns)\npub ns: u64,\n}",
+                ),
+            ],
+            &[VOLATILE],
+        ),
+        (
+            "unannotated field in the report is clean",
+            &[
+                ("crates/obs/src/lib.rs", OBS_REPORT_SRC),
+                (
+                    "crates/obs/src/fields.rs",
+                    "pub struct Stats {\npub ns: u64,\n}",
+                ),
+            ],
+            &[],
         ),
         (
             "volatile field kept inside the volatile statement",
@@ -592,9 +613,8 @@ fn sarif_golden_for_v3_lints() {
         std::fs::write(&path, text).expect("write fixture");
     }
 
-    let mut opts = sfcheck::CheckOptions::new(&root);
-    opts.no_cache = true;
-    let outcome = sfcheck::run_check(&opts).expect("fixture scan runs");
+    let outcome =
+        sfcheck::run_check(&sfcheck::CheckOptions::new(&root)).expect("fixture scan runs");
     let _ = std::fs::remove_dir_all(&root);
 
     let lints: BTreeSet<&str> = outcome.findings.iter().map(|f| f.lint).collect();
