@@ -6,8 +6,8 @@
 # dependencies).
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
-# Steps: build test fmt clippy sfcheck sarif fix threads strategy
-#        artifacts bench perf
+# Steps: build test fmt clippy sfcheck sarif fix strategy artifacts
+#        bench perf
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -75,20 +75,12 @@ step_fix() {
   fi
 }
 
-step_threads() {
-  local t
-  for t in 1 4; do
-    echo "==> determinism matrix: SMARTFEAT_THREADS=$t"
-    SMARTFEAT_THREADS="$t" cargo test -q --offline
-  done
-}
-
 step_strategy() {
-  echo "==> strategy + cascade determinism: differential oracles + 1/4/8 re-exec matrices"
-  # strategy_oracle and cascade re-exec themselves per SMARTFEAT_THREADS
-  # value; strategy_trace pins the blessed per-strategy trace goldens
-  # and prop_search the search invariants (width/population/turn/FM
-  # budget).
+  echo "==> strategy + cascade determinism: differential oracles + 1/4/8 thread matrices"
+  # strategy_oracle and cascade run their 1/4/8-thread matrices in
+  # process, serially and concurrently; strategy_trace pins the blessed
+  # per-strategy trace goldens and prop_search the search invariants
+  # (width/population/turn/FM budget).
   cargo test -q --offline \
     --test strategy_oracle --test strategy_trace --test prop_search --test cascade
 }
@@ -166,7 +158,7 @@ step_perf() {
   cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 }
 
-ALL_STEPS=(build test fmt clippy sfcheck sarif fix threads strategy artifacts bench perf)
+ALL_STEPS=(build test fmt clippy sfcheck sarif fix strategy artifacts bench perf)
 
 main() {
   local steps=("$@") s

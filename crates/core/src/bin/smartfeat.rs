@@ -28,8 +28,8 @@
 //!                         escalating on parse failure or hedged output;
 //!                         mutually exclusive with --backend
 //!   --threads N           worker threads for parallel compute stages
-//!                         (default 0 = auto; SMARTFEAT_THREADS overrides;
-//!                         output is identical for every value)
+//!                         (default 0 = auto: SMARTFEAT_THREADS, else the
+//!                         core count; output is identical for every value)
 //!   --no-drop             disable the original-feature drop heuristic
 //!   --fm-removal          enable the FM feature-removal extension
 //!   --transcript          print the full FM dialogue afterwards

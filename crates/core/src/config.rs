@@ -441,8 +441,9 @@ pub struct SmartFeatConfig {
     pub fm_feature_removal: bool,
     /// Worker threads for the parallel compute stages (candidate
     /// transforms, duplicate scans): 0 = auto-detect, 1 = exact serial
-    /// path. The `SMARTFEAT_THREADS` environment variable overrides this
-    /// at run time. Output is bit-identical for every value.
+    /// path. At 0 the run takes the enclosing run context's count, else
+    /// the `SMARTFEAT_THREADS` environment variable, else the core count.
+    /// Output is bit-identical for every value.
     pub threads: usize,
     /// Structured-telemetry settings (off by default; see
     /// [`ObservabilityConfig`]).

@@ -84,7 +84,7 @@ pub fn evaluate_models_threaded(
         } else {
             (x_train, x_test)
         };
-        // Runs on pool workers: the work registry aggregates through
+        // Runs on pool workers: the run's work tally aggregates through
         // order-independent counters, so this is determinism-safe.
         let auc = smartfeat_obs::global::time("ml.eval.model", || {
             score_one_model(kind, tr, y_train, te, y_test, seed, i)
@@ -205,6 +205,25 @@ mod tests {
         assert!(s.average() > 80.0);
         assert!(s.median() > 80.0);
         assert!(s.get(ModelKind::LR).is_some());
+    }
+
+    #[test]
+    fn evaluate_all_records_one_fit_per_kind() {
+        let (x, y) = linear_data(80);
+        let work = smartfeat_par::within(4, || {
+            evaluate_all_models(&x, &y, &x, &y, 5).unwrap();
+            smartfeat_par::with_current(smartfeat_par::RunContext::work).unwrap()
+        });
+        for name in [
+            "ml.lr.fit",
+            "ml.nb.fit",
+            "ml.forest.fit",
+            "ml.extra_trees.fit",
+            "ml.dnn.fit",
+        ] {
+            assert_eq!(work.get(name).map(|w| w.count), Some(1), "{name}: {work:?}");
+        }
+        assert_eq!(work["ml.eval.model"].count, 5);
     }
 
     #[test]

@@ -21,8 +21,9 @@ pub struct RandomForest {
     pub tree_params: TreeParams,
     /// Bootstrap sample fraction (with replacement).
     pub bootstrap_fraction: f64,
-    /// Worker threads for tree training: 0 = auto (`SMARTFEAT_THREADS`
-    /// override, else hardware), 1 = exact serial path.
+    /// Worker threads for tree training: 0 = auto (the run context's
+    /// count, else `SMARTFEAT_THREADS`, else hardware), 1 = exact serial
+    /// path.
     pub threads: usize,
     seed: u64,
     trees: Vec<DecisionTree>,

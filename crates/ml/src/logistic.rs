@@ -60,8 +60,9 @@ pub fn sigmoid(z: f64) -> f64 {
     }
 }
 
-impl Classifier for LogisticRegression {
-    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
+impl LogisticRegression {
+    /// Gradient-descent training behind [`Classifier::fit`].
+    fn train(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
         x.check_training(y)?;
         if !x.is_finite() {
             return Err(MlError::NonFinite("training features"));
@@ -101,6 +102,12 @@ impl Classifier for LogisticRegression {
         }
         self.fitted = true;
         Ok(())
+    }
+}
+
+impl Classifier for LogisticRegression {
+    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
+        smartfeat_obs::global::time("ml.lr.fit", || self.train(x, y))
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {

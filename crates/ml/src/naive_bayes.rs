@@ -35,8 +35,9 @@ impl Default for GaussianNb {
     }
 }
 
-impl Classifier for GaussianNb {
-    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
+impl GaussianNb {
+    /// Per-class mean/variance estimation behind [`Classifier::fit`].
+    fn train(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
         x.check_training(y)?;
         if !x.is_finite() {
             return Err(MlError::NonFinite("training features"));
@@ -84,6 +85,12 @@ impl Classifier for GaussianNb {
         self.vars = vars;
         self.fitted = true;
         Ok(())
+    }
+}
+
+impl Classifier for GaussianNb {
+    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
+        smartfeat_obs::global::time("ml.nb.fit", || self.train(x, y))
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {

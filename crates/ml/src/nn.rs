@@ -99,8 +99,9 @@ impl MlpClassifier {
     }
 }
 
-impl Classifier for MlpClassifier {
-    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
+impl MlpClassifier {
+    /// Mini-batch Adam training behind [`Classifier::fit`].
+    fn train(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
         x.check_training(y)?;
         if !x.is_finite() {
             return Err(MlError::NonFinite("training features"));
@@ -218,6 +219,12 @@ impl Classifier for MlpClassifier {
         }
         self.fitted = true;
         Ok(())
+    }
+}
+
+impl Classifier for MlpClassifier {
+    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
+        smartfeat_obs::global::time("ml.dnn.fit", || self.train(x, y))
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {

@@ -1,47 +1,29 @@
-//! Process-wide work registry: order-independent aggregation for code
-//! that runs on pool workers (tree fits, CV folds), where per-event
-//! tracing would break the determinism contract.
+//! Run-scoped work tally: order-independent aggregation for code that
+//! runs on pool workers (tree fits, CV folds), where per-event tracing
+//! would break the determinism contract.
 //!
-//! Callers record named work units with [`time`] or [`record`]; the
-//! pipeline snapshots the registry before and after a run and reports the
-//! delta. Counts are a pure function of the workload (deterministic for
-//! any thread count); nanosecond totals are wall-clock and surface only
-//! in the report's `volatile` section.
+//! Callers record named work units with [`time`] or [`record`]; both
+//! write into the current `smartfeat_par` run context, which the pool
+//! hands to its workers, and the pipeline copies the tally into its
+//! report at the end of the run. Work recorded outside any context is
+//! dropped. Counts are a pure function of the workload (deterministic
+//! for any thread count); nanosecond totals are wall-clock and surface
+//! only in the report's `volatile` section.
 
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
-
-use smartfeat_par::lock_or_poison;
 use std::time::{Duration, Instant};
 
-/// Aggregate for one named unit of work.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkStat {
-    /// Times the unit ran.
-    pub count: u64,
-    /// Total wall-clock nanoseconds (saturating).
-    // sfcheck:volatile-field(ns)
-    pub ns: u64,
-}
+// sfcheck:volatile-field(ns)
+pub use smartfeat_par::WorkStat;
 
-fn registry() -> &'static Mutex<BTreeMap<&'static str, WorkStat>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, WorkStat>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Record one completed unit of `name` that took `elapsed`.
+/// Record one completed unit of `name` that took `elapsed` in the
+/// current run context (a no-op outside one).
 pub fn record(name: &'static str, elapsed: Duration) {
-    let mut reg = lock_or_poison(registry());
-    let stat = reg.entry(name).or_default();
-    stat.count += 1;
-    stat.ns = stat
-        .ns
-        .saturating_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+    smartfeat_par::with_current(|ctx| ctx.record(name, elapsed));
 }
 
 /// Run `f`, recording its wall-clock duration under `name`. Safe to call
-/// from pool workers: aggregation is a mutex-guarded counter update, with
-/// no event emission.
+/// from pool workers: aggregation is a mutex-guarded counter update in
+/// the run's context, with no event emission.
 pub fn time<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let out = f();
@@ -49,12 +31,13 @@ pub fn time<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// A running wall-clock measurement that records into the work registry
-/// when dropped. This is the sanctioned way for code outside `crates/obs`
-/// to consume wall time (deadline enforcement, bench sampling): the read
-/// stays behind the obs gate, the count lands deterministically in the
-/// registry, and the nanosecond total only surfaces under the report's
-/// `volatile` key (sfcheck lint `wall-clock` enforces the routing).
+/// A running wall-clock measurement that records into the run's work
+/// tally when dropped. This is the sanctioned way for code outside
+/// `crates/obs` to consume wall time (deadline enforcement, bench
+/// sampling): the read stays behind the obs gate, the count lands
+/// deterministically in the tally, and the nanosecond total only surfaces
+/// under the report's `volatile` key (sfcheck lint `wall-clock` enforces
+/// the routing).
 #[derive(Debug)]
 pub struct Stopwatch {
     name: &'static str,
@@ -91,87 +74,55 @@ impl Drop for Stopwatch {
     }
 }
 
-/// Snapshot of the whole registry.
-pub fn snapshot() -> BTreeMap<String, WorkStat> {
-    lock_or_poison(registry())
-        .iter()
-        .map(|(k, v)| ((*k).to_string(), *v))
-        .collect()
-}
-
-/// Per-name difference `after - before` (saturating), dropping names
-/// whose count did not change. Bridges run-scoped deltas out of the
-/// process-wide accumulators.
-pub fn delta(
-    before: &BTreeMap<String, WorkStat>,
-    after: &BTreeMap<String, WorkStat>,
-) -> BTreeMap<String, WorkStat> {
-    let mut out = BTreeMap::new();
-    for (name, a) in after {
-        let b = before.get(name).copied().unwrap_or_default();
-        let d = WorkStat {
-            count: a.count.saturating_sub(b.count),
-            ns: a.ns.saturating_sub(b.ns),
-        };
-        if d.count > 0 {
-            out.insert(name.clone(), d);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The work tally of `f`, run inside a fresh context.
+    fn tally(f: impl FnOnce()) -> std::collections::BTreeMap<&'static str, WorkStat> {
+        smartfeat_par::within(1, || {
+            f();
+            smartfeat_par::with_current(smartfeat_par::RunContext::work).expect("context")
+        })
+    }
+
     #[test]
     fn time_records_count_and_duration() {
-        let before = snapshot();
-        let v = time("obs.test.unit", || 41 + 1);
-        assert_eq!(v, 42);
-        record("obs.test.unit", Duration::from_nanos(5));
-        let after = snapshot();
-        let d = delta(&before, &after);
-        let stat = d.get("obs.test.unit").expect("unit recorded");
+        let work = tally(|| {
+            assert_eq!(time("obs.test.unit", || 41 + 1), 42);
+            record("obs.test.unit", Duration::from_nanos(5));
+        });
+        let stat = work["obs.test.unit"];
         assert_eq!(stat.count, 2);
         assert!(stat.ns >= 5);
     }
 
     #[test]
     fn stopwatch_records_on_drop_and_checks_deadlines() {
-        let before = snapshot();
-        {
+        let work = tally(|| {
             let watch = stopwatch("obs.test.stopwatch");
             assert!(
                 watch.exceeded(Duration::ZERO) || watch.elapsed() == Duration::ZERO,
                 "a zero deadline trips as soon as any time passes"
             );
             assert!(!watch.exceeded(Duration::from_secs(3600)));
-        }
-        let d = delta(&before, &snapshot());
-        assert_eq!(d.get("obs.test.stopwatch").unwrap().count, 1);
+        });
+        assert_eq!(work["obs.test.stopwatch"].count, 1);
     }
 
     #[test]
-    fn delta_drops_unchanged_names() {
-        record("obs.test.stable", Duration::ZERO);
-        let snap = snapshot();
-        assert!(delta(&snap, &snap).is_empty());
+    fn work_outside_a_context_is_dropped() {
+        record("obs.test.orphan", Duration::ZERO);
+        assert!(tally(|| ()).is_empty());
     }
 
     #[test]
     fn concurrent_recording_is_exact() {
-        let before = snapshot();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        record("obs.test.concurrent", Duration::from_nanos(1));
-                    }
-                });
-            }
+        let work = tally(|| {
+            smartfeat_par::par_map_indexed(4, 200, |_| {
+                record("obs.test.concurrent", Duration::from_nanos(1))
+            });
         });
-        let d = delta(&before, &snapshot());
-        assert_eq!(d.get("obs.test.concurrent").unwrap().count, 200);
+        assert_eq!(work["obs.test.concurrent"].count, 200);
     }
 }

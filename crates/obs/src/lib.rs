@@ -20,10 +20,10 @@
 //!    differential tests can hold the rest byte-identical.
 //! 2. Trace events may only be emitted from *serial* code. Parallel work
 //!    (tree fits, CV folds, pool tasks) is aggregated through
-//!    order-independent counters — the [`global`] work registry and the
-//!    pool counters bridged from `smartfeat_par` — never through the event
-//!    stream. A violation shows up as a tick-count difference between
-//!    thread counts, which the differential suite rejects.
+//!    order-independent counters — the [`global`] work tally and the pool
+//!    counters of the run's `smartfeat_par` context — never through the
+//!    event stream. A violation shows up as a tick-count difference
+//!    between thread counts, which the differential suite rejects.
 //!
 //! Hermetic-build policy: this crate depends on `std` and
 //! `smartfeat-frame` (for the JSON writer) only.
@@ -37,6 +37,12 @@ use std::time::Instant;
 
 use smartfeat_frame::json::JsonValue;
 use smartfeat_par::lock_or_poison;
+
+/// Pool counters of one run, copied from its `smartfeat_par` context.
+/// `workers_spawned` depends on the thread count, so the report carries
+/// it only under the `volatile` key in wall mode.
+// sfcheck:volatile-field(workers_spawned)
+pub use smartfeat_par::PoolStats;
 
 /// Environment variable that opts span/event timestamps into wall-clock
 /// nanoseconds (`1`/`true`). Unset or anything else keeps the
@@ -55,8 +61,7 @@ pub enum ClockMode {
 }
 
 impl ClockMode {
-    /// Resolve the mode from [`WALLCLOCK_ENV`] (read on every call so
-    /// re-exec harnesses can vary it per child process).
+    /// Resolve the mode from [`WALLCLOCK_ENV`] (read on every call).
     pub fn from_env() -> ClockMode {
         match std::env::var(WALLCLOCK_ENV) {
             Ok(v) if v.trim() == "1" || v.trim().eq_ignore_ascii_case("true") => ClockMode::Wall,
@@ -163,20 +168,6 @@ impl RouteUsage {
     }
 }
 
-/// Pool counters bridged from `smartfeat_par` (the pipeline snapshots the
-/// process-wide counters before and after a run and records the delta).
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct PoolCounters {
-    /// `par_map` batches submitted (serial path included).
-    pub batches: u64,
-    /// Tasks enqueued across all batches.
-    pub tasks: u64,
-    /// Worker threads spawned (occupancy). Thread-count dependent, so it
-    /// is reported only under the `volatile` key in wall mode.
-    // sfcheck:volatile-field(workers_spawned)
-    pub workers_spawned: u64,
-}
-
 #[derive(Debug, Default, Clone, Copy)]
 struct SpanAgg {
     count: u64,
@@ -190,8 +181,8 @@ struct State {
     fm: BTreeMap<String, FmUsage>,
     families: BTreeMap<String, FamilyStats>,
     spans: BTreeMap<String, SpanAgg>,
-    work: BTreeMap<String, global::WorkStat>,
-    pool: PoolCounters,
+    work: BTreeMap<&'static str, global::WorkStat>,
+    pool: PoolStats,
     routing: BTreeMap<String, RouteUsage>,
     trace: String,
     events: u64,
@@ -295,8 +286,8 @@ impl Recorder {
         }
     }
 
-    /// Record the pool-counter delta for this run.
-    pub fn set_pool(&self, pool: PoolCounters) {
+    /// Record the pool counters of this run.
+    pub fn set_pool(&self, pool: PoolStats) {
         if let Some(inner) = &self.inner {
             lock_or_poison(&inner.state).pool = pool;
         }
@@ -311,9 +302,9 @@ impl Recorder {
         }
     }
 
-    /// Record the [`global`] work-registry delta for this run (counts are
+    /// Record the [`global`] work tally of this run (counts are
     /// deterministic; nanoseconds surface only in wall mode).
-    pub fn set_work(&self, work: BTreeMap<String, global::WorkStat>) {
+    pub fn set_work(&self, work: BTreeMap<&'static str, global::WorkStat>) {
         if let Some(inner) = &self.inner {
             lock_or_poison(&inner.state).work = work;
         }
@@ -402,9 +393,10 @@ impl Recorder {
     ///
     /// Under the default logical clock every field is a pure function of
     /// the workload: counters, FM usage, family stats, span counts and
-    /// tick totals, pool batch/task counts, work-registry counts. Wall
-    /// mode adds a `volatile` section (span/work nanoseconds, worker
-    /// occupancy) that differential tests must strip.
+    /// tick totals, pool batch/task counts, work-tally counts. Wall mode
+    /// drops the span ticks and adds a `volatile` section (span/work
+    /// nanoseconds, worker occupancy); without `clock`, `volatile` and
+    /// the ticks, the two modes' reports are byte-identical.
     // sfcheck:metrics-report
     pub fn report(&self) -> JsonValue {
         let Some(inner) = &self.inner else {
@@ -440,19 +432,16 @@ impl Recorder {
                 .collect(),
         );
 
-        let elapsed_key = if wall { "ns" } else { "ticks" };
         let spans = JsonValue::Object(
             state
                 .spans
                 .iter()
                 .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        JsonValue::object([
-                            ("count", v.count.into()),
-                            (elapsed_key, v.total.into()),
-                        ]),
-                    )
+                    let mut span = vec![("count", JsonValue::from(v.count))];
+                    if !wall {
+                        span.push(("ticks", v.total.into()));
+                    }
+                    (k.clone(), JsonValue::object(span))
                 })
                 .collect(),
         );
@@ -461,7 +450,7 @@ impl Recorder {
             state
                 .work
                 .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::from(v.count)))
+                .map(|(k, v)| ((*k).to_string(), JsonValue::from(v.count)))
                 .collect(),
         );
 
@@ -497,17 +486,25 @@ impl Recorder {
             ));
         }
         if wall {
+            let span_ns = JsonValue::Object(
+                state
+                    .spans
+                    .iter()
+                    .map(|(k, v)| (k.clone(), JsonValue::from(v.total)))
+                    .collect(),
+            );
             let work_ns = JsonValue::Object(
                 state
                     .work
                     .iter()
-                    .map(|(k, v)| (k.clone(), JsonValue::from(v.ns)))
+                    .map(|(k, v)| ((*k).to_string(), JsonValue::from(v.ns)))
                     .collect(),
             );
             report.push((
                 "volatile",
                 JsonValue::object([
                     ("pool_workers_spawned", state.pool.workers_spawned.into()),
+                    ("span_ns", span_ns),
                     ("work_ns", work_ns),
                 ]),
             ));
@@ -660,7 +657,7 @@ mod tests {
     #[test]
     fn logical_report_has_no_volatile_section() {
         let rec = Recorder::new(ClockMode::Logical);
-        rec.set_pool(PoolCounters {
+        rec.set_pool(PoolStats {
             batches: 3,
             tasks: 12,
             workers_spawned: 6,
@@ -677,18 +674,19 @@ mod tests {
     #[test]
     fn wall_report_segregates_volatile_fields() {
         let rec = Recorder::new(ClockMode::Wall);
-        rec.set_pool(PoolCounters {
+        rec.set_pool(PoolStats {
             batches: 1,
             tasks: 2,
             workers_spawned: 4,
         });
         let mut work = BTreeMap::new();
-        work.insert(
-            "ml.forest.fit".to_string(),
-            global::WorkStat { count: 5, ns: 123 },
-        );
+        work.insert("ml.forest.fit", global::WorkStat { count: 5, ns: 123 });
         rec.set_work(work);
+        drop(rec.span("stage"));
         let report = rec.report();
+        let stage = report.get("spans").unwrap().get("stage").unwrap();
+        assert_eq!(stage.get("count").unwrap().as_u64(), Some(1));
+        assert!(stage.get("ns").is_none() && stage.get("ticks").is_none());
         assert_eq!(report.get("clock").unwrap().as_str(), Some("wall"));
         let volatile = report.get("volatile").expect("wall mode has volatile");
         assert_eq!(
@@ -704,6 +702,7 @@ mod tests {
                 .as_u64(),
             Some(123)
         );
+        assert!(volatile.get("span_ns").unwrap().get("stage").is_some());
         // The deterministic side still carries the count.
         assert_eq!(
             report

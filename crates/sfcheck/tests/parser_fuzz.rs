@@ -8,21 +8,16 @@
 //!    round-trip through the source.
 //! 2. **Stable on real code** — `ast::dump` of five representative
 //!    workspace files is pinned against goldens under `tests/goldens/`.
-//!    After an intentional parser or source change, regenerate with
+//!    The sources are frozen copies under `tests/fixtures/` (the `.txt`
+//!    suffix keeps them out of the workspace walker and cargo), so edits
+//!    to the live files never move the goldens. After an intentional
+//!    parser change, regenerate with
 //!    `SFCHECK_BLESS=1 cargo test -p sfcheck --test parser_fuzz`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use sfcheck::{ast, lexer, parser};
 use smartfeat_rng::check;
-
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/sfcheck sits two levels below the workspace root")
-        .to_path_buf()
-}
 
 /// Rust-flavored fragments the plain `arbitrary_text` generator would
 /// almost never assemble: unbalanced delimiters, keyword runs, raw
@@ -89,28 +84,32 @@ fn parse_never_panics_on_token_soup() {
     });
 }
 
-/// The five pinned files: one per layer the lints reason about (rng
-/// derivation, parallel runtime, JSON emission, the pipeline itself, and
-/// sfcheck's own AST — deeply nested generics and matches).
+/// The five pinned sources under `tests/fixtures/`, frozen copies of
+/// one file per layer the lints reason about (rng derivation, parallel
+/// runtime, JSON emission, the pipeline itself, and sfcheck's own AST —
+/// deeply nested generics and matches). Each is named after its original
+/// path with `/` spelled `__`.
 const GOLDEN_FILES: &[&str] = &[
-    "crates/rng/src/lib.rs",
-    "crates/par/src/lib.rs",
-    "crates/frame/src/json.rs",
-    "crates/core/src/pipeline.rs",
-    "crates/sfcheck/src/ast.rs",
+    "crates__rng__src__lib.rs.txt",
+    "crates__par__src__lib.rs.txt",
+    "crates__frame__src__json.rs.txt",
+    "crates__core__src__pipeline.rs.txt",
+    "crates__sfcheck__src__ast.rs.txt",
 ];
 
 #[test]
 fn golden_ast_dumps_are_stable() {
-    let root = workspace_root();
+    let tests = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
     // sfcheck:allow(env-dependence) test-only bless knob; never reaches pipeline output
     let bless = std::env::var("SFCHECK_BLESS").is_ok();
     let mut mismatches = Vec::new();
-    for rel in GOLDEN_FILES {
-        let src = std::fs::read_to_string(root.join(rel)).expect("golden source file exists");
+    for name in GOLDEN_FILES {
+        let src = std::fs::read_to_string(tests.join("fixtures").join(name))
+            .expect("golden source fixture exists");
         let dump = ast::dump(&parser::parse(&lexer::lex(&src)));
-        let golden_name = rel.replace('/', "__").replace(".rs", ".ast.txt");
-        let golden_path = root.join("crates/sfcheck/tests/goldens").join(&golden_name);
+        let golden_path = tests
+            .join("goldens")
+            .join(name.replace(".rs.txt", ".ast.txt"));
         if bless {
             std::fs::create_dir_all(golden_path.parent().expect("parent")).expect("mkdir");
             std::fs::write(&golden_path, &dump).expect("write golden");
@@ -123,7 +122,7 @@ fn golden_ast_dumps_are_stable() {
             )
         });
         if dump != expected {
-            mismatches.push(rel.to_string());
+            mismatches.push(name.to_string());
         }
     }
     assert!(

@@ -9,64 +9,23 @@
 //!    totals reconcile exactly with the FM usage meters; single-model
 //!    runs emit no `routing` key at all.
 //! 3. `cascade_is_byte_identical_under_thread_matrix` — all four search
-//!    strategies under the cascade, re-executed with
-//!    `SMARTFEAT_THREADS=1/4/8`, produce byte-identical fingerprints
-//!    (report digest + metrics report bytes).
+//!    strategies under the cascade produce byte-identical fingerprints
+//!    (report digest + metrics report bytes) at 1, 4 and 8 threads, run
+//!    serially and concurrently (`common::assert_thread_invariant`).
 //! 4. `single_backend_override_serves_both_roles` — `--backend`-style
 //!    configs run end to end on one family.
 
-use std::fmt::Write as _;
-use std::process::Command;
+mod common;
 
+use std::fmt::Write as _;
+
+use common::digest;
 use smartfeat::{
     build_role_fms, BackendKind, CascadeConfig, SearchStrategyKind, SmartFeat, SmartFeatConfig,
     SmartFeatReport,
 };
 use smartfeat_fm::FoundationModel;
-use smartfeat_frame::csv;
 use smartfeat_frame::json::JsonValue;
-use smartfeat_ml::{kfold_cv_auc, Matrix, ModelKind};
-
-/// Downstream CV score of an engineered frame: logistic regression,
-/// 4-fold, fixed seed — deterministic and bit-identical across threads.
-fn frame_auc(df: &smartfeat_frame::DataFrame, target: &str) -> f64 {
-    let features: Vec<&str> = df
-        .column_names()
-        .into_iter()
-        .filter(|n| *n != target)
-        .collect();
-    let rows = df.to_matrix(&features, 0.0).expect("frame to matrix");
-    let x = Matrix::from_rows(rows).expect("rectangular matrix");
-    let y = df.to_labels(target).expect("labels");
-    kfold_cv_auc(ModelKind::LR, &x, &y, 4, 11).expect("cv score")
-}
-
-/// Digest one report to text: summary, full frame CSV, exact FM meter
-/// deltas (cost as bit pattern), and the downstream AUC bit pattern.
-fn digest(report: &SmartFeatReport, target: &str, out: &mut String) {
-    out.push_str(&report.summary());
-    out.push_str(&csv::write_csv_str(&report.frame));
-    for (role, u) in [
-        ("selector", &report.selector_usage),
-        ("generator", &report.generator_usage),
-    ] {
-        writeln!(
-            out,
-            "{role} calls={} prompt={} completion={} cost={:016x}",
-            u.calls,
-            u.prompt_tokens,
-            u.completion_tokens,
-            u.cost_usd.to_bits()
-        )
-        .expect("write digest");
-    }
-    writeln!(
-        out,
-        "auc={:016x}",
-        frame_auc(&report.frame, target).to_bits()
-    )
-    .expect("write digest");
-}
 
 /// Run the pipeline with whatever FM pairing `config` asks for.
 fn run_with_config(config: SmartFeatConfig) -> SmartFeatReport {
@@ -121,15 +80,8 @@ fn cascade_config() -> SmartFeatConfig {
 
 #[test]
 fn cascade_metrics_report_per_family_routing_stats() {
-    let dir = std::env::temp_dir();
-    let cascade_path = dir.join(format!(
-        "smartfeat_cascade_metrics_{}.json",
-        std::process::id()
-    ));
-    let single_path = dir.join(format!(
-        "smartfeat_single_metrics_{}.json",
-        std::process::id()
-    ));
+    let cascade_path = common::temp_path("smartfeat_cascade_metrics", "json");
+    let single_path = common::temp_path("smartfeat_single_metrics", "json");
 
     let mut config = cascade_config();
     config.observability.metrics_out = Some(cascade_path.display().to_string());
@@ -185,10 +137,7 @@ fn cascade_metrics_report_per_family_routing_stats() {
 /// report bytes of the last run.
 fn cascade_fingerprint() -> String {
     let mut out = String::new();
-    let metrics_path = std::env::temp_dir().join(format!(
-        "smartfeat_cascade_fp_metrics_{}.json",
-        std::process::id()
-    ));
+    let metrics_path = common::temp_path("smartfeat_cascade_fp_metrics", "json");
     for kind in SearchStrategyKind::all() {
         let ds = smartfeat_datasets::insurance::generate(60, 7);
         let mut config = cascade_config();
@@ -207,61 +156,20 @@ fn cascade_fingerprint() -> String {
     out
 }
 
-/// Inner worker for the re-exec matrix: write the cascade fingerprint to
-/// `SMARTFEAT_CASCADE_MATRIX_OUT`. A no-op in ordinary suite runs.
-#[test]
-fn cascade_matrix_worker() {
-    let Ok(path) = std::env::var("SMARTFEAT_CASCADE_MATRIX_OUT") else {
-        return;
-    };
-    std::fs::write(&path, cascade_fingerprint()).expect("write fingerprint");
-}
-
 #[test]
 fn cascade_is_byte_identical_under_thread_matrix() {
-    if std::env::var("SMARTFEAT_CASCADE_MATRIX_OUT").is_ok() {
-        return; // we are the worker — don't recurse
-    }
-    let exe = std::env::current_exe().expect("current exe");
-    let mut fingerprints = Vec::new();
-    for threads in ["1", "4", "8"] {
-        let out_path = std::env::temp_dir().join(format!(
-            "smartfeat_cascade_matrix_{}_{threads}.txt",
-            std::process::id()
-        ));
-        let status = Command::new(&exe)
-            .args(["--exact", "cascade_matrix_worker"])
-            .env("SMARTFEAT_THREADS", threads)
-            .env("SMARTFEAT_CASCADE_MATRIX_OUT", &out_path)
-            .status()
-            .expect("spawn cascade matrix worker");
-        assert!(
-            status.success(),
-            "worker with SMARTFEAT_THREADS={threads} failed"
-        );
-        let fp = std::fs::read_to_string(&out_path).expect("read fingerprint");
-        let _ = std::fs::remove_file(&out_path);
-        assert!(
-            fp.contains("\"routing\""),
-            "cascade fingerprint at SMARTFEAT_THREADS={threads} lacks routing stats"
-        );
-        fingerprints.push(fp);
-    }
+    let fp = common::assert_thread_invariant("cascade", cascade_fingerprint);
+    assert!(
+        fp.contains("\"routing\""),
+        "cascade fingerprint lacks routing stats"
+    );
     for kind in SearchStrategyKind::all() {
         assert!(
-            fingerprints[0].contains(&format!("## cascade {}", kind.name())),
+            fp.contains(&format!("## cascade {}", kind.name())),
             "{} missing from the cascade fingerprint",
             kind.name()
         );
     }
-    assert_eq!(
-        fingerprints[0], fingerprints[1],
-        "SMARTFEAT_THREADS=1 and =4 cascade fingerprints diverge"
-    );
-    assert_eq!(
-        fingerprints[0], fingerprints[2],
-        "SMARTFEAT_THREADS=1 and =8 cascade fingerprints diverge"
-    );
 }
 
 #[test]

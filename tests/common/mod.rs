@@ -1,0 +1,97 @@
+//! Helpers shared by the integration tests: the in-process thread-count
+//! matrix and the report digest the differential oracles compare.
+// Each test crate compiles this module on its own and uses a subset.
+#![allow(dead_code)]
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use smartfeat::SmartFeatReport;
+use smartfeat_frame::csv;
+use smartfeat_ml::{kfold_cv_auc, Matrix, ModelKind};
+
+/// Thread counts of the matrix.
+const THREADS: [usize; 3] = [1, 4, 8];
+
+/// Run `f` inside run contexts at 1, 4 and 8 threads, first one after
+/// another and then all three at once, assert that the six strings are
+/// non-empty and byte-identical, and return that string. The concurrent
+/// leg holds per-run numbers (pool and work counters in metrics reports)
+/// to their own run while other runs share the process.
+pub fn assert_thread_invariant(label: &str, f: impl Fn() -> String + Sync) -> String {
+    let f = &f;
+    let serial: Vec<String> = THREADS
+        .iter()
+        .map(|&t| smartfeat_par::within(t, f))
+        .collect();
+    let concurrent: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = THREADS
+            .iter()
+            .map(|&t| s.spawn(move || smartfeat_par::within(t, f)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("matrix leg panicked"))
+            .collect()
+    });
+    assert!(!serial[0].is_empty(), "{label}: empty fingerprint");
+    for (leg, runs) in [("serial", &serial), ("concurrent", &concurrent)] {
+        for (t, fp) in THREADS.iter().zip(runs) {
+            assert!(
+                *fp == serial[0],
+                "{label}: the {leg} run at {t} threads diverges from the serial run at 1 thread"
+            );
+        }
+    }
+    serial.into_iter().next().expect("three serial runs")
+}
+
+/// A temp-file path unique to this process and call, so fingerprints
+/// that write files can run concurrently.
+pub fn temp_path(stem: &str, ext: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{stem}_{}_{n}.{ext}", std::process::id()))
+}
+
+/// Downstream CV score of an engineered frame: logistic regression,
+/// 4-fold, fixed seed — deterministic and bit-identical across threads.
+pub fn frame_auc(df: &smartfeat_frame::DataFrame, target: &str) -> f64 {
+    let features: Vec<&str> = df
+        .column_names()
+        .into_iter()
+        .filter(|n| *n != target)
+        .collect();
+    let rows = df.to_matrix(&features, 0.0).expect("frame to matrix");
+    let x = Matrix::from_rows(rows).expect("rectangular matrix");
+    let y = df.to_labels(target).expect("labels");
+    kfold_cv_auc(ModelKind::LR, &x, &y, 4, 11).expect("cv score")
+}
+
+/// Digest one report to text: summary, full frame CSV, exact FM meter
+/// deltas (cost as bit pattern), and the downstream AUC bit pattern.
+pub fn digest(report: &SmartFeatReport, target: &str, out: &mut String) {
+    out.push_str(&report.summary());
+    out.push_str(&csv::write_csv_str(&report.frame));
+    for (role, u) in [
+        ("selector", &report.selector_usage),
+        ("generator", &report.generator_usage),
+    ] {
+        writeln!(
+            out,
+            "{role} calls={} prompt={} completion={} cost={:016x}",
+            u.calls,
+            u.prompt_tokens,
+            u.completion_tokens,
+            u.cost_usd.to_bits()
+        )
+        .expect("write digest");
+    }
+    writeln!(
+        out,
+        "auc={:016x}",
+        frame_auc(&report.frame, target).to_bits()
+    )
+    .expect("write digest");
+}

@@ -5,12 +5,10 @@
 //!    is an *accounting bridge*, not a second estimate.
 //! 2. `metrics_report_is_byte_identical_across_thread_counts` — under the
 //!    default logical clock, the metrics report and JSONL trace must be
-//!    byte-identical for `SMARTFEAT_THREADS=1/2/4`. Same re-exec harness
-//!    as `tests/threads_matrix.rs` (a nested `cargo test` would contend
-//!    for the target-directory lock), with its own env var so the two
-//!    matrices never cross-trigger each other's workers.
+//!    byte-identical at 1, 4 and 8 threads, including when the three runs
+//!    overlap in one process (`common::assert_thread_invariant`).
 
-use std::process::Command;
+mod common;
 
 use smartfeat::config::ObservabilityConfig;
 use smartfeat::{SmartFeat, SmartFeatConfig, SmartFeatReport};
@@ -111,10 +109,8 @@ fn report_fm_totals_match_usage_meters() {
 
 #[test]
 fn metrics_and_trace_files_are_written_and_parseable() {
-    let tmp = std::env::temp_dir();
-    let pid = std::process::id();
-    let trace = tmp.join(format!("smartfeat_obs_files_trace_{pid}.jsonl"));
-    let metrics = tmp.join(format!("smartfeat_obs_files_metrics_{pid}.json"));
+    let trace = common::temp_path("smartfeat_obs_files_trace", "jsonl");
+    let metrics = common::temp_path("smartfeat_obs_files_metrics", "json");
     let report = run_pipeline(ObservabilityConfig {
         enabled: false, // either output path alone activates the section
         trace_out: Some(trace.display().to_string()),
@@ -146,12 +142,10 @@ fn metrics_and_trace_files_are_written_and_parseable() {
 }
 
 /// Metrics report + trace for one fully instrumented run, digested to a
-/// string. Thread counts come from the environment.
+/// string. Thread counts come from the run context.
 fn obs_fingerprint() -> String {
-    let tmp = std::env::temp_dir();
-    let pid = std::process::id();
-    let trace = tmp.join(format!("smartfeat_obs_fp_trace_{pid}.jsonl"));
-    let metrics = tmp.join(format!("smartfeat_obs_fp_metrics_{pid}.json"));
+    let trace = common::temp_path("smartfeat_obs_fp_trace", "jsonl");
+    let metrics = common::temp_path("smartfeat_obs_fp_metrics", "json");
     let report = run_pipeline(ObservabilityConfig {
         enabled: true,
         trace_out: Some(trace.display().to_string()),
@@ -165,52 +159,7 @@ fn obs_fingerprint() -> String {
     format!("{metrics_text}\n{trace_text}\n{in_report}\n")
 }
 
-/// Inner worker: compute the fingerprint and write it to
-/// `SMARTFEAT_OBS_MATRIX_OUT`. A no-op in ordinary suite runs.
-#[test]
-fn obs_matrix_worker() {
-    let Ok(path) = std::env::var("SMARTFEAT_OBS_MATRIX_OUT") else {
-        return;
-    };
-    std::fs::write(&path, obs_fingerprint()).expect("write fingerprint");
-}
-
 #[test]
 fn metrics_report_is_byte_identical_across_thread_counts() {
-    if std::env::var("SMARTFEAT_OBS_MATRIX_OUT").is_ok() {
-        return; // we are the worker — don't recurse
-    }
-    let exe = std::env::current_exe().expect("current exe");
-    let mut fingerprints = Vec::new();
-    for threads in ["1", "2", "4"] {
-        let out_path = std::env::temp_dir().join(format!(
-            "smartfeat_obs_matrix_{}_{threads}.txt",
-            std::process::id()
-        ));
-        let status = Command::new(&exe)
-            .args(["--exact", "obs_matrix_worker"])
-            .env("SMARTFEAT_THREADS", threads)
-            .env("SMARTFEAT_OBS_MATRIX_OUT", &out_path)
-            .env_remove("SMARTFEAT_OBS_WALLCLOCK")
-            .status()
-            .expect("spawn obs matrix worker");
-        assert!(
-            status.success(),
-            "worker with SMARTFEAT_THREADS={threads} failed"
-        );
-        let fp = std::fs::read_to_string(&out_path).expect("read fingerprint");
-        let _ = std::fs::remove_file(&out_path);
-        assert!(
-            !fp.is_empty(),
-            "empty fingerprint at SMARTFEAT_THREADS={threads}"
-        );
-        fingerprints.push((threads, fp));
-    }
-    let (base_threads, base) = &fingerprints[0];
-    for (threads, fp) in &fingerprints[1..] {
-        assert_eq!(
-            base, fp,
-            "metrics/trace diverge between SMARTFEAT_THREADS={base_threads} and ={threads}"
-        );
-    }
+    common::assert_thread_invariant("obs_metrics", obs_fingerprint);
 }

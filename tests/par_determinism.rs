@@ -1,10 +1,6 @@
 //! Differential test layer for the parallel execution subsystem: every
 //! parallel-wired path must produce **byte-identical** output between the
 //! exact serial path (1 thread) and a multi-threaded pool, across seeds.
-//!
-//! Caveat: when `SMARTFEAT_THREADS` is set (e.g. under the threads-matrix
-//! harness) it overrides both sides to the same count, and the cross-count
-//! comparison happens between harness runs instead.
 
 use smartfeat::{SmartFeat, SmartFeatConfig, SmartFeatReport};
 use smartfeat_fm::SimulatedFm;

@@ -4,74 +4,31 @@
 //!    strategy routed through the `SearchStrategy` trait must produce
 //!    byte-identical `SmartFeatReport`s (generated features, augmented
 //!    frame CSV, FM meter totals, downstream CV AUC) to the pre-refactor
-//!    hard-coded pipeline, across 5 seeds on two datasets. The golden
-//!    fingerprint in `tests/golden/strategy_oracle_one_shot.txt` was
-//!    blessed from the commit *before* the trait existed; regenerating it
+//!    hard-coded pipeline, across 5 seeds on two datasets, at 1, 4 and 8
+//!    threads. The golden fingerprint in
+//!    `tests/golden/strategy_oracle_one_shot.txt` was blessed from the
+//!    commit *before* the trait existed; regenerating it
 //!    (`SMARTFEAT_BLESS=1 cargo test --test strategy_oracle`) is only
 //!    legitimate when the one-shot semantics intentionally change.
 //! 2. `strategies_are_byte_identical_under_thread_matrix` — every search
-//!    strategy re-executed under `SMARTFEAT_THREADS=1/4/8` must produce a
-//!    byte-identical fingerprint (threads_matrix.rs re-exec idiom: spawn
-//!    this test binary filtered to the worker, compare the written files).
-//! 3. `strategies_are_identical_serial_vs_parallel_in_process` — the
-//!    `config.threads` knob (1 vs 4) must not change any strategy's bytes
-//!    within one process either.
+//!    strategy must produce a byte-identical fingerprint at 1, 4 and 8
+//!    threads, run serially and concurrently in one process
+//!    (`common::assert_thread_invariant`).
+
+mod common;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::process::Command;
 
-use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig, SmartFeatReport};
+use common::digest;
+use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig};
 use smartfeat_fm::SimulatedFm;
-use smartfeat_frame::csv;
-use smartfeat_ml::{kfold_cv_auc, Matrix, ModelKind};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
         .join("strategy_oracle_one_shot.txt")
-}
-
-/// Downstream CV score of an engineered frame: logistic regression,
-/// 4-fold, fixed seed — deterministic and bit-identical across threads.
-fn frame_auc(df: &smartfeat_frame::DataFrame, target: &str) -> f64 {
-    let features: Vec<&str> = df
-        .column_names()
-        .into_iter()
-        .filter(|n| *n != target)
-        .collect();
-    let rows = df.to_matrix(&features, 0.0).expect("frame to matrix");
-    let x = Matrix::from_rows(rows).expect("rectangular matrix");
-    let y = df.to_labels(target).expect("labels");
-    kfold_cv_auc(ModelKind::LR, &x, &y, 4, 11).expect("cv score")
-}
-
-/// Digest one report to text: summary, full frame CSV, exact FM meter
-/// deltas (cost as bit pattern), and the downstream AUC bit pattern.
-fn digest(report: &SmartFeatReport, target: &str, out: &mut String) {
-    out.push_str(&report.summary());
-    out.push_str(&csv::write_csv_str(&report.frame));
-    for (role, u) in [
-        ("selector", &report.selector_usage),
-        ("generator", &report.generator_usage),
-    ] {
-        writeln!(
-            out,
-            "{role} calls={} prompt={} completion={} cost={:016x}",
-            u.calls,
-            u.prompt_tokens,
-            u.completion_tokens,
-            u.cost_usd.to_bits()
-        )
-        .expect("write digest");
-    }
-    writeln!(
-        out,
-        "auc={:016x}",
-        frame_auc(&report.frame, target).to_bits()
-    )
-    .expect("write digest");
 }
 
 /// The pre/post-refactor differential fingerprint: default config (the
@@ -103,7 +60,7 @@ fn one_shot_fingerprint() -> String {
 
 #[test]
 fn one_shot_matches_pre_refactor_golden() {
-    let fp = one_shot_fingerprint();
+    let fp = common::assert_thread_invariant("one_shot", one_shot_fingerprint);
     let path = golden_path();
     if std::env::var("SMARTFEAT_BLESS").is_ok() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
@@ -122,16 +79,9 @@ fn one_shot_matches_pre_refactor_golden() {
     );
 }
 
-fn strategy_config(kind: SearchStrategyKind, threads: usize) -> SmartFeatConfig {
-    let mut cfg = SmartFeatConfig::default();
-    cfg.search.strategy = kind;
-    cfg.threads = threads;
-    cfg
-}
-
 /// Fingerprint every strategy end-to-end on two datasets. Thread counts
-/// come from the environment unless `threads` pins them.
-fn all_strategy_fingerprint(threads: usize) -> String {
+/// come from the run context.
+fn all_strategy_fingerprint() -> String {
     let mut out = String::new();
     for kind in SearchStrategyKind::all() {
         for (name, ds) in [
@@ -143,7 +93,9 @@ fn all_strategy_fingerprint(threads: usize) -> String {
         ] {
             let selector = SimulatedFm::gpt4(21);
             let generator = SimulatedFm::gpt35(22);
-            let report = SmartFeat::new(&selector, &generator, strategy_config(kind, threads))
+            let mut config = SmartFeatConfig::default();
+            config.search.strategy = kind;
+            let report = SmartFeat::new(&selector, &generator, config)
                 .run(&ds.frame, &ds.agenda("RF"))
                 .expect("pipeline runs");
             writeln!(out, "## {} {name}", kind.name()).expect("write header");
@@ -153,72 +105,14 @@ fn all_strategy_fingerprint(threads: usize) -> String {
     out
 }
 
-/// Inner worker for the re-exec matrix: write the all-strategy
-/// fingerprint to `SMARTFEAT_STRATEGY_MATRIX_OUT`. A no-op in ordinary
-/// suite runs.
-#[test]
-fn strategy_matrix_worker() {
-    let Ok(path) = std::env::var("SMARTFEAT_STRATEGY_MATRIX_OUT") else {
-        return;
-    };
-    std::fs::write(&path, all_strategy_fingerprint(0)).expect("write fingerprint");
-}
-
 #[test]
 fn strategies_are_byte_identical_under_thread_matrix() {
-    if std::env::var("SMARTFEAT_STRATEGY_MATRIX_OUT").is_ok() {
-        return; // we are the worker — don't recurse
-    }
-    let exe = std::env::current_exe().expect("current exe");
-    let mut fingerprints = Vec::new();
-    for threads in ["1", "4", "8"] {
-        let out_path = std::env::temp_dir().join(format!(
-            "smartfeat_strategy_matrix_{}_{threads}.txt",
-            std::process::id()
-        ));
-        let status = Command::new(&exe)
-            .args(["--exact", "strategy_matrix_worker"])
-            .env("SMARTFEAT_THREADS", threads)
-            .env("SMARTFEAT_STRATEGY_MATRIX_OUT", &out_path)
-            .status()
-            .expect("spawn strategy matrix worker");
-        assert!(
-            status.success(),
-            "worker with SMARTFEAT_THREADS={threads} failed"
-        );
-        let fp = std::fs::read_to_string(&out_path).expect("read fingerprint");
-        let _ = std::fs::remove_file(&out_path);
-        assert!(
-            !fp.is_empty(),
-            "empty fingerprint at SMARTFEAT_THREADS={threads}"
-        );
-        fingerprints.push(fp);
-    }
+    let fp = common::assert_thread_invariant("all strategies", all_strategy_fingerprint);
     for kind in SearchStrategyKind::all() {
         assert!(
-            fingerprints[0].contains(&format!("## {} insurance", kind.name())),
+            fp.contains(&format!("## {} insurance", kind.name())),
             "{} missing from the fingerprint",
             kind.name()
         );
     }
-    assert_eq!(
-        fingerprints[0], fingerprints[1],
-        "SMARTFEAT_THREADS=1 and =4 strategy fingerprints diverge"
-    );
-    assert_eq!(
-        fingerprints[0], fingerprints[2],
-        "SMARTFEAT_THREADS=1 and =8 strategy fingerprints diverge"
-    );
-}
-
-#[test]
-fn strategies_are_identical_serial_vs_parallel_in_process() {
-    if std::env::var("SMARTFEAT_THREADS").is_ok() {
-        return; // the env override would mask the config knob under test
-    }
-    assert_eq!(
-        all_strategy_fingerprint(1),
-        all_strategy_fingerprint(4),
-        "config.threads=1 and =4 strategy fingerprints diverge"
-    );
 }

@@ -8,7 +8,11 @@
 //! pins the *structure* (which spans open, in what order, with which
 //! events inside) without coupling to unrelated event counts. Regenerate
 //! with `SMARTFEAT_BLESS=1 cargo test --test strategy_trace` only when a
-//! strategy's control flow intentionally changes.
+//! strategy's control flow intentionally changes. Each slice must match
+//! at 1, 4 and 8 threads, run serially and concurrently
+//! (`common::assert_thread_invariant`).
+
+mod common;
 
 use std::path::PathBuf;
 
@@ -41,11 +45,10 @@ fn in_slice(event: &JsonValue) -> bool {
 
 /// One strategy's search-trace slice: filtered lines with `t` removed.
 fn trace_slice(kind: SearchStrategyKind) -> String {
-    let trace = std::env::temp_dir().join(format!(
-        "smartfeat_strategy_trace_{}_{}.jsonl",
-        kind.name(),
-        std::process::id()
-    ));
+    let trace = common::temp_path(
+        &format!("smartfeat_strategy_trace_{}", kind.name()),
+        "jsonl",
+    );
     let mut cfg = SmartFeatConfig::default();
     cfg.search.strategy = kind;
     cfg.observability = ObservabilityConfig {
@@ -78,7 +81,7 @@ fn trace_slice(kind: SearchStrategyKind) -> String {
 }
 
 fn check_golden(kind: SearchStrategyKind) {
-    let slice = trace_slice(kind);
+    let slice = common::assert_thread_invariant(kind.name(), || trace_slice(kind));
     let path = golden_path(kind.name());
     if std::env::var("SMARTFEAT_BLESS").is_ok() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");

@@ -1,25 +1,22 @@
-//! Tier-1 thread-matrix harness: run the parallel-wired stack under
-//! `SMARTFEAT_THREADS=1`, `=4`, and `=8` and require byte-identical
-//! fingerprints.
-//!
-//! The matrix re-executes this test binary (filtered to the worker test)
-//! rather than invoking `cargo test` recursively — a nested cargo would
-//! contend for the target-directory lock. Each worker writes its
-//! fingerprint to the file named by `SMARTFEAT_MATRIX_OUT`; the outer test
-//! compares the two files.
+//! Tier-1 thread matrix: the parallel-wired stack must fingerprint
+//! byte-identically at 1, 4 and 8 threads, run serially and
+//! concurrently in one process (see `common::assert_thread_invariant`).
 
-use std::process::Command;
+mod common;
 
 use smartfeat::{SmartFeat, SmartFeatConfig};
 use smartfeat_fm::SimulatedFm;
 use smartfeat_frame::csv;
-use smartfeat_ml::{kfold_cv_auc, Classifier, Matrix, ModelKind, RandomForest};
+use smartfeat_ml::{
+    evaluate_all_models, kfold_cv_auc, Classifier, ExtraTrees, Matrix, ModelKind, RandomForest,
+};
 use smartfeat_rng::Rng;
 
-/// Everything downstream of the pool, digested to a string: a full
-/// pipeline run, a forest fit, and a k-fold CV score. Thread counts come
-/// from the environment (`SmartFeatConfig::default()` leaves `threads`
-/// at auto), so the same binary produces the per-count fingerprints.
+/// Everything downstream of the pool, digested to a string: full
+/// pipeline runs, forest and extra-trees fits, a k-fold CV score and a
+/// five-model evaluation — every `par_map` call site outside sfcheck.
+/// Thread counts come from the run context
+/// (`SmartFeatConfig::default()` and the models leave them at auto).
 fn fingerprint() -> String {
     let mut out = String::new();
     for seed in [3u64, 17] {
@@ -38,62 +35,75 @@ fn fingerprint() -> String {
         .collect();
     let y: Vec<u8> = rows.iter().map(|r| u8::from(r[0] + r[3] > 6.0)).collect();
     let x = Matrix::from_rows(rows).expect("rectangular");
-    let mut rf = RandomForest::default_params(5);
-    rf.fit(&x, &y).expect("fits");
-    for p in rf.predict_proba(&x).expect("fitted") {
-        out.push_str(&format!("{:016x}\n", p.to_bits()));
+    let models: [Box<dyn Classifier>; 2] = [
+        Box::new(RandomForest::default_params(5)),
+        Box::new(ExtraTrees::default_params(5)),
+    ];
+    for mut model in models {
+        model.fit(&x, &y).expect("fits");
+        for p in model.predict_proba(&x).expect("fitted") {
+            out.push_str(&format!("{:016x}\n", p.to_bits()));
+        }
     }
     let auc = kfold_cv_auc(ModelKind::RF, &x, &y, 4, 11).expect("scores");
     out.push_str(&format!("cv={:016x}\n", auc.to_bits()));
+    let scores = evaluate_all_models(&x, &y, &x, &y, 13).expect("scores");
+    for (kind, auc) in &scores.scores {
+        out.push_str(&format!("{kind}={:016x}\n", auc.to_bits()));
+    }
     out
-}
-
-/// Inner worker: compute the fingerprint and write it to
-/// `SMARTFEAT_MATRIX_OUT`. A no-op in ordinary suite runs.
-#[test]
-fn matrix_fingerprint_worker() {
-    let Ok(path) = std::env::var("SMARTFEAT_MATRIX_OUT") else {
-        return;
-    };
-    std::fs::write(&path, fingerprint()).expect("write fingerprint");
 }
 
 #[test]
 fn suite_is_byte_identical_under_thread_matrix() {
-    if std::env::var("SMARTFEAT_MATRIX_OUT").is_ok() {
-        return; // we are the worker — don't recurse
+    common::assert_thread_invariant("threads_matrix", fingerprint);
+}
+
+/// The pool counters and work counts of the matrix leg's own context
+/// after the ml part of [`fingerprint`]: pure functions of the workload.
+fn tally_fingerprint() -> String {
+    let mut rng = Rng::seed_from_u64(9);
+    let rows: Vec<Vec<f64>> = (0..120)
+        .map(|_| (0..4).map(|_| rng.gen_f64() * 6.0).collect())
+        .collect();
+    let y: Vec<u8> = rows.iter().map(|r| u8::from(r[1] > 3.0)).collect();
+    let x = Matrix::from_rows(rows).expect("rectangular");
+    RandomForest::default_params(2).fit(&x, &y).expect("fits");
+    ExtraTrees::default_params(3).fit(&x, &y).expect("fits");
+    kfold_cv_auc(ModelKind::NB, &x, &y, 5, 4).expect("scores");
+    evaluate_all_models(&x, &y, &x, &y, 6).expect("scores");
+    let (pool, work) = smartfeat_par::with_current(|ctx| (ctx.pool(), ctx.work()))
+        .expect("the matrix installs a context");
+    let mut out = format!("batches={} tasks={}\n", pool.batches, pool.tasks);
+    for (name, stat) in work {
+        out.push_str(&format!("{name}={}\n", stat.count));
     }
-    let exe = std::env::current_exe().expect("current exe");
-    let mut fingerprints = Vec::new();
-    for threads in ["1", "4", "8"] {
-        let out_path = std::env::temp_dir().join(format!(
-            "smartfeat_matrix_{}_{threads}.txt",
-            std::process::id()
-        ));
-        let status = Command::new(&exe)
-            .args(["--exact", "matrix_fingerprint_worker"])
-            .env("SMARTFEAT_THREADS", threads)
-            .env("SMARTFEAT_MATRIX_OUT", &out_path)
-            .status()
-            .expect("spawn matrix worker");
-        assert!(
-            status.success(),
-            "worker with SMARTFEAT_THREADS={threads} failed"
-        );
-        let fp = std::fs::read_to_string(&out_path).expect("read fingerprint");
-        let _ = std::fs::remove_file(&out_path);
-        assert!(
-            !fp.is_empty(),
-            "empty fingerprint at SMARTFEAT_THREADS={threads}"
-        );
-        fingerprints.push(fp);
+    out
+}
+
+#[test]
+fn work_tally_is_identical_under_thread_matrix() {
+    let fp = common::assert_thread_invariant("work tally", tally_fingerprint);
+    for name in [
+        "ml.forest.fit",
+        "ml.extra_trees.fit",
+        "ml.cv.fold",
+        "ml.dnn.fit",
+    ] {
+        assert!(fp.contains(name), "{name} missing from {fp}");
     }
-    assert_eq!(
-        fingerprints[0], fingerprints[1],
-        "SMARTFEAT_THREADS=1 and =4 fingerprints diverge"
-    );
-    assert_eq!(
-        fingerprints[0], fingerprints[2],
-        "SMARTFEAT_THREADS=1 and =8 fingerprints diverge"
-    );
+}
+
+/// The matrix must really vary the thread count: a fingerprint that
+/// reports it has to fail.
+#[test]
+#[should_panic(expected = "diverges from the serial run at 1 thread")]
+fn matrix_rejects_thread_dependent_output() {
+    common::assert_thread_invariant("probe", || smartfeat_par::resolve_threads(0).to_string());
+}
+
+#[test]
+#[should_panic(expected = "empty fingerprint")]
+fn matrix_rejects_an_empty_fingerprint() {
+    common::assert_thread_invariant("probe", String::new);
 }
