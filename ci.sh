@@ -53,13 +53,21 @@ step_sarif() {
 
 step_fix() {
   echo "==> sfcheck: --fix idempotency (double pass on a temp copy)"
-  local tmp first second
+  local tmp here copied first second
   tmp="$(mktemp -d)"
   CLEANUP_PATHS+=("$tmp")
-  # Copy the tree (sans build products / VCS) so --fix never touches the
-  # real checkout here; the second pass must apply zero fixes.
-  rsync -a --exclude target --exclude .git ./ "$tmp/" 2>/dev/null \
-    || cp -r ./crates ./Cargo.toml ./sfcheck.baseline.json "$tmp/"
+  # Copy the whole tree (sans build products / VCS) so --fix never touches
+  # the real checkout here; the copy must scan the same files and
+  # manifests as the checkout, and the second pass must apply zero fixes.
+  tar --exclude=target --exclude=.git -cf - . | tar -xf - -C "$tmp"
+  here="$(cargo run -q -p sfcheck --offline -- --root . | tail -1)"
+  copied="$(cargo run -q -p sfcheck --offline -- --root "$tmp" | tail -1)"
+  echo "    checkout: $here"
+  echo "    copy:     $copied"
+  if [ "${here##*(}" != "${copied##*(}" ]; then
+    echo "    ERROR: the temp copy does not scan the same files and manifests" >&2
+    exit 1
+  fi
   first="$(cargo run -q -p sfcheck --offline -- --fix --root "$tmp" | tail -1)"
   second="$(cargo run -q -p sfcheck --offline -- --fix --root "$tmp" | tail -1)"
   echo "    first:  $first"
@@ -68,9 +76,9 @@ step_fix() {
     *"applied 0 fix(es) in 0 file(s)"*) ;;
     *) echo "    ERROR: second --fix pass was not a no-op" >&2; exit 1 ;;
   esac
-  if ! diff -rq --exclude target --exclude .git ./crates "$tmp/crates" > /dev/null; then
+  if ! diff -rq --exclude=target --exclude=.git . "$tmp" > /dev/null; then
     echo "    ERROR: --fix modified a clean tree" >&2
-    diff -rq --exclude target --exclude .git ./crates "$tmp/crates" >&2 || true
+    diff -rq --exclude=target --exclude=.git . "$tmp" >&2 || true
     exit 1
   fi
 }

@@ -2,7 +2,7 @@
 //! lex+parse throughput, CFG construction over every parsed body, the
 //! cross-file passes (symbol resolution, call graph, dataflow, taint,
 //! stream registry, lock discipline) over a synthetic workspace, the
-//! lock-pass interprocedural fixpoint on a lock-heavy tree, and one
+//! lock pass's per-fn CFG fixpoints on a lock-heavy tree, and one
 //! end-to-end `run_check` over a small on-disk workspace. The blessed
 //! medians live in
 //! `BENCH_PR10.json` (regenerate with `SMARTFEAT_BENCH_JSON=$PWD/BENCH_PR10.json
@@ -62,9 +62,9 @@ fn manifest(rel: &str, name: &str) -> SourceFile {
 }
 
 /// A lock-flavored module body: a per-instance static acquired before
-/// the shared one, plus a relay holding the shared lock across a call —
-/// double-lock chains, order pairs, and the interprocedural fixpoint
-/// all get real work.
+/// the shared one, plus a relay holding the shared lock across a call,
+/// so every body carries live guards through the per-fn held-set
+/// fixpoint.
 const LOCK_TEMPLATE: &str = "\
 static GATE_NNN: Mutex<u64> = Mutex::new(0);\n\
 pub fn stage_NNN() {\n\
@@ -155,9 +155,10 @@ fn bench_global_passes(c: &mut Criterion) {
     });
 }
 
-/// The lock pass alone — per-fn CFG fixpoints plus the interprocedural
-/// held-lock summary fixpoint — on an eight-file lock-heavy workspace
-/// (resolution and call graph prebuilt, so only `locks::run` is timed).
+/// The lock pass alone — one CFG held-set fixpoint per fn — on an
+/// eight-file lock-heavy workspace (resolution and call graph prebuilt,
+/// so only `locks::run` is timed). The label predates the per-fn model
+/// and is kept so the bench set matches `BENCH_PR10.json`.
 fn bench_lock_fixpoint(c: &mut Criterion) {
     let manifests = vec![
         manifest("crates/core/Cargo.toml", "smartfeat"),

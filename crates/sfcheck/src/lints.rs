@@ -8,14 +8,13 @@
 //! | H1 | `hermetic-manifest` | zero registry dependencies in any manifest |
 //! | P1 | `panic-hygiene` | no `unwrap`/`expect`/`panic!` in core/frame library code |
 //! | P2 | `unsafe-binary-op` | `binary_op_unsafe` only in the CAAFE baseline |
-//! | W1 | `waiver-syntax` | every waiver names a known lint and gives a reason |
+//! | W1 | `waiver-syntax` | every waiver names a known lint and gives a reason; every marker is spelled right |
 //! | F1 | `par-capture-race` | parallel closures capture no shared-mutable bindings |
 //! | F2 | `rng-seed-discipline` | rng streams in parallel regions derive per item |
 //! | F3 | `panic-reachability` | no panic site reachable from the public pipeline API |
 //! | T1 | `determinism-taint` | no wall/env/thread/hash-order value reaches an output sink |
 //! | T2 | `seed-stream-collision` | every `seed_jump` stream claims a disjoint index range |
 //! | T3 | `obs-volatile-discipline` | volatile fields reach the report only under `volatile` |
-//! | L1 | `lock-order-inversion` | process-wide locks are acquired in one global order |
 //! | L2 | `double-lock` | no possibly-held non-reentrant lock is ever re-acquired |
 //! | L3 | `held-lock-blocking` | no lock guard lives across a blocking or pool boundary |
 //! | L4 | `guard-discipline` | every lock guard is bound, used, and dropped deliberately |
@@ -25,9 +24,9 @@
 //! tokens, but their findings waive identically. T1 and T3 are the
 //! interprocedural taint lints ([`crate::taint`]) and T2 the seed-stream
 //! registry ([`crate::streams`]), added in v3 — same waiver mechanism.
-//! L1–L4 are the CFG-level lock-discipline lints ([`crate::locks`]),
-//! added in v4: a per-fn control-flow graph tracks guard liveness and a
-//! call-graph summary propagates held-lock sets interprocedurally.
+//! L2–L4 are the CFG-level lock-discipline lints ([`crate::locks`]),
+//! added in v4: a per-fn control-flow graph tracks guard liveness within
+//! one body.
 //!
 //! Findings can be waived inline with a line comment:
 //!
@@ -47,7 +46,7 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::walker::{FileClass, SourceFile};
 
 /// Identifiers of every shipped lint, in report order.
-pub const LINT_IDS: [&str; 17] = [
+pub const LINT_IDS: [&str; 16] = [
     "determinism-taint",
     "double-lock",
     "env-dependence",
@@ -55,7 +54,6 @@ pub const LINT_IDS: [&str; 17] = [
     "hash-collections",
     "held-lock-blocking",
     "hermetic-manifest",
-    "lock-order-inversion",
     "obs-volatile-discipline",
     "panic-hygiene",
     "panic-reachability",
@@ -212,6 +210,50 @@ fn collect_waivers(file: &str, lines: &[&str], tokens: &[Token]) -> (Vec<Waiver>
     (waivers, findings)
 }
 
+/// The plain `// sfcheck:<name>` markers. The parser accepts any name,
+/// so a marker spelled with underscores attaches to nothing and silently
+/// turns off the pass that reads it.
+const MARKERS: [&str; 6] = [
+    "lock-helper",
+    "metrics-report",
+    "output-sink",
+    "parallel-entry",
+    "seed-derivation",
+    "volatile-field",
+];
+
+/// W1 `waiver-syntax`, marker half: a [`MARKERS`] name written in a
+/// comment with underscores for its hyphens is a finding, with a
+/// mechanical fix to the hyphenated marker.
+fn marker_typos(file: &str, lines: &[&str], tokens: &[Token]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for tok in tokens {
+        if tok.kind != TokenKind::LineComment || !tok.text.contains("sfcheck:") {
+            continue;
+        }
+        for marker in MARKERS {
+            let typo = format!("sfcheck:{}", marker.replace('-', "_"));
+            let Some(at) = tok.text.find(&typo) else {
+                continue;
+            };
+            let fixed = format!("sfcheck:{marker}");
+            let snippet = snippet_at(lines, tok.line);
+            findings.push(Finding {
+                file: file.to_string(),
+                line: tok.line,
+                col: tok.col + at as u32,
+                lint: "waiver-syntax",
+                message: format!(
+                    "marker typo: `{typo}` is not a recognized marker; write `{fixed}`"
+                ),
+                suggestion: Some(snippet.replacen(&typo, &fixed, 1)),
+                snippet,
+            });
+        }
+    }
+    findings
+}
+
 fn snippet_at(lines: &[&str], line: u32) -> String {
     lines
         .get(line as usize - 1)
@@ -331,6 +373,7 @@ pub fn scan_rust_raw(file: &SourceFile, tokens: &[Token]) -> (Vec<Finding>, Vec<
 
     let mut raw: Vec<Finding> = Vec::new();
     raw.append(&mut waiver_findings);
+    raw.extend(marker_typos(&file.rel_path, &lines, tokens));
     wall_clock_lint(file, &lines, &regions, &code, &mut raw);
     hash_collections_lint(file, &lines, &regions, &code, &mut raw);
     env_dependence_lint(file, &lines, &regions, &code, &mut raw);
@@ -879,6 +922,36 @@ fn lib4() { panic!("boom"); }
             result.findings[0].suggestion.as_deref(),
             Some("// sfcheck:allow(panic-hygiene) reason text")
         );
+    }
+
+    #[test]
+    fn misspelled_marker_is_a_waiver_syntax_finding_with_a_fix() {
+        // The underscore spelling attaches no marker, so the fn would
+        // silently drop out of the taint pass's sinks.
+        let src = "// sfcheck:output_sink\npub fn write(s: &str) {}\n";
+        let file = lib_file("frame", "crates/frame/src/csv.rs", src);
+        let result = scan_rust(&file);
+        assert_eq!(lints_of(&result), ["waiver-syntax"]);
+        assert_eq!((result.findings[0].line, result.findings[0].col), (1, 4));
+        assert_eq!(
+            result.findings[0].suggestion.as_deref(),
+            Some("// sfcheck:output-sink")
+        );
+    }
+
+    #[test]
+    fn every_plain_marker_typo_is_caught_but_strings_are_not() {
+        for marker in MARKERS {
+            let typo = marker.replace('-', "_");
+            let src = format!("/// sfcheck:{typo}\nfn f() {{ let s = \"// sfcheck:{typo}\"; }}\n");
+            let result = scan_rust(&lib_file("ml", "crates/ml/src/lib.rs", &src));
+            assert_eq!(lints_of(&result), ["waiver-syntax"], "{marker}");
+            let fix = result.findings[0]
+                .suggestion
+                .as_deref()
+                .expect("machine fix");
+            assert_eq!(fix, format!("/// sfcheck:{marker}"));
+        }
     }
 
     #[test]

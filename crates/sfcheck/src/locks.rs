@@ -1,35 +1,30 @@
 //! Lock-discipline analysis over the [`crate::cfg`] layer: models
-//! `Mutex`/`RwLock` guard acquisition, guard liveness (binding drops,
-//! explicit `drop`, scope exit), and a held-lock summary propagated
-//! interprocedurally over the call graph. Four lints ride on it:
+//! `Mutex` guard acquisition and guard liveness (binding drops, explicit
+//! `drop`, scope exit) within one fn body. Three lints ride on it:
 //!
 //! - `double-lock` — re-acquiring a possibly-held, non-reentrant
-//!   `std::sync::Mutex` (or write-locking a held `RwLock`) on any CFG
-//!   path, directly or through a call chain: a guaranteed self-deadlock.
-//! - `lock-order-inversion` — two process-wide locks acquired in
-//!   opposite orders on any two interprocedural paths: a potential
-//!   deadlock, reported with both acquisition chains.
+//!   `std::sync::Mutex` on any CFG path of the same body: a guaranteed
+//!   self-deadlock.
 //! - `held-lock-blocking` — a live guard across a call into a
-//!   `// sfcheck:parallel-entry` fn, an `// sfcheck:io-blocking` fn, or
-//!   a blocking primitive (`.join()`, `.recv()`, `thread::scope`): the
-//!   pool-starvation shape a multi-tenant server must never ship.
+//!   `// sfcheck:parallel-entry` fn or a blocking primitive (`.join()`,
+//!   `.recv()`, `thread::scope`): the pool-starvation shape.
 //! - `guard-discipline` — `let _ = m.lock()` (drops the guard
 //!   immediately, silently unsynchronizing the critical section; gets a
-//!   machine fix to `let _guard = …`), locked-then-never-used named
-//!   guards, and `sfcheck:` lock-annotation typos.
+//!   machine fix to `let _guard = …`) and locked-then-never-used named
+//!   guards.
 //!
-//! The zero-false-positive dial (DESIGN.md §16): `.lock()` receivers are
-//! acquisitions unless they are stdio handles; `.read()`/`.write()` only
-//! count on receivers *proven* `RwLock` (a typed static or a local built
-//! by `RwLock::new`); interprocedural propagation covers process-wide
-//! identities only (statics and accessor fns); closure bodies are
-//! excluded from held-state and summaries (they run elsewhere); test fns
-//! and `// sfcheck:lock-helper` fns are never linted. Known blind spots:
-//! trait-object dispatch, guards stored in structs, guards bound through
-//! `if let`/`match` patterns.
+//! Every fact is per fn (DESIGN.md §16). The workspace's locks are all
+//! struct fields reached through `par::lock_or_poison`; none is
+//! process-wide, so nothing is compared across fns. A lock's identity is
+//! its receiver's field chain (`self.routing`) or joined path (`ALPHA`,
+//! `m::ALPHA`), meaningful only within one body. `.lock()` receivers are
+//! acquisitions unless they are stdio handles; closure bodies are
+//! excluded from the held set (they run elsewhere); test fns and
+//! `// sfcheck:lock-helper` fns are never linted. Known blind spots:
+//! locks taken inside a callee, guards stored in structs, guards bound
+//! through `if let`/`match` patterns.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 use crate::ast::{self, Block, Expr, Pos, Stmt};
 use crate::callgraph::CallGraph;
@@ -37,329 +32,84 @@ use crate::cfg::{self, BlockId, Cfg, Step};
 use crate::dataflow::{finding_at, PARALLEL_ENTRY};
 use crate::lints::Finding;
 use crate::resolve::{FnId, Workspace};
-use crate::walker::FileClass;
 
-/// Marker naming a fn that blocks on I/O; holding a lock across a call
-/// into one is flagged.
-pub const IO_BLOCKING: &str = "io-blocking";
 /// Marker naming a fn whose first argument is locked on the caller's
 /// behalf (the shared poisoned-lock helper).
 pub const LOCK_HELPER: &str = "lock-helper";
 
-/// What a guard locks. `Static` and `Accessor` name process-wide locks
-/// and participate in interprocedural propagation; `Field`/`Local` are
-/// meaningful only within one fn.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LockId {
-    /// A `static` (module-level or fn-local) with a lock value.
-    Static(String),
-    /// The result of calling a workspace fn (`registry().lock()`), by
-    /// the accessor's qualified name.
-    Accessor(String),
-    /// A field chain (`self.inner.state`).
-    Field(String),
-    /// A plain local binding.
-    Local(String),
-}
-
-impl fmt::Display for LockId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LockId::Static(n) | LockId::Field(n) | LockId::Local(n) => write!(f, "{n}"),
-            LockId::Accessor(q) => write!(f, "{q}()"),
-        }
-    }
-}
-
-impl LockId {
-    /// Process-wide identities propagate across calls.
-    fn is_global(&self) -> bool {
-        matches!(self, LockId::Static(_) | LockId::Accessor(_))
-    }
-}
+/// What a guard locks: the receiver's field chain (`self.inner.state`)
+/// or joined path (`m::ALPHA`). Compared only within one body.
+type LockId = String;
 
 /// One acquisition event.
-#[derive(Debug, Clone, PartialEq, Eq)]
 struct Acq {
     /// Lock identity, when the receiver shape names one.
     id: Option<LockId>,
-    /// Exclusive (`lock`/`write`) vs shared (`read`).
-    excl: bool,
     pos: Pos,
 }
 
-/// A live, named guard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Guard {
-    id: Option<LockId>,
-    excl: bool,
-}
-
-/// Dataflow fact: may-live guards by binding name.
-type Fact = BTreeMap<String, Guard>;
-
-/// First deterministic witness of an ordered acquisition pair: `a` held
-/// at `pos` while `b` is acquired through `chain`.
-#[derive(Debug, Clone)]
-struct Witness {
-    file: usize,
-    pos: Pos,
-    chain: Vec<String>,
-}
-
-type Pairs = BTreeMap<(LockId, LockId), Witness>;
-
-/// Findings and pair witnesses collected during the emission replay.
-struct Emit<'s> {
-    findings: &'s mut Vec<Finding>,
-    pairs: &'s mut Pairs,
-}
+/// Dataflow fact: may-live guards by binding name, each with the lock it
+/// holds (`None` when the receiver is unnamed or the paths disagree).
+type Fact = BTreeMap<String, Option<LockId>>;
 
 /// One lock-relevant event, in evaluation (walk) order.
 enum Event {
     Acq(Acq),
-    /// A resolved workspace call (path or unambiguous method dispatch).
-    Call(FnId, Pos),
+    /// A resolved call into a `// sfcheck:parallel-entry` fn.
+    Entry(FnId, Pos),
     /// A blocking primitive.
     Blocking(&'static str, Pos),
     /// `drop(name)` releases the named guard.
     Drop(String),
 }
 
-/// Workspace-wide lock model: markers plus the transitive may-acquire
-/// summary (global identities only) with witness back-links.
+/// The workspace inputs the per-fn analysis reads: the call graph and
+/// the two markers it honours.
 struct Pass<'a> {
     ws: &'a Workspace,
     cg: &'a CallGraph,
     helpers: BTreeSet<FnId>,
     parallel: BTreeSet<FnId>,
-    io_blocking: BTreeSet<FnId>,
-    /// Per fn: global lock → any-path exclusive acquisition.
-    trans: Vec<BTreeMap<LockId, bool>>,
-    /// Per fn and lock: the callee the acquisition arrives through
-    /// (self for direct sites) — the witness-chain back-link.
-    via: Vec<BTreeMap<LockId, FnId>>,
-}
-
-impl<'a> Pass<'a> {
-    fn build(ws: &'a Workspace, cg: &'a CallGraph) -> Pass<'a> {
-        let mut pass = Pass {
-            ws,
-            cg,
-            helpers: ws.marked(LOCK_HELPER).into_iter().collect(),
-            parallel: ws.marked(PARALLEL_ENTRY).into_iter().collect(),
-            io_blocking: ws.marked(IO_BLOCKING).into_iter().collect(),
-            trans: vec![BTreeMap::new(); ws.fns.len()],
-            via: vec![BTreeMap::new(); ws.fns.len()],
-        };
-        // Direct global acquisitions. Helpers are excluded: their
-        // `.lock()` on a parameter is the implementation, not a site.
-        for id in 0..ws.fns.len() {
-            if pass.helpers.contains(&id) {
-                continue;
-            }
-            let Some(body) = ws.body_of(id) else { continue };
-            let ctx = FnCtx::new(&pass, id, body);
-            let mut events = Vec::new();
-            for stmt in &body.stmts {
-                ctx.stmt_events(stmt, &mut events);
-            }
-            for ev in events {
-                if let Event::Acq(acq) = ev {
-                    if let Some(lock) = acq.id {
-                        if lock.is_global() {
-                            let e = pass.trans[id].entry(lock.clone()).or_insert(false);
-                            *e |= acq.excl;
-                            pass.via[id].entry(lock).or_insert(id);
-                        }
-                    }
-                }
-            }
-        }
-        // Transitive closure over call edges, to fixpoint. Deterministic:
-        // fns and locks iterate in ID/lock order every round.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for id in 0..ws.fns.len() {
-                for callee_ix in 0..pass.cg.edges[id].len() {
-                    let callee = pass.cg.edges[id][callee_ix];
-                    let inherited: Vec<(LockId, bool)> = pass.trans[callee]
-                        .iter()
-                        .map(|(l, e)| (l.clone(), *e))
-                        .collect();
-                    for (lock, excl) in inherited {
-                        match pass.trans[id].get(&lock) {
-                            Some(&have) if have || !excl => {}
-                            _ => {
-                                pass.trans[id].insert(lock.clone(), excl);
-                                pass.via[id].entry(lock).or_insert(callee);
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        pass
-    }
-
-    /// The acquisition chain `fn → … → direct site` for a lock in a
-    /// fn's transitive summary, as qualified names.
-    fn chain_of(&self, mut id: FnId, lock: &LockId) -> Vec<String> {
-        let mut out = vec![self.ws.fns[id].qname.clone()];
-        let mut budget = self.ws.fns.len() + 1;
-        while let Some(&next) = self.via[id].get(lock) {
-            if next == id || budget == 0 {
-                break;
-            }
-            budget -= 1;
-            id = next;
-            out.push(self.ws.fns[id].qname.clone());
-        }
-        out
-    }
 }
 
 /// Per-fn analysis context: the lock model specialized to one body.
 struct FnCtx<'a> {
     pass: &'a Pass<'a>,
     id: FnId,
-    /// Local binding names proven `RwLock` (typed or `RwLock::new`).
-    rwlocks: BTreeSet<String>,
     /// Every identifier the body mentions in value position (plus
     /// format-interpolated names) — the guard-usage oracle.
     uses: BTreeSet<String>,
 }
 
 impl<'a> FnCtx<'a> {
-    fn new<'b>(pass: &'a Pass<'a>, id: FnId, body: &'b Block) -> FnCtx<'a> {
-        let mut rwlocks = BTreeSet::new();
+    fn new(pass: &'a Pass<'a>, id: FnId, body: &Block) -> FnCtx<'a> {
         let mut uses = BTreeSet::new();
-        let mut lets: Vec<&'b ast::LetStmt> = Vec::new();
-        for stmt in &body.stmts {
-            if let Stmt::Let(l) = stmt {
-                lets.push(l);
-            }
-        }
-        let mut visit = |e: &'b Expr| {
-            match e {
-                // Nested blocks: their `let`s feed the RwLock proof too.
-                Expr::Block(b) => {
-                    for stmt in &b.stmts {
-                        if let Stmt::Let(l) = stmt {
-                            lets.push(l);
-                        }
-                    }
-                }
-                Expr::Path(p) => {
-                    if let Some(head) = p.segments.first() {
-                        uses.insert(head.clone());
-                    }
-                }
-                Expr::Lit(l) => {
-                    for name in interpolated(&l.text) {
-                        uses.insert(name);
-                    }
-                }
-                _ => {}
-            }
-        };
-        ast::walk_block(body, &mut visit);
-        for l in lets {
-            let from_ctor = matches!(
-                &l.init,
-                Some(Expr::Call(c)) if matches!(
-                    &*c.callee,
-                    Expr::Path(p) if p.segments.len() >= 2
-                        && p.segments[p.segments.len() - 2] == "RwLock"
-                )
-            );
-            if l.ty.contains("RwLock") || from_ctor {
-                rwlocks.extend(l.bound.iter().cloned());
-            }
-        }
-        FnCtx {
-            pass,
-            id,
-            rwlocks,
-            uses,
-        }
-    }
-
-    /// The lock a receiver/argument expression names, if any.
-    fn identity(&self, e: &Expr) -> Option<LockId> {
-        match e {
+        ast::walk_block(body, &mut |e: &Expr| match e {
             Expr::Path(p) => {
-                let last = p.segments.last()?;
-                if self.pass.ws.statics.contains_key(last) {
-                    Some(LockId::Static(last.clone()))
-                } else if p.segments.len() == 1 {
-                    Some(LockId::Local(last.clone()))
-                } else {
-                    None
+                if let Some(head) = p.segments.first() {
+                    uses.insert(head.clone());
                 }
             }
-            Expr::Field(f) => {
-                let mut parts = vec![f.name.clone()];
-                let mut base = &*f.base;
-                loop {
-                    match base {
-                        Expr::Field(inner) => {
-                            parts.push(inner.name.clone());
-                            base = &inner.base;
-                        }
-                        Expr::Path(p) => {
-                            parts.push(p.segments.join("::"));
-                            break;
-                        }
-                        _ => return None,
-                    }
-                }
-                parts.reverse();
-                Some(LockId::Field(parts.join(".")))
-            }
-            Expr::Call(c) => {
-                // An accessor fn returning the lock (`registry().lock()`).
-                let Expr::Path(p) = &*c.callee else {
-                    return None;
-                };
-                let info = &self.pass.ws.fns[self.id];
-                let targets = self.pass.ws.resolve_path(
-                    info.file,
-                    &info.module,
-                    info.impl_ty.as_deref(),
-                    &p.segments,
-                );
-                let first = *targets.first()?;
-                let qname = &self.pass.ws.fns[first].qname;
-                // cfg-variants share a qname; anything else is ambiguous.
-                if targets.iter().all(|&t| &self.pass.ws.fns[t].qname == qname) {
-                    Some(LockId::Accessor(qname.clone()))
-                } else {
-                    None
-                }
-            }
-            Expr::MethodCall(m) if matches!(m.method.as_str(), "expect" | "unwrap") => {
-                self.identity(&m.recv)
-            }
-            _ => None,
-        }
+            Expr::Lit(l) => uses.extend(interpolated(&l.text)),
+            _ => {}
+        });
+        FnCtx { pass, id, uses }
     }
 
-    /// True when `id` is a proven `RwLock`, so `.read()`/`.write()` on it
-    /// count as acquisitions.
-    fn proven_rwlock(&self, id: &LockId) -> bool {
-        match id {
-            LockId::Static(n) => self
-                .pass
-                .ws
-                .statics
-                .get(n)
-                .is_some_and(|s| s.ty.contains("RwLock")),
-            LockId::Local(n) => self.rwlocks.contains(n),
-            LockId::Accessor(_) | LockId::Field(_) => false,
-        }
+    /// The workspace fns a call path resolves to from this body.
+    fn resolve(&self, segments: &[String]) -> Vec<FnId> {
+        let info = &self.pass.ws.fns[self.id];
+        self.pass
+            .ws
+            .resolve_path(info.file, &info.module, info.impl_ty.as_deref(), segments)
+    }
+
+    /// A call edge of this fn into a `// sfcheck:parallel-entry` fn
+    /// (agreeing with the call graph, where std-name and self-edge
+    /// filtering live).
+    fn enters_pool(&self, callee: FnId) -> bool {
+        self.pass.parallel.contains(&callee)
+            && self.pass.cg.edges[self.id].binary_search(&callee).is_ok()
     }
 
     /// Is this expression node itself an acquisition?
@@ -370,21 +120,7 @@ impl<'a> FnCtx<'a> {
                     return None;
                 }
                 Some(Acq {
-                    id: self.identity(&m.recv),
-                    excl: true,
-                    pos: m.pos,
-                })
-            }
-            Expr::MethodCall(m)
-                if matches!(m.method.as_str(), "read" | "write") && m.args.is_empty() =>
-            {
-                let id = self.identity(&m.recv)?;
-                if !self.proven_rwlock(&id) {
-                    return None;
-                }
-                Some(Acq {
-                    excl: m.method == "write",
-                    id: Some(id),
+                    id: identity(&m.recv),
                     pos: m.pos,
                 })
             }
@@ -393,19 +129,15 @@ impl<'a> FnCtx<'a> {
                 let Expr::Path(p) = &*c.callee else {
                     return None;
                 };
-                let info = &self.pass.ws.fns[self.id];
-                let targets = self.pass.ws.resolve_path(
-                    info.file,
-                    &info.module,
-                    info.impl_ty.as_deref(),
-                    &p.segments,
-                );
-                if !targets.iter().any(|t| self.pass.helpers.contains(t)) {
+                if !self
+                    .resolve(&p.segments)
+                    .iter()
+                    .any(|t| self.pass.helpers.contains(t))
+                {
                     return None;
                 }
                 Some(Acq {
-                    id: c.args.first().and_then(|a| self.identity(a)),
-                    excl: true,
+                    id: c.args.first().and_then(identity),
                     pos: c.pos,
                 })
             }
@@ -442,8 +174,7 @@ impl<'a> FnCtx<'a> {
 
     /// Collect lock-relevant events under an expression, in evaluation
     /// order. Closure bodies are skipped: they execute elsewhere, so
-    /// their acquisitions are neither held here nor part of this fn's
-    /// summary.
+    /// their acquisitions are not held here.
     fn expr_events(&self, e: &Expr, out: &mut Vec<Event>) {
         if let Some(acq) = self.acquisition(e) {
             out.push(Event::Acq(acq));
@@ -466,19 +197,9 @@ impl<'a> FnCtx<'a> {
                     {
                         out.push(Event::Blocking("thread::scope", c.pos));
                     }
-                    let info = &self.pass.ws.fns[self.id];
-                    for t in self.pass.ws.resolve_path(
-                        info.file,
-                        &info.module,
-                        info.impl_ty.as_deref(),
-                        &p.segments,
-                    ) {
-                        // Agree with the call graph (std-name and
-                        // self-edge filtering live there).
-                        if self.pass.cg.edges[self.id].binary_search(&t).is_ok()
-                            && !self.pass.helpers.contains(&t)
-                        {
-                            out.push(Event::Call(t, c.pos));
+                    for t in self.resolve(&p.segments) {
+                        if self.enters_pool(t) {
+                            out.push(Event::Entry(t, c.pos));
                         }
                     }
                 }
@@ -498,11 +219,9 @@ impl<'a> FnCtx<'a> {
                     };
                     out.push(Event::Blocking(what, m.pos));
                 }
-                if let Some(cands) = self.pass.ws.methods.get(&m.method) {
-                    if let [single] = cands[..] {
-                        if self.pass.cg.edges[self.id].binary_search(&single).is_ok() {
-                            out.push(Event::Call(single, m.pos));
-                        }
+                if let Some([single]) = self.pass.ws.methods.get(&m.method).map(Vec::as_slice) {
+                    if self.enters_pool(*single) {
+                        out.push(Event::Entry(*single, m.pos));
                     }
                 }
                 self.expr_events(&m.recv, out);
@@ -533,11 +252,10 @@ impl<'a> FnCtx<'a> {
         }
     }
 
-    /// Push the fact through one step. With a sink, also emit findings
-    /// and record acquisition pairs — the state updates are identical
-    /// either way, so the fixpoint transfer and the emission replay
-    /// always agree on guard liveness.
-    fn step_fact(&self, fact: &mut Fact, step: &Step<'_>, mut sink: Option<&mut Emit<'_>>) {
+    /// Push the fact through one step. With a sink, also emit findings —
+    /// the state updates are identical either way, so the fixpoint
+    /// transfer and the emission replay always agree on guard liveness.
+    fn step_fact(&self, fact: &mut Fact, step: &Step<'_>, mut sink: Option<&mut Vec<Finding>>) {
         match step {
             Step::Bind { names, init, pos } => {
                 let Some(init) = init else { return };
@@ -548,15 +266,13 @@ impl<'a> FnCtx<'a> {
                 match names.first() {
                     None => {
                         // `let _ = m.lock()` drops the guard immediately.
-                        if let Some(s) = sink {
+                        if let Some(out) = sink {
                             let what = acq
                                 .id
                                 .as_ref()
                                 .map(|id| format!("`{id}` "))
                                 .unwrap_or_default();
-                            let mut f = finding_at(
-                                self.pass.ws,
-                                self.pass.ws.fns[self.id].file,
+                            let mut f = self.finding(
                                 *pos,
                                 "guard-discipline",
                                 format!(
@@ -569,15 +285,13 @@ impl<'a> FnCtx<'a> {
                                 f.suggestion =
                                     Some(f.snippet.replacen("let _ =", "let _guard =", 1));
                             }
-                            s.findings.push(f);
+                            out.push(f);
                         }
                     }
                     Some(g) => {
-                        if let Some(s) = sink {
+                        if let Some(out) = sink {
                             if !g.starts_with('_') && !self.uses.contains(*g) {
-                                s.findings.push(finding_at(
-                                    self.pass.ws,
-                                    self.pass.ws.fns[self.id].file,
+                                out.push(self.finding(
                                     *pos,
                                     "guard-discipline",
                                     format!(
@@ -588,13 +302,7 @@ impl<'a> FnCtx<'a> {
                                 ));
                             }
                         }
-                        fact.insert(
-                            (*g).to_string(),
-                            Guard {
-                                id: acq.id,
-                                excl: acq.excl,
-                            },
-                        );
+                        fact.insert((*g).to_string(), acq.id);
                     }
                 }
             }
@@ -609,25 +317,23 @@ impl<'a> FnCtx<'a> {
 
     /// Process the events under one evaluated expression against the
     /// current held set, in order.
-    fn eval_events(&self, e: &Expr, fact: &mut Fact, mut sink: Option<&mut Emit<'_>>) {
+    fn eval_events(&self, e: &Expr, fact: &mut Fact, mut sink: Option<&mut Vec<Finding>>) {
         let mut events = Vec::new();
         self.expr_events(e, &mut events);
-        let file = self.pass.ws.fns[self.id].file;
         for ev in events {
+            if let Event::Drop(name) = &ev {
+                fact.remove(name);
+                continue;
+            }
+            let Some(out) = sink.as_deref_mut() else {
+                continue;
+            };
             match ev {
-                Event::Drop(name) => {
-                    fact.remove(&name);
-                }
-                Event::Acq(acq) => {
-                    let Some(s) = sink.as_deref_mut() else {
-                        continue;
-                    };
-                    let Some(id) = &acq.id else { continue };
-                    if let Some(gname) = conflicting_guard(fact, id, acq.excl) {
-                        s.findings.push(finding_at(
-                            self.pass.ws,
-                            file,
-                            acq.pos,
+                Event::Acq(Acq { id: Some(id), pos }) => {
+                    let held = fact.iter().find(|(_, g)| g.as_ref() == Some(&id));
+                    if let Some((gname, _)) = held {
+                        out.push(self.finding(
+                            pos,
                             "double-lock",
                             format!(
                                 "double-lock: `{id}` may already be held here (guard \
@@ -636,93 +342,40 @@ impl<'a> FnCtx<'a> {
                             ),
                         ));
                     }
-                    if id.is_global() {
-                        let me = &self.pass.ws.fns[self.id].qname;
-                        for held in held_globals(fact, id) {
-                            s.pairs.entry((held, id.clone())).or_insert(Witness {
-                                file,
-                                pos: acq.pos,
-                                chain: vec![me.clone()],
-                            });
-                        }
-                    }
                 }
-                Event::Call(callee, pos) => {
-                    let Some(s) = sink.as_deref_mut() else {
-                        continue;
-                    };
-                    if !fact.is_empty() {
-                        let kind = if self.pass.parallel.contains(&callee) {
-                            Some(PARALLEL_ENTRY)
-                        } else if self.pass.io_blocking.contains(&callee) {
-                            Some(IO_BLOCKING)
-                        } else {
-                            None
-                        };
-                        if let Some(kind) = kind {
-                            s.findings.push(finding_at(
-                                self.pass.ws,
-                                file,
-                                pos,
-                                "held-lock-blocking",
-                                format!(
-                                    "held-lock-blocking: {} held across a call into \
-                                     `{}` (marked {kind}) — a lock must never span a \
-                                     blocking boundary",
-                                    held_desc(fact),
-                                    self.pass.ws.fns[callee].qname,
-                                ),
-                            ));
-                        }
-                    }
-                    for (lock, excl) in &self.pass.trans[callee] {
-                        if let Some(gname) = conflicting_guard(fact, lock, *excl) {
-                            let mut chain = vec![self.pass.ws.fns[self.id].qname.clone()];
-                            chain.extend(self.pass.chain_of(callee, lock));
-                            s.findings.push(finding_at(
-                                self.pass.ws,
-                                file,
-                                pos,
-                                "double-lock",
-                                format!(
-                                    "double-lock: `{lock}` is held here (guard `{gname}`) \
-                                     and re-acquired through the call path {} — \
-                                     self-deadlock",
-                                    chain.join(" → "),
-                                ),
-                            ));
-                        }
-                        for held in held_globals(fact, lock) {
-                            let mut chain = vec![self.pass.ws.fns[self.id].qname.clone()];
-                            chain.extend(self.pass.chain_of(callee, lock));
-                            s.pairs.entry((held, lock.clone())).or_insert(Witness {
-                                file,
-                                pos,
-                                chain,
-                            });
-                        }
-                    }
+                Event::Entry(callee, pos) if !fact.is_empty() => {
+                    out.push(self.finding(
+                        pos,
+                        "held-lock-blocking",
+                        format!(
+                            "held-lock-blocking: {} held across a call into \
+                             `{}` (marked {PARALLEL_ENTRY}) — a lock must never span a \
+                             blocking boundary",
+                            held_desc(fact),
+                            self.pass.ws.fns[callee].qname,
+                        ),
+                    ));
                 }
-                Event::Blocking(what, pos) => {
-                    let Some(s) = sink.as_deref_mut() else {
-                        continue;
-                    };
-                    if !fact.is_empty() {
-                        s.findings.push(finding_at(
-                            self.pass.ws,
-                            file,
-                            pos,
-                            "held-lock-blocking",
-                            format!(
-                                "held-lock-blocking: {} held across blocking `{what}` — \
-                                 a lock must never span a blocking boundary",
-                                held_desc(fact),
-                            ),
-                        ));
-                    }
+                Event::Blocking(what, pos) if !fact.is_empty() => {
+                    out.push(self.finding(
+                        pos,
+                        "held-lock-blocking",
+                        format!(
+                            "held-lock-blocking: {} held across blocking `{what}` — \
+                             a lock must never span a blocking boundary",
+                            held_desc(fact),
+                        ),
+                    ));
                 }
+                _ => {}
             }
         }
+    }
+
+    /// A finding at `pos` in this fn's file.
+    fn finding(&self, pos: Pos, lint: &'static str, message: String) -> Finding {
+        let file = self.pass.ws.fns[self.id].file;
+        finding_at(self.pass.ws, file, pos, lint, message)
     }
 }
 
@@ -735,20 +388,15 @@ impl<'a, 'p> cfg::Analysis<'a> for FnCtx<'p> {
 
     fn join(&self, a: &Fact, b: &Fact) -> Fact {
         let mut out = a.clone();
-        for (name, g) in b {
+        for (name, id) in b {
             match out.get_mut(name) {
                 None => {
-                    out.insert(name.clone(), g.clone());
+                    out.insert(name.clone(), id.clone());
                 }
-                Some(have) if have == g => {}
-                Some(have) => {
-                    // Same binding, different lock on the two paths:
-                    // keep it live but forget the identity (may-hold).
-                    have.excl |= g.excl;
-                    if have.id != g.id {
-                        have.id = None;
-                    }
-                }
+                // Same binding, different lock on the two paths: keep it
+                // live but forget the identity (may-hold).
+                Some(have) if have != id => *have = None,
+                Some(_) => {}
             }
         }
         out
@@ -763,30 +411,41 @@ impl<'a, 'p> cfg::Analysis<'a> for FnCtx<'p> {
     }
 }
 
-/// A held guard on `id` whose mode conflicts with a new `excl`
-/// acquisition (read/read is the only compatible pairing).
-fn conflicting_guard(fact: &Fact, id: &LockId, excl: bool) -> Option<String> {
-    fact.iter()
-        .find(|(_, g)| g.id.as_ref() == Some(id) && (g.excl || excl))
-        .map(|(name, _)| name.clone())
-}
-
-/// Global locks held by the fact, other than `acquiring`.
-fn held_globals(fact: &Fact, acquiring: &LockId) -> Vec<LockId> {
-    let mut out: Vec<LockId> = fact
-        .values()
-        .filter_map(|g| g.id.clone())
-        .filter(|id| id.is_global() && id != acquiring)
-        .collect();
-    out.dedup();
-    out
+/// The lock a receiver/argument expression names, if any.
+fn identity(e: &Expr) -> Option<LockId> {
+    match e {
+        Expr::Path(p) if !p.segments.is_empty() => Some(p.segments.join("::")),
+        Expr::Field(f) => {
+            let mut parts = vec![f.name.clone()];
+            let mut base = &*f.base;
+            loop {
+                match base {
+                    Expr::Field(inner) => {
+                        parts.push(inner.name.clone());
+                        base = &inner.base;
+                    }
+                    Expr::Path(p) => {
+                        parts.push(p.segments.join("::"));
+                        break;
+                    }
+                    _ => return None,
+                }
+            }
+            parts.reverse();
+            Some(parts.join("."))
+        }
+        Expr::MethodCall(m) if matches!(m.method.as_str(), "expect" | "unwrap") => {
+            identity(&m.recv)
+        }
+        _ => None,
+    }
 }
 
 /// Human description of the held set for messages.
 fn held_desc(fact: &Fact) -> String {
     let parts: Vec<String> = fact
         .iter()
-        .map(|(name, g)| match &g.id {
+        .map(|(name, id)| match id {
             Some(id) => format!("guard `{name}` on `{id}`"),
             None => format!("guard `{name}`"),
         })
@@ -832,93 +491,27 @@ fn interpolated(text: &str) -> Vec<String> {
     out
 }
 
-/// Typo'd marker spellings the guard-discipline lint repairs.
-const MARKER_TYPOS: [(&str, &str); 3] = [
-    ("sfcheck:io_blocking", "sfcheck:io-blocking"),
-    ("sfcheck:lock_helper", "sfcheck:lock-helper"),
-    ("sfcheck:parallel_entry", "sfcheck:parallel-entry"),
-];
-
-/// Run the lock-discipline lints. Summaries and acquisition pairs are
-/// computed whole-workspace: an inversion's two sides can live in
-/// call-graph-disconnected files.
+/// Run the lock-discipline lints: one CFG fixpoint per non-test fn, then
+/// a replay of every reachable block that emits findings.
 pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
-    let pass = Pass::build(ws, cg);
+    let pass = Pass {
+        ws,
+        cg,
+        helpers: ws.marked(LOCK_HELPER).into_iter().collect(),
+        parallel: ws.marked(PARALLEL_ENTRY).into_iter().collect(),
+    };
     let mut out: Vec<Finding> = Vec::new();
-    let mut pairs: Pairs = BTreeMap::new();
     for id in 0..ws.fns.len() {
-        let info = &ws.fns[id];
-        if info.is_test || pass.helpers.contains(&id) {
+        if ws.fns[id].is_test || pass.helpers.contains(&id) {
             continue;
         }
         let Some(body) = ws.body_of(id) else { continue };
         let ctx = FnCtx::new(&pass, id, body);
         let cfg = Cfg::build(body);
-        let facts = cfg::fixpoint(&cfg, &ctx);
-        for (b, entry) in facts.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            let mut fact = entry.clone();
-            let mut emit = Emit {
-                findings: &mut out,
-                pairs: &mut pairs,
-            };
+        for (b, entry) in cfg::fixpoint(&cfg, &ctx).into_iter().enumerate() {
+            let Some(mut fact) = entry else { continue };
             for step in &cfg.blocks[b].steps {
-                ctx.step_fact(&mut fact, step, Some(&mut emit));
-            }
-        }
-    }
-    for ((a, b), w) in &pairs {
-        if a >= b {
-            continue;
-        }
-        let Some(rev) = pairs.get(&(b.clone(), a.clone())) else {
-            continue;
-        };
-        out.push(finding_at(
-            ws,
-            w.file,
-            w.pos,
-            "lock-order-inversion",
-            format!(
-                "lock-order-inversion: `{a}` then `{b}` (path: {}) but `{b}` then \
-                 `{a}` (path: {}) — opposite acquisition orders can deadlock",
-                w.chain.join(" → "),
-                rev.chain.join(" → "),
-            ),
-        ));
-    }
-    // Marker typos: an `sfcheck:` lock annotation that silently does
-    // nothing is a discipline hole, not a style nit.
-    for (idx, file) in ws.files.iter().enumerate() {
-        if file.class == FileClass::Test {
-            continue;
-        }
-        for (lno, line) in file.text.lines().enumerate() {
-            let Some(slashes) = line.find("//") else {
-                continue;
-            };
-            for (typo, fixed) in MARKER_TYPOS {
-                if let Some(col) = line.find(typo) {
-                    if col < slashes {
-                        continue;
-                    }
-                    let pos = Pos {
-                        line: lno as u32 + 1,
-                        col: col as u32 + 1,
-                    };
-                    let mut f = finding_at(
-                        ws,
-                        idx,
-                        pos,
-                        "guard-discipline",
-                        format!(
-                            "guard-discipline: annotation typo — `{typo}` is not a \
-                             recognized marker; write `{fixed}`"
-                        ),
-                    );
-                    f.suggestion = Some(f.snippet.replacen(typo, fixed, 1));
-                    out.push(f);
-                }
+                ctx.step_fact(&mut fact, step, Some(&mut out));
             }
         }
     }
@@ -932,72 +525,26 @@ mod tests {
     use crate::parser::parse;
     use crate::walker::{classify, crate_dir_of, SourceFile};
 
-    fn ws_from(files: &[(&str, &str)]) -> (Workspace, CallGraph) {
+    fn lints_of(src: &str) -> Vec<Finding> {
         let manifests = vec![SourceFile {
             rel_path: "crates/app/Cargo.toml".to_string(),
             text: "[package]\nname = \"app\"\n".to_string(),
             class: classify("crates/app/Cargo.toml"),
             crate_dir: crate_dir_of("crates/app/Cargo.toml"),
         }];
-        let parsed = files
-            .iter()
-            .map(|(rel, text)| {
-                (
-                    SourceFile {
-                        rel_path: rel.to_string(),
-                        text: text.to_string(),
-                        class: classify(rel),
-                        crate_dir: crate_dir_of(rel),
-                    },
-                    parse(&lex(text)),
-                )
-            })
-            .collect();
+        let rel = "crates/app/src/lib.rs";
+        let parsed = vec![(
+            SourceFile {
+                rel_path: rel.to_string(),
+                text: src.to_string(),
+                class: classify(rel),
+                crate_dir: crate_dir_of(rel),
+            },
+            parse(&lex(src)),
+        )];
         let ws = crate::resolve::build(parsed, &manifests);
         let cg = crate::callgraph::build(&ws);
-        (ws, cg)
-    }
-
-    fn lints_of(src: &str) -> Vec<Finding> {
-        let (ws, cg) = ws_from(&[("crates/app/src/lib.rs", src)]);
         run(&ws, &cg)
-    }
-
-    const TWO_MUTEXES: &str = "static A: Mutex<i32> = Mutex::new(0);\n\
-                               static B: Mutex<i32> = Mutex::new(0);\n";
-
-    #[test]
-    fn inversion_across_three_fns_is_reported_with_both_chains() {
-        let src = format!(
-            "{TWO_MUTEXES}\
-             pub fn f1() {{ let ga = A.lock().unwrap(); g(); drop(ga); }}\n\
-             pub fn g() {{ let gb = B.lock().unwrap(); drop(gb); }}\n\
-             pub fn f2() {{ let gb = B.lock().unwrap(); h(); drop(gb); }}\n\
-             pub fn h() {{ let ga = A.lock().unwrap(); drop(ga); }}\n"
-        );
-        let found = lints_of(&src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].lint, "lock-order-inversion");
-        assert!(
-            found[0].message.contains("f1 → app::g"),
-            "{}",
-            found[0].message
-        );
-        assert!(
-            found[0].message.contains("f2 → app::h"),
-            "{}",
-            found[0].message
-        );
-    }
-
-    #[test]
-    fn consistent_nesting_order_is_clean() {
-        let src = format!(
-            "{TWO_MUTEXES}\
-             pub fn f() {{ let a = A.lock().unwrap(); let b = B.lock().unwrap(); drop(b); drop(a); }}\n\
-             pub fn g() {{ let a = A.lock().unwrap(); let b = B.lock().unwrap(); drop(b); drop(a); }}\n"
-        );
-        assert!(lints_of(&src).is_empty());
     }
 
     #[test]
@@ -1015,19 +562,23 @@ mod tests {
     }
 
     #[test]
-    fn double_lock_through_a_call_chain_names_the_path() {
+    fn path_receivers_are_identities_within_one_body_only() {
+        // `m::M` and `M` are named by their joined paths, so they are two
+        // locks; a callee that re-locks `M` is outside this body's facts.
         let src = "static M: Mutex<i32> = Mutex::new(0);\n\
-                   pub fn f() { let g1 = M.lock().unwrap(); mid(); drop(g1); }\n\
-                   pub fn mid() { leaf(); }\n\
-                   pub fn leaf() { let g2 = M.lock().unwrap(); drop(g2); }\n";
+                   pub fn leaf() { let g = M.lock().unwrap(); drop(g); }\n\
+                   pub fn f() {\n\
+                   let a = M.lock().unwrap();\n\
+                   let b = m::M.lock().unwrap();\n\
+                   leaf();\n\
+                   let c = m::M.lock().unwrap();\n\
+                   drop(c); drop(b); drop(a);\n\
+                   }\n";
         let found = lints_of(src);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].lint, "double-lock");
-        assert!(
-            found[0].message.contains("app::f → app::mid → app::leaf"),
-            "{}",
-            found[0].message
-        );
+        assert_eq!(found[0].line, 7);
+        assert!(found[0].message.contains("`m::M`"), "{}", found[0].message);
     }
 
     #[test]
@@ -1101,27 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_read_read_is_clean_but_read_write_is_double_lock() {
-        let clean = "static R: RwLock<i32> = RwLock::new(0);\n\
-                     pub fn f() {\n\
-                     let a = R.read().unwrap();\n\
-                     let b = R.read().unwrap();\n\
-                     drop(b); drop(a);\n\
-                     }\n";
-        assert!(lints_of(clean).is_empty());
-
-        let bad = "static R: RwLock<i32> = RwLock::new(0);\n\
-                   pub fn f() {\n\
-                   let a = R.read().unwrap();\n\
-                   let b = R.write().unwrap();\n\
-                   drop(b); drop(a);\n\
-                   }\n";
-        let found = lints_of(bad);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].lint, "double-lock");
-    }
-
-    #[test]
     fn lock_helper_call_counts_as_acquisition_and_helper_is_not_linted() {
         let src = "static M: Mutex<i32> = Mutex::new(0);\n\
                    // sfcheck:lock-helper\n\
@@ -1131,24 +661,6 @@ mod tests {
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].lint, "double-lock");
         assert!(found[0].message.contains('M'), "{}", found[0].message);
-    }
-
-    #[test]
-    fn accessor_fn_gives_the_lock_a_process_wide_identity() {
-        let src = "pub fn registry() -> i32 { 0 }\n\
-                   pub fn f() {\n\
-                   let a = registry().lock().unwrap();\n\
-                   let b = registry().lock().unwrap();\n\
-                   drop(b); drop(a);\n\
-                   }\n";
-        let found = lints_of(src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].lint, "double-lock");
-        assert!(
-            found[0].message.contains("registry()"),
-            "{}",
-            found[0].message
-        );
     }
 
     #[test]
@@ -1164,7 +676,7 @@ mod tests {
     #[test]
     fn closure_bodies_are_outside_the_held_set() {
         // The closure runs elsewhere; its acquisition must not count as
-        // held at the call site, and must not enter the fn summary.
+        // held at the call site.
         let src = "static M: Mutex<i32> = Mutex::new(0);\n\
                    pub fn f() {\n\
                    let g = M.lock().unwrap();\n\
@@ -1172,36 +684,6 @@ mod tests {
                    drop(job); drop(g);\n\
                    }\n";
         assert!(lints_of(src).is_empty());
-    }
-
-    #[test]
-    fn marker_typo_is_reported_with_a_fix() {
-        let src = format!(
-            "pub fn slow() {{}}\n{} sfcheck:io{}blocking\npub fn f() {{}}\n",
-            "//", '_'
-        );
-        let found = lints_of(&src);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].lint, "guard-discipline");
-        let fix = found[0].suggestion.as_deref().expect("machine fix");
-        assert!(fix.contains("sfcheck:io-blocking"), "{fix}");
-    }
-
-    #[test]
-    fn inversion_pairs_survive_disconnected_call_components() {
-        // The two sides live in files with no call path between them.
-        let shared = "static A: Mutex<i32> = Mutex::new(0);\n\
-                      static B: Mutex<i32> = Mutex::new(0);\n";
-        let one = "pub fn f() { let a = A.lock().unwrap(); let b = B.lock().unwrap(); drop(b); drop(a); }\n";
-        let two = "pub fn g() { let b = B.lock().unwrap(); let a = A.lock().unwrap(); drop(a); drop(b); }\n";
-        let (ws, cg) = ws_from(&[
-            ("crates/app/src/lib.rs", shared),
-            ("crates/app/src/one.rs", one),
-            ("crates/app/src/two.rs", two),
-        ]);
-        let found = run(&ws, &cg);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].lint, "lock-order-inversion");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{self, File, Item, ItemKind, Param, Stmt};
+use crate::ast::{self, File, Item, ItemKind, Param};
 use crate::walker::{FileClass, SourceFile};
 
 /// Deterministic function ID: index into [`Workspace::fns`], which is
@@ -74,18 +74,6 @@ pub struct FnInfo {
     pub item_path: Vec<usize>,
 }
 
-/// A `static` item (module-level or fn-local) and its declared type.
-/// The lock pass reads the type text to spot `Mutex`/`RwLock` globals.
-#[derive(Debug, Clone)]
-pub struct StaticInfo {
-    /// Index of the defining file in [`Workspace::files`].
-    pub file: usize,
-    /// Declared type, as written (empty when unparseable).
-    pub ty: String,
-    /// True for `static mut`.
-    pub mutable: bool,
-}
-
 /// The workspace-wide symbol table.
 #[derive(Debug)]
 pub struct Workspace {
@@ -100,9 +88,6 @@ pub struct Workspace {
     pub methods: BTreeMap<String, Vec<FnId>>,
     /// Names of `static mut` items anywhere in the workspace.
     pub mut_statics: BTreeSet<String>,
-    /// Every `static` by name (first definition wins), including fn-local
-    /// statics, which item collection otherwise never descends into.
-    pub statics: BTreeMap<String, StaticInfo>,
     /// Underscore-normalized names of workspace crates.
     pub crate_names: BTreeSet<String>,
 }
@@ -207,7 +192,6 @@ pub fn build(parsed: Vec<(SourceFile, File)>, manifests: &[SourceFile]) -> Works
 
     let mut fns: Vec<FnInfo> = Vec::new();
     let mut mut_statics = BTreeSet::new();
-    let mut statics = BTreeMap::new();
     for (file_idx, file) in files.iter().enumerate() {
         let in_test_file = file.class == FileClass::Test;
         let mut ctx = CollectCtx {
@@ -218,7 +202,6 @@ pub fn build(parsed: Vec<(SourceFile, File)>, manifests: &[SourceFile]) -> Works
             in_test: in_test_file,
             fns: &mut fns,
             mut_statics: &mut mut_statics,
-            statics: &mut statics,
         };
         collect_items(&file.ast.items, &mut Vec::new(), &mut ctx);
     }
@@ -239,7 +222,6 @@ pub fn build(parsed: Vec<(SourceFile, File)>, manifests: &[SourceFile]) -> Works
         by_qname,
         methods,
         mut_statics,
-        statics,
         crate_names,
     }
 }
@@ -252,26 +234,6 @@ struct CollectCtx<'a> {
     in_test: bool,
     fns: &'a mut Vec<FnInfo>,
     mut_statics: &'a mut BTreeSet<String>,
-    statics: &'a mut BTreeMap<String, StaticInfo>,
-}
-
-/// Collect fn-local `static` declarations (direct statements of a body or
-/// of bodies of fns nested in it) — `OnceLock<Mutex<…>>` registries live
-/// there, out of reach of item collection.
-fn body_statics<'a>(b: &'a ast::Block, out: &mut Vec<&'a ast::StaticItem>) {
-    for stmt in &b.stmts {
-        if let Stmt::Item(item) = stmt {
-            match &item.kind {
-                ItemKind::Static(s) => out.push(s),
-                ItemKind::Fn(f) => {
-                    if let Some(body) = &f.body {
-                        body_statics(body, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 fn collect_items(items: &[Item], path: &mut Vec<usize>, ctx: &mut CollectCtx<'_>) {
@@ -308,17 +270,6 @@ fn collect_items(items: &[Item], path: &mut Vec<usize>, ctx: &mut CollectCtx<'_>
                     pos: item.pos,
                     item_path: path.clone(),
                 });
-                if let Some(body) = &f.body {
-                    let mut found = Vec::new();
-                    body_statics(body, &mut found);
-                    for s in found {
-                        ctx.statics.entry(s.name.clone()).or_insert(StaticInfo {
-                            file: ctx.file,
-                            ty: s.ty.clone(),
-                            mutable: s.mutable,
-                        });
-                    }
-                }
             }
             ItemKind::Mod(m) => {
                 if let Some(nested) = &m.items {
@@ -338,15 +289,8 @@ fn collect_items(items: &[Item], path: &mut Vec<usize>, ctx: &mut CollectCtx<'_>
                 ctx.in_test = was_test;
                 ctx.impl_ty = was_ty;
             }
-            ItemKind::Static(s) => {
-                if s.mutable {
-                    ctx.mut_statics.insert(s.name.clone());
-                }
-                ctx.statics.entry(s.name.clone()).or_insert(StaticInfo {
-                    file: ctx.file,
-                    ty: s.ty.clone(),
-                    mutable: s.mutable,
-                });
+            ItemKind::Static(s) if s.mutable => {
+                ctx.mut_statics.insert(s.name.clone());
             }
             _ => {}
         }

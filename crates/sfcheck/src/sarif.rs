@@ -23,7 +23,6 @@ fn describe(lint: &str) -> &'static str {
         "hash-collections" => "no HashMap/HashSet in output-feeding crates",
         "held-lock-blocking" => "no lock guard lives across a blocking or pool boundary",
         "hermetic-manifest" => "zero registry dependencies in any manifest",
-        "lock-order-inversion" => "process-wide locks are acquired in one global order",
         "obs-volatile-discipline" => "volatile fields reach the metrics report only under volatile",
         "panic-hygiene" => "no unwrap/expect/panic! in core/frame library code",
         "panic-reachability" => "no panic site reachable from the public pipeline API",

@@ -125,24 +125,10 @@ fn fixture_root(name: &str, files: &[(&str, &str)]) -> PathBuf {
     root
 }
 
-/// Trips all four lock lints: an order inversion (`ordered`/`reversed`),
-/// a double lock (`twice`), a blocking join under a guard (`held`), and a
-/// discarded guard (`forgotten`).
+/// Trips all three lock lints: a double lock (`twice`), a blocking join
+/// under a guard (`held`), and a discarded guard (`forgotten`).
 const LOCK_FIXTURE: &str = "use std::sync::Mutex;
 static ALPHA: Mutex<u64> = Mutex::new(0);
-static BETA: Mutex<u64> = Mutex::new(0);
-pub fn ordered() {
-    let a = ALPHA.lock().unwrap();
-    let b = BETA.lock().unwrap();
-    drop(b);
-    drop(a);
-}
-pub fn reversed() {
-    let b = BETA.lock().unwrap();
-    let a = ALPHA.lock().unwrap();
-    drop(a);
-    drop(b);
-}
 pub fn twice() {
     let a = ALPHA.lock().unwrap();
     let b = ALPHA.lock().unwrap();
@@ -159,7 +145,7 @@ pub fn forgotten() {
 }
 ";
 
-/// The lock lints through the release binary: all four fire live, and
+/// The lock lints through the release binary: all three fire live, and
 /// both documents are byte-identical at every thread count.
 #[test]
 fn lock_fixture_is_byte_identical_across_thread_counts() {
@@ -176,12 +162,7 @@ fn lock_fixture_is_byte_identical_across_thread_counts() {
     let json = thread_matrix(&root, "--json", 1);
     let sarif = thread_matrix(&root, "--sarif", 1);
     let _ = std::fs::remove_dir_all(&root);
-    for lint in [
-        "lock-order-inversion",
-        "double-lock",
-        "held-lock-blocking",
-        "guard-discipline",
-    ] {
+    for lint in ["double-lock", "held-lock-blocking", "guard-discipline"] {
         let quoted = format!("\"{lint}\"");
         assert!(json.contains(&quoted), "report lacks {lint}:\n{json}");
         assert!(sarif.contains(&quoted), "SARIF lacks {lint}");
