@@ -6,8 +6,8 @@
 # dependencies).
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
-# Steps: build test fmt clippy sfcheck sarif fix strategy artifacts
-#        bench perf
+# Steps: build test crates fmt clippy sfcheck sarif fix strategy
+#        artifacts bench perf
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -28,6 +28,15 @@ step_build() {
 step_test() {
   echo "==> tier-1: test suite"
   cargo test -q --offline
+}
+
+step_crates() {
+  # The root manifest is both the workspace and the smartfeat-repro
+  # package, so a bare `cargo test` runs only that package's tests. This
+  # step runs every member crate's own suite (sfcheck's goldens, repo
+  # gate and mutation tests; core's wall-mode tests; ...).
+  echo "==> tier-1: member-crate test suites"
+  cargo test -q --offline --workspace --exclude smartfeat-repro
 }
 
 step_fmt() {
@@ -166,7 +175,7 @@ step_perf() {
   cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 }
 
-ALL_STEPS=(build test fmt clippy sfcheck sarif fix strategy artifacts bench perf)
+ALL_STEPS=(build test crates fmt clippy sfcheck sarif fix strategy artifacts bench perf)
 
 main() {
   local steps=("$@") s

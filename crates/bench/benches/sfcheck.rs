@@ -1,10 +1,9 @@
 //! Analyzer benchmarks for the sfcheck v3/v4 pipeline: per-file
-//! lex+parse throughput, CFG construction over every parsed body, the
-//! cross-file passes (symbol resolution, call graph, dataflow, taint,
-//! stream registry, lock discipline) over a synthetic workspace, the
-//! lock pass's per-fn CFG fixpoints on a lock-heavy tree, and one
-//! end-to-end `run_check` over a small on-disk workspace. The blessed
-//! medians live in
+//! lex+parse throughput, the cross-file passes (symbol resolution, call
+//! graph, dataflow, taint, stream registry, lock discipline) over a
+//! synthetic workspace, the lock pass's per-fn walks on a lock-heavy
+//! tree, and one end-to-end `run_check` over a small on-disk workspace.
+//! The blessed medians live in
 //! `BENCH_PR10.json` (regenerate with `SMARTFEAT_BENCH_JSON=$PWD/BENCH_PR10.json
 //! cargo bench -p smartfeat-bench --bench sfcheck`); CI's bench-smoke job
 //! checks the benchmark set still matches that file's line count.
@@ -15,8 +14,7 @@ use std::path::PathBuf;
 
 use sfcheck::walker::{classify, crate_dir_of, SourceFile};
 use sfcheck::{
-    callgraph, cfg, dataflow, lexer, locks, parser, resolve, run_check, streams, taint,
-    CheckOptions,
+    callgraph, dataflow, lexer, locks, parser, resolve, run_check, streams, taint, CheckOptions,
 };
 use smartfeat_bench::{criterion_group, criterion_main, Criterion};
 
@@ -63,8 +61,7 @@ fn manifest(rel: &str, name: &str) -> SourceFile {
 
 /// A lock-flavored module body: a per-instance static acquired before
 /// the shared one, plus a relay holding the shared lock across a call,
-/// so every body carries live guards through the per-fn held-set
-/// fixpoint.
+/// so every body carries live guards through the per-fn held-set walk.
 const LOCK_TEMPLATE: &str = "\
 static GATE_NNN: Mutex<u64> = Mutex::new(0);\n\
 pub fn stage_NNN() {\n\
@@ -96,29 +93,6 @@ fn bench_per_file(c: &mut Criterion) {
             let tokens = lexer::lex(&text);
             let tree = parser::parse(&tokens);
             (tokens.len(), tree.items.len())
-        })
-    });
-}
-
-/// Statement-level CFG construction for every body in a 193-fn file —
-/// the fixed per-fn cost the v4 lock pass adds before any lint logic.
-fn bench_cfg_build(c: &mut Criterion) {
-    let manifests = vec![manifest("crates/core/Cargo.toml", "smartfeat")];
-    let text = synthetic_module(64);
-    let parsed = vec![(
-        source("crates/core/src/lib.rs", text.clone()),
-        parser::parse(&lexer::lex(&text)),
-    )];
-    let ws = resolve::build(parsed, &manifests);
-    c.bench_function("cfg/build_all_bodies", |b| {
-        b.iter(|| {
-            let mut blocks = 0usize;
-            for id in 0..ws.fns.len() {
-                if let Some(body) = ws.body_of(id) {
-                    blocks += cfg::Cfg::build(body).blocks.len();
-                }
-            }
-            blocks
         })
     });
 }
@@ -155,10 +129,10 @@ fn bench_global_passes(c: &mut Criterion) {
     });
 }
 
-/// The lock pass alone — one CFG held-set fixpoint per fn — on an
-/// eight-file lock-heavy workspace (resolution and call graph prebuilt,
-/// so only `locks::run` is timed). The label predates the per-fn model
-/// and is kept so the bench set matches `BENCH_PR10.json`.
+/// The lock pass alone — one held-set walk per fn — on an eight-file
+/// lock-heavy workspace (resolution and call graph prebuilt, so only
+/// `locks::run` is timed). The label predates the AST walk and is kept
+/// so the bench history in `BENCH_PR10.json` stays comparable.
 fn bench_lock_fixpoint(c: &mut Criterion) {
     let manifests = vec![
         manifest("crates/core/Cargo.toml", "smartfeat"),
@@ -227,7 +201,6 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_per_file,
-    bench_cfg_build,
     bench_global_passes,
     bench_lock_fixpoint,
     bench_end_to_end

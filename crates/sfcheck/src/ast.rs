@@ -337,8 +337,8 @@ pub struct LitExpr {
 }
 
 /// Control-flow role of a [`SeqExpr`]. The parser tags the `Seq` nodes
-/// it builds for control-flow constructs so downstream passes (the CFG
-/// builder in particular) can recover branch/loop/early-exit structure
+/// it builds for control-flow constructs so downstream passes (the lock
+/// walk in particular) can recover branch/loop/early-exit structure
 /// without re-deriving it from token shapes. Plain expression runs and
 /// groups stay `Ctrl::None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -489,6 +489,37 @@ pub fn walk_block<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Expr)) {
                 }
             }
         }
+    }
+}
+
+/// Identifiers interpolated format-style inside a literal's text:
+/// `"{threads}"` and `"{threads:>8}"` name `threads`; `{{` escapes are
+/// skipped and positional or empty braces (`{}`, `{0}`) name nothing.
+pub fn interpolated_idents(text: &str, names: &mut Vec<String>) {
+    let bytes = text.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] != b'{' {
+            i += 1;
+            continue;
+        }
+        if bytes.get(i + 1) == Some(&b'{') {
+            i += 2;
+            continue;
+        }
+        let start = i + 1;
+        let mut j = start;
+        while j < bytes.len() && bytes[j] != b'}' && bytes[j] != b':' {
+            j += 1;
+        }
+        let name = &text[start..j];
+        if !name.is_empty()
+            && !name.starts_with(|c: char| c.is_ascii_digit())
+            && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        {
+            names.push(name.to_string());
+        }
+        i = j + 1;
     }
 }
 
@@ -708,5 +739,20 @@ fn dump_expr(e: &Expr, depth: usize, out: &mut String) {
                 dump_expr(c, depth + 1, out);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn interpolated_idents_parses_format_braces() {
+        let mut names = Vec::new();
+        interpolated_idents(
+            "\"a={alpha} b={beta:>8} c={} d={0} e={{gamma}} f={x.y}\"",
+            &mut names,
+        );
+        assert_eq!(names, ["alpha", "beta"]);
     }
 }

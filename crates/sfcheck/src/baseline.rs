@@ -67,31 +67,6 @@ impl Baseline {
         Ok(Baseline { entries })
     }
 
-    /// Rewrite the file-path prefix of every matching entry
-    /// (`--baseline-remap old=new`): after a directory move, the recorded
-    /// legacy findings follow the files instead of resurrecting as "new".
-    /// Paths are root-relative, `/`-separated; the prefix matches whole
-    /// path components only.
-    pub fn remap_prefix(&mut self, old: &str, new: &str) {
-        let old = old.trim_end_matches('/');
-        let new = new.trim_end_matches('/');
-        let remapped: BTreeMap<(String, String, String), u64> = std::mem::take(&mut self.entries)
-            .into_iter()
-            .map(|((lint, file, snippet), n)| {
-                let file = match file.strip_prefix(old) {
-                    Some("") => new.to_string(),
-                    Some(rest) if rest.starts_with('/') => format!("{new}{rest}"),
-                    _ => file,
-                };
-                ((lint, file, snippet), n)
-            })
-            .fold(BTreeMap::new(), |mut acc, (key, n)| {
-                *acc.entry(key).or_insert(0) += n;
-                acc
-            });
-        self.entries = remapped;
-    }
-
     /// Split findings into `(baselined, live)`, consuming one baseline
     /// slot per match so duplicates beyond the recorded count stay live.
     pub fn partition(&self, findings: Vec<Finding>) -> (Vec<Finding>, Vec<Finding>) {
@@ -187,28 +162,6 @@ mod tests {
         let json = Baseline::to_json(&findings);
         let reloaded = Baseline::from_json(&json).unwrap();
         let (baselined, live) = reloaded.partition(findings);
-        assert_eq!(baselined.len(), 2);
-        assert!(live.is_empty());
-    }
-
-    #[test]
-    fn remap_follows_moved_files_and_matches_whole_components() {
-        let mut baseline = Baseline::from_json(
-            &JsonValue::parse(
-                r#"{"findings":[
-                    {"lint":"wall-clock","file":"crates/old/src/a.rs","snippet":"x"},
-                    {"lint":"wall-clock","file":"crates/older/src/b.rs","snippet":"y"}
-                ]}"#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        baseline.remap_prefix("crates/old", "crates/new");
-        let (baselined, live) = baseline.partition(vec![
-            finding("wall-clock", "crates/new/src/a.rs", "x", 1),
-            // `crates/older` shares a string prefix but not a component.
-            finding("wall-clock", "crates/older/src/b.rs", "y", 2),
-        ]);
         assert_eq!(baselined.len(), 2);
         assert!(live.is_empty());
     }

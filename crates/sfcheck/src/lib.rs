@@ -13,7 +13,6 @@
 pub mod ast;
 pub mod baseline;
 pub mod callgraph;
-pub mod cfg;
 pub mod dataflow;
 pub mod fix;
 pub mod lexer;
@@ -70,9 +69,6 @@ pub struct CheckOptions {
     pub baseline_path: Option<PathBuf>,
     /// Include the `fixes` section for mechanical lints.
     pub fix_dry_run: bool,
-    /// `old=new` path-prefix rewrites applied to baseline entries at load
-    /// (`--baseline-remap`), so file moves don't resurrect legacy findings.
-    pub baseline_remap: Vec<(String, String)>,
 }
 
 impl CheckOptions {
@@ -82,7 +78,6 @@ impl CheckOptions {
             root: root.into(),
             baseline_path: None,
             fix_dry_run: false,
-            baseline_remap: Vec::new(),
         }
     }
 
@@ -191,11 +186,7 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
     findings.sort();
     waived.sort();
 
-    let mut baseline = Baseline::load(&opts.resolved_baseline())?;
-    for (old, new) in &opts.baseline_remap {
-        baseline.remap_prefix(old, new);
-    }
-    let (baselined, live) = baseline.partition(findings);
+    let (baselined, live) = Baseline::load(&opts.resolved_baseline())?.partition(findings);
 
     let input = report::ReportInput {
         baselined: &baselined,

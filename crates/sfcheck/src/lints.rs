@@ -24,8 +24,8 @@
 //! tokens, but their findings waive identically. T1 and T3 are the
 //! interprocedural taint lints ([`crate::taint`]) and T2 the seed-stream
 //! registry ([`crate::streams`]), added in v3 — same waiver mechanism.
-//! L2–L4 are the CFG-level lock-discipline lints ([`crate::locks`]),
-//! added in v4: a per-fn control-flow graph tracks guard liveness within
+//! L2–L4 are the flow-sensitive lock-discipline lints ([`crate::locks`]),
+//! added in v4: a walk over each fn's AST tracks guard liveness within
 //! one body.
 //!
 //! Findings can be waived inline with a line comment:

@@ -1,10 +1,11 @@
-//! Lock-discipline analysis over the [`crate::cfg`] layer: models
-//! `Mutex` guard acquisition and guard liveness (binding drops, explicit
-//! `drop`, scope exit) within one fn body. Three lints ride on it:
+//! Lock-discipline analysis: a flow-sensitive walk over each fn's AST
+//! that models `Mutex` guard acquisition and guard liveness (binding
+//! drops, explicit `drop`, scope exit) within one body. Three lints ride
+//! on it:
 //!
 //! - `double-lock` — re-acquiring a possibly-held, non-reentrant
-//!   `std::sync::Mutex` on any CFG path of the same body: a guaranteed
-//!   self-deadlock.
+//!   `std::sync::Mutex` on any control-flow path of the same body: a
+//!   guaranteed self-deadlock.
 //! - `held-lock-blocking` — a live guard across a call into a
 //!   `// sfcheck:parallel-entry` fn or a blocking primitive (`.join()`,
 //!   `.recv()`, `thread::scope`): the pool-starvation shape.
@@ -26,9 +27,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{self, Block, Expr, Pos, Stmt};
+use crate::ast::{self, Block, Ctrl, Expr, LetStmt, Pos, SeqExpr, Stmt};
 use crate::callgraph::CallGraph;
-use crate::cfg::{self, BlockId, Cfg, Step};
 use crate::dataflow::{finding_at, PARALLEL_ENTRY};
 use crate::lints::Finding;
 use crate::resolve::{FnId, Workspace};
@@ -84,15 +84,17 @@ struct FnCtx<'a> {
 impl<'a> FnCtx<'a> {
     fn new(pass: &'a Pass<'a>, id: FnId, body: &Block) -> FnCtx<'a> {
         let mut uses = BTreeSet::new();
+        let mut interpolated = Vec::new();
         ast::walk_block(body, &mut |e: &Expr| match e {
             Expr::Path(p) => {
                 if let Some(head) = p.segments.first() {
                     uses.insert(head.clone());
                 }
             }
-            Expr::Lit(l) => uses.extend(interpolated(&l.text)),
+            Expr::Lit(l) => ast::interpolated_idents(&l.text, &mut interpolated),
             _ => {}
         });
+        uses.extend(interpolated);
         FnCtx { pass, id, uses }
     }
 
@@ -252,65 +254,54 @@ impl<'a> FnCtx<'a> {
         }
     }
 
-    /// Push the fact through one step. With a sink, also emit findings —
-    /// the state updates are identical either way, so the fixpoint
-    /// transfer and the emission replay always agree on guard liveness.
-    fn step_fact(&self, fact: &mut Fact, step: &Step<'_>, mut sink: Option<&mut Vec<Finding>>) {
-        match step {
-            Step::Bind { names, init, pos } => {
-                let Some(init) = init else { return };
-                self.eval_events(init, fact, sink.as_deref_mut());
-                let Some(acq) = self.direct_guard(init) else {
-                    return;
-                };
-                match names.first() {
-                    None => {
-                        // `let _ = m.lock()` drops the guard immediately.
-                        if let Some(out) = sink {
-                            let what = acq
-                                .id
-                                .as_ref()
-                                .map(|id| format!("`{id}` "))
-                                .unwrap_or_default();
-                            let mut f = self.finding(
-                                *pos,
-                                "guard-discipline",
-                                format!(
-                                    "guard-discipline: `let _ = …` drops the {what}guard \
-                                     immediately — the critical section is empty; bind it \
-                                     as `let _guard = …` to hold the lock"
-                                ),
-                            );
-                            if f.snippet.contains("let _ =") {
-                                f.suggestion =
-                                    Some(f.snippet.replacen("let _ =", "let _guard =", 1));
-                            }
-                            out.push(f);
-                        }
+    /// Push the fact through a `let`. With a sink, also emit findings —
+    /// the state updates are identical either way, so the converging walk
+    /// and the emitting walk always agree on guard liveness.
+    fn bind(&self, fact: &mut Fact, l: &LetStmt, mut sink: Option<&mut Vec<Finding>>) {
+        let Some(init) = &l.init else { return };
+        self.eval_events(init, fact, sink.as_deref_mut());
+        let Some(acq) = self.direct_guard(init) else {
+            return;
+        };
+        match l.bound.first() {
+            None => {
+                // `let _ = m.lock()` drops the guard immediately.
+                if let Some(out) = sink {
+                    let what = acq
+                        .id
+                        .as_ref()
+                        .map(|id| format!("`{id}` "))
+                        .unwrap_or_default();
+                    let mut f = self.finding(
+                        l.pos,
+                        "guard-discipline",
+                        format!(
+                            "guard-discipline: `let _ = …` drops the {what}guard \
+                             immediately — the critical section is empty; bind it \
+                             as `let _guard = …` to hold the lock"
+                        ),
+                    );
+                    if f.snippet.contains("let _ =") {
+                        f.suggestion = Some(f.snippet.replacen("let _ =", "let _guard =", 1));
                     }
-                    Some(g) => {
-                        if let Some(out) = sink {
-                            if !g.starts_with('_') && !self.uses.contains(*g) {
-                                out.push(self.finding(
-                                    *pos,
-                                    "guard-discipline",
-                                    format!(
-                                        "guard-discipline: guard `{g}` is locked but never \
-                                         used — name it `_{g}` if the lock is held for \
-                                         effect, or delete the acquisition"
-                                    ),
-                                ));
-                            }
-                        }
-                        fact.insert((*g).to_string(), acq.id);
-                    }
+                    out.push(f);
                 }
             }
-            Step::Eval(e) => self.eval_events(e, fact, sink),
-            Step::EndScope(names) => {
-                for n in names {
-                    fact.remove(*n);
+            Some(g) => {
+                if let Some(out) = sink {
+                    if !g.starts_with('_') && !self.uses.contains(g) {
+                        out.push(self.finding(
+                            l.pos,
+                            "guard-discipline",
+                            format!(
+                                "guard-discipline: guard `{g}` is locked but never \
+                                 used — name it `_{g}` if the lock is held for \
+                                 effect, or delete the acquisition"
+                            ),
+                        ));
+                    }
                 }
+                fact.insert(g.clone(), acq.id);
             }
         }
     }
@@ -379,35 +370,193 @@ impl<'a> FnCtx<'a> {
     }
 }
 
-impl<'a, 'p> cfg::Analysis<'a> for FnCtx<'p> {
-    type Fact = Fact;
-
-    fn entry_fact(&self) -> Fact {
-        BTreeMap::new()
-    }
-
-    fn join(&self, a: &Fact, b: &Fact) -> Fact {
-        let mut out = a.clone();
-        for (name, id) in b {
-            match out.get_mut(name) {
-                None => {
-                    out.insert(name.clone(), id.clone());
+/// Join two may-facts at a control-flow merge (`None` = unreachable).
+/// A binding live on either side stays live; one naming different locks
+/// on the two sides keeps living but forgets the identity (may-hold).
+fn join(a: Option<Fact>, b: Option<Fact>) -> Option<Fact> {
+    match (a, b) {
+        (None, f) | (f, None) => f,
+        (Some(mut out), Some(b)) => {
+            for (name, id) in b {
+                match out.get_mut(&name) {
+                    None => {
+                        out.insert(name, id);
+                    }
+                    Some(have) if *have != id => *have = None,
+                    Some(_) => {}
                 }
-                // Same binding, different lock on the two paths: keep it
-                // live but forget the identity (may-hold).
-                Some(have) if have != id => *have = None,
-                Some(_) => {}
+            }
+            Some(out)
+        }
+    }
+}
+
+/// Facts leaving the innermost enclosing loop early.
+#[derive(Default)]
+struct Exits {
+    breaks: Option<Fact>,
+    continues: Option<Fact>,
+}
+
+/// The flow-sensitive walk of one fn body: threads the held set through
+/// statements in evaluation order (`None` = unreachable), joins at the
+/// ends of `if`/`match` arms, and runs each loop head to a fixpoint.
+/// Statement granularity: a control-flow construct nested inside an
+/// expression (a call argument, a `let` initializer, a condition) is
+/// evaluated as part of that expression, never split.
+struct Walk<'w, 'a> {
+    ctx: &'w FnCtx<'a>,
+    /// Each loop's converged head fact, keyed by the loop node, so a
+    /// revisit (the enclosing loop's next trip, or the emitting pass)
+    /// starts there instead of from scratch — without it the walk is
+    /// exponential in loop nesting.
+    heads: BTreeMap<*const SeqExpr, Option<Fact>>,
+    /// Break/continue facts of the enclosing loops, innermost last.
+    loops: Vec<Exits>,
+    /// Findings go here on the emitting pass; `None` while converging.
+    sink: Option<&'w mut Vec<Finding>>,
+}
+
+impl Walk<'_, '_> {
+    /// A `{ … }` scope. Only the fall-through end drops its bindings:
+    /// `break`/`continue`/`return` leave before the scope end.
+    fn block(&mut self, b: &Block, mut fact: Option<Fact>) -> Option<Fact> {
+        let mut scope: Vec<&str> = Vec::new();
+        for stmt in &b.stmts {
+            match stmt {
+                Stmt::Let(l) => {
+                    if let Some(f) = fact.as_mut() {
+                        self.ctx.bind(f, l, self.sink.as_deref_mut());
+                    }
+                    scope.extend(l.bound.iter().map(String::as_str));
+                }
+                Stmt::Expr(e) => fact = self.stmt(e, fact),
+                Stmt::Item(_) => {} // nested fns are walked on their own
             }
         }
-        out
-    }
-
-    fn transfer(&self, cfg: &Cfg<'a>, block: BlockId, fact: Fact) -> Fact {
-        let mut fact = fact;
-        for step in &cfg.blocks[block].steps {
-            self.step_fact(&mut fact, step, None);
+        if let Some(f) = fact.as_mut() {
+            for name in scope {
+                f.remove(name);
+            }
         }
         fact
+    }
+
+    /// An expression evaluated as one unit.
+    fn eval(&mut self, e: &Expr, mut fact: Option<Fact>) -> Option<Fact> {
+        if let Some(f) = fact.as_mut() {
+            self.ctx.eval_events(e, f, self.sink.as_deref_mut());
+        }
+        fact
+    }
+
+    /// Statement-position expressions in order.
+    fn seq(&mut self, exprs: &[Expr], mut fact: Option<Fact>) -> Option<Fact> {
+        for e in exprs {
+            fact = self.stmt(e, fact);
+        }
+        fact
+    }
+
+    /// A statement-position expression; returns the fact flowing out.
+    fn stmt(&mut self, e: &Expr, fact: Option<Fact>) -> Option<Fact> {
+        let s = match e {
+            Expr::Block(b) => return self.block(b, fact),
+            Expr::Seq(s) => s,
+            _ => return self.eval(e, fact),
+        };
+        match s.ctrl {
+            // Plain runs evaluate in order; an orphaned arm likewise.
+            Ctrl::None | Ctrl::Arm => self.seq(&s.children, fact),
+            Ctrl::Return | Ctrl::Break | Ctrl::Continue => {
+                let fact = self.seq(&s.children, fact);
+                match (s.ctrl, self.loops.last_mut()) {
+                    (Ctrl::Break, Some(x)) => x.breaks = join(x.breaks.take(), fact),
+                    (Ctrl::Continue, Some(x)) => x.continues = join(x.continues.take(), fact),
+                    _ => {} // `return`, or soup outside any loop
+                }
+                None
+            }
+            Ctrl::If | Ctrl::Match => {
+                let fact = match s.children.first() {
+                    Some(head) => self.eval(head, fact),
+                    None => fact,
+                };
+                let arms = s.children.get(1..).unwrap_or_default();
+                let mut out = None;
+                for arm in arms {
+                    out = join(out, self.stmt(arm, fact.clone()));
+                }
+                // An `if` without `else` (or an arm-less `match`) can
+                // fall through.
+                let falls = match s.ctrl {
+                    Ctrl::If => arms.len() < 2,
+                    _ => arms.is_empty(),
+                };
+                if falls {
+                    out = join(out, fact);
+                }
+                out
+            }
+            Ctrl::While | Ctrl::For => {
+                // `for`: the iterable evaluates once, up front; `while`:
+                // the condition re-evaluates at the head of every trip.
+                let mut fact = fact;
+                let mut cond = None;
+                if let Some(first) = s.children.first() {
+                    if s.ctrl == Ctrl::For {
+                        fact = self.eval(first, fact);
+                    } else {
+                        cond = Some(first);
+                    }
+                }
+                let (top, breaks) = self.looped(s, fact, cond, s.children.get(1));
+                // Fuzz soup can attach trailing children (a stray `else`).
+                let extra = s.children.get(2..).unwrap_or_default();
+                self.seq(extra, join(top, breaks))
+            }
+            Ctrl::Loop => match s.children.first() {
+                // Only breaks leave a `loop`; extra soup children are
+                // never evaluated.
+                Some(body) => self.looped(s, fact, None, Some(body)).1,
+                None => fact,
+            },
+        }
+    }
+
+    /// Run a loop head to a fixpoint: the head joins the entry fact with
+    /// the body's fall-through and `continue` facts, starting from the
+    /// head this loop converged to on an earlier visit. Returns the fact
+    /// after the head (and its condition) plus the joined `break` facts,
+    /// both at the converged head. The emitting pass walks the body once,
+    /// from the head the converging pass left in the memo.
+    fn looped(
+        &mut self,
+        s: &SeqExpr,
+        entry: Option<Fact>,
+        cond: Option<&Expr>,
+        body: Option<&Expr>,
+    ) -> (Option<Fact>, Option<Fact>) {
+        let key: *const SeqExpr = s;
+        let mut head = join(self.heads.get(&key).cloned().flatten(), entry);
+        loop {
+            let top = match cond {
+                Some(c) => self.eval(c, head.clone()),
+                None => head.clone(),
+            };
+            self.loops.push(Exits::default());
+            let end = match body {
+                Some(b) => self.stmt(b, top.clone()),
+                None => None,
+            };
+            let exits = self.loops.pop().unwrap_or_default();
+            let next = join(join(head.clone(), end), exits.continues);
+            if next == head || self.sink.is_some() {
+                self.heads.insert(key, head);
+                return (top, exits.breaks);
+            }
+            head = next;
+        }
     }
 }
 
@@ -466,33 +615,24 @@ fn stdio_handle(e: &Expr) -> bool {
     }
 }
 
-/// `{ident}`-style names inside a literal (format interpolation), for
-/// the guard-usage oracle.
-fn interpolated(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'{' {
-            let mut j = i + 1;
-            while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-                j += 1;
-            }
-            if j > i + 1 && !bytes[i + 1].is_ascii_digit() {
-                if let Ok(name) = std::str::from_utf8(&bytes[i + 1..j]) {
-                    out.push(name.to_string());
-                }
-            }
-            i = j;
-        } else {
-            i += 1;
-        }
+impl Pass<'_> {
+    /// Lint one fn body: one walk to converge its loop heads, then one
+    /// emitting walk at the converged facts.
+    fn lint(&self, id: FnId, body: &Block, out: &mut Vec<Finding>) {
+        let ctx = FnCtx::new(self, id, body);
+        let mut walk = Walk {
+            ctx: &ctx,
+            heads: BTreeMap::new(),
+            loops: Vec::new(),
+            sink: None,
+        };
+        walk.block(body, Some(Fact::new()));
+        walk.sink = Some(out);
+        walk.block(body, Some(Fact::new()));
     }
-    out
 }
 
-/// Run the lock-discipline lints: one CFG fixpoint per non-test fn, then
-/// a replay of every reachable block that emits findings.
+/// Run the lock-discipline lints over every non-test fn.
 pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
     let pass = Pass {
         ws,
@@ -505,14 +645,8 @@ pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
         if ws.fns[id].is_test || pass.helpers.contains(&id) {
             continue;
         }
-        let Some(body) = ws.body_of(id) else { continue };
-        let ctx = FnCtx::new(&pass, id, body);
-        let cfg = Cfg::build(body);
-        for (b, entry) in cfg::fixpoint(&cfg, &ctx).into_iter().enumerate() {
-            let Some(mut fact) = entry else { continue };
-            for step in &cfg.blocks[b].steps {
-                ctx.step_fact(&mut fact, step, Some(&mut out));
-            }
+        if let Some(body) = ws.body_of(id) {
+            pass.lint(id, body, &mut out);
         }
     }
     out
@@ -525,7 +659,7 @@ mod tests {
     use crate::parser::parse;
     use crate::walker::{classify, crate_dir_of, SourceFile};
 
-    fn lints_of(src: &str) -> Vec<Finding> {
+    fn workspace_of(src: &str) -> Workspace {
         let manifests = vec![SourceFile {
             rel_path: "crates/app/Cargo.toml".to_string(),
             text: "[package]\nname = \"app\"\n".to_string(),
@@ -542,9 +676,12 @@ mod tests {
             },
             parse(&lex(src)),
         )];
-        let ws = crate::resolve::build(parsed, &manifests);
-        let cg = crate::callgraph::build(&ws);
-        run(&ws, &cg)
+        crate::resolve::build(parsed, &manifests)
+    }
+
+    fn lints_of(src: &str) -> Vec<Finding> {
+        let ws = workspace_of(src);
+        run(&ws, &crate::callgraph::build(&ws))
     }
 
     #[test]
@@ -695,5 +832,162 @@ mod tests {
                    fn t() { let g = M.lock().unwrap(); let h = M.lock().unwrap(); drop(h); drop(g); }\n\
                    }\n";
         assert!(lints_of(src).is_empty());
+    }
+
+    #[test]
+    fn guard_named_only_inside_an_escaped_brace_is_unused() {
+        let escaped = "static M: Mutex<i32> = Mutex::new(0);\n\
+                       pub fn f() { let g = M.lock().unwrap(); println!(\"{{g}}\"); }\n";
+        let found = lints_of(escaped);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].lint, "guard-discipline");
+        assert!(found[0].message.contains("`g`"), "{}", found[0].message);
+
+        let interpolated = "static M: Mutex<i32> = Mutex::new(0);\n\
+                            pub fn f() { let g = M.lock().unwrap(); println!(\"{g:?}\"); }\n";
+        assert!(lints_of(interpolated).is_empty());
+    }
+
+    /// Lint ids and lines of the findings, in report order.
+    fn verdicts(src: &str) -> Vec<(&'static str, u32)> {
+        let mut found = lints_of(src);
+        found.sort();
+        found.iter().map(|f| (f.lint, f.line)).collect()
+    }
+
+    #[test]
+    fn early_return_skips_a_relock() {
+        // The only path that keeps `g` leaves through `return`.
+        let src = "static M: Mutex<i32> = Mutex::new(0);\n\
+                   pub fn f(c: bool) {\n\
+                   let g = M.lock().unwrap();\n\
+                   if c { drop(g); } else { use_it(&g); return; }\n\
+                   let h = M.lock().unwrap();\n\
+                   drop(h);\n\
+                   }\n";
+        assert_eq!(verdicts(src), []);
+    }
+
+    #[test]
+    fn if_without_else_falls_through() {
+        let src = "static M: Mutex<i32> = Mutex::new(0);\n\
+                   pub fn f(c: bool) {\n\
+                   let g = M.lock().unwrap();\n\
+                   if c { drop(g); }\n\
+                   let h = M.lock().unwrap();\n\
+                   drop(h);\n\
+                   }\n";
+        assert_eq!(verdicts(src), [("double-lock", 5)]);
+    }
+
+    #[test]
+    fn code_after_a_loop_without_break_is_unreachable() {
+        let src = "static M: Mutex<i32> = Mutex::new(0);\n\
+                   pub fn f() {\n\
+                   let g = M.lock().unwrap();\n\
+                   loop { tick(&g); }\n\
+                   let h = M.lock().unwrap();\n\
+                   drop(h);\n\
+                   }\n";
+        assert_eq!(verdicts(src), []);
+    }
+
+    #[test]
+    fn break_carries_a_held_guard_out_of_its_loop() {
+        // The fall-through path drops `g` and returns; only the `break`
+        // reaches the code after the loop, still holding it.
+        let src = "static M: Mutex<i32> = Mutex::new(0);\n\
+                   pub fn f() {\n\
+                   let g = M.lock().unwrap();\n\
+                   loop { if ready(&g) { break; } drop(g); return; }\n\
+                   let h = M.lock().unwrap();\n\
+                   drop(h);\n\
+                   }\n";
+        assert_eq!(verdicts(src), [("double-lock", 5)]);
+    }
+
+    #[test]
+    fn continue_reenters_its_loop_with_the_guard_held() {
+        // `continue` leaves before the body's scope end, so the second
+        // trip starts with `g` live: across the `.recv()` and at the
+        // re-acquisition.
+        let src = "static M: Mutex<i32> = Mutex::new(0);\n\
+                   pub fn f(rx: Receiver<i32>) {\n\
+                   loop {\n\
+                   let v = rx.recv();\n\
+                   let g = M.lock().unwrap();\n\
+                   if retry(&g, v) { continue; }\n\
+                   drop(g);\n\
+                   break;\n\
+                   }\n\
+                   }\n";
+        assert_eq!(
+            verdicts(src),
+            [("held-lock-blocking", 4), ("double-lock", 5)]
+        );
+    }
+
+    #[test]
+    fn deep_loop_nest_finishes() {
+        // Level k re-acquires `gk` and carries it back to its own head
+        // through `continue`, then its enclosing level drops it: every
+        // visit to every level runs two trips, so a walk that re-converged
+        // each loop from scratch would take 2^64 of them. The parser
+        // flattens nesting this deep, so one fn per level is parsed and
+        // the levels are spliced into one body on the AST.
+        let depth = 64;
+        let mut src = String::from("static M: Mutex<i32> = Mutex::new(0);\n");
+        for k in 0..depth {
+            let enclosed = match k {
+                0 => String::new(),
+                _ => format!("nest(); drop(g{});", k - 1),
+            };
+            src.push_str(&format!(
+                "pub fn f{k}() {{ while c() {{ {enclosed} let g{k} = M.lock().unwrap(); \
+                 if c() {{ continue; }} drop(g{k}); }} }}\n"
+            ));
+        }
+        let ws = workspace_of(&src);
+        let cg = crate::callgraph::build(&ws);
+        let id_of = |k: usize| {
+            let id = ws.fns.iter().position(|f| f.qname == format!("app::f{k}"));
+            id.expect("one fn per level")
+        };
+        let level = |k: usize| {
+            let body = ws.body_of(id_of(k)).expect("body");
+            match body.stmts.first() {
+                Some(Stmt::Expr(Expr::Seq(s))) if s.ctrl == Ctrl::While => s.clone(),
+                _ => panic!("level {k} is one `while`"),
+            }
+        };
+        let mut nest = level(0);
+        for k in 1..depth {
+            let mut outer = level(k);
+            let Some(Expr::Block(body)) = outer.children.get_mut(1) else {
+                panic!("level {k} has a body");
+            };
+            body.stmts[0] = Stmt::Expr(Expr::Seq(nest));
+            nest = outer;
+        }
+        let id = id_of(depth - 1);
+        let mut body = ws.body_of(id).expect("body").clone();
+        body.stmts = vec![Stmt::Expr(Expr::Seq(nest))];
+        let pass = Pass {
+            ws: &ws,
+            cg: &cg,
+            helpers: BTreeSet::new(),
+            parallel: BTreeSet::new(),
+        };
+        let mut found = Vec::new();
+        pass.lint(id, &body, &mut found);
+        found.sort();
+        // Every level's acquisition re-locks `M` on its second trip.
+        let lines: Vec<u32> = found.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            (2..2 + depth as u32).collect::<Vec<_>>(),
+            "{found:?}"
+        );
+        assert!(found.iter().all(|f| f.lint == "double-lock"), "{found:?}");
     }
 }

@@ -7,7 +7,6 @@
 //! cargo run -p sfcheck -- --fix-dry-run   # include mechanical fixes in the report
 //! cargo run -p sfcheck -- --fix           # apply mechanical fixes to the tree
 //! cargo run -p sfcheck -- --write-baseline  # record current findings as the baseline
-//! cargo run -p sfcheck -- --baseline-remap crates/old=crates/new  # follow a move
 //! ```
 //!
 //! Exit codes: `0` clean (or fully baselined/waived), `1` live findings,
@@ -23,7 +22,6 @@ use sfcheck::{fix, run_check, workspace_root_from, CheckOptions, SfError};
 struct Cli {
     root: Option<PathBuf>,
     baseline: Option<PathBuf>,
-    baseline_remap: Vec<(String, String)>,
     json: bool,
     sarif: bool,
     fix_dry_run: bool,
@@ -35,7 +33,6 @@ fn parse_args() -> Result<Cli, SfError> {
     let mut cli = Cli {
         root: None,
         baseline: None,
-        baseline_remap: Vec::new(),
         json: false,
         sarif: false,
         fix_dry_run: false,
@@ -62,21 +59,11 @@ fn parse_args() -> Result<Cli, SfError> {
                         SfError::new("--baseline requires a path argument")
                     })?));
             }
-            "--baseline-remap" => {
-                let spec = args.next().ok_or_else(|| {
-                    SfError::new("--baseline-remap requires an `old=new` argument")
-                })?;
-                let (old, new) = spec.split_once('=').ok_or_else(|| {
-                    SfError::new(format!("--baseline-remap `{spec}`: expected `old=new`"))
-                })?;
-                cli.baseline_remap.push((old.to_string(), new.to_string()));
-            }
             "--help" | "-h" => {
                 println!(
                     "sfcheck: repo-invariant static analysis\n\
                      \n\
-                     USAGE: sfcheck [--root DIR] [--baseline PATH] \
-                     [--baseline-remap OLD=NEW]... [--json] [--sarif] \
+                     USAGE: sfcheck [--root DIR] [--baseline PATH] [--json] [--sarif] \
                      [--fix-dry-run] [--fix] [--write-baseline]\n\
                      \n\
                      Exit codes: 0 clean, 1 live findings, 2 tool error."
@@ -105,7 +92,6 @@ fn run() -> Result<bool, SfError> {
     let mut opts = CheckOptions::new(root.clone());
     opts.baseline_path = cli.baseline;
     opts.fix_dry_run = cli.fix_dry_run;
-    opts.baseline_remap = cli.baseline_remap;
 
     let outcome = run_check(&opts)?;
 

@@ -45,7 +45,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Block, Expr, Pos, Stmt};
+use crate::ast::{self, Block, Expr, Pos, Stmt};
 use crate::callgraph::STD_METHOD_NAMES;
 use crate::dataflow::{finding_at, PARALLEL_ENTRY};
 use crate::lexer::{lex, TokenKind};
@@ -220,7 +220,7 @@ impl<'a> FnPass<'a> {
                     t.extend(self.expr(a));
                     a.walk(&mut |sub| {
                         if let Expr::Lit(l) = sub {
-                            interpolated_idents(&l.text, &mut names);
+                            ast::interpolated_idents(&l.text, &mut names);
                         }
                     });
                 }
@@ -365,37 +365,6 @@ impl<'a> FnPass<'a> {
     }
 }
 
-/// Identifiers interpolated format-style inside a literal's text:
-/// `"{threads}"` and `"{threads:>8}"` name `threads`; `{{` escapes are
-/// skipped and positional or empty braces (`{}`, `{0}`) name nothing.
-fn interpolated_idents(text: &str, names: &mut Vec<String>) {
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'{' {
-            i += 1;
-            continue;
-        }
-        if bytes.get(i + 1) == Some(&b'{') {
-            i += 2;
-            continue;
-        }
-        let start = i + 1;
-        let mut j = start;
-        while j < bytes.len() && bytes[j] != b'}' && bytes[j] != b':' {
-            j += 1;
-        }
-        let name = &text[start..j];
-        if !name.is_empty()
-            && !name.starts_with(|c: char| c.is_ascii_digit())
-            && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        {
-            names.push(name.to_string());
-        }
-        i = j + 1;
-    }
-}
-
 /// Does the expression mention a parameter of `id` (or `self`), either
 /// directly or through a binding in `derived`? Macro arguments count
 /// both as parsed expressions (via the walk) and as `{ident}`
@@ -421,7 +390,7 @@ fn mentions_param(ws: &Workspace, id: FnId, derived: &BTreeSet<String>, e: &Expr
             for a in &m.args {
                 a.walk(&mut |inner| {
                     if let Expr::Lit(l) = inner {
-                        interpolated_idents(&l.text, &mut names);
+                        ast::interpolated_idents(&l.text, &mut names);
                     }
                 });
             }
@@ -1001,15 +970,5 @@ mod tests {
              let line = format!(\"rows={rows} {{threads}}\");\nwrite_csv(&line);\n}",
         );
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn interpolated_idents_parses_format_braces() {
-        let mut names = Vec::new();
-        interpolated_idents(
-            "\"a={alpha} b={beta:>8} c={} d={0} e={{gamma}} f={x.y}\"",
-            &mut names,
-        );
-        assert_eq!(names, ["alpha", "beta"]);
     }
 }

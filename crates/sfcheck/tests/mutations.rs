@@ -8,6 +8,7 @@
 //! it, and the mutation is re-planted on the new code.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sfcheck::{run_check, CheckOptions};
 
@@ -29,10 +30,18 @@ impl Drop for TempCopy {
     }
 }
 
+/// Copies made so far by this process; numbers each copy's directory so
+/// concurrent tests planting the same lint never share one.
+static COPIES: AtomicUsize = AtomicUsize::new(0);
+
 /// Copy `crates/**/{*.rs,Cargo.toml}` and the root manifest into a fresh
-/// directory named after `name`.
+/// directory named after `name`, unique per call.
 fn copy_workspace(name: &str) -> TempCopy {
-    let dst = std::env::temp_dir().join(format!("sfcheck-mutation-{name}-{}", std::process::id()));
+    let dst = std::env::temp_dir().join(format!(
+        "sfcheck-mutation-{name}-{}-{}",
+        std::process::id(),
+        COPIES.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dst);
     let src = workspace_root();
     copy_crates(&src.join("crates"), &dst.join("crates"));
@@ -194,5 +203,15 @@ fn thread_count_in_the_trace_is_determinism_taint() {
         "drop(eval_span);",
         "drop(eval_span);\n\
          state.rec.incr(\"eval.threads\", threads as u64);",
+    );
+}
+
+#[test]
+fn raw_span_time_in_the_work_map_is_obs_volatile_discipline() {
+    assert_fires(
+        "obs-volatile-discipline",
+        "crates/obs/src/lib.rs",
+        ".map(|(k, v)| ((*k).to_string(), JsonValue::from(v.count)))",
+        ".map(|(k, v)| ((*k).to_string(), JsonValue::from(v.ns as u64)))",
     );
 }
