@@ -46,7 +46,7 @@ step_fmt() {
 
 step_clippy() {
   echo "==> lint: clippy (warnings are errors)"
-  cargo clippy --all-targets --offline -- -D warnings
+  cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 
 step_sfcheck() {

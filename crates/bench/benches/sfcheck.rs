@@ -1,9 +1,8 @@
-//! Analyzer benchmarks for the sfcheck v3/v4 pipeline: per-file
-//! lex+parse throughput, the cross-file passes (symbol resolution, call
-//! graph, dataflow, taint, stream registry, lock discipline) over a
-//! synthetic workspace, the lock pass's per-fn walks on a lock-heavy
-//! tree, and one end-to-end `run_check` over a small on-disk workspace.
-//! The blessed medians live in
+//! Analyzer benchmarks for the sfcheck pipeline: per-file lex+parse
+//! throughput, the cross-file passes (symbol resolution, call graph,
+//! dataflow, taint, stream registry) over a synthetic workspace, and one
+//! end-to-end `run_check` over a small on-disk workspace. The blessed
+//! medians live in
 //! `BENCH_PR10.json` (regenerate with `SMARTFEAT_BENCH_JSON=$PWD/BENCH_PR10.json
 //! cargo bench -p smartfeat-bench --bench sfcheck`); CI's bench-smoke job
 //! checks the benchmark set still matches that file's line count.
@@ -14,7 +13,7 @@ use std::path::PathBuf;
 
 use sfcheck::walker::{classify, crate_dir_of, SourceFile};
 use sfcheck::{
-    callgraph, dataflow, lexer, locks, parser, resolve, run_check, streams, taint, CheckOptions,
+    callgraph, dataflow, lexer, parser, resolve, run_check, streams, taint, CheckOptions,
 };
 use smartfeat_bench::{criterion_group, criterion_main, Criterion};
 
@@ -59,33 +58,6 @@ fn manifest(rel: &str, name: &str) -> SourceFile {
     source(rel, format!("[package]\nname = \"{name}\"\n"))
 }
 
-/// A lock-flavored module body: a per-instance static acquired before
-/// the shared one, plus a relay holding the shared lock across a call,
-/// so every body carries live guards through the per-fn held-set walk.
-const LOCK_TEMPLATE: &str = "\
-static GATE_NNN: Mutex<u64> = Mutex::new(0);\n\
-pub fn stage_NNN() {\n\
-    let a = GATE_NNN.lock().unwrap();\n\
-    let b = SHARED.lock().unwrap();\n\
-    drop(b);\n\
-    drop(a);\n\
-}\n\
-pub fn relay_NNN() {\n\
-    let g = SHARED.lock().unwrap();\n\
-    stage_NNN();\n\
-    drop(g);\n\
-}\n";
-
-/// `count` lock-template instances behind one shared static.
-fn synthetic_lock_module(count: usize) -> String {
-    let mut text =
-        String::from("use std::sync::Mutex;\nstatic SHARED: Mutex<u64> = Mutex::new(0);\n");
-    for i in 0..count {
-        text.push_str(&LOCK_TEMPLATE.replace("NNN", &i.to_string()));
-    }
-    text
-}
-
 fn bench_per_file(c: &mut Criterion) {
     let text = synthetic_module(64);
     c.bench_function("perfile/lex_parse_64_fns", |b| {
@@ -123,38 +95,8 @@ fn bench_global_passes(c: &mut Criterion) {
             let mut findings = dataflow::run(&ws, &cg);
             findings.extend(taint::run(&ws));
             findings.extend(streams::run(&ws));
-            findings.extend(locks::run(&ws, &cg));
             findings.len()
         })
-    });
-}
-
-/// The lock pass alone — one held-set walk per fn — on an eight-file
-/// lock-heavy workspace (resolution and call graph prebuilt, so only
-/// `locks::run` is timed). The label predates the AST walk and is kept
-/// so the bench history in `BENCH_PR10.json` stays comparable.
-fn bench_lock_fixpoint(c: &mut Criterion) {
-    let manifests = vec![
-        manifest("crates/core/Cargo.toml", "smartfeat"),
-        manifest("crates/frame/Cargo.toml", "smartfeat-frame"),
-        manifest("crates/ml/Cargo.toml", "smartfeat-ml"),
-        manifest("crates/rng/Cargo.toml", "smartfeat-rng"),
-    ];
-    let parsed = (0..8)
-        .map(|i| {
-            let dir = ["core", "frame", "ml", "rng"][i % 4];
-            let f = source(
-                &format!("crates/{dir}/src/mod{i}.rs"),
-                synthetic_lock_module(16),
-            );
-            let tree = parser::parse(&lexer::lex(&f.text));
-            (f, tree)
-        })
-        .collect();
-    let ws = resolve::build(parsed, &manifests);
-    let cg = callgraph::build(&ws);
-    c.bench_function("locks/fixpoint_8_files", |b| {
-        b.iter(|| locks::run(&ws, &cg).len())
     });
 }
 
@@ -202,7 +144,6 @@ criterion_group!(
     benches,
     bench_per_file,
     bench_global_passes,
-    bench_lock_fixpoint,
     bench_end_to_end
 );
 criterion_main!(benches);

@@ -5,7 +5,8 @@
 //!
 //! options:
 //!   --csv PATH            input CSV (header row required)
-//!   --target NAME         prediction-class column
+//!   --target NAME         binary prediction-class column (exactly two
+//!                         distinct non-null values)
 //!   --out PATH            write the augmented CSV here (default: stdout summary only)
 //!   --describe COL=TEXT   feature description (repeatable; quote the pair)
 //!   --model NAME          downstream model named in prompts (default RF)
@@ -221,6 +222,24 @@ fn main() {
             "error: target column {:?} not found; columns are {:?}",
             args.target,
             df.column_names()
+        );
+        exit(1);
+    }
+    // SMARTFEAT scores features for a binary target; reject what it cannot
+    // score before the first FM call is billed.
+    if df.n_rows() == 0 {
+        eprintln!(
+            "error: {} has no data rows; target column {:?} needs two classes",
+            args.csv, args.target
+        );
+        exit(1);
+    }
+    let classes = df.column(&args.target).map_or(0, |c| c.cardinality());
+    if classes != 2 {
+        eprintln!(
+            "error: target column {:?} has {classes} distinct non-null value(s); \
+             a binary target needs exactly 2",
+            args.target
         );
         exit(1);
     }

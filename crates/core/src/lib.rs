@@ -25,6 +25,28 @@
 //! Everything is orchestrated by [`pipeline::SmartFeat`], which returns a
 //! [`report::SmartFeatReport`] with the augmented frame, per-feature
 //! provenance, and exact FM usage accounting.
+//!
+//! ## Ownership
+//!
+//! FM handles and the observability recorder belong to the pipeline's
+//! serial control path (DESIGN.md §8): their state sits in `RefCell`s, so
+//! they are neither `Send` nor `Sync`, and the compiler rejects them in a
+//! pool closure. An FM call from a pool worker does not compile:
+//!
+//! ```compile_fail,E0277
+//! use smartfeat_fm::{FoundationModel, SimulatedFm};
+//! let gpt = SimulatedFm::gpt35(0);
+//! let fm: &dyn FoundationModel = &gpt;
+//! smartfeat_par::par_map_indexed(2, 4, |_| fm.complete("Propose a feature.").is_ok());
+//! ```
+//!
+//! and neither does a trace event:
+//!
+//! ```compile_fail,E0277
+//! use smartfeat_obs::{ClockMode, Recorder};
+//! let rec = Recorder::new(ClockMode::Logical);
+//! smartfeat_par::par_map_indexed(2, 4, |i| rec.incr("task", i as u64));
+//! ```
 
 pub mod config;
 pub mod error;

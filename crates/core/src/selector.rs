@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn binary_rejects_unknown_columns() {
         // A canned FM that returns a dict mentioning a nonexistent column.
-        struct Canned;
+        struct Canned(smartfeat_fm::UsageMeter);
         impl FoundationModel for Canned {
             fn model_name(&self) -> &str {
                 "canned"
@@ -614,13 +614,12 @@ mod tests {
                 })
             }
             fn meter(&self) -> &smartfeat_fm::UsageMeter {
-                static METER: std::sync::OnceLock<smartfeat_fm::UsageMeter> =
-                    std::sync::OnceLock::new();
-                METER.get_or_init(smartfeat_fm::UsageMeter::new)
+                &self.0
             }
         }
         let cfg = SmartFeatConfig::default();
-        let sel = OperatorSelector::new(&Canned, &cfg, Recorder::disabled());
+        let fm = Canned(smartfeat_fm::UsageMeter::new());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
         assert!(matches!(
             sel.sample_binary(&insurance_agenda()).unwrap(),
             Sample::Invalid(_)

@@ -16,7 +16,7 @@
 //! their byte-exact transcripts are pinned by the strategy-oracle golden
 //! and must not drift.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::cost::ModelSpec;
 use crate::oracle::{FmConfig, FmError, FmResponse, FoundationModel, SimulatedFm};
@@ -98,11 +98,11 @@ impl BackendKind {
 
     /// Build this family's simulated FM with an owned meter.
     pub fn fm(self, seed: u64) -> SimulatedFm {
-        self.fm_with_meter(seed, Arc::new(UsageMeter::new()))
+        self.fm_with_meter(seed, Rc::new(UsageMeter::new()))
     }
 
     /// Build this family's simulated FM billing an existing meter.
-    pub fn fm_with_meter(self, seed: u64, meter: Arc<UsageMeter>) -> SimulatedFm {
+    pub fn fm_with_meter(self, seed: u64, meter: Rc<UsageMeter>) -> SimulatedFm {
         SimulatedFm::with_meter(
             self.spec(),
             FmConfig {
@@ -118,7 +118,7 @@ impl BackendKind {
 
 /// One rung of a cascade ladder: a model family plus the routing policy
 /// inputs the cascade needs (coverage, per-kind eligibility).
-pub trait FmBackend: Send + Sync {
+pub trait FmBackend {
     /// Family identifier.
     fn name(&self) -> &'static str;
 
@@ -142,7 +142,7 @@ pub struct SimulatedBackend {
 
 impl SimulatedBackend {
     /// Build a rung billing the given (cascade-shared) meter.
-    pub fn new(kind: BackendKind, seed: u64, meter: Arc<UsageMeter>) -> Self {
+    pub fn new(kind: BackendKind, seed: u64, meter: Rc<UsageMeter>) -> Self {
         SimulatedBackend {
             kind,
             fm: kind.fm_with_meter(seed, meter),
@@ -210,8 +210,8 @@ mod tests {
 
     #[test]
     fn shallow_rung_is_ineligible_for_row_completion_only() {
-        let meter = Arc::new(UsageMeter::new());
-        let shallow = SimulatedBackend::new(BackendKind::Babbage002, 0, Arc::clone(&meter));
+        let meter = Rc::new(UsageMeter::new());
+        let shallow = SimulatedBackend::new(BackendKind::Babbage002, 0, Rc::clone(&meter));
         let deep = SimulatedBackend::new(BackendKind::Gpt4, 0, meter);
         assert!(!shallow.eligible("row_completion"));
         assert!(shallow.eligible("unary_proposal"));
@@ -221,9 +221,9 @@ mod tests {
 
     #[test]
     fn rungs_bill_the_shared_meter() {
-        let meter = Arc::new(UsageMeter::new());
-        let a = SimulatedBackend::new(BackendKind::Babbage002, 1, Arc::clone(&meter));
-        let b = SimulatedBackend::new(BackendKind::Gpt4, 2, Arc::clone(&meter));
+        let meter = Rc::new(UsageMeter::new());
+        let a = SimulatedBackend::new(BackendKind::Babbage002, 1, Rc::clone(&meter));
+        let b = SimulatedBackend::new(BackendKind::Gpt4, 2, Rc::clone(&meter));
         a.complete("hello").unwrap();
         b.complete("hello").unwrap();
         assert_eq!(meter.snapshot().calls, 2);

@@ -25,9 +25,9 @@
 //!   (DESIGN.md §8/§13), so each rung observes the same prompt sequence
 //!   at every thread count.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use smartfeat_par::lock_or_poison;
 use smartfeat_rng::seed_jump;
 
 use crate::backend::{BackendKind, FmBackend, KnowledgeCoverage, SimulatedBackend};
@@ -42,11 +42,11 @@ pub const CASCADE_STREAM: u64 = 311;
 pub struct CascadeFm {
     ladder: Vec<Box<dyn FmBackend>>,
     name: String,
-    meter: Arc<UsageMeter>,
-    routing: Mutex<RoutingSnapshot>,
+    meter: Rc<UsageMeter>,
+    routing: RefCell<RoutingSnapshot>,
     // Last answer per rung: a shallow rung repeating itself verbatim is
     // its degenerate-output failure mode, caught here statefully.
-    last_texts: Mutex<Vec<Option<String>>>,
+    last_texts: RefCell<Vec<Option<String>>>,
 }
 
 impl CascadeFm {
@@ -56,7 +56,7 @@ impl CascadeFm {
     /// the meter counts every underlying attempt exactly.
     pub fn new(kinds: &[BackendKind], seed: u64) -> Self {
         assert!(!kinds.is_empty(), "cascade ladder must be non-empty");
-        let meter = Arc::new(UsageMeter::new());
+        let meter = Rc::new(UsageMeter::new());
         let ladder: Vec<Box<dyn FmBackend>> = kinds
             .iter()
             .enumerate()
@@ -65,7 +65,7 @@ impl CascadeFm {
                     kind,
                     // sfcheck:seed-stream(311..327)
                     seed_jump(seed, CASCADE_STREAM + i as u64),
-                    Arc::clone(&meter),
+                    Rc::clone(&meter),
                 )) as Box<dyn FmBackend>
             })
             .collect();
@@ -82,8 +82,8 @@ impl CascadeFm {
             ladder,
             name,
             meter,
-            routing: Mutex::new(RoutingSnapshot::new()),
-            last_texts: Mutex::new(vec![None; rungs]),
+            routing: RefCell::new(RoutingSnapshot::new()),
+            last_texts: RefCell::new(vec![None; rungs]),
         }
     }
 
@@ -94,9 +94,9 @@ impl CascadeFm {
         CascadeFm {
             ladder,
             name: "cascade(test)".to_string(),
-            meter: Arc::new(UsageMeter::new()),
-            routing: Mutex::new(RoutingSnapshot::new()),
-            last_texts: Mutex::new(vec![None; rungs]),
+            meter: Rc::new(UsageMeter::new()),
+            routing: RefCell::new(RoutingSnapshot::new()),
+            last_texts: RefCell::new(vec![None; rungs]),
         }
     }
 }
@@ -196,7 +196,7 @@ impl FoundationModel for CascadeFm {
             // (their degenerate-output failure mode repeats the
             // previous answer verbatim).
             let repeated = {
-                let mut lasts = lock_or_poison(&self.last_texts);
+                let mut lasts = self.last_texts.borrow_mut();
                 let repeated = shallow && lasts[i].as_deref() == Some(resp.text.as_str());
                 lasts[i] = Some(resp.text.clone());
                 repeated
@@ -208,7 +208,7 @@ impl FoundationModel for CascadeFm {
             };
             let accepted = i == last || quality;
             {
-                let mut routing = lock_or_poison(&self.routing);
+                let mut routing = self.routing.borrow_mut();
                 let stat = routing.entry(rung.name().to_string()).or_default();
                 stat.add(&RouteStat {
                     calls: 1,
@@ -237,7 +237,7 @@ impl FoundationModel for CascadeFm {
     }
 
     fn routing(&self) -> Option<RoutingSnapshot> {
-        Some(lock_or_poison(&self.routing).clone())
+        Some(self.routing.borrow().clone())
     }
 }
 

@@ -5,9 +5,7 @@
 //! provides the same visibility — the `custom_dataset` example prints a
 //! transcript, and tests use it to assert on exact dialogue shapes.
 
-use std::sync::Mutex;
-
-use smartfeat_par::lock_or_poison;
+use std::cell::RefCell;
 
 use crate::oracle::{FmError, FmResponse, FoundationModel};
 use crate::stats::{RoutingSnapshot, UsageMeter};
@@ -26,7 +24,7 @@ pub struct Exchange {
 /// A recording wrapper around any foundation model.
 pub struct Transcribing<M> {
     inner: M,
-    log: Mutex<Vec<Exchange>>,
+    log: RefCell<Vec<Exchange>>,
 }
 
 impl<M: FoundationModel> Transcribing<M> {
@@ -34,30 +32,30 @@ impl<M: FoundationModel> Transcribing<M> {
     pub fn new(inner: M) -> Self {
         Transcribing {
             inner,
-            log: Mutex::new(Vec::new()),
+            log: RefCell::new(Vec::new()),
         }
     }
 
     /// Clone of all recorded exchanges, in call order.
     pub fn transcript(&self) -> Vec<Exchange> {
-        lock_or_poison(&self.log).clone()
+        self.log.borrow().clone()
     }
 
     /// Number of recorded exchanges.
     pub fn len(&self) -> usize {
-        lock_or_poison(&self.log).len()
+        self.log.borrow().len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        lock_or_poison(&self.log).is_empty()
+        self.log.borrow().is_empty()
     }
 
     /// Render the transcript as readable text (prompts truncated to
     /// `prompt_chars` characters).
     pub fn render(&self, prompt_chars: usize) -> String {
         let mut out = String::new();
-        for (i, e) in lock_or_poison(&self.log).iter().enumerate() {
+        for (i, e) in self.log.borrow().iter().enumerate() {
             let prompt: String = e.prompt.chars().take(prompt_chars).collect();
             let ellipsis = if e.prompt.chars().count() > prompt_chars {
                 "…"
@@ -89,7 +87,7 @@ impl<M: FoundationModel> FoundationModel for Transcribing<M> {
 
     fn complete(&self, prompt: &str) -> Result<FmResponse, FmError> {
         let response = self.inner.complete(prompt)?;
-        lock_or_poison(&self.log).push(Exchange {
+        self.log.borrow_mut().push(Exchange {
             prompt: prompt.to_string(),
             response: response.text.clone(),
             tokens: response.prompt_tokens + response.completion_tokens,

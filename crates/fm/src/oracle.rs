@@ -2,9 +2,9 @@
 //! prompts, consults the [`crate::knowledge`] base, and writes back
 //! natural-language-ish structured text for the caller to parse.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use smartfeat_par::lock_or_poison;
 use smartfeat_rng::Rng;
 
 use crate::backend::KnowledgeCoverage;
@@ -83,7 +83,7 @@ pub struct FmResponse {
 }
 
 /// Anything that answers prompts — lets tests substitute canned models.
-pub trait FoundationModel: Send + Sync {
+pub trait FoundationModel {
     /// Model identifier.
     fn model_name(&self) -> &str;
 
@@ -164,8 +164,8 @@ impl Default for FmConfig {
 pub struct SimulatedFm {
     spec: ModelSpec,
     config: FmConfig,
-    meter: Arc<UsageMeter>,
-    state: Mutex<OracleState>,
+    meter: Rc<UsageMeter>,
+    state: RefCell<OracleState>,
 }
 
 struct OracleState {
@@ -177,18 +177,18 @@ struct OracleState {
 impl SimulatedFm {
     /// Build with an owned meter.
     pub fn new(spec: ModelSpec, config: FmConfig) -> Self {
-        Self::with_meter(spec, config, Arc::new(UsageMeter::new()))
+        Self::with_meter(spec, config, Rc::new(UsageMeter::new()))
     }
 
     /// Build sharing an existing meter (so the selector's GPT-4 and the
     /// generator's GPT-3.5 can bill one budget, as the paper's setup does).
-    pub fn with_meter(spec: ModelSpec, config: FmConfig, meter: Arc<UsageMeter>) -> Self {
+    pub fn with_meter(spec: ModelSpec, config: FmConfig, meter: Rc<UsageMeter>) -> Self {
         let seed = config.seed;
         SimulatedFm {
             spec,
             config,
             meter,
-            state: Mutex::new(OracleState {
+            state: RefCell::new(OracleState {
                 rng: Rng::seed_from_u64(seed),
                 last_text: None,
                 calls: 0,
@@ -219,8 +219,8 @@ impl SimulatedFm {
     }
 
     /// The shared meter handle.
-    pub fn meter_arc(&self) -> Arc<UsageMeter> {
-        Arc::clone(&self.meter)
+    pub fn meter_rc(&self) -> Rc<UsageMeter> {
+        Rc::clone(&self.meter)
     }
 
     fn answer(&self, prompt: &str, rng: &mut Rng) -> String {
@@ -272,7 +272,7 @@ impl FoundationModel for SimulatedFm {
     }
 
     fn complete(&self, prompt: &str) -> Result<FmResponse, FmError> {
-        let mut state = lock_or_poison(&self.state);
+        let mut state = self.state.borrow_mut();
         if let Some(budget) = self.config.call_budget {
             if state.calls >= budget {
                 return Err(FmError::BudgetExhausted { budget });

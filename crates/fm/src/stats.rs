@@ -1,15 +1,12 @@
 //! Usage accounting: calls, tokens, dollars, simulated latency.
 //!
-//! The meter is shared (`Arc` inside callers) and thread-safe via
-//! `std::sync::Mutex`, so concurrent benchmark harnesses can hammer one
-//! simulated endpoint and still get exact totals.
+//! The meter is shared (`Rc` inside callers) and single-threaded: it
+//! lives in a `RefCell` owned by the serial control path, which issues
+//! every FM call (DESIGN.md §8).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-use std::sync::Mutex;
-
-use smartfeat_par::lock_or_poison;
 
 /// One API call's accounting record.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,10 +96,10 @@ impl RouteStat {
 /// Routing stats keyed by backend name, in sorted (deterministic) order.
 pub type RoutingSnapshot = BTreeMap<String, RouteStat>;
 
-/// Thread-safe accumulating usage meter with a bounded call log.
+/// Accumulating usage meter with a bounded call log.
 #[derive(Debug, Default)]
 pub struct UsageMeter {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 #[derive(Debug, Default)]
@@ -122,7 +119,7 @@ impl UsageMeter {
     /// (aggregates are always exact).
     pub fn with_log_cap(cap: usize) -> Self {
         UsageMeter {
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 log_cap: Some(cap),
                 ..Inner::default()
             }),
@@ -131,7 +128,7 @@ impl UsageMeter {
 
     /// Record one call.
     pub fn record(&self, rec: CallRecord) {
-        let mut inner = lock_or_poison(&self.inner);
+        let mut inner = self.inner.borrow_mut();
         inner.snapshot.calls += 1;
         inner.snapshot.prompt_tokens += rec.prompt_tokens;
         inner.snapshot.completion_tokens += rec.completion_tokens;
@@ -148,17 +145,17 @@ impl UsageMeter {
 
     /// Current aggregate totals.
     pub fn snapshot(&self) -> UsageSnapshot {
-        lock_or_poison(&self.inner).snapshot
+        self.inner.borrow().snapshot
     }
 
     /// Clone of the retained call log.
     pub fn log(&self) -> Vec<CallRecord> {
-        lock_or_poison(&self.inner).log.clone()
+        self.inner.borrow().log.clone()
     }
 
     /// Reset everything to zero.
     pub fn reset(&self) {
-        let mut inner = lock_or_poison(&self.inner);
+        let mut inner = self.inner.borrow_mut();
         inner.snapshot = UsageSnapshot::default();
         inner.log.clear();
     }
@@ -214,25 +211,5 @@ mod tests {
         m.reset();
         assert_eq!(m.snapshot(), UsageSnapshot::default());
         assert!(m.log().is_empty());
-    }
-
-    #[test]
-    fn concurrent_recording_is_exact() {
-        use std::sync::Arc;
-        let m = Arc::new(UsageMeter::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        m.record(rec(1));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.snapshot().calls, 800);
     }
 }

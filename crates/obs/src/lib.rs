@@ -30,13 +30,12 @@
 
 pub mod global;
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::Instant;
 
 use smartfeat_frame::json::JsonValue;
-use smartfeat_par::lock_or_poison;
 
 /// Pool counters of one run, copied from its `smartfeat_par` context.
 /// `workers_spawned` depends on the thread count, so the report carries
@@ -191,19 +190,21 @@ struct State {
 #[derive(Debug)]
 struct Inner {
     mode: ClockMode,
-    seq: AtomicU64,
+    seq: Cell<u64>,
     origin: Instant,
-    state: Mutex<State>,
+    state: RefCell<State>,
 }
 
 /// The per-run observability recorder.
 ///
-/// Cheap to clone (an `Arc` underneath) and thread-safe; the disabled
-/// recorder carries no allocation and every method is a no-op, so
-/// instrumented code paths cost one branch when observability is off.
+/// Cheap to clone (an `Rc` underneath) and owned by the run's serial
+/// control path: it is neither `Send` nor `Sync`, so the compiler rejects
+/// it in pool closures. The disabled recorder carries no allocation and
+/// every method is a no-op, so instrumented code paths cost one branch
+/// when observability is off.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Rc<Inner>>,
 }
 
 impl Recorder {
@@ -215,11 +216,11 @@ impl Recorder {
     /// An enabled recorder with an explicit clock mode.
     pub fn new(mode: ClockMode) -> Recorder {
         Recorder {
-            inner: Some(Arc::new(Inner {
+            inner: Some(Rc::new(Inner {
                 mode,
-                seq: AtomicU64::new(0),
+                seq: Cell::new(0),
                 origin: Instant::now(),
-                state: Mutex::new(State::default()),
+                state: RefCell::new(State::default()),
             })),
         }
     }
@@ -246,7 +247,7 @@ impl Recorder {
         match &self.inner {
             None => 0,
             Some(inner) => match inner.mode {
-                ClockMode::Logical => inner.seq.fetch_add(1, Ordering::Relaxed),
+                ClockMode::Logical => inner.seq.replace(inner.seq.get() + 1),
                 ClockMode::Wall => inner.origin.elapsed().as_nanos() as u64,
             },
         }
@@ -256,7 +257,7 @@ impl Recorder {
     // sfcheck:output-sink
     pub fn incr(&self, name: &str, by: u64) {
         if let Some(inner) = &self.inner {
-            let mut state = lock_or_poison(&inner.state);
+            let mut state = inner.state.borrow_mut();
             *state.counters.entry(name.to_string()).or_insert(0) += by;
         }
     }
@@ -264,7 +265,7 @@ impl Recorder {
     /// Attribute one FM call's usage to `key` (a role or family label).
     pub fn fm_call(&self, key: &str, usage: FmUsage) {
         if let Some(inner) = &self.inner {
-            let mut state = lock_or_poison(&inner.state);
+            let mut state = inner.state.borrow_mut();
             state.fm.entry(key.to_string()).or_default().add(usage);
         }
     }
@@ -273,7 +274,7 @@ impl Recorder {
     /// bridge `smartfeat_fm::UsageMeter` deltas at end of run).
     pub fn set_fm_usage(&self, key: &str, usage: FmUsage) {
         if let Some(inner) = &self.inner {
-            let mut state = lock_or_poison(&inner.state);
+            let mut state = inner.state.borrow_mut();
             state.fm.insert(key.to_string(), usage);
         }
     }
@@ -281,7 +282,7 @@ impl Recorder {
     /// Mutate one family's stats through `f`.
     pub fn family(&self, family: &str, f: impl FnOnce(&mut FamilyStats)) {
         if let Some(inner) = &self.inner {
-            let mut state = lock_or_poison(&inner.state);
+            let mut state = inner.state.borrow_mut();
             f(state.families.entry(family.to_string()).or_default());
         }
     }
@@ -289,7 +290,7 @@ impl Recorder {
     /// Record the pool counters of this run.
     pub fn set_pool(&self, pool: PoolStats) {
         if let Some(inner) = &self.inner {
-            lock_or_poison(&inner.state).pool = pool;
+            inner.state.borrow_mut().pool = pool;
         }
     }
 
@@ -298,7 +299,7 @@ impl Recorder {
     /// stays byte-identical to pre-cascade reports.
     pub fn set_routing(&self, routing: BTreeMap<String, RouteUsage>) {
         if let Some(inner) = &self.inner {
-            lock_or_poison(&inner.state).routing = routing;
+            inner.state.borrow_mut().routing = routing;
         }
     }
 
@@ -306,7 +307,7 @@ impl Recorder {
     /// deterministic; nanoseconds surface only in wall mode).
     pub fn set_work(&self, work: BTreeMap<&'static str, global::WorkStat>) {
         if let Some(inner) = &self.inner {
-            lock_or_poison(&inner.state).work = work;
+            inner.state.borrow_mut().work = work;
         }
     }
 
@@ -333,7 +334,7 @@ impl Recorder {
             map.insert((*k).to_string(), v.clone());
         }
         let line = JsonValue::Object(map).emit();
-        let mut state = lock_or_poison(&inner.state);
+        let mut state = inner.state.borrow_mut();
         state.trace.push_str(&line);
         state.trace.push('\n');
         state.events += 1;
@@ -365,19 +366,17 @@ impl Recorder {
         };
         let end = self.now();
         self.emit(end, "span_end", &[("name", name.into())]);
-        let mut state = lock_or_poison(&inner.state);
+        let mut state = inner.state.borrow_mut();
         let agg = state.spans.entry(name.to_string()).or_default();
         agg.count += 1;
         agg.total += end.saturating_sub(start);
-        drop(state);
-        let _ = inner;
     }
 
     /// The accumulated JSONL trace.
     pub fn trace_jsonl(&self) -> String {
         match &self.inner {
             None => String::new(),
-            Some(inner) => lock_or_poison(&inner.state).trace.clone(),
+            Some(inner) => inner.state.borrow().trace.clone(),
         }
     }
 
@@ -385,7 +384,7 @@ impl Recorder {
     pub fn events(&self) -> u64 {
         match &self.inner {
             None => 0,
-            Some(inner) => lock_or_poison(&inner.state).events,
+            Some(inner) => inner.state.borrow().events,
         }
     }
 
@@ -402,7 +401,7 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return JsonValue::Null;
         };
-        let state = lock_or_poison(&inner.state);
+        let state = inner.state.borrow();
         let wall = inner.mode == ClockMode::Wall;
 
         let counters = JsonValue::Object(

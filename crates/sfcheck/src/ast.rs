@@ -150,8 +150,7 @@ pub struct StaticItem {
     pub name: String,
     /// True for `static mut`.
     pub mutable: bool,
-    /// Declared type, as written (empty when unparseable). The lock pass
-    /// reads this to spot `Mutex`/`RwLock`-typed process globals.
+    /// Declared type, as written (empty when unparseable).
     pub ty: String,
 }
 
@@ -337,10 +336,9 @@ pub struct LitExpr {
 }
 
 /// Control-flow role of a [`SeqExpr`]. The parser tags the `Seq` nodes
-/// it builds for control-flow constructs so downstream passes (the lock
-/// walk in particular) can recover branch/loop/early-exit structure
-/// without re-deriving it from token shapes. Plain expression runs and
-/// groups stay `Ctrl::None`.
+/// it builds for control-flow constructs, so the tree keeps their
+/// branch/loop/early-exit structure without re-deriving it from token
+/// shapes. Plain expression runs and groups stay `Ctrl::None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Ctrl {
     /// Plain expression run, group, struct literal, or soup.

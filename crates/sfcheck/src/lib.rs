@@ -17,7 +17,6 @@ pub mod dataflow;
 pub mod fix;
 pub mod lexer;
 pub mod lints;
-pub mod locks;
 pub mod parser;
 pub mod report;
 pub mod resolve;
@@ -118,10 +117,9 @@ impl Outcome {
 /// honored), so output order is a function of the sorted walk, never of
 /// scheduling. The **global phase** is serial: it builds the workspace
 /// symbol table and call graph from the per-file ASTs, runs the
-/// [`dataflow`], [`taint`], [`locks`] and [`streams`] passes, merges
-/// their findings back into each file's stream, and only then applies
-/// that file's waivers — one waiver mechanism for token and cross-file
-/// lints alike.
+/// [`dataflow`], [`taint`] and [`streams`] passes, merges their findings
+/// back into each file's stream, and only then applies that file's
+/// waivers — one waiver mechanism for token and cross-file lints alike.
 pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
     let sources = walker::rust_sources(&opts.root)?;
     let manifests = walker::manifests(&opts.root)?;
@@ -138,11 +136,10 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
 
     // Per-file phase, parallel and ordered.
     let threads = smartfeat_par::resolve_threads(0);
-    let scans: Vec<(ast::File, (Vec<Finding>, Vec<lints::Waiver>))> =
-        smartfeat_par::par_map(threads, &sources, |file| {
-            let tokens = lexer::lex(&file.text);
-            (parser::parse(&tokens), lints::scan_rust_raw(file, &tokens))
-        });
+    let scans = smartfeat_par::par_map(threads, &sources, |file| {
+        let tokens = lexer::lex(&file.text);
+        (parser::parse(&tokens), lints::scan_rust_raw(file, &tokens))
+    });
     let (parsed, mut raw_by_file): (Vec<_>, Vec<_>) = sources
         .into_iter()
         .zip(scans)
@@ -161,7 +158,6 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
         .collect();
     let mut global = dataflow::run(&ws, &cg);
     global.extend(taint::run(&ws));
-    global.extend(locks::run(&ws, &cg));
     global.extend(streams::run(&ws));
     for finding in global {
         if let Some(&i) = index_of.get(finding.file.as_str()) {

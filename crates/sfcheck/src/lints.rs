@@ -15,18 +15,16 @@
 //! | T1 | `determinism-taint` | no wall/env/thread/hash-order value reaches an output sink |
 //! | T2 | `seed-stream-collision` | every `seed_jump` stream claims a disjoint index range |
 //! | T3 | `obs-volatile-discipline` | volatile fields reach the report only under `volatile` |
-//! | L2 | `double-lock` | no possibly-held non-reentrant lock is ever re-acquired |
-//! | L3 | `held-lock-blocking` | no lock guard lives across a blocking or pool boundary |
-//! | L4 | `guard-discipline` | every lock guard is bound, used, and dropped deliberately |
+//! | L1 | `lock-confinement` | no `Mutex`/`RwLock` in library code outside `crates/par` |
 //!
 //! F1–F3 are the cross-file dataflow lints ([`crate::dataflow`]); they run
 //! over the workspace symbol table and call graph rather than per-file
 //! tokens, but their findings waive identically. T1 and T3 are the
 //! interprocedural taint lints ([`crate::taint`]) and T2 the seed-stream
 //! registry ([`crate::streams`]), added in v3 — same waiver mechanism.
-//! L2–L4 are the flow-sensitive lock-discipline lints ([`crate::locks`]),
-//! added in v4: a walk over each fn's AST tracks guard liveness within
-//! one body.
+//! L1 is a per-file token rule: FM and recorder state is single-threaded
+//! and owned by the serial control path, so the pool's run context in
+//! `crates/par` is the only place a lock may live (DESIGN.md §8).
 //!
 //! Findings can be waived inline with a line comment:
 //!
@@ -46,14 +44,12 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::walker::{FileClass, SourceFile};
 
 /// Identifiers of every shipped lint, in report order.
-pub const LINT_IDS: [&str; 16] = [
+pub const LINT_IDS: [&str; 14] = [
     "determinism-taint",
-    "double-lock",
     "env-dependence",
-    "guard-discipline",
     "hash-collections",
-    "held-lock-blocking",
     "hermetic-manifest",
+    "lock-confinement",
     "obs-volatile-discipline",
     "panic-hygiene",
     "panic-reachability",
@@ -213,8 +209,7 @@ fn collect_waivers(file: &str, lines: &[&str], tokens: &[Token]) -> (Vec<Waiver>
 /// The plain `// sfcheck:<name>` markers. The parser accepts any name,
 /// so a marker spelled with underscores attaches to nothing and silently
 /// turns off the pass that reads it.
-const MARKERS: [&str; 6] = [
-    "lock-helper",
+const MARKERS: [&str; 5] = [
     "metrics-report",
     "output-sink",
     "parallel-entry",
@@ -379,6 +374,7 @@ pub fn scan_rust_raw(file: &SourceFile, tokens: &[Token]) -> (Vec<Finding>, Vec<
     env_dependence_lint(file, &lines, &regions, &code, &mut raw);
     panic_hygiene_lint(file, &lines, &regions, &code, &mut raw);
     unsafe_binary_op_lint(file, &lines, &regions, &code, &mut raw);
+    lock_confinement_lint(file, &lines, &regions, &code, &mut raw);
     (raw, waivers)
 }
 
@@ -471,6 +467,46 @@ fn wall_clock_lint(
                 None,
             );
         }
+    }
+}
+
+/// L1 `lock-confinement`: a `Mutex` or `RwLock` in library code outside
+/// `crates/par`.
+///
+/// FM, meter and recorder state lives in `RefCell`s owned by the serial
+/// control path (DESIGN.md §8); the pool's run context is the one lock
+/// that pool workers touch. A lock anywhere else is shared state the
+/// design does not have.
+fn lock_confinement_lint(
+    file: &SourceFile,
+    lines: &[&str],
+    regions: &[(u32, u32)],
+    code: &[&Token],
+    out: &mut Vec<Finding>,
+) {
+    if file.crate_dir == "par" || file.class != FileClass::Lib {
+        return;
+    }
+    for tok in code {
+        if in_regions(regions, tok.line)
+            || tok.kind != TokenKind::Ident
+            || !matches!(tok.text.as_str(), "Mutex" | "RwLock")
+        {
+            continue;
+        }
+        push(
+            out,
+            file,
+            lines,
+            tok,
+            "lock-confinement",
+            format!(
+                "`{}` in library code outside crates/par; keep FM and recorder state \
+                 in a `RefCell` owned by the serial control path",
+                tok.text
+            ),
+            None,
+        );
     }
 }
 
@@ -737,6 +773,24 @@ mod tests {
 "#;
         let file = lib_file("core", "crates/core/src/pipeline.rs", src);
         assert!(scan_rust(&file).findings.is_empty());
+    }
+
+    #[test]
+    fn lock_confinement_fires_in_lib_code_outside_par_only() {
+        let src = "use std::sync::{Mutex, RwLock};\nstruct S { m: Mutex<u32> }\n\
+                   // Mutex in a comment\nfn f() { let s = \"RwLock\"; }\n\
+                   #[cfg(test)]\nmod tests { static M: std::sync::Mutex<u8> = todo!(); }\n";
+        let in_fm = lib_file("fm", "crates/fm/src/cascade.rs", src);
+        let result = scan_rust(&in_fm);
+        assert_eq!(lints_of(&result), ["lock-confinement"; 3]);
+        assert_eq!(
+            result.findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [1, 1, 2]
+        );
+        let in_par = lib_file("par", "crates/par/src/lib.rs", src);
+        assert!(scan_rust(&in_par).findings.is_empty());
+        let in_bin = lib_file("root", "perfbench/src/bin/perf/trace.rs", src);
+        assert!(scan_rust(&in_bin).findings.is_empty());
     }
 
     #[test]

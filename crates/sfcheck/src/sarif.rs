@@ -17,12 +17,10 @@ use crate::report::ReportInput;
 fn describe(lint: &str) -> &'static str {
     match lint {
         "determinism-taint" => "no wall/env/thread/hash-order value reaches an output sink",
-        "double-lock" => "no possibly-held non-reentrant lock is ever re-acquired",
         "env-dependence" => "environment reads only at the sanctioned resolution points",
-        "guard-discipline" => "every lock guard is bound, used, and dropped deliberately",
         "hash-collections" => "no HashMap/HashSet in output-feeding crates",
-        "held-lock-blocking" => "no lock guard lives across a blocking or pool boundary",
         "hermetic-manifest" => "zero registry dependencies in any manifest",
+        "lock-confinement" => "no Mutex/RwLock in library code outside crates/par",
         "obs-volatile-discipline" => "volatile fields reach the metrics report only under volatile",
         "panic-hygiene" => "no unwrap/expect/panic! in core/frame library code",
         "panic-reachability" => "no panic site reachable from the public pipeline API",

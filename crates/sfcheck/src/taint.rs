@@ -512,7 +512,7 @@ fn build_summaries(ws: &Workspace) -> Summaries {
     // passes below ask "does this expression carry a parameter?", and
     // the answer must see through `let s = n;` rebindings.
     let mut derived: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    for id in 0..n {
+    for (id, bindings) in derived.iter_mut().enumerate() {
         let info = &ws.fns[id];
         sums.sink[id] = info
             .markers
@@ -521,9 +521,9 @@ fn build_summaries(ws: &Workspace) -> Summaries {
         sums.analyzed[id] =
             !info.is_test && ws.files[info.file].crate_dir != "obs" && ws.body_of(id).is_some();
         if sums.analyzed[id] {
-            derived[id] = param_derived_bindings(ws, id);
+            *bindings = param_derived_bindings(ws, id);
             if let Some(t) = ws.body_of(id).and_then(trailing_expr) {
-                sums.param_to_ret[id] = mentions_param(ws, id, &derived[id], t);
+                sums.param_to_ret[id] = mentions_param(ws, id, bindings, t);
             }
         }
     }
@@ -532,7 +532,7 @@ fn build_summaries(ws: &Workspace) -> Summaries {
     // sink-reaching call is itself sink-reaching (positionless summary).
     loop {
         let mut changed = false;
-        for id in 0..n {
+        for (id, bindings) in derived.iter().enumerate() {
             if sums.sink[id] || !sums.analyzed[id] {
                 continue;
             }
@@ -547,17 +547,13 @@ fn build_summaries(ws: &Workspace) -> Summaries {
                         let Expr::Path(p) = &*c.callee else { return };
                         (
                             resolve_path_call(ws, id, &p.segments),
-                            c.args
-                                .iter()
-                                .any(|a| mentions_param(ws, id, &derived[id], a)),
+                            c.args.iter().any(|a| mentions_param(ws, id, bindings, a)),
                         )
                     }
                     Expr::MethodCall(m) => (
                         resolve_method(ws, &m.method).into_iter().collect(),
-                        m.args
-                            .iter()
-                            .any(|a| mentions_param(ws, id, &derived[id], a))
-                            || mentions_param(ws, id, &derived[id], &m.recv),
+                        m.args.iter().any(|a| mentions_param(ws, id, bindings, a))
+                            || mentions_param(ws, id, bindings, &m.recv),
                     ),
                     _ => return,
                 };
@@ -684,10 +680,8 @@ fn volatile_discipline(ws: &Workspace, out: &mut Vec<Finding>) {
             let mut blessed = false;
             for e in exprs {
                 e.walk(&mut |sub| match sub {
-                    Expr::Field(f) if fields.contains(&f.name) => {
-                        if hit.is_none() {
-                            hit = Some((sub.pos(), f.name.clone()));
-                        }
+                    Expr::Field(f) if fields.contains(&f.name) && hit.is_none() => {
+                        hit = Some((sub.pos(), f.name.clone()));
                     }
                     Expr::Lit(l) if l.text.contains("volatile") => blessed = true,
                     _ => {}

@@ -113,41 +113,16 @@ fn unmutated_copy_is_clean() {
 #[test]
 #[should_panic(expected = "`no such anchor text`")]
 fn missing_anchor_fails_naming_the_anchor() {
-    assert_fires("double-lock", CASCADE, "no such anchor text", "");
+    assert_fires("lock-confinement", CASCADE, "no such anchor text", "");
 }
 
 #[test]
-fn relocking_the_routing_table_is_a_double_lock() {
+fn mutex_field_in_the_cascade_is_lock_confinement() {
     assert_fires(
-        "double-lock",
+        "lock-confinement",
         CASCADE,
-        "let mut routing = lock_or_poison(&self.routing);",
-        "let mut routing = lock_or_poison(&self.routing);\n\
-         let again = lock_or_poison(&self.routing);\n\
-         drop(again);",
-    );
-}
-
-#[test]
-fn routing_guard_across_thread_scope_is_held_lock_blocking() {
-    assert_fires(
-        "held-lock-blocking",
-        CASCADE,
-        "let resp = rung.complete(prompt)?;",
-        "let held = lock_or_poison(&self.routing);\n\
-         let resp = std::thread::scope(|_| rung.complete(prompt))?;\n\
-         drop(held);",
-    );
-}
-
-#[test]
-fn discarded_guard_in_routing_is_guard_discipline() {
-    assert_fires(
-        "guard-discipline",
-        CASCADE,
-        "Some(lock_or_poison(&self.routing).clone())",
-        "let _ = lock_or_poison(&self.last_texts);\n\
-         Some(lock_or_poison(&self.routing).clone())",
+        "routing: RefCell<RoutingSnapshot>,",
+        "routing: std::sync::Mutex<RoutingSnapshot>,",
     );
 }
 

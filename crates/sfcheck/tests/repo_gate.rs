@@ -1,8 +1,7 @@
 //! The gate itself, as a test: the repository must be sfcheck-clean, and
 //! the `--json` report must be byte-identical across runs and thread
 //! counts (the tool's own output obeys the determinism contract it
-//! enforces). The same matrix runs over a fixture tripping every lock
-//! lint, and `--write-baseline` is checked end to end.
+//! enforces), and `--write-baseline` is checked end to end.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -80,12 +79,14 @@ fn run_cli(root: &Path, args: &[&str], threads: &str, want_exit: i32) -> Vec<u8>
     out.stdout
 }
 
-/// Run `flag` at 1, 4 and 8 threads plus a repeat at 1, assert all four
-/// outputs are byte-identical, and return the output as text.
-fn thread_matrix(root: &Path, flag: &str, want_exit: i32) -> String {
-    let one = run_cli(root, &[flag], "1", want_exit);
+/// Run `flag` over the repository at 1, 4 and 8 threads plus a repeat
+/// at 1, assert all four outputs are byte-identical, and return the
+/// output as text.
+fn thread_matrix(flag: &str) -> String {
+    let root = workspace_root();
+    let one = run_cli(&root, &[flag], "1", 0);
     for threads in ["4", "8", "1"] {
-        let again = run_cli(root, &[flag], threads, want_exit);
+        let again = run_cli(&root, &[flag], threads, 0);
         assert_eq!(one, again, "{flag} differs between 1 and {threads} threads");
     }
     String::from_utf8(one).expect("output is UTF-8")
@@ -95,7 +96,7 @@ fn thread_matrix(root: &Path, flag: &str, want_exit: i32) -> String {
 /// `SMARTFEAT_THREADS` settings, must print byte-identical JSON.
 #[test]
 fn json_report_is_byte_identical_across_thread_counts() {
-    let text = thread_matrix(&workspace_root(), "--json", 0);
+    let text = thread_matrix("--json");
     // Sanity: the output is the report, not an empty stream.
     assert!(text.contains("\"summary\""));
 }
@@ -104,7 +105,7 @@ fn json_report_is_byte_identical_across_thread_counts() {
 /// runs and across thread counts, and structurally a SARIF 2.1.0 file.
 #[test]
 fn sarif_document_is_byte_identical_across_thread_counts() {
-    let text = thread_matrix(&workspace_root(), "--sarif", 0);
+    let text = thread_matrix("--sarif");
     assert!(text.contains("\"version\":\"2.1.0\""));
     assert!(text.contains("\"name\":\"sfcheck\""));
 }
@@ -123,50 +124,6 @@ fn fixture_root(name: &str, files: &[(&str, &str)]) -> PathBuf {
         std::fs::write(root.join(rel), text).expect("write fixture");
     }
     root
-}
-
-/// Trips all three lock lints: a double lock (`twice`), a blocking join
-/// under a guard (`held`), and a discarded guard (`forgotten`).
-const LOCK_FIXTURE: &str = "use std::sync::Mutex;
-static ALPHA: Mutex<u64> = Mutex::new(0);
-pub fn twice() {
-    let a = ALPHA.lock().unwrap();
-    let b = ALPHA.lock().unwrap();
-    drop(b);
-    drop(a);
-}
-pub fn held(worker: std::thread::JoinHandle<()>) {
-    let a = ALPHA.lock().unwrap();
-    let _r = worker.join();
-    drop(a);
-}
-pub fn forgotten() {
-    let _ = ALPHA.lock();
-}
-";
-
-/// The lock lints through the release binary: all three fire live, and
-/// both documents are byte-identical at every thread count.
-#[test]
-fn lock_fixture_is_byte_identical_across_thread_counts() {
-    let root = fixture_root(
-        "locks",
-        &[
-            ("crates/app/src/lib.rs", LOCK_FIXTURE),
-            (
-                "crates/app/src/plain.rs",
-                "pub fn plain(n: u64) -> u64 { n + 1 }\n",
-            ),
-        ],
-    );
-    let json = thread_matrix(&root, "--json", 1);
-    let sarif = thread_matrix(&root, "--sarif", 1);
-    let _ = std::fs::remove_dir_all(&root);
-    for lint in ["double-lock", "held-lock-blocking", "guard-discipline"] {
-        let quoted = format!("\"{lint}\"");
-        assert!(json.contains(&quoted), "report lacks {lint}:\n{json}");
-        assert!(sarif.contains(&quoted), "SARIF lacks {lint}");
-    }
 }
 
 /// `summary.<key>` of an emitted JSON report.

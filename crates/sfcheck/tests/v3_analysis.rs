@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use sfcheck::resolve::Workspace;
 use sfcheck::walker::{classify, crate_dir_of, SourceFile};
-use sfcheck::{callgraph, dataflow, lexer, locks, parser, resolve, streams, taint};
+use sfcheck::{callgraph, dataflow, lexer, parser, resolve, streams, taint};
 use smartfeat_rng::check;
 
 fn source(rel: &str, text: &str) -> SourceFile {
@@ -124,19 +124,9 @@ const FRAGMENTS: &[&str] = &[
     "self.",
     "v.ns",
     "\"volatile\"",
-    // Lock-discipline flavor (v4): acquisitions, drops, blocking calls,
-    // markers, and the control flow the lock walk follows.
-    "static M: Mutex<u64> = Mutex::new(0);",
-    "M.lock()",
-    ".read()",
-    ".write()",
-    "drop(g);",
+    // Bindings and the control flow the passes walk.
     "let _ = ",
     "let g = ",
-    "// sfcheck:lock-helper",
-    "thread::scope(",
-    ".join()",
-    ".recv()",
     "loop {",
     "return;",
     "break;",
@@ -165,7 +155,6 @@ fn v3_passes_never_panic_on_token_soup() {
         let _ = dataflow::run(&ws, &cg);
         let _ = taint::run(&ws);
         let _ = streams::run(&ws);
-        let _ = locks::run(&ws, &cg);
     });
 }
 
@@ -559,37 +548,6 @@ fn sarif_golden_for_v3_lints() {
             "use smartfeat_rng::seed_jump;\n\
              pub fn run(seed: u64) -> u64 { seed_jump(seed, 41) }\n",
         ),
-        // One waived finding per v4 lock lint, pinning the suppression
-        // round-trip: the waiver reason must surface in the SARIF
-        // `suppressions` justification for all three.
-        (
-            "crates/ml/src/locked.rs",
-            "use std::sync::Mutex;\n\
-             static ALPHA: Mutex<u64> = Mutex::new(0);\n\
-             static BETA: Mutex<u64> = Mutex::new(0);\n\
-             pub fn ordered() {\n\
-             let a = ALPHA.lock().unwrap();\n\
-             // a plain comment keeps every later fixture line where it was\n\
-             let b = BETA.lock().unwrap();\n\
-             drop(b);\ndrop(a);\n}\n\
-             pub fn reversed() {\n\
-             let b = BETA.lock().unwrap();\n\
-             let a = ALPHA.lock().unwrap();\n\
-             drop(a);\ndrop(b);\n}\n\
-             pub fn twice() {\n\
-             let a = ALPHA.lock().unwrap();\n\
-             // sfcheck:allow(double-lock) fixture pins the suppression round-trip\n\
-             let b = ALPHA.lock().unwrap();\n\
-             drop(b);\ndrop(a);\n}\n\
-             pub fn held(worker: std::thread::JoinHandle<()>) {\n\
-             let a = ALPHA.lock().unwrap();\n\
-             // sfcheck:allow(held-lock-blocking) fixture pins the suppression round-trip\n\
-             let _r = worker.join();\n\
-             drop(a);\n}\n\
-             pub fn forgotten() {\n\
-             // sfcheck:allow(guard-discipline) fixture pins the suppression round-trip\n\
-             let _ = ALPHA.lock();\n}\n",
-        ),
     ];
     for (rel, text) in files {
         let path = root.join(rel);
@@ -612,20 +570,6 @@ fn sarif_golden_for_v3_lints() {
             "fixture must trip {lint}, got {lints:?}"
         );
     }
-    // Each v4 lock lint must be tripped AND waived — the golden then
-    // pins the waiver reason inside the `suppressions` justification.
-    let waived: BTreeSet<&str> = outcome.waived.iter().map(|w| w.finding.lint).collect();
-    for lint in ["double-lock", "guard-discipline", "held-lock-blocking"] {
-        assert!(
-            waived.contains(lint),
-            "fixture must waive one {lint} finding, got {waived:?}"
-        );
-        assert!(
-            !lints.contains(lint),
-            "every {lint} finding in the fixture should be waived"
-        );
-    }
-
     let sarif = outcome.sarif.emit();
     let golden_path = workspace_root().join("crates/sfcheck/tests/goldens/v3_lints.sarif.json");
     // sfcheck:allow(env-dependence) test-only bless knob; never reaches pipeline output

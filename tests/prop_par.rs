@@ -1,23 +1,9 @@
-//! Property tests for the `smartfeat-par` pool, plus a stress test of the
-//! FM usage meter under concurrent recording.
+//! Property tests for the `smartfeat-par` pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use smartfeat_fm::stats::CallRecord;
-use smartfeat_fm::UsageMeter;
 use smartfeat_rng::check;
-
-fn record(i: usize) -> CallRecord {
-    CallRecord {
-        model: "stress".to_string(),
-        prompt_tokens: 1 + i,
-        completion_tokens: 2 + i,
-        cost_usd: 1e-4,
-        latency: std::time::Duration::from_millis(3),
-        kind: "stress_task".to_string(),
-    }
-}
 
 #[test]
 fn par_map_preserves_order_and_length_for_arbitrary_shapes() {
@@ -85,40 +71,4 @@ fn nested_scopes_complete() {
         assert_eq!(totals, vec![inner; outer]);
         assert_eq!(count.load(Ordering::Relaxed), outer * inner);
     });
-}
-
-#[test]
-fn usage_meter_totals_survive_concurrent_recording() {
-    // ~100 tasks record into one shared meter from the pool; the final
-    // counts must equal the serial sum regardless of interleaving.
-    let tasks = 100usize;
-    let serial = UsageMeter::new();
-    for i in 0..tasks {
-        serial.record(record(i));
-    }
-    let expected = serial.snapshot();
-
-    for threads in [2usize, 4, 8] {
-        let meter = UsageMeter::new();
-        smartfeat_par::par_map_indexed(threads, tasks, |i| {
-            meter.record(record(i));
-        });
-        let got = meter.snapshot();
-        assert_eq!(got.calls, expected.calls, "{threads} threads");
-        assert_eq!(
-            got.prompt_tokens, expected.prompt_tokens,
-            "{threads} threads"
-        );
-        assert_eq!(
-            got.completion_tokens, expected.completion_tokens,
-            "{threads} threads"
-        );
-        assert_eq!(got.latency, expected.latency, "{threads} threads");
-        assert!(
-            (got.cost_usd - expected.cost_usd).abs() < 1e-12,
-            "{threads} threads: {} vs {}",
-            got.cost_usd,
-            expected.cost_usd
-        );
-    }
 }
