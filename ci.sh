@@ -129,8 +129,8 @@ step_bench() {
   # benchmark in its checked-in BENCH_*.json baseline (recorded on a
   # quiet machine; regenerate per EXPERIMENTS.md). Every baseline names
   # its bench source via a "ci-baseline: <file>" marker comment, so
-  # checking in BENCH_PR10.json plus a marked bench is all a future PR
-  # needs to be gated here. KEEP_BENCH_SMOKE=1 preserves the sink files
+  # checking in a new BENCH_*.json plus a marked bench is all it takes
+  # to be gated here. KEEP_BENCH_SMOKE=1 preserves the sink files
   # for CI artifact upload; otherwise the EXIT trap removes them even
   # when a count-match fails.
   local base src bench sink smoke_lines base_lines

@@ -23,9 +23,9 @@ use smartfeat::fmout;
 use smartfeat::prompts;
 use smartfeat::DataAgenda;
 use smartfeat_fm::FoundationModel;
-use smartfeat_frame::ops::{binary_op, binary_op_unsafe, groupby_transform, AggFunc, BinaryOp};
+use smartfeat_frame::ops::{binary_op, groupby_transform, AggFunc, BinaryOp};
 use smartfeat_frame::sample::train_test_split;
-use smartfeat_frame::{Column, DataFrame};
+use smartfeat_frame::{Column, DataFrame, FrameError};
 use smartfeat_ml::{roc_auc, Matrix, ModelKind, Standardizer};
 
 use smartfeat_rng::Rng;
@@ -252,6 +252,52 @@ impl CaafeCandidate {
     }
 }
 
+/// The *unsafe* division CAAFE-style code generation produces: division by
+/// zero is not guarded, so the result carries an extreme sentinel value that
+/// wrecks downstream model training (reproducing the paper's report that
+/// "CAAFE failed on the Diabetes dataset … divide-by-zero transformations").
+/// Private to this baseline: no other method may produce these cells.
+fn binary_op_unsafe(
+    a: &Column,
+    b: &Column,
+    op: BinaryOp,
+    out_name: &str,
+) -> smartfeat_frame::Result<Column> {
+    if op != BinaryOp::Div {
+        return binary_op(a, b, op, out_name);
+    }
+    if a.len() != b.len() {
+        return Err(FrameError::LengthMismatch {
+            column: b.name().to_string(),
+            expected: a.len(),
+            actual: b.len(),
+        });
+    }
+    let xs = a.numeric_view()?;
+    let ys = b.numeric_view()?;
+    let data = xs.iter().zip(ys.iter()).map(|(x, y)| match (x, y) {
+        (Some(x), Some(y)) => {
+            if y == 0.0 {
+                // Unguarded pandas division: x/0 → ±inf (0/0 → NaN,
+                // which column storage normalizes to null). The infinity
+                // poisons downstream model training, reproducing the
+                // paper's CAAFE-on-Diabetes failure.
+                if x == 0.0 {
+                    None
+                } else if x > 0.0 {
+                    Some(f64::INFINITY)
+                } else {
+                    Some(f64::NEG_INFINITY)
+                }
+            } else {
+                Some(x / y)
+            }
+        }
+        _ => None,
+    });
+    Ok(Column::from_float_iter(out_name, data))
+}
+
 impl AfeMethod for Caafe<'_> {
     fn name(&self) -> &'static str {
         "CAAFE"
@@ -370,6 +416,14 @@ mod tests {
     use super::*;
     use smartfeat_datasets as datasets;
     use smartfeat_fm::SimulatedFm;
+
+    #[test]
+    fn unsafe_division_poisons_on_zero() {
+        let a = Column::from_f64("a", vec![6.0, 8.0, 3.0]);
+        let b = Column::from_f64("b", vec![2.0, 0.0, -1.0]);
+        let d = binary_op_unsafe(&a, &b, BinaryOp::Div, "d").unwrap();
+        assert_eq!(d.get(1), smartfeat_frame::Value::Float(f64::INFINITY));
+    }
 
     #[test]
     fn accepts_only_improving_features_on_housing() {

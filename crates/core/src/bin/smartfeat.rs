@@ -225,24 +225,6 @@ fn main() {
         );
         exit(1);
     }
-    // SMARTFEAT scores features for a binary target; reject what it cannot
-    // score before the first FM call is billed.
-    if df.n_rows() == 0 {
-        eprintln!(
-            "error: {} has no data rows; target column {:?} needs two classes",
-            args.csv, args.target
-        );
-        exit(1);
-    }
-    let classes = df.column(&args.target).map_or(0, |c| c.cardinality());
-    if classes != 2 {
-        eprintln!(
-            "error: target column {:?} has {classes} distinct non-null value(s); \
-             a binary target needs exactly 2",
-            args.target
-        );
-        exit(1);
-    }
     for (col, _) in &args.descriptions {
         if !df.has_column(col) {
             eprintln!(

@@ -15,6 +15,19 @@ pub enum CoreError {
     InvalidTransform(String),
     /// The configuration is inconsistent.
     InvalidConfig(String),
+    /// The frame has no data rows, so the target has no classes to score.
+    NoRows {
+        /// The agenda's target column.
+        target: String,
+    },
+    /// The target column does not hold exactly two distinct non-null
+    /// values. Counting stops at the third, so `distinct` is at most 3.
+    NonBinaryTarget {
+        /// The agenda's target column.
+        target: String,
+        /// Distinct non-null values seen, capped at 3.
+        distinct: usize,
+    },
     /// Row-level completion was required but disabled or over budget.
     RowCompletionUnavailable(String),
     /// Writing a run artifact (trace / metrics report) failed.
@@ -29,6 +42,16 @@ impl fmt::Display for CoreError {
             CoreError::MissingColumn(c) => write!(f, "column {c:?} not found in frame"),
             CoreError::InvalidTransform(msg) => write!(f, "invalid transform: {msg}"),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            CoreError::NoRows { target } => write!(
+                f,
+                "the frame has no data rows; target column {target:?} needs two classes"
+            ),
+            CoreError::NonBinaryTarget { target, distinct } => write!(
+                f,
+                "target column {target:?} has {}{distinct} distinct non-null value(s); \
+                 a binary target needs exactly 2",
+                if *distinct > 2 { "at least " } else { "" }
+            ),
             CoreError::RowCompletionUnavailable(msg) => {
                 write!(f, "row-level completion unavailable: {msg}")
             }

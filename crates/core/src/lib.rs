@@ -47,6 +47,28 @@
 //! let rec = Recorder::new(ClockMode::Logical);
 //! smartfeat_par::par_map_indexed(2, 4, |i| rec.incr("task", i as u64));
 //! ```
+//!
+//! The same bounds keep every other pool closure race-free. A counter in
+//! a `Cell` shared across workers does not compile:
+//!
+//! ```compile_fail,E0277
+//! let scanned = std::cell::Cell::new(0usize);
+//! smartfeat_par::par_map_indexed(2, 4, |i| {
+//!     scanned.set(scanned.get() + 1);
+//!     i
+//! });
+//! ```
+//!
+//! nor does a push through a captured `&mut`, because the closure is
+//! `Fn`:
+//!
+//! ```compile_fail,E0596
+//! fn collect(acc: &mut Vec<usize>) {
+//!     smartfeat_par::par_map_indexed(2, 4, |i| acc.push(i));
+//! }
+//! ```
+//!
+//! and `unsafe` code, the one way around both, is denied workspace-wide.
 
 pub mod config;
 pub mod error;

@@ -10,11 +10,16 @@ use crate::config::SmartFeatConfig;
 /// Build the `(selector, generator)` FM pair the config asks for. The
 /// two roles get distinct seeds (`seed` / `seed + 1`), matching the
 /// seeding the default pairing has always used.
+///
+/// Total over every config: an enabled cascade with an empty ladder,
+/// which [`SmartFeatConfig::validate`] rejects, gets the non-cascade
+/// pairing instead of a panic, and [`crate::SmartFeat::run`] then refuses
+/// the config with `InvalidConfig` before the first FM call.
 pub fn build_role_fms(
     config: &SmartFeatConfig,
 ) -> (Box<dyn FoundationModel>, Box<dyn FoundationModel>) {
     let seed = config.seed;
-    if config.cascade.enabled {
+    if config.cascade.enabled && !config.cascade.ladder.is_empty() {
         (
             Box::new(CascadeFm::new(&config.cascade.ladder, seed)),
             Box::new(CascadeFm::new(&config.cascade.ladder, seed.wrapping_add(1))),

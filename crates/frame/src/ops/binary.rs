@@ -14,9 +14,7 @@ pub enum BinaryOp {
     Mul,
     /// `a / b`. With `safe_division`, division by zero yields null; without
     /// it (CAAFE's observed failure mode on Diabetes) it yields `NaN`,
-    /// which [`Column::from_floats`] also normalizes to null — the *unsafe*
-    /// variant instead poisons downstream sums by emitting huge sentinels,
-    /// see [`binary_op_unsafe`].
+    /// which [`Column::from_floats`] also normalizes to null.
     Div,
 }
 
@@ -89,46 +87,6 @@ pub fn binary_op(a: &Column, b: &Column, op: BinaryOp, out_name: &str) -> Result
     ))
 }
 
-/// The *unsafe* division CAAFE-style code generation produces: division by
-/// zero is not guarded, so the result carries an extreme sentinel value that
-/// wrecks downstream model training (reproducing the paper's report that
-/// "CAAFE failed on the Diabetes dataset … divide-by-zero transformations").
-pub fn binary_op_unsafe(a: &Column, b: &Column, op: BinaryOp, out_name: &str) -> Result<Column> {
-    if op != BinaryOp::Div {
-        return binary_op(a, b, op, out_name);
-    }
-    if a.len() != b.len() {
-        return Err(FrameError::LengthMismatch {
-            column: b.name().to_string(),
-            expected: a.len(),
-            actual: b.len(),
-        });
-    }
-    let xs = a.numeric_view()?;
-    let ys = b.numeric_view()?;
-    let data = xs.iter().zip(ys.iter()).map(|(x, y)| match (x, y) {
-        (Some(x), Some(y)) => {
-            if y == 0.0 {
-                // Unguarded pandas division: x/0 → ±inf (0/0 → NaN,
-                // which column storage normalizes to null). The infinity
-                // poisons downstream model training, reproducing the
-                // paper's CAAFE-on-Diabetes failure.
-                if x == 0.0 {
-                    None
-                } else if x > 0.0 {
-                    Some(f64::INFINITY)
-                } else {
-                    Some(f64::NEG_INFINITY)
-                }
-            } else {
-                Some(x / y)
-            }
-        }
-        _ => None,
-    });
-    Ok(Column::from_float_iter(out_name, data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,13 +122,6 @@ mod tests {
         let d = binary_op(&a, &b, BinaryOp::Div, "d").unwrap();
         assert_eq!(d.get(0), Value::Float(3.0));
         assert!(d.is_null(1));
-    }
-
-    #[test]
-    fn unsafe_division_poisons_on_zero() {
-        let (a, b) = cols();
-        let d = binary_op_unsafe(&a, &b, BinaryOp::Div, "d").unwrap();
-        assert_eq!(d.get(1), Value::Float(f64::INFINITY));
     }
 
     #[test]

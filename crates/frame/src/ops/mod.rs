@@ -11,7 +11,7 @@ pub mod encode;
 pub mod groupby;
 pub mod unary;
 
-pub use binary::{binary_op, binary_op_unsafe, BinaryOp};
+pub use binary::{binary_op, BinaryOp};
 pub use datetime::{date_part, DatePart};
 pub use encode::{frequency_encode, get_dummies, one_hot_limit};
 pub use groupby::{groupby_transform, AggFunc};

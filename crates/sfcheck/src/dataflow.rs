@@ -1,14 +1,8 @@
 //! Cross-file semantic lints over the symbol table and call graph: the
-//! determinism/race dataflow pass.
+//! determinism dataflow pass.
 //!
-//! Three lints run here (all waivable with the usual inline syntax):
+//! Two lints run here (both waivable with the usual inline syntax):
 //!
-//! - **`par-capture-race`** — a closure passed to a `// sfcheck:parallel-entry`
-//!   function captures a shared-mutable binding from its enclosing fn: an
-//!   `&mut` parameter, a `RefCell`/`Cell` local, or a `static mut`.
-//!   Worker closures must be pure functions of their index/item
-//!   (DESIGN.md §8); interior mutability smuggled across the pool boundary
-//!   is exactly the race the differential tests can only spot-check.
 //! - **`rng-seed-discipline`** — an `Rng`/`SplitMix64` constructor runs
 //!   inside a parallel-region closure with a seed that is not derived
 //!   per item: the argument neither calls a `// sfcheck:seed-derivation`
@@ -21,13 +15,17 @@
 //!   API of the core crate. The message carries the BFS call path, so
 //!   the finding is explainable and the waiver reviewable.
 //!
+//! Races in pool closures are not checked here: `par`'s `Sync`/`Send`
+//! bounds and the workspace's `unsafe_code = "deny"` make them compile
+//! errors (DESIGN.md §8).
+//!
 //! The analysis is conservative by construction — see DESIGN.md §11 for
-//! the approximations (unambiguous method dispatch, flat capture
-//! environments, one-level seed-argument dataflow).
+//! the approximations (unambiguous method dispatch, one-level
+//! seed-argument dataflow).
 
 use std::collections::BTreeSet;
 
-use crate::ast::{Block, Expr, ItemKind, LetStmt, Stmt};
+use crate::ast::Expr;
 use crate::callgraph::CallGraph;
 use crate::lints::Finding;
 use crate::resolve::{FnId, Workspace};
@@ -42,136 +40,14 @@ pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
     let mut out = Vec::new();
     let entries: BTreeSet<FnId> = ws.marked(PARALLEL_ENTRY).into_iter().collect();
     let derivations: BTreeSet<FnId> = ws.marked(SEED_DERIVATION).into_iter().collect();
-    par_capture_and_seed_lints(ws, cg, &entries, &derivations, &mut out);
+    seed_discipline_lint(ws, cg, &entries, &derivations, &mut out);
     panic_reachability_lint(ws, cg, &mut out);
     out
 }
 
-/// The flat binding environment of one function body: parameters and
-/// `let` statements, shadowing ignored (last writer wins is irrelevant —
-/// any suspicious binding of a captured name is worth reporting).
-struct Env<'a> {
-    mut_ref_params: BTreeSet<&'a str>,
-    lets: Vec<&'a LetStmt>,
-}
-
-fn env_of<'a>(ws: &'a Workspace, id: FnId, body: &'a Block) -> Env<'a> {
-    let mut env = Env {
-        mut_ref_params: BTreeSet::new(),
-        lets: Vec::new(),
-    };
-    for p in &ws.fns[id].params {
-        if p.by_mut_ref {
-            env.mut_ref_params.insert(p.name.as_str());
-        }
-    }
-    collect_lets(body, &mut env.lets);
-    env
-}
-
-fn collect_lets<'a>(b: &'a Block, out: &mut Vec<&'a LetStmt>) {
-    for stmt in &b.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                out.push(l);
-                if let Some(init) = &l.init {
-                    init.walk(&mut |e| {
-                        if let Expr::Block(inner) = e {
-                            collect_lets_shallow(inner, out);
-                        }
-                    });
-                }
-            }
-            Stmt::Expr(e) => e.walk(&mut |e| {
-                if let Expr::Block(inner) = e {
-                    collect_lets_shallow(inner, out);
-                }
-            }),
-            Stmt::Item(item) => {
-                if let ItemKind::Fn(f) = &item.kind {
-                    if let Some(body) = &f.body {
-                        collect_lets(body, out);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One level only — `Expr::walk` already recurses into nested blocks, so
-/// the outer walk visits every block exactly once.
-fn collect_lets_shallow<'a>(b: &'a Block, out: &mut Vec<&'a LetStmt>) {
-    for stmt in &b.stmts {
-        if let Stmt::Let(l) = stmt {
-            out.push(l);
-        }
-    }
-}
-
-/// Names a closure body uses freely: single-segment path idents minus the
-/// closure's own parameters and every name bound inside the body
-/// (let-bindings, pattern binds, nested closure params). The subtraction
-/// over-approximates scope, which can only hide captures, never invent
-/// them — findings stay zero-noise.
-fn free_vars(closure: &crate::ast::ClosureExpr) -> BTreeSet<String> {
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    let mut bound: BTreeSet<String> = closure.params.iter().cloned().collect();
-    closure.body.walk(&mut |e| match e {
-        Expr::Path(p) if p.segments.len() == 1 => {
-            used.insert(p.segments[0].clone());
-        }
-        Expr::Closure(c) => bound.extend(c.params.iter().cloned()),
-        Expr::Seq(s) => bound.extend(s.binds.iter().cloned()),
-        Expr::Block(b) => {
-            for stmt in &b.stmts {
-                if let Stmt::Let(l) = stmt {
-                    bound.extend(l.bound.iter().cloned());
-                }
-            }
-        }
-        _ => {}
-    });
-    // `self`, keywords, and uppercase idents (types, variants, consts by
-    // convention) are not capturable shared-mutable bindings.
-    used.retain(|name| {
-        !bound.contains(name)
-            && name != "self"
-            && name != "Self"
-            && !name.starts_with(|c: char| c.is_ascii_uppercase())
-    });
-    used
-}
-
-/// Does `ty`/`init` of a let identify interior mutability that is not
-/// thread-safe? `RefCell`/`Cell` count; `Mutex`/`RwLock`/atomics do not.
-fn is_interior_mutable(l: &LetStmt) -> Option<&'static str> {
-    let ty = l.ty.as_str();
-    if ty.contains("RefCell<") || ty.contains("RefCell ") || ty == "RefCell" {
-        return Some("RefCell");
-    }
-    if ty.contains("Cell<") {
-        return Some("Cell");
-    }
-    let mut found = None;
-    if let Some(init) = &l.init {
-        init.walk(&mut |e| {
-            if let Expr::Path(p) = e {
-                for seg in &p.segments {
-                    if seg == "RefCell" {
-                        found = Some("RefCell");
-                    } else if seg == "Cell" && found.is_none() {
-                        found = Some("Cell");
-                    }
-                }
-            }
-        });
-    }
-    found
-}
-
-/// Both closure-level lints in one pass: find parallel-entry call sites,
-/// then check each closure argument's captures and rng constructors.
-fn par_capture_and_seed_lints(
+/// Find parallel-entry call sites, then check the rng constructors of
+/// each closure argument.
+fn seed_discipline_lint(
     ws: &Workspace,
     cg: &CallGraph,
     entries: &BTreeSet<FnId>,
@@ -184,8 +60,6 @@ fn par_capture_and_seed_lints(
             continue;
         }
         let Some(body) = ws.body_of(id) else { continue };
-        let file = &ws.files[info.file];
-        let env = env_of(ws, id, body);
         crate::ast::walk_block(body, &mut |e| {
             let (is_entry, args): (bool, &[Expr]) = match e {
                 Expr::Call(c) => {
@@ -216,7 +90,6 @@ fn par_capture_and_seed_lints(
             }
             for arg in args {
                 if let Expr::Closure(closure) = arg {
-                    check_captures(ws, info.file, id, &env, closure, file, out);
                     check_seed_discipline(ws, cg, derivations, id, closure, out);
                 }
             }
@@ -246,64 +119,6 @@ pub(crate) fn finding_at(
         message,
         snippet,
         suggestion: None,
-    }
-}
-
-fn check_captures(
-    ws: &Workspace,
-    file_idx: usize,
-    _fn_id: FnId,
-    env: &Env<'_>,
-    closure: &crate::ast::ClosureExpr,
-    _file: &crate::resolve::ParsedFile,
-    out: &mut Vec<Finding>,
-) {
-    for name in free_vars(closure) {
-        if env.mut_ref_params.contains(name.as_str()) {
-            out.push(finding_at(
-                ws,
-                file_idx,
-                closure.pos,
-                "par-capture-race",
-                format!(
-                    "closure passed to a parallel entry point captures `{name}`, an `&mut` \
-                     parameter of the enclosing fn; worker closures must not share mutable \
-                     state — pass per-index slices or return values through the ordered map"
-                ),
-            ));
-            continue;
-        }
-        if ws.mut_statics.contains(&name) {
-            out.push(finding_at(
-                ws,
-                file_idx,
-                closure.pos,
-                "par-capture-race",
-                format!(
-                    "closure passed to a parallel entry point reads `static mut {name}`; \
-                     mutable statics are unsynchronized shared state"
-                ),
-            ));
-            continue;
-        }
-        for l in &env.lets {
-            if l.name == name || l.bound.contains(&name) {
-                if let Some(cell) = is_interior_mutable(l) {
-                    out.push(finding_at(
-                        ws,
-                        file_idx,
-                        closure.pos,
-                        "par-capture-race",
-                        format!(
-                            "closure passed to a parallel entry point captures `{name}`, a \
-                             `{cell}` binding; `{cell}` is not `Sync` — interior mutability \
-                             must not cross the pool boundary"
-                        ),
-                    ));
-                    break;
-                }
-            }
-        }
     }
 }
 
@@ -587,31 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn refcell_capture_into_par_map_is_flagged() {
-        let src = "use smartfeat_par::par_map_indexed;\nuse std::cell::RefCell;\n\
-                   pub fn run(n: usize) {\n    let cache = RefCell::new(0u32);\n\
-                   let out = par_map_indexed(4, n, |i| { *cache.borrow_mut() += 1; i });\n}";
-        let (ws, cg) = mini_ws(src);
-        let findings = run(&ws, &cg);
-        assert_eq!(lints_of(&findings), ["par-capture-race"]);
-        assert!(findings[0].message.contains("RefCell"));
-        assert_eq!(findings[0].file, "crates/core/src/pipeline.rs");
-    }
-
-    #[test]
-    fn mut_param_capture_and_clean_closure() {
-        let src = "use smartfeat_par::par_map_indexed;\n\
-                   pub fn bad(acc: &mut Vec<u32>, n: usize) {\n\
-                   par_map_indexed(4, n, |i| { acc.push(i as u32); });\n}\n\
-                   pub fn good(items: &[u32], n: usize) -> Vec<u32> {\n\
-                   par_map_indexed(4, n, |i| items[i] * 2)\n}";
-        let (ws, cg) = mini_ws(src);
-        let findings = run(&ws, &cg);
-        assert_eq!(lints_of(&findings), ["par-capture-race"]);
-        assert!(findings[0].message.contains("`acc`"));
-    }
-
-    #[test]
     fn fixed_seed_in_closure_flagged_derived_seed_clean() {
         let src = "use smartfeat_par::par_map_indexed;\nuse smartfeat_rng::{seed_jump, Rng};\n\
                    pub fn bad(n: usize, seed: u64) {\n\
@@ -658,12 +448,11 @@ mod tests {
 
     #[test]
     fn spawn_method_closures_are_checked() {
-        let src = "use std::cell::RefCell;\n\
-                   pub fn run(s: &smartfeat_par::Scope) {\n\
-                   let shared = RefCell::new(0u32);\n\
-                   s.spawn(|| { shared.borrow_mut(); });\n}";
+        let src = "use smartfeat_rng::Rng;\n\
+                   pub fn run(s: &smartfeat_par::Scope, seed: u64) {\n\
+                   s.spawn(|| { let r = Rng::seed_from_u64(seed); });\n}";
         let (ws, cg) = mini_ws(src);
         let findings = run(&ws, &cg);
-        assert_eq!(lints_of(&findings), ["par-capture-race"]);
+        assert_eq!(lints_of(&findings), ["rng-seed-discipline"]);
     }
 }

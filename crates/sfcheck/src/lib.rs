@@ -4,14 +4,13 @@
 //! happens to exercise them*; `sfcheck` proves the source cannot express
 //! the violation in the first place. It lexes every `.rs` file with a
 //! hand-rolled lexer (no syn, no registry deps — hermetic-build policy),
-//! scans every `Cargo.toml`, and reports typed diagnostics as
-//! deterministic JSON through `frame::json`.
+//! reads every `Cargo.toml` for crate names, and reports typed diagnostics
+//! as deterministic JSON through `frame::json`.
 //!
-//! See [`lints`] for the lint suite, [`baseline`] for the checked-in
-//! finding baseline, and DESIGN.md §10 for the workflow.
+//! See [`lints`] for the lint suite and its inline waivers, and DESIGN.md
+//! §10 for the workflow.
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod fix;
@@ -31,10 +30,9 @@ use std::path::{Path, PathBuf};
 
 use smartfeat_frame::json::JsonValue;
 
-use baseline::Baseline;
-use lints::{scan_manifest, Finding, Waived};
+use lints::{Finding, Waived};
 
-/// A tool-level failure (I/O, malformed baseline) — distinct from lint
+/// A tool-level failure (I/O, bad root) — distinct from lint
 /// findings, which are data, not errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SfError {
@@ -64,8 +62,6 @@ impl std::error::Error for SfError {}
 pub struct CheckOptions {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Baseline path; `None` means `<root>/sfcheck.baseline.json`.
-    pub baseline_path: Option<PathBuf>,
     /// Include the `fixes` section for mechanical lints.
     pub fix_dry_run: bool,
 }
@@ -75,15 +71,8 @@ impl CheckOptions {
     pub fn new(root: impl Into<PathBuf>) -> CheckOptions {
         CheckOptions {
             root: root.into(),
-            baseline_path: None,
             fix_dry_run: false,
         }
-    }
-
-    fn resolved_baseline(&self) -> PathBuf {
-        self.baseline_path
-            .clone()
-            .unwrap_or_else(|| self.root.join("sfcheck.baseline.json"))
     }
 }
 
@@ -92,8 +81,6 @@ impl CheckOptions {
 pub struct Outcome {
     /// Live findings (fail the gate).
     pub findings: Vec<Finding>,
-    /// Findings matched by the baseline.
-    pub baselined: Vec<Finding>,
     /// Waived findings with reasons.
     pub waived: Vec<Waived>,
     /// The full JSON report document.
@@ -172,21 +159,13 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
         findings.append(&mut result.findings);
         waived.append(&mut result.waived);
     }
-    for manifest in &manifests {
-        let mut result = scan_manifest(manifest);
-        findings.append(&mut result.findings);
-        waived.append(&mut result.waived);
-    }
     // The walk is sorted, but sort again so the report order is a
     // contract of the output, not an accident of scan order.
     findings.sort();
     waived.sort();
 
-    let (baselined, live) = Baseline::load(&opts.resolved_baseline())?.partition(findings);
-
     let input = report::ReportInput {
-        baselined: &baselined,
-        findings: &live,
+        findings: &findings,
         waived: &waived,
         files_scanned,
         manifests_scanned,
@@ -195,8 +174,7 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
     let report = report::build(&input);
     let sarif = sarif::build(&input);
     Ok(Outcome {
-        findings: live,
-        baselined,
+        findings,
         waived,
         report,
         sarif,

@@ -5,11 +5,8 @@
 //! | D1 | `wall-clock` | wall-clock reads only inside `crates/obs`'s gate |
 //! | D2 | `hash-collections` | no `HashMap`/`HashSet` in output-feeding crates |
 //! | D3 | `env-dependence` | env reads only at the sanctioned resolution points |
-//! | H1 | `hermetic-manifest` | zero registry dependencies in any manifest |
 //! | P1 | `panic-hygiene` | no `unwrap`/`expect`/`panic!` in core/frame library code |
-//! | P2 | `unsafe-binary-op` | `binary_op_unsafe` only in the CAAFE baseline |
 //! | W1 | `waiver-syntax` | every waiver names a known lint and gives a reason; every marker is spelled right |
-//! | F1 | `par-capture-race` | parallel closures capture no shared-mutable bindings |
 //! | F2 | `rng-seed-discipline` | rng streams in parallel regions derive per item |
 //! | F3 | `panic-reachability` | no panic site reachable from the public pipeline API |
 //! | T1 | `determinism-taint` | no wall/env/thread/hash-order value reaches an output sink |
@@ -17,7 +14,7 @@
 //! | T3 | `obs-volatile-discipline` | volatile fields reach the report only under `volatile` |
 //! | L1 | `lock-confinement` | no `Mutex`/`RwLock` in library code outside `crates/par` |
 //!
-//! F1–F3 are the cross-file dataflow lints ([`crate::dataflow`]); they run
+//! F2–F3 are the cross-file dataflow lints ([`crate::dataflow`]); they run
 //! over the workspace symbol table and call graph rather than per-file
 //! tokens, but their findings waive identically. T1 and T3 are the
 //! interprocedural taint lints ([`crate::taint`]) and T2 the seed-stream
@@ -44,19 +41,16 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::walker::{FileClass, SourceFile};
 
 /// Identifiers of every shipped lint, in report order.
-pub const LINT_IDS: [&str; 14] = [
+pub const LINT_IDS: [&str; 11] = [
     "determinism-taint",
     "env-dependence",
     "hash-collections",
-    "hermetic-manifest",
     "lock-confinement",
     "obs-volatile-discipline",
     "panic-hygiene",
     "panic-reachability",
-    "par-capture-race",
     "rng-seed-discipline",
     "seed-stream-collision",
-    "unsafe-binary-op",
     "waiver-syntax",
     "wall-clock",
 ];
@@ -74,7 +68,7 @@ pub struct Finding {
     pub lint: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
-    /// The trimmed source line, used for baseline matching.
+    /// The trimmed source line.
     pub snippet: String,
     /// A mechanical replacement line for `--fix-dry-run`, when one exists.
     pub suggestion: Option<String>,
@@ -373,7 +367,6 @@ pub fn scan_rust_raw(file: &SourceFile, tokens: &[Token]) -> (Vec<Finding>, Vec<
     hash_collections_lint(file, &lines, &regions, &code, &mut raw);
     env_dependence_lint(file, &lines, &regions, &code, &mut raw);
     panic_hygiene_lint(file, &lines, &regions, &code, &mut raw);
-    unsafe_binary_op_lint(file, &lines, &regions, &code, &mut raw);
     lock_confinement_lint(file, &lines, &regions, &code, &mut raw);
     (raw, waivers)
 }
@@ -644,86 +637,6 @@ fn panic_hygiene_lint(
     }
 }
 
-/// P2 `unsafe-binary-op`: `binary_op_unsafe` is the deliberately
-/// crash-prone division used to reproduce CAAFE's unguarded generated
-/// code; any other call site is a bug. The definition and its documented
-/// CAAFE use are the only allowed files.
-fn unsafe_binary_op_lint(
-    file: &SourceFile,
-    lines: &[&str],
-    regions: &[(u32, u32)],
-    code: &[&Token],
-    out: &mut Vec<Finding>,
-) {
-    const ALLOWED: [&str; 3] = [
-        "crates/frame/src/ops/binary.rs",
-        "crates/frame/src/ops/mod.rs",
-        "crates/baselines/src/caafe.rs",
-    ];
-    if ALLOWED.contains(&file.rel_path.as_str()) || file.class == FileClass::Test {
-        return;
-    }
-    for tok in code {
-        if in_regions(regions, tok.line) || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        if tok.text == "binary_op_unsafe" {
-            push(
-                out,
-                file,
-                lines,
-                tok,
-                "unsafe-binary-op",
-                "`binary_op_unsafe` outside the CAAFE baseline that documents it; \
-                 use the guarded `binary_op`"
-                    .into(),
-                None,
-            );
-        }
-    }
-}
-
-/// H1 `hermetic-manifest`: dependency entries in any `Cargo.toml` that
-/// are not `path` dependencies or `workspace = true` inheritance. This is
-/// the static twin of `tests/hermetic.rs`'s runtime scan.
-pub fn scan_manifest(file: &SourceFile) -> ScanResult {
-    let mut out = ScanResult::default();
-    let mut table = String::new();
-    for (idx, raw) in file.text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.starts_with('[') {
-            table = line.trim_matches(['[', ']']).to_string();
-            continue;
-        }
-        let in_dep_table = table == "workspace.dependencies" || table.ends_with("dependencies");
-        if !in_dep_table {
-            continue;
-        }
-        let ok = line.contains("path =")
-            || line.contains("path=")
-            || line.contains("workspace = true")
-            || line.contains("workspace=true");
-        if !ok {
-            out.findings.push(Finding {
-                file: file.rel_path.clone(),
-                line: idx as u32 + 1,
-                col: 1,
-                lint: "hermetic-manifest",
-                message: format!(
-                    "`[{table}]` declares a non-path dependency (hermetic-build policy: \
-                     std-only, zero registry deps)"
-                ),
-                snippet: line.to_string(),
-                suggestion: None,
-            });
-        }
-    }
-    out
-}
-
 /// Per-lint finding counts (all lints present, zero-filled) for the
 /// report summary.
 pub fn lint_counts(findings: &[Finding]) -> BTreeMap<String, u64> {
@@ -890,24 +803,6 @@ fn lib4() { panic!("boom"); }
     }
 
     #[test]
-    fn unsafe_binary_op_allowed_only_in_caafe() {
-        let src = "use smartfeat_frame::ops::binary_op_unsafe;";
-        assert!(
-            scan_rust(&lib_file("baselines", "crates/baselines/src/caafe.rs", src))
-                .findings
-                .is_empty()
-        );
-        assert_eq!(
-            lints_of(&scan_rust(&lib_file(
-                "baselines",
-                "crates/baselines/src/autofeat.rs",
-                src
-            ))),
-            ["unsafe-binary-op"]
-        );
-    }
-
-    #[test]
     fn waiver_suppresses_and_carries_reason() {
         let src = "fn f(v: Option<u32>) -> u32 {\n    // sfcheck:allow(panic-hygiene) invariant: always Some here\n    v.unwrap()\n}";
         let file = lib_file("frame", "crates/frame/src/frame.rs", src);
@@ -1017,24 +912,6 @@ fn lib4() { panic!("boom"); }
             lints_of(&result),
             ["waiver-syntax", "waiver-syntax", "waiver-syntax"]
         );
-    }
-
-    #[test]
-    fn manifest_scan_flags_registry_shapes() {
-        let bad = lib_file(
-            "frame",
-            "crates/frame/Cargo.toml",
-            "[dependencies]\nserde = \"1.0\"\nproptest = { version = \"1\" }\n\
-             [dev-dependencies]\ncriterion = { git = \"https://x\" }\n",
-        );
-        assert_eq!(scan_manifest(&bad).findings.len(), 3);
-        let good = lib_file(
-            "frame",
-            "crates/frame/Cargo.toml",
-            "[package]\nname = \"x\"\nversion = \"1.0\"\n\
-             [dependencies]\nsmartfeat-rng = { path = \"../rng\" }\nsmartfeat-frame.workspace = true\n",
-        );
-        assert!(scan_manifest(&good).findings.is_empty());
     }
 
     #[test]

@@ -6,38 +6,32 @@
 //! cargo run -p sfcheck -- --sarif         # SARIF 2.1.0 document
 //! cargo run -p sfcheck -- --fix-dry-run   # include mechanical fixes in the report
 //! cargo run -p sfcheck -- --fix           # apply mechanical fixes to the tree
-//! cargo run -p sfcheck -- --write-baseline  # record current findings as the baseline
 //! ```
 //!
-//! Exit codes: `0` clean (or fully baselined/waived), `1` live findings,
-//! `2` tool error (I/O, malformed baseline, bad flags).
+//! Exit codes: `0` clean (every finding waived inline), `1` live findings,
+//! `2` tool error (I/O, bad root, bad flags).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sfcheck::baseline::Baseline;
 use sfcheck::report::human_line;
 use sfcheck::{fix, run_check, workspace_root_from, CheckOptions, SfError};
 
 struct Cli {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
     sarif: bool,
     fix_dry_run: bool,
     fix: bool,
-    write_baseline: bool,
 }
 
 fn parse_args() -> Result<Cli, SfError> {
     let mut cli = Cli {
         root: None,
-        baseline: None,
         json: false,
         sarif: false,
         fix_dry_run: false,
         fix: false,
-        write_baseline: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -46,25 +40,17 @@ fn parse_args() -> Result<Cli, SfError> {
             "--sarif" => cli.sarif = true,
             "--fix-dry-run" => cli.fix_dry_run = true,
             "--fix" => cli.fix = true,
-            "--write-baseline" => cli.write_baseline = true,
             "--root" => {
                 cli.root =
                     Some(PathBuf::from(args.next().ok_or_else(|| {
                         SfError::new("--root requires a directory argument")
                     })?));
             }
-            "--baseline" => {
-                cli.baseline =
-                    Some(PathBuf::from(args.next().ok_or_else(|| {
-                        SfError::new("--baseline requires a path argument")
-                    })?));
-            }
             "--help" | "-h" => {
                 println!(
                     "sfcheck: repo-invariant static analysis\n\
                      \n\
-                     USAGE: sfcheck [--root DIR] [--baseline PATH] [--json] [--sarif] \
-                     [--fix-dry-run] [--fix] [--write-baseline]\n\
+                     USAGE: sfcheck [--root DIR] [--json] [--sarif] [--fix-dry-run] [--fix]\n\
                      \n\
                      Exit codes: 0 clean, 1 live findings, 2 tool error."
                 );
@@ -90,17 +76,12 @@ fn run() -> Result<bool, SfError> {
         }
     };
     let mut opts = CheckOptions::new(root.clone());
-    opts.baseline_path = cli.baseline;
     opts.fix_dry_run = cli.fix_dry_run;
 
     let outcome = run_check(&opts)?;
 
     if cli.fix {
-        // Apply to live and baselined findings alike: a legacy finding
-        // with a mechanical fix should get fixed, not preserved.
-        let mut targets = outcome.findings.clone();
-        targets.extend(outcome.baselined.iter().cloned());
-        let fixed = fix::apply(&root, &targets)?;
+        let fixed = fix::apply(&root, &outcome.findings)?;
         for note in &fixed.skipped {
             eprintln!("sfcheck: fix skipped: {note}");
         }
@@ -113,7 +94,6 @@ fn run() -> Result<bool, SfError> {
         let remaining = after
             .findings
             .iter()
-            .chain(after.baselined.iter())
             .filter(|f| f.suggestion.is_some())
             .count();
         if remaining > 0 {
@@ -122,27 +102,6 @@ fn run() -> Result<bool, SfError> {
             )));
         }
         return Ok(after.clean());
-    }
-
-    if cli.write_baseline {
-        let path = opts
-            .baseline_path
-            .clone()
-            .unwrap_or_else(|| root.join("sfcheck.baseline.json"));
-        // Record every unwaived finding, not just the live ones: a finding
-        // the old baseline already covered must stay covered.
-        let mut all = outcome.findings;
-        all.extend(outcome.baselined);
-        all.sort();
-        let doc = Baseline::to_json(&all).emit();
-        std::fs::write(&path, doc + "\n")
-            .map_err(|e| SfError::new(format!("write baseline {}: {e}", path.display())))?;
-        eprintln!(
-            "sfcheck: wrote {} finding(s) to {}",
-            all.len(),
-            path.display()
-        );
-        return Ok(true);
     }
 
     if cli.sarif {
@@ -162,9 +121,8 @@ fn run() -> Result<bool, SfError> {
                 .unwrap_or(0)
         };
         println!(
-            "sfcheck: {} finding(s), {} baselined, {} waived ({} files, {} manifests)",
+            "sfcheck: {} finding(s), {} waived ({} files, {} manifests)",
             stat("findings"),
-            stat("baselined"),
             stat("waived"),
             stat("files_scanned"),
             stat("manifests_scanned"),

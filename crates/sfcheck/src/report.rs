@@ -41,8 +41,6 @@ fn waived_json(w: &Waived) -> JsonValue {
 
 /// Inputs to the report builder, already sorted and partitioned.
 pub struct ReportInput<'a> {
-    /// Findings matched by the baseline (tracked, non-failing).
-    pub baselined: &'a [Finding],
     /// Live findings (fail the gate).
     pub findings: &'a [Finding],
     /// Waived findings with their reasons.
@@ -62,7 +60,6 @@ pub fn build(input: &ReportInput<'_>) -> JsonValue {
         .map(|(k, v)| (k, JsonValue::from(v)))
         .collect();
     let summary = JsonValue::object([
-        ("baselined", JsonValue::from(input.baselined.len())),
         ("files_scanned", JsonValue::from(input.files_scanned)),
         ("findings", JsonValue::from(input.findings.len())),
         ("lints", JsonValue::Object(lints)),
@@ -74,10 +71,6 @@ pub fn build(input: &ReportInput<'_>) -> JsonValue {
     ]);
 
     let mut pairs = vec![
-        (
-            "baselined",
-            JsonValue::Array(input.baselined.iter().map(finding_json).collect()),
-        ),
         (
             "findings",
             JsonValue::Array(input.findings.iter().map(finding_json).collect()),
@@ -92,7 +85,6 @@ pub fn build(input: &ReportInput<'_>) -> JsonValue {
         let fixes: Vec<JsonValue> = input
             .findings
             .iter()
-            .chain(input.baselined.iter())
             .filter_map(|f| f.suggestion.as_deref().map(|r| fix_json(f, r)))
             .collect();
         pairs.push(("fixes", JsonValue::Array(fixes)));
@@ -129,7 +121,6 @@ mod tests {
     fn report_shape_and_determinism() {
         let findings = [finding(true)];
         let input = ReportInput {
-            baselined: &[],
             findings: &findings,
             waived: &[],
             files_scanned: 10,
@@ -171,7 +162,6 @@ mod tests {
             f
         }];
         let input = ReportInput {
-            baselined: &[],
             findings: &findings,
             waived: &[],
             files_scanned: 1,

@@ -86,8 +86,6 @@ pub struct Workspace {
     /// Impl-associated functions by bare name (for unambiguous-dispatch
     /// method-call edges).
     pub methods: BTreeMap<String, Vec<FnId>>,
-    /// Names of `static mut` items anywhere in the workspace.
-    pub mut_statics: BTreeSet<String>,
     /// Underscore-normalized names of workspace crates.
     pub crate_names: BTreeSet<String>,
 }
@@ -191,7 +189,6 @@ pub fn build(parsed: Vec<(SourceFile, File)>, manifests: &[SourceFile]) -> Works
     }
 
     let mut fns: Vec<FnInfo> = Vec::new();
-    let mut mut_statics = BTreeSet::new();
     for (file_idx, file) in files.iter().enumerate() {
         let in_test_file = file.class == FileClass::Test;
         let mut ctx = CollectCtx {
@@ -201,7 +198,6 @@ pub fn build(parsed: Vec<(SourceFile, File)>, manifests: &[SourceFile]) -> Works
             impl_ty: None,
             in_test: in_test_file,
             fns: &mut fns,
-            mut_statics: &mut mut_statics,
         };
         collect_items(&file.ast.items, &mut Vec::new(), &mut ctx);
     }
@@ -221,7 +217,6 @@ pub fn build(parsed: Vec<(SourceFile, File)>, manifests: &[SourceFile]) -> Works
         fns,
         by_qname,
         methods,
-        mut_statics,
         crate_names,
     }
 }
@@ -233,7 +228,6 @@ struct CollectCtx<'a> {
     impl_ty: Option<String>,
     in_test: bool,
     fns: &'a mut Vec<FnInfo>,
-    mut_statics: &'a mut BTreeSet<String>,
 }
 
 fn collect_items(items: &[Item], path: &mut Vec<usize>, ctx: &mut CollectCtx<'_>) {
@@ -288,9 +282,6 @@ fn collect_items(items: &[Item], path: &mut Vec<usize>, ctx: &mut CollectCtx<'_>
                 collect_items(&imp.items, path, ctx);
                 ctx.in_test = was_test;
                 ctx.impl_ty = was_ty;
-            }
-            ItemKind::Static(s) if s.mutable => {
-                ctx.mut_statics.insert(s.name.clone());
             }
             _ => {}
         }
@@ -541,7 +532,6 @@ mod tests {
         );
         assert!(ws.fns[4].is_test, "cfg(test) mod marks nested fns as test");
         assert!(!ws.fns[3].is_test);
-        assert!(ws.mut_statics.contains("COUNTER"));
         assert_eq!(ws.marked("parallel-entry"), vec![3]);
     }
 

@@ -1,10 +1,9 @@
 //! SARIF 2.1.0 emission (`--sarif`).
 //!
 //! One run, one driver (`sfcheck`), one rule per lint id. Live findings
-//! emit at level `error`, baselined findings at `warning`, waived
-//! findings at `note` with a SARIF suppression carrying the waiver
-//! reason — so a SARIF viewer shows the same three-way partition as the
-//! JSON report. Objects are `BTreeMap`-backed [`JsonValue`]s and inputs
+//! emit at level `error` and waived findings at `note` with a SARIF
+//! suppression carrying the waiver reason — so a SARIF viewer shows the
+//! same partition as the JSON report. Objects are `BTreeMap`-backed [`JsonValue`]s and inputs
 //! are pre-sorted, so emission is byte-identical across runs and thread
 //! counts (the repo gate pins this).
 
@@ -19,15 +18,12 @@ fn describe(lint: &str) -> &'static str {
         "determinism-taint" => "no wall/env/thread/hash-order value reaches an output sink",
         "env-dependence" => "environment reads only at the sanctioned resolution points",
         "hash-collections" => "no HashMap/HashSet in output-feeding crates",
-        "hermetic-manifest" => "zero registry dependencies in any manifest",
         "lock-confinement" => "no Mutex/RwLock in library code outside crates/par",
         "obs-volatile-discipline" => "volatile fields reach the metrics report only under volatile",
         "panic-hygiene" => "no unwrap/expect/panic! in core/frame library code",
         "panic-reachability" => "no panic site reachable from the public pipeline API",
-        "par-capture-race" => "parallel closures capture no shared-mutable bindings",
         "rng-seed-discipline" => "rng streams in parallel regions derive per item",
         "seed-stream-collision" => "every seed_jump stream claims a disjoint index range",
-        "unsafe-binary-op" => "binary_op_unsafe only in the CAAFE baseline",
         "waiver-syntax" => "every waiver names a known lint and gives a reason",
         "wall-clock" => "wall-clock reads only inside the obs gate",
         _ => "sfcheck lint",
@@ -97,9 +93,6 @@ pub fn build(input: &ReportInput<'_>) -> JsonValue {
     for f in input.findings {
         results.push(result(f, "error", None));
     }
-    for f in input.baselined {
-        results.push(result(f, "warning", None));
-    }
     for w in input.waived {
         results.push(result(&w.finding, "note", Some(w.reason.as_str())));
     }
@@ -125,13 +118,8 @@ pub fn build(input: &ReportInput<'_>) -> JsonValue {
 
 /// Test convenience: SARIF for bare findings.
 #[cfg(test)]
-fn build_simple(
-    findings: &[Finding],
-    baselined: &[Finding],
-    waived: &[crate::lints::Waived],
-) -> JsonValue {
+fn build_simple(findings: &[Finding], waived: &[crate::lints::Waived]) -> JsonValue {
     build(&ReportInput {
-        baselined,
         findings,
         waived,
         files_scanned: 0,
@@ -159,13 +147,12 @@ mod tests {
     #[test]
     fn sarif_shape_levels_and_determinism() {
         let live = [finding("wall-clock", 3)];
-        let base = [finding("hash-collections", 7)];
         let waived = [crate::lints::Waived {
             finding: finding("panic-hygiene", 9),
             reason: "proven unreachable".into(),
         }];
-        let a = build_simple(&live, &base, &waived).emit();
-        let b = build_simple(&live, &base, &waived).emit();
+        let a = build_simple(&live, &waived).emit();
+        let b = build_simple(&live, &waived).emit();
         assert_eq!(a, b, "emission is deterministic");
 
         let doc = JsonValue::parse(&a).unwrap();
@@ -173,14 +160,14 @@ mod tests {
         let runs = doc.get("runs").unwrap().as_array().unwrap();
         assert_eq!(runs.len(), 1);
         let results = runs[0].get("results").unwrap().as_array().unwrap();
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 2);
         let levels: Vec<&str> = results
             .iter()
             .map(|r| r.get("level").unwrap().as_str().unwrap())
             .collect();
-        assert_eq!(levels, ["error", "warning", "note"]);
+        assert_eq!(levels, ["error", "note"]);
         // The waived result carries its reason as a SARIF suppression.
-        let sup = results[2].get("suppressions").unwrap().as_array().unwrap();
+        let sup = results[1].get("suppressions").unwrap().as_array().unwrap();
         assert_eq!(
             sup[0].get("justification").unwrap().as_str(),
             Some("proven unreachable")

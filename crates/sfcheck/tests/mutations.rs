@@ -147,20 +147,6 @@ fn forest_tree_sharing_the_ensemble_seed_breaks_rng_seed_discipline() {
 }
 
 #[test]
-fn cell_counter_in_duplicate_scan_is_a_par_capture_race() {
-    assert_fires(
-        "par-capture-race",
-        EVALUATE,
-        "smartfeat_par::par_map_indexed(threads, existing.len(), |i| duplicate_of(col, &existing[i]))",
-        "let scanned = std::cell::Cell::new(0usize);\n\
-         smartfeat_par::par_map_indexed(threads, existing.len(), |i| {\n\
-         scanned.set(scanned.get() + 1);\n\
-         duplicate_of(col, &existing[i])\n\
-         })",
-    );
-}
-
-#[test]
 fn unwrap_in_candidate_check_is_panic_reachable() {
     assert_fires(
         "panic-reachability",

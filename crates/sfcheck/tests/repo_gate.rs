@@ -1,13 +1,12 @@
 //! The gate itself, as a test: the repository must be sfcheck-clean, and
 //! the `--json` report must be byte-identical across runs and thread
 //! counts (the tool's own output obeys the determinism contract it
-//! enforces), and `--write-baseline` is checked end to end.
+//! enforces).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sfcheck::{run_check, CheckOptions};
-use smartfeat_frame::json::JsonValue;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -30,11 +29,6 @@ fn repository_is_clean() {
             .map(sfcheck::report::human_line)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    // The shipped baseline is empty: nothing is grandfathered.
-    assert!(
-        outcome.baselined.is_empty(),
-        "the checked-in baseline must stay empty"
     );
     // Every waiver carries a reason (the scanner enforces it; assert the
     // repo actually exercises the mechanism rather than having zero).
@@ -108,55 +102,4 @@ fn sarif_document_is_byte_identical_across_thread_counts() {
     let text = thread_matrix("--sarif");
     assert!(text.contains("\"version\":\"2.1.0\""));
     assert!(text.contains("\"name\":\"sfcheck\""));
-}
-
-/// A throwaway workspace root with one `app` crate holding `files`.
-fn fixture_root(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("sfcheck-gate-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(root.join("crates/app/src")).expect("mkdir");
-    std::fs::write(
-        root.join("crates/app/Cargo.toml"),
-        "[package]\nname = \"app\"\n",
-    )
-    .expect("write manifest");
-    for (rel, text) in files {
-        std::fs::write(root.join(rel), text).expect("write fixture");
-    }
-    root
-}
-
-/// `summary.<key>` of an emitted JSON report.
-fn summary_count(report: &[u8], key: &str) -> u64 {
-    let text = std::str::from_utf8(report).expect("report is UTF-8");
-    JsonValue::parse(text)
-        .expect("report parses")
-        .get("summary")
-        .and_then(|s| s.get(key))
-        .and_then(JsonValue::as_u64)
-        .unwrap_or_else(|| panic!("report has summary.{key}"))
-}
-
-/// Rewriting the baseline keeps the findings it already covered: with
-/// finding A baselined and a new finding B live, `--write-baseline` must
-/// record both, so the next run is clean with two baselined.
-#[test]
-fn write_baseline_keeps_already_baselined_findings() {
-    let wall = "pub fn a() -> std::time::Instant { std::time::Instant::now() }\n";
-    let root = fixture_root("baseline", &[("crates/app/src/lib.rs", wall)]);
-    run_cli(&root, &["--write-baseline"], "1", 0);
-    let first = run_cli(&root, &["--json"], "1", 0);
-    assert_eq!(summary_count(&first, "baselined"), 1);
-
-    let env = "pub fn b() -> Option<String> { std::env::var(\"B\").ok() }\n";
-    std::fs::write(root.join("crates/app/src/lib.rs"), format!("{wall}{env}")).expect("edit");
-    let before = run_cli(&root, &["--json"], "1", 1);
-    assert_eq!(summary_count(&before, "findings"), 1);
-    assert_eq!(summary_count(&before, "baselined"), 1);
-
-    run_cli(&root, &["--write-baseline"], "1", 0);
-    let after = run_cli(&root, &["--json"], "1", 0);
-    let _ = std::fs::remove_dir_all(&root);
-    assert_eq!(summary_count(&after, "findings"), 0);
-    assert_eq!(summary_count(&after, "baselined"), 2);
 }

@@ -14,6 +14,9 @@
 //!    serially and concurrently (`common::assert_thread_invariant`).
 //! 4. `single_backend_override_serves_both_roles` — `--backend`-style
 //!    configs run end to end on one family.
+//! 5. `empty_ladder_is_invalid_config_before_any_fm_call` — a config
+//!    `validate()` rejects still builds an FM pair without panicking, and
+//!    the run refuses it with a typed error.
 
 mod common;
 
@@ -21,8 +24,8 @@ use std::fmt::Write as _;
 
 use common::digest;
 use smartfeat::{
-    build_role_fms, BackendKind, CascadeConfig, SearchStrategyKind, SmartFeat, SmartFeatConfig,
-    SmartFeatReport,
+    build_role_fms, BackendKind, CascadeConfig, CoreError, SearchStrategyKind, SmartFeat,
+    SmartFeatConfig, SmartFeatReport,
 };
 use smartfeat_fm::FoundationModel;
 use smartfeat_frame::json::JsonValue;
@@ -189,4 +192,23 @@ fn single_backend_override_serves_both_roles() {
             kind.name()
         );
     }
+}
+
+#[test]
+fn empty_ladder_is_invalid_config_before_any_fm_call() {
+    let config = SmartFeatConfig {
+        cascade: CascadeConfig {
+            enabled: true,
+            ladder: vec![],
+        },
+        ..SmartFeatConfig::default()
+    };
+    let (selector, generator) = build_role_fms(&config);
+    let ds = smartfeat_datasets::insurance::generate(60, 7);
+    let err = SmartFeat::new(&selector, &generator, config)
+        .run(&ds.frame, &ds.agenda("RF"))
+        .expect_err("an empty ladder is rejected");
+    assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+    assert_eq!(selector.meter().snapshot().calls, 0);
+    assert_eq!(generator.meter().snapshot().calls, 0);
 }

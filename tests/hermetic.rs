@@ -4,8 +4,10 @@
 //!
 //! Layers, cheapest first:
 //! 1. `manifests_declare_only_path_dependencies` — scans every
-//!    `Cargo.toml` and fails on any dependency that is not a `path`
-//!    dependency (or `workspace = true` inheritance of one).
+//!    `Cargo.toml` (root, members, and the `perfbench` workspace) and
+//!    fails on any dependency that is not a `path` dependency (or
+//!    `workspace = true` inheritance of one). This is the repository's
+//!    only static hermetic check.
 //! 2. `cargo_metadata_resolves_offline_with_empty_cargo_home` — asks
 //!    cargo to resolve the full dependency graph offline against a clean
 //!    `CARGO_HOME`; any registry dependency fails resolution.
@@ -25,7 +27,7 @@ fn workspace_root() -> PathBuf {
 
 fn manifest_paths() -> Vec<PathBuf> {
     let root = workspace_root();
-    let mut out = vec![root.join("Cargo.toml")];
+    let mut out = vec![root.join("Cargo.toml"), root.join("perfbench/Cargo.toml")];
     let crates = root.join("crates");
     for entry in fs::read_dir(&crates).expect("crates/ exists") {
         let dir = entry.expect("readable dir entry").path();
@@ -35,8 +37,8 @@ fn manifest_paths() -> Vec<PathBuf> {
         }
     }
     assert!(
-        out.len() >= 12,
-        "expected root + member manifests, got {out:?}"
+        out.len() >= 13,
+        "expected root + perfbench + member manifests, got {out:?}"
     );
     out
 }
@@ -107,6 +109,20 @@ fn manifest_scan_catches_registry_dependencies() {
                 [dependencies]\nsmartfeat-rng = { path = \"../rng\" }\n\
                 smartfeat-frame.workspace = true\n";
     assert_eq!(non_path_dependencies(good), vec![]);
+}
+
+#[test]
+fn registry_line_planted_in_perfbench_manifest_is_caught() {
+    let path = workspace_root().join("perfbench/Cargo.toml");
+    assert!(manifest_paths().contains(&path), "perfbench is scanned");
+    let text = fs::read_to_string(&path).expect("read perfbench manifest");
+    assert_eq!(non_path_dependencies(&text), vec![]);
+    let planted = text.replacen("[dependencies]\n", "[dependencies]\nserde = \"1.0\"\n", 1);
+    assert_ne!(planted, text, "perfbench declares a [dependencies] table");
+    assert_eq!(
+        non_path_dependencies(&planted),
+        vec![("dependencies".to_string(), "serde = \"1.0\"".to_string())]
+    );
 }
 
 /// A scratch directory unique to this process.
