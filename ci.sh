@@ -40,13 +40,16 @@ step_crates() {
 }
 
 step_fmt() {
+  # perfbench/ is its own cargo workspace, so each step names it too.
   echo "==> lint: rustfmt"
   cargo fmt --check
+  cargo fmt --check --manifest-path perfbench/Cargo.toml
 }
 
 step_clippy() {
   echo "==> lint: clippy (warnings are errors)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
+  cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --offline -- -D warnings
 }
 
 step_sfcheck() {

@@ -11,14 +11,14 @@
 
 use std::collections::BTreeSet;
 
-use smartfeat_rng::{seed_jump, Rng};
+use smartfeat_rng::{seed_jump, Rng, Stream};
 
 use crate::error::Result;
 use crate::operators::Candidate;
 use crate::report::{SkipReason, SkippedFeature};
 use crate::selector::Sample;
 
-use super::{one_shot, SearchCtx, SearchStrategy, EVOLUTION_STREAM};
+use super::{one_shot, SearchCtx, SearchStrategy};
 
 /// One population member: the candidate and what its realization kept.
 struct Member {
@@ -91,8 +91,8 @@ impl SearchStrategy for Evolutionary {
         for generation in 0..ctx.sf.config.search.generations {
             let gen_span = ctx.state.rec.span("search.generation");
             let mut rng = Rng::seed_from_u64(seed_jump(
-                seed_jump(ctx.sf.config.seed, EVOLUTION_STREAM),
-                generation as u64,
+                ctx.sf.config.seed,
+                Stream::Generation(generation as u64),
             ));
 
             // Selection: rank by score (name-tie-broken), keep the top

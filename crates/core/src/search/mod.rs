@@ -24,8 +24,13 @@
 //!   [`SmartFeat::realize_batch_kept`] and the CV scorer, both of which
 //!   are ordered and thread-invariant.
 //! - Randomness comes from [`smartfeat_rng::Rng`] streams derived from
-//!   `config.seed` via [`smartfeat_rng::seed_jump`] with a per-purpose
-//!   stream constant — never from ambient state.
+//!   `config.seed` via [`smartfeat_rng::seed_jump`], one
+//!   [`smartfeat_rng::Stream`] per purpose: `Stream::Score` for the
+//!   single-feature CV scorer and `Stream::Generation(g)` for generation
+//!   `g` of the evolutionary loop — never from ambient state. A strategy
+//!   that needs randomness of its own adds a variant (and its reserved
+//!   index range) to `Stream`; re-using another purpose's stream would
+//!   couple their draws.
 //! - Candidate ordering ties are broken by name, never by map iteration
 //!   order.
 
@@ -40,11 +45,6 @@ use crate::generator::FunctionGenerator;
 use crate::pipeline::{RunState, SmartFeat};
 use crate::report::{SkipReason, SkippedFeature};
 use crate::selector::{OperatorSelector, Sample};
-
-/// `seed_jump` stream for the single-feature CV scorer.
-pub(crate) const SCORE_STREAM: u64 = 101;
-/// `seed_jump` stream base for the evolutionary loop's per-generation rng.
-pub(crate) const EVOLUTION_STREAM: u64 = 211;
 
 /// One search strategy: owns the explore loop between the pipeline's
 /// setup and its drop-heuristic / removal epilogue.
@@ -139,7 +139,7 @@ impl SearchCtx<'_, '_> {
         let Ok(x) = smartfeat_ml::Matrix::from_rows(rows) else {
             return 0.0;
         };
-        let seed = smartfeat_rng::seed_jump(self.sf.config.seed, SCORE_STREAM);
+        let seed = smartfeat_rng::seed_jump(self.sf.config.seed, smartfeat_rng::Stream::Score);
         smartfeat_ml::kfold_cv_auc_threaded(
             smartfeat_ml::ModelKind::LR,
             &x,

@@ -15,8 +15,9 @@
 //!
 //! - The cascade owns no RNG. Each rung's [`SimulatedBackend`] carries
 //!   its own seeded stream, derived as
-//!   `seed_jump(seed, CASCADE_STREAM + rung_index)`, so a rung's answer
-//!   depends only on the sequence of prompts *that rung* has served.
+//!   `seed_jump(seed, Stream::CascadeRung(rung_index))`, so a rung's
+//!   answer depends only on the sequence of prompts *that rung* has
+//!   served.
 //! - Escalation is a pure function of the rung's output sequence: the
 //!   [`accepts`] policy reads only the answer text, and the
 //!   repeated-answer detector reads only the rung's previous answer —
@@ -28,15 +29,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use smartfeat_rng::seed_jump;
+use smartfeat_rng::{seed_jump, Stream};
 
 use crate::backend::{BackendKind, FmBackend, KnowledgeCoverage, SimulatedBackend};
 use crate::oracle::{prompt_kind, FmError, FmResponse, FoundationModel};
 use crate::stats::{RouteStat, RoutingSnapshot, UsageMeter};
-
-/// `seed_jump` stream for per-rung oracle seeds, disjoint from the
-/// pipeline's SCORE (101) and EVOLUTION (211) streams.
-pub const CASCADE_STREAM: u64 = 311;
 
 /// A cascade of simulated backends behind one [`FoundationModel`] face.
 pub struct CascadeFm {
@@ -63,8 +60,7 @@ impl CascadeFm {
             .map(|(i, &kind)| {
                 Box::new(SimulatedBackend::new(
                     kind,
-                    // sfcheck:seed-stream(311..327)
-                    seed_jump(seed, CASCADE_STREAM + i as u64),
+                    seed_jump(seed, Stream::CascadeRung(i as u64)),
                     Rc::clone(&meter),
                 )) as Box<dyn FmBackend>
             })

@@ -25,8 +25,11 @@ struct RawField {
 /// else `Float` if every non-empty cell parses as f64, else `Bool` if every
 /// cell is `true`/`false`, else `Str`. Empty cells are nulls. Quoted fields
 /// are inference-exempt: a column containing any quoted cell is `Str`, so a
-/// string column of numeric-looking values survives a round-trip.
+/// string column of numeric-looking values survives a round-trip. One
+/// leading UTF-8 byte-order mark (as spreadsheet exports write) is not
+/// part of the first header name.
 pub fn read_csv_str(text: &str) -> Result<DataFrame> {
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
     let mut rows = parse_rows(text)?;
     if rows.is_empty() {
         return Err(FrameError::Csv("empty input".into()));
@@ -287,6 +290,9 @@ mod tests {
         let df = read_csv_str("a,b\r\n1,2\r\n").unwrap();
         assert_eq!(df.n_rows(), 1);
         assert_eq!(df.n_cols(), 2);
+        // So is a leading byte-order mark: the first header is `a`.
+        let df = read_csv_str("\u{feff}a,b\r\n1,2\r\n").unwrap();
+        assert_eq!(df.column_names(), ["a", "b"]);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::error::{MlError, Result};
 use crate::matrix::Matrix;
 use crate::model::Classifier;
 use crate::tree::{DecisionTree, MaxFeatures, SplitMode, TreeParams};
-use smartfeat_rng::seed_jump;
+use smartfeat_rng::{seed_jump, Stream};
 
 /// Extra-trees ensemble: like a random forest but with uniform random
 /// split thresholds and the full training set per tree (sklearn's
@@ -90,8 +90,7 @@ impl Classifier for ExtraTrees {
         let threads = smartfeat_par::resolve_threads(self.threads);
         self.trees = smartfeat_obs::global::time("ml.extra_trees.fit", || {
             smartfeat_par::try_par_map_indexed(threads, self.n_trees, |i| {
-                // sfcheck:seed-stream(0..100)
-                let mut rng = Rng::seed_from_u64(seed_jump(seed, i as u64));
+                let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
                 let mut tree = DecisionTree::new(params);
                 tree.fit_indices(x, y, &all, &mut rng).map(|()| tree)
             })

@@ -5,7 +5,7 @@
 //! a SplitMix64 jump, so the fitted ensemble is **bit-identical** for any
 //! thread count (including the exact serial path at 1 thread).
 
-use smartfeat_rng::{seed_jump, Rng};
+use smartfeat_rng::{seed_jump, Rng, Stream};
 
 use crate::error::{MlError, Result};
 use crate::matrix::Matrix;
@@ -97,8 +97,7 @@ impl Classifier for RandomForest {
         let params = self.tree_params;
         self.trees = smartfeat_obs::global::time("ml.forest.fit", || {
             smartfeat_par::try_par_map_indexed(threads, self.n_trees, |i| {
-                // sfcheck:seed-stream(0..100)
-                let mut rng = Rng::seed_from_u64(seed_jump(seed, i as u64));
+                let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
                 let indices: Vec<usize> = (0..sample_size).map(|_| rng.gen_range(0..n)).collect();
                 let mut tree = DecisionTree::new(params);
                 tree.fit_indices(x, y, &indices, &mut rng).map(|()| tree)

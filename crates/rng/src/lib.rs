@@ -46,20 +46,73 @@ impl SplitMix64 {
     }
 }
 
-/// O(1) per-index seed derivation: the `index`-th output of the
-/// SplitMix64 stream seeded at `base`, computed without stepping through
-/// the `index - 1` earlier outputs.
+/// A named stream of [`seed_jump`]: every seeded consumer that derives
+/// from a shared base seed names its purpose here, so this enum is the
+/// whole allocation of the base seed's SplitMix64 index space.
 ///
-/// `seed_jump(base, i) == { let mut sm = SplitMix64::new(base);
+/// | Variant | Index | Reserved | Consumer |
+/// |---|---|---|---|
+/// | `Tree(i)` | `i` | `0..100` | per-tree seeds of `ml`'s forest and extra-trees |
+/// | `Score` | `101` | `101..102` | the search's single-feature CV scorer |
+/// | `Generation(g)` | `g` under index `211` | `211..212` | the evolutionary search, one stream per generation |
+/// | `CascadeRung(r)` | `311 + r` | `311..327` | the cascade's per-rung oracle seeds |
+///
+/// The reservations are disjoint, and a build-time assertion keeps them
+/// so. An index past its reservation (a 101st tree, a 17th rung) is not
+/// checked: it would silently share another purpose's stream, so keep
+/// the ranges wide enough for every configuration the code accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// Tree `i` of a tree ensemble (`i < 100`).
+    Tree(u64),
+    /// The search's single-feature CV scorer.
+    Score,
+    /// Generation `g` of the evolutionary search: a derived namespace,
+    /// jumped once to index 211 and again by `g`.
+    Generation(u64),
+    /// Rung `r` of a cascade ladder (`r < 16`).
+    CascadeRung(u64),
+}
+
+// Each family's reserved index range, in ascending order.
+const TREE: std::ops::Range<u64> = 0..100;
+const SCORE: std::ops::Range<u64> = 101..102;
+const GENERATION: std::ops::Range<u64> = 211..212;
+const CASCADE_RUNG: std::ops::Range<u64> = 311..327;
+
+const _: () = assert!(
+    TREE.end <= SCORE.start
+        && SCORE.end <= GENERATION.start
+        && GENERATION.end <= CASCADE_RUNG.start,
+    "seed stream reservations must be disjoint and in ascending order"
+);
+
+/// The seed of `stream` under `base`: one SplitMix64 jump to the
+/// stream's index (two for [`Stream::Generation`]).
+///
+/// This is the sanctioned way to give each item of a parallel region its
+/// own RNG stream: derive `Rng::seed_from_u64(seed_jump(base,
+/// Stream::Tree(i)))` from the item index `i`, never share or re-use one
+/// stream across items (the `rng-seed-discipline` lint enforces this).
+// sfcheck:seed-derivation
+pub fn seed_jump(base: u64, stream: Stream) -> u64 {
+    match stream {
+        Stream::Tree(i) => jump(base, TREE.start.wrapping_add(i)),
+        Stream::Score => jump(base, SCORE.start),
+        Stream::Generation(g) => jump(jump(base, GENERATION.start), g),
+        Stream::CascadeRung(r) => jump(base, CASCADE_RUNG.start.wrapping_add(r)),
+    }
+}
+
+/// O(1) per-index derivation: the `index`-th output of the SplitMix64
+/// stream seeded at `base`, computed without stepping through the
+/// `index - 1` earlier outputs.
+///
+/// `jump(base, i) == { let mut sm = SplitMix64::new(base);
 /// (0..=i).map(|_| sm.next_u64()).last() }` — bit-identical to the
 /// sequential derivation the parallel ML substrates used before this
-/// helper existed, so adopting it shifts no seeded artifact. This is the
-/// sanctioned way to give each item of a parallel region its own RNG
-/// stream: derive `Rng::seed_from_u64(seed_jump(base, i))` from the item
-/// index `i`, never share or re-use one stream across items (the
-/// `rng-seed-discipline` lint enforces this).
-// sfcheck:seed-derivation
-pub fn seed_jump(base: u64, index: u64) -> u64 {
+/// helper existed, so adopting it shifted no seeded artifact.
+fn jump(base: u64, index: u64) -> u64 {
     // SplitMix64's state after k calls is `base + k·γ`; output k is the
     // mix of that state. Jumping is therefore one add and one mix.
     let state = base.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -306,21 +359,37 @@ mod tests {
         assert_eq!(v, [1, 4, 6, 3, 7, 5, 0, 2]);
     }
 
-    /// `seed_jump` must stay bit-identical to walking the SplitMix64
-    /// stream sequentially — the parallel seed derivations in `ml` rely on
-    /// this equivalence to keep pinned seeded artifacts unchanged.
+    /// `jump` must stay bit-identical to walking the SplitMix64 stream
+    /// sequentially — the parallel seed derivations in `ml` rely on this
+    /// equivalence to keep pinned seeded artifacts unchanged.
     #[test]
     fn seed_jump_equals_sequential_splitmix() {
         for base in [0u64, 1, 2, 42, 1234567, u64::MAX] {
             let mut sm = SplitMix64::new(base);
             for index in 0..64u64 {
                 let sequential = sm.next_u64();
-                assert_eq!(
-                    seed_jump(base, index),
-                    sequential,
-                    "base={base} index={index}"
-                );
+                assert_eq!(jump(base, index), sequential, "base={base} index={index}");
             }
+        }
+    }
+
+    /// Every stream's seed is pinned absolutely: an off-by-one in a
+    /// variant's index would shift every artifact downstream of it, and
+    /// the thread-count matrices, which compare runs with each other,
+    /// would not notice.
+    #[test]
+    fn stream_seeds_are_pinned() {
+        let pinned = [
+            (Stream::Tree(0), 13679457532755275413),
+            (Stream::Tree(29), 12805316055209107011),
+            (Stream::Score, 2983285000724944447),
+            (Stream::Generation(0), 9963184534702902763),
+            (Stream::Generation(3), 17189090317648630711),
+            (Stream::CascadeRung(0), 3464985309144721987),
+            (Stream::CascadeRung(2), 13502545835171775766),
+        ];
+        for (stream, seed) in pinned {
+            assert_eq!(seed_jump(42, stream), seed, "{stream:?}");
         }
     }
 

@@ -2,9 +2,7 @@
 //!
 //! Only findings that carry a [`Finding::suggestion`] are applied — today
 //! that is `hash-collections` (`HashMap`→`BTreeMap`, `HashSet`→`BTreeSet`)
-//! and the underscore-typo shapes of `waiver-syntax` and
-//! `seed-stream-collision` (`sfcheck:seed_stream`→`sfcheck:seed-stream`).
-//! A suggestion is a
+//! and the underscore-typo shape of `waiver-syntax`. A suggestion is a
 //! replacement for the finding's trimmed source line; the engine turns it
 //! into a byte-span rewrite:
 //!

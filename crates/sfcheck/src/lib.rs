@@ -20,7 +20,6 @@ pub mod parser;
 pub mod report;
 pub mod resolve;
 pub mod sarif;
-pub mod streams;
 pub mod taint;
 pub mod walker;
 
@@ -104,7 +103,7 @@ impl Outcome {
 /// honored), so output order is a function of the sorted walk, never of
 /// scheduling. The **global phase** is serial: it builds the workspace
 /// symbol table and call graph from the per-file ASTs, runs the
-/// [`dataflow`], [`taint`] and [`streams`] passes, merges their findings
+/// [`dataflow`] and [`taint`] passes, merges their findings
 /// back into each file's stream, and only then applies that file's
 /// waivers — one waiver mechanism for token and cross-file lints alike.
 pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
@@ -145,7 +144,6 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
         .collect();
     let mut global = dataflow::run(&ws, &cg);
     global.extend(taint::run(&ws));
-    global.extend(streams::run(&ws));
     for finding in global {
         if let Some(&i) = index_of.get(finding.file.as_str()) {
             raw_by_file[i].0.push(finding);

@@ -7,18 +7,17 @@
 //! | D3 | `env-dependence` | env reads only at the sanctioned resolution points |
 //! | P1 | `panic-hygiene` | no `unwrap`/`expect`/`panic!` in core/frame library code |
 //! | W1 | `waiver-syntax` | every waiver names a known lint and gives a reason; every marker is spelled right |
-//! | F2 | `rng-seed-discipline` | rng streams in parallel regions derive per item |
-//! | F3 | `panic-reachability` | no panic site reachable from the public pipeline API |
+//! | F1 | `rng-seed-discipline` | rng streams in parallel regions derive per item |
+//! | F2 | `panic-reachability` | no panic site reachable from the public pipeline API |
 //! | T1 | `determinism-taint` | no wall/env/thread/hash-order value reaches an output sink |
-//! | T2 | `seed-stream-collision` | every `seed_jump` stream claims a disjoint index range |
-//! | T3 | `obs-volatile-discipline` | volatile fields reach the report only under `volatile` |
+//! | T2 | `obs-volatile-discipline` | volatile fields reach the report only under `volatile` |
 //! | L1 | `lock-confinement` | no `Mutex`/`RwLock` in library code outside `crates/par` |
 //!
-//! F2–F3 are the cross-file dataflow lints ([`crate::dataflow`]); they run
+//! F1–F2 are the cross-file dataflow lints ([`crate::dataflow`]); they run
 //! over the workspace symbol table and call graph rather than per-file
-//! tokens, but their findings waive identically. T1 and T3 are the
-//! interprocedural taint lints ([`crate::taint`]) and T2 the seed-stream
-//! registry ([`crate::streams`]), added in v3 — same waiver mechanism.
+//! tokens, but their findings waive identically. T1 and T2 are the
+//! interprocedural taint lints ([`crate::taint`]), added in v3 — same
+//! waiver mechanism.
 //! L1 is a per-file token rule: FM and recorder state is single-threaded
 //! and owned by the serial control path, so the pool's run context in
 //! `crates/par` is the only place a lock may live (DESIGN.md §8).
@@ -41,7 +40,7 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::walker::{FileClass, SourceFile};
 
 /// Identifiers of every shipped lint, in report order.
-pub const LINT_IDS: [&str; 11] = [
+pub const LINT_IDS: [&str; 10] = [
     "determinism-taint",
     "env-dependence",
     "hash-collections",
@@ -50,7 +49,6 @@ pub const LINT_IDS: [&str; 11] = [
     "panic-hygiene",
     "panic-reachability",
     "rng-seed-discipline",
-    "seed-stream-collision",
     "waiver-syntax",
     "wall-clock",
 ];

@@ -23,7 +23,6 @@ fn describe(lint: &str) -> &'static str {
         "panic-hygiene" => "no unwrap/expect/panic! in core/frame library code",
         "panic-reachability" => "no panic site reachable from the public pipeline API",
         "rng-seed-discipline" => "rng streams in parallel regions derive per item",
-        "seed-stream-collision" => "every seed_jump stream claims a disjoint index range",
         "waiver-syntax" => "every waiver names a known lint and gives a reason",
         "wall-clock" => "wall-clock reads only inside the obs gate",
         _ => "sfcheck lint",

@@ -127,21 +127,11 @@ fn mutex_field_in_the_cascade_is_lock_confinement() {
 }
 
 #[test]
-fn reused_evolution_stream_is_a_seed_stream_collision() {
-    assert_fires(
-        "seed-stream-collision",
-        "crates/core/src/search/mod.rs",
-        "pub(crate) const EVOLUTION_STREAM: u64 = 211;",
-        "pub(crate) const EVOLUTION_STREAM: u64 = 101;",
-    );
-}
-
-#[test]
 fn forest_tree_sharing_the_ensemble_seed_breaks_rng_seed_discipline() {
     assert_fires(
         "rng-seed-discipline",
         "crates/ml/src/forest.rs",
-        "seed_jump(seed, i as u64)",
+        "seed_jump(seed, Stream::Tree(i as u64))",
         "seed",
     );
 }

@@ -1,8 +1,7 @@
 //! The v3 cross-file lints, exercised end-to-end: seeded-random totality
 //! for the whole analysis stack, a hand-rolled fixture oracle for the
-//! `determinism-taint` / `seed-stream-collision` /
-//! `obs-volatile-discipline` verdicts, and a golden SARIF document pinned
-//! for a workspace that trips all three.
+//! `determinism-taint` / `obs-volatile-discipline` verdicts, and a golden
+//! SARIF document pinned for a workspace that trips both.
 //!
 //! After an intentional lint or SARIF change, regenerate the golden with
 //! `SFCHECK_BLESS=1 cargo test -p sfcheck --test v3_analysis`.
@@ -12,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use sfcheck::resolve::Workspace;
 use sfcheck::walker::{classify, crate_dir_of, SourceFile};
-use sfcheck::{callgraph, dataflow, lexer, parser, resolve, streams, taint};
+use sfcheck::{callgraph, dataflow, lexer, parser, resolve, taint};
 use smartfeat_rng::check;
 
 fn source(rel: &str, text: &str) -> SourceFile {
@@ -81,12 +80,11 @@ fn fixture_ws(extra: &[(&str, &str)]) -> Workspace {
     resolve::build(parsed, &manifests)
 }
 
-/// The v3 verdict for a fixture: both taint-family lints plus the stream
-/// registry, as a sorted lint-id list (one entry per finding).
+/// The v3 verdict for a fixture: both taint-family lints, as a sorted
+/// lint-id list (one entry per finding).
 fn verdict(extra: &[(&str, &str)]) -> Vec<&'static str> {
     let ws = fixture_ws(extra);
-    let mut findings = taint::run(&ws);
-    findings.extend(streams::run(&ws));
+    let findings = taint::run(&ws);
     let mut lints: Vec<&'static str> = findings.iter().map(|f| f.lint).collect();
     lints.sort_unstable();
     lints
@@ -107,9 +105,6 @@ const FRAGMENTS: &[&str] = &[
     ".iter()",
     "write_csv(",
     "seed_jump(seed, ",
-    "STREAM + i",
-    "// sfcheck:seed-stream(",
-    "0..8)",
     "// sfcheck:output-sink",
     "// sfcheck:metrics-report",
     "// sfcheck:volatile-field(ns)",
@@ -133,7 +128,7 @@ const FRAGMENTS: &[&str] = &[
     "continue;",
 ];
 
-/// The whole v3 stack — resolve, call graph, dataflow, taint, streams —
+/// The whole v3 stack — resolve, call graph, dataflow, taint —
 /// is total on garbage: seeded token soup in a consumer crate must never
 /// panic any pass.
 #[test]
@@ -154,7 +149,6 @@ fn v3_passes_never_panic_on_token_soup() {
         let cg = callgraph::build(&ws);
         let _ = dataflow::run(&ws, &cg);
         let _ = taint::run(&ws);
-        let _ = streams::run(&ws);
     });
 }
 
@@ -170,7 +164,6 @@ fn fixture_verdicts_match_hand_rolled_oracle() {
         &'static [&'static str],
     );
     const TAINT: &str = "determinism-taint";
-    const STREAM: &str = "seed-stream-collision";
     const VOLATILE: &str = "obs-volatile-discipline";
     /// Reads the environment and hands it to the frame sink through
     /// `smartfeat_util::decorate`.
@@ -371,102 +364,6 @@ fn fixture_verdicts_match_hand_rolled_oracle() {
             &[("crates/core/src/lib.rs", "pub fn nothing() {}")],
             &[],
         ),
-        (
-            "disjoint constant streams",
-            &[
-                (
-                    "crates/core/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\npub const A_STREAM: u64 = 101;\n\
-                     pub fn run(seed: u64) -> u64 { seed_jump(seed, A_STREAM) }",
-                ),
-                (
-                    "crates/ml/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\n\
-                     pub fn run(seed: u64) -> u64 { seed_jump(seed, 7) }",
-                ),
-            ],
-            &[],
-        ),
-        (
-            "equal stream constants in two crates collide",
-            &[
-                (
-                    "crates/core/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\npub const A_STREAM: u64 = 101;\n\
-                     pub fn run(seed: u64) -> u64 { seed_jump(seed, A_STREAM) }",
-                ),
-                (
-                    "crates/ml/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\npub const B_STREAM: u64 = 101;\n\
-                     pub fn run(seed: u64) -> u64 { seed_jump(seed, B_STREAM) }",
-                ),
-            ],
-            &[STREAM, STREAM],
-        ),
-        (
-            "dynamic stream argument without a reserved range",
-            &[(
-                "crates/ml/src/lib.rs",
-                "use smartfeat_rng::seed_jump;\npub fn run(seed: u64, i: u64) -> u64 {\n\
-                 seed_jump(seed, i)\n}",
-            )],
-            &[STREAM],
-        ),
-        (
-            "annotated dynamic family is a single clean claim",
-            &[(
-                "crates/ml/src/lib.rs",
-                "use smartfeat_rng::seed_jump;\npub fn run(seed: u64, i: u64) -> u64 {\n\
-                 // sfcheck:seed-stream(0..100) per-tree streams\n\
-                 seed_jump(seed, i)\n}",
-            )],
-            &[],
-        ),
-        (
-            "declared range overlapping a constant claim",
-            &[
-                (
-                    "crates/core/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\n\
-                     pub fn run(seed: u64) -> u64 { seed_jump(seed, 50) }",
-                ),
-                (
-                    "crates/ml/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\npub fn run(seed: u64, i: u64) -> u64 {\n\
-                     // sfcheck:seed-stream(0..100) per-tree streams\n\
-                     seed_jump(seed, i)\n}",
-                ),
-            ],
-            &[STREAM, STREAM],
-        ),
-        (
-            "derived namespaces never claim root indices",
-            &[(
-                "crates/core/src/lib.rs",
-                "use smartfeat_rng::seed_jump;\npub const E_STREAM: u64 = 211;\n\
-                 pub fn run(seed: u64, g: u64) -> u64 {\n\
-                 seed_jump(seed_jump(seed, E_STREAM), g)\n}",
-            )],
-            &[],
-        ),
-        (
-            "taint and stream collision fire independently",
-            &[
-                (
-                    "crates/core/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\nuse smartfeat_frame::csv::write_csv;\n\
-                     pub fn run(seed: u64) -> u64 { seed_jump(seed, 31) }\n\
-                     pub fn dump() {\nlet p = std::env::var(\"OUT\").unwrap_or_default();\n\
-                     write_csv(&p);\n}",
-                ),
-                (
-                    "crates/ml/src/lib.rs",
-                    "use smartfeat_rng::seed_jump;\n\
-                     pub fn run(seed: u64) -> u64 { seed_jump(seed, 31) }",
-                ),
-            ],
-            &[TAINT, STREAM, STREAM],
-        ),
     ];
 
     let mut failures = Vec::new();
@@ -493,7 +390,7 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Write a small on-disk workspace that trips all three v3 lints, run the
+/// Write a small on-disk workspace that trips both v3 lints, run the
 /// full `run_check` pipeline over it, and pin the SARIF document against
 /// a golden. This is the end-to-end contract: positions, rule metadata,
 /// and message text for the new lints are all frozen here.
@@ -522,10 +419,6 @@ fn sarif_golden_for_v3_lints() {
             "crates/core/Cargo.toml",
             "[package]\nname = \"smartfeat\"\n",
         ),
-        (
-            "crates/ml/Cargo.toml",
-            "[package]\nname = \"smartfeat-ml\"\n",
-        ),
         ("crates/rng/src/lib.rs", RNG_SRC),
         ("crates/par/src/lib.rs", PAR_SRC),
         ("crates/frame/src/csv.rs", FRAME_SRC),
@@ -538,15 +431,11 @@ fn sarif_golden_for_v3_lints() {
         ),
         (
             "crates/core/src/lib.rs",
-            "use smartfeat_rng::seed_jump;\nuse smartfeat_frame::csv::write_csv;\n\
+            "//! Writes the resolved thread count to a CSV sink.\n\
+             use smartfeat_frame::csv::write_csv;\n\
              use smartfeat_par::resolve_threads;\n\
-             pub fn run(seed: u64) -> u64 { seed_jump(seed, 41) }\n\
+             /// The run's thread count as output: a determinism-taint finding.\n\
              pub fn dump() {\nlet n = resolve_threads(0);\nwrite_csv(n);\n}\n",
-        ),
-        (
-            "crates/ml/src/lib.rs",
-            "use smartfeat_rng::seed_jump;\n\
-             pub fn run(seed: u64) -> u64 { seed_jump(seed, 41) }\n",
         ),
     ];
     for (rel, text) in files {
@@ -560,11 +449,7 @@ fn sarif_golden_for_v3_lints() {
     let _ = std::fs::remove_dir_all(&root);
 
     let lints: BTreeSet<&str> = outcome.findings.iter().map(|f| f.lint).collect();
-    for lint in [
-        "determinism-taint",
-        "seed-stream-collision",
-        "obs-volatile-discipline",
-    ] {
+    for lint in ["determinism-taint", "obs-volatile-discipline"] {
         assert!(
             lints.contains(lint),
             "fixture must trip {lint}, got {lints:?}"
