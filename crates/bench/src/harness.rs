@@ -207,7 +207,6 @@ fn run_benchmark(label: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher
     );
     // sfcheck:allow(env-dependence) output-sink path chosen by the operator; timings are volatile by design
     if let Ok(path) = std::env::var("SMARTFEAT_BENCH_JSON") {
-        // sfcheck:allow(determinism-taint) the env value picks where the file goes, not what it says
         append_json_line(&path, &stats);
     }
     stats
@@ -225,7 +224,6 @@ fn median_of_sorted(sorted: &[Duration]) -> Duration {
     }
 }
 
-// sfcheck:output-sink
 fn append_json_line(path: &str, s: &BenchStats) {
     use smartfeat_frame::json::JsonValue;
     let line = JsonValue::object([

@@ -1,44 +1,6 @@
 //! `smartfeat` — run feature construction on your own CSV from the shell.
 //!
-//! ```text
-//! smartfeat --csv data.csv --target label [options]
-//!
-//! options:
-//!   --csv PATH            input CSV (header row required)
-//!   --target NAME         binary prediction-class column (exactly two
-//!                         distinct non-null values)
-//!   --out PATH            write the augmented CSV here (default: stdout summary only)
-//!   --describe COL=TEXT   feature description (repeatable; quote the pair)
-//!   --model NAME          downstream model named in prompts (default RF)
-//!   --seed N              FM seed (default 42)
-//!   --budget N            sampling budget per operator family (default 10)
-//!   --strategy NAME       search strategy: one_shot (default), beam,
-//!                         evolutionary, react
-//!   --beam-width N        beam: survivors kept per round (default 3)
-//!   --beam-depth N        beam: pool-score-prune rounds (default 2)
-//!   --generations N       evolutionary: generations (default 3)
-//!   --population N        evolutionary: population size (default 6)
-//!   --react-turns N       react: observe-think-act turn budget (default 8)
-//!   --fm-budget N         cap on selector FM calls for the search
-//!                         (default 0 = unlimited)
-//!   --backend NAME        serve both roles from one simulated backend:
-//!                         babbage-002, gpt-3.5-turbo, gpt-4
-//!                         (default: gpt-4 selector + gpt-3.5-turbo generator)
-//!   --cascade             route every prompt through the cost-ordered
-//!                         cascade (babbage-002 -> gpt-3.5-turbo -> gpt-4),
-//!                         escalating on parse failure or hedged output;
-//!                         mutually exclusive with --backend
-//!   --threads N           worker threads for parallel compute stages
-//!                         (default 0 = auto: SMARTFEAT_THREADS, else the
-//!                         core count; output is identical for every value)
-//!   --no-drop             disable the original-feature drop heuristic
-//!   --fm-removal          enable the FM feature-removal extension
-//!   --transcript          print the full FM dialogue afterwards
-//!   --trace-out PATH      write the JSONL observability trace here
-//!   --metrics-out PATH    write the end-of-run JSON metrics report here
-//!                         (timestamps use a deterministic logical clock;
-//!                         set SMARTFEAT_OBS_WALLCLOCK=1 for wall time)
-//! ```
+//! Run `smartfeat --help` (or `-h`) for the option list (`USAGE` below).
 //!
 //! The FM endpoints are in-process simulated model families (the GPT-4 /
 //! GPT-3.5 pair by default; see `--backend` / `--cascade`); to target a
@@ -53,6 +15,47 @@ use smartfeat::{
 };
 use smartfeat_fm::{FoundationModel, Transcribing};
 use smartfeat_frame::csv;
+
+/// The `--help` text: synopsis line, then every option.
+const USAGE: &str = "\
+usage: smartfeat --csv data.csv --target label [options]
+
+options:
+  --csv PATH            input CSV (header row required)
+  --target NAME         binary prediction-class column (exactly two
+                        distinct non-null values)
+  --out PATH            write the augmented CSV here (default: stdout summary only)
+  --describe COL=TEXT   feature description (repeatable; quote the pair)
+  --model NAME          downstream model named in prompts (default RF)
+  --seed N              FM seed (default 42)
+  --budget N            sampling budget per operator family (default 10)
+  --strategy NAME       search strategy: one_shot (default), beam,
+                        evolutionary, react
+  --beam-width N        beam: survivors kept per round (default 3)
+  --beam-depth N        beam: pool-score-prune rounds (default 2)
+  --generations N       evolutionary: generations (default 3)
+  --population N        evolutionary: population size (default 6)
+  --react-turns N       react: observe-think-act turn budget (default 8)
+  --fm-budget N         cap on selector FM calls for the search
+                        (default 0 = unlimited)
+  --backend NAME        serve both roles from one simulated backend:
+                        babbage-002, gpt-3.5-turbo, gpt-4
+                        (default: gpt-4 selector + gpt-3.5-turbo generator)
+  --cascade             route every prompt through the cost-ordered
+                        cascade (babbage-002 -> gpt-3.5-turbo -> gpt-4),
+                        escalating on parse failure or hedged output;
+                        mutually exclusive with --backend
+  --threads N           worker threads for parallel compute stages
+                        (default 0 = auto: SMARTFEAT_THREADS, else the
+                        core count; output is identical for every value)
+  --no-drop             disable the original-feature drop heuristic
+  --fm-removal          enable the FM feature-removal extension
+  --transcript          print the full FM dialogue afterwards
+  --trace-out PATH      write the JSONL observability trace here
+  --metrics-out PATH    write the end-of-run JSON metrics report here
+                        (timestamps use a deterministic logical clock;
+                        set SMARTFEAT_OBS_WALLCLOCK=1 for wall time)
+";
 
 struct Args {
     csv: String,
@@ -96,6 +99,10 @@ fn parse_args() -> Result<Args, String> {
             argv.next().ok_or(format!("{what} needs a value"))
         };
         match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                exit(0);
+            }
             "--csv" => csv = Some(value("--csv")?),
             "--target" => target = Some(value("--target")?),
             "--out" => out = Some(value("--out")?),
@@ -205,7 +212,8 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nusage: smartfeat --csv data.csv --target label [options]");
+            let synopsis = USAGE.lines().next().unwrap_or_default();
+            eprintln!("error: {e}\n{synopsis}\nrun `smartfeat --help` for the option list");
             exit(2);
         }
     };

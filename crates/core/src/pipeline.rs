@@ -497,7 +497,6 @@ impl<'a> SmartFeat<'a> {
                     );
                     drop(eval_span);
                     if let Some(reason) = verdict {
-                        // sfcheck:allow(determinism-taint) the verdict is thread-count-independent: the differential suite pins identical output across SMARTFEAT_THREADS
                         state.rec.event(
                             "candidate.skipped",
                             &[

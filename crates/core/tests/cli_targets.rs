@@ -2,7 +2,8 @@
 //! the pipeline starts: a CSV with no data rows, and a target column
 //! without exactly two distinct non-null values. Each case exits 1 with a
 //! message naming the target, prints no run summary and writes no
-//! metrics report, so no FM call was billed.
+//! metrics report, so no FM call was billed. `--help`/`-h` print the
+//! option list and exit 0; a bad argument exits 2 and points at `--help`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -61,4 +62,40 @@ fn multiclass_target_is_rejected() {
         "age,city,label\n31,SF,cat\n45,LA,dog\n52,SF,bird\n27,LA,cat\n",
     );
     assert!(err.contains("3 distinct non-null value(s)"), "{err}");
+}
+
+#[test]
+fn help_prints_the_option_list_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
+            .arg(flag)
+            .output()
+            .expect("spawn smartfeat");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {stdout}");
+        assert!(
+            stdout.starts_with("usage: smartfeat --csv"),
+            "{flag}: {stdout}"
+        );
+        for option in ["--target NAME", "--cascade", "--metrics-out PATH"] {
+            assert!(stdout.contains(option), "{flag}: missing {option}");
+        }
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
+}
+
+#[test]
+fn unknown_argument_exits_two_and_points_at_help() {
+    let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
+        .arg("--no-such-flag")
+        .output()
+        .expect("spawn smartfeat");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument --no-such-flag"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("smartfeat --help"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }

@@ -172,7 +172,6 @@ fn parse_rows(text: &str) -> Result<Vec<Vec<RawField>>> {
 /// they look numeric; other cells are quoted only when RFC-4180 requires it.
 /// Null cells are written as unquoted empties in every dtype, so they read
 /// back as nulls.
-// sfcheck:output-sink
 pub fn write_csv_str(df: &DataFrame) -> String {
     let mut out = String::new();
     let names = df.column_names();
@@ -217,7 +216,6 @@ pub fn read_csv_path(path: &std::path::Path) -> Result<DataFrame> {
 }
 
 /// Write a frame to a CSV file on disk.
-// sfcheck:output-sink
 pub fn write_csv_path(df: &DataFrame, path: &std::path::Path) -> Result<()> {
     std::fs::write(path, write_csv_str(df)).map_err(|e| FrameError::Csv(format!("{path:?}: {e}")))
 }

@@ -19,7 +19,7 @@
 //! trivially deterministic.
 //!
 //! sfcheck's `hash-collections` lint blesses this type by name: it is the
-//! sanctioned hash container for output-feeding crates.
+//! sanctioned hash container in every crate.
 
 use std::borrow::Borrow;
 

@@ -12,7 +12,6 @@
 
 use std::time::{Duration, Instant};
 
-// sfcheck:volatile-field(ns)
 pub use smartfeat_par::WorkStat;
 
 /// Record one completed unit of `name` that took `elapsed` in the

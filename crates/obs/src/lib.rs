@@ -40,7 +40,6 @@ use smartfeat_frame::json::JsonValue;
 /// Pool counters of one run, copied from its `smartfeat_par` context.
 /// `workers_spawned` depends on the thread count, so the report carries
 /// it only under the `volatile` key in wall mode.
-// sfcheck:volatile-field(workers_spawned)
 pub use smartfeat_par::PoolStats;
 
 /// Environment variable that opts span/event timestamps into wall-clock
@@ -254,7 +253,6 @@ impl Recorder {
     }
 
     /// Increment the named counter.
-    // sfcheck:output-sink
     pub fn incr(&self, name: &str, by: u64) {
         if let Some(inner) = &self.inner {
             let mut state = inner.state.borrow_mut();
@@ -315,7 +313,6 @@ impl Recorder {
     ///
     /// Must only be called from serial code — see the crate-level
     /// determinism contract.
-    // sfcheck:output-sink
     pub fn event(&self, kind: &str, fields: &[(&str, JsonValue)]) {
         if self.inner.is_some() {
             let t = self.now();
@@ -396,7 +393,6 @@ impl Recorder {
     /// drops the span ticks and adds a `volatile` section (span/work
     /// nanoseconds, worker occupancy); without `clock`, `volatile` and
     /// the ticks, the two modes' reports are byte-identical.
-    // sfcheck:metrics-report
     pub fn report(&self) -> JsonValue {
         let Some(inner) = &self.inner else {
             return JsonValue::Null;

@@ -30,7 +30,7 @@ use crate::resolve::{FnId, Workspace};
 /// names is *not* the unambiguous dispatch target of `x.name(…)` — the
 /// receiver is far more likely a std value (`AtomicU64::load` vs a
 /// workspace `load`), so these names never produce method edges.
-pub(crate) const STD_METHOD_NAMES: [&str; 24] = [
+const STD_METHOD_NAMES: [&str; 24] = [
     "clone", "cmp", "default", "drain", "eq", "fmt", "from", "get", "insert", "into", "iter",
     "len", "load", "lock", "new", "next", "parse", "push", "read", "send", "store", "swap", "take",
     "write",

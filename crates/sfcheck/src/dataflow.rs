@@ -31,9 +31,9 @@ use crate::lints::Finding;
 use crate::resolve::{FnId, Workspace};
 
 /// Marker naming sanctioned parallel entry points (`crates/par`).
-pub const PARALLEL_ENTRY: &str = "parallel-entry";
+const PARALLEL_ENTRY: &str = "parallel-entry";
 /// Marker naming sanctioned seed-derivation fns (`crates/rng`).
-pub const SEED_DERIVATION: &str = "seed-derivation";
+const SEED_DERIVATION: &str = "seed-derivation";
 
 /// Run all cross-file lints; findings are sorted by the caller.
 pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
@@ -97,7 +97,7 @@ fn seed_discipline_lint(
     }
 }
 
-pub(crate) fn finding_at(
+fn finding_at(
     ws: &Workspace,
     file_idx: usize,
     pos: crate::ast::Pos,

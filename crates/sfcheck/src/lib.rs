@@ -7,8 +7,12 @@
 //! reads every `Cargo.toml` for crate names, and reports typed diagnostics
 //! as deterministic JSON through `frame::json`.
 //!
-//! See [`lints`] for the lint suite and its inline waivers, and DESIGN.md
-//! §10 for the workflow.
+//! Most lints are per-file token rules ([`lints`]); the determinism
+//! sources (wall clock, environment, hash-iteration order) are banned
+//! where they are read. The two cross-file lints ([`dataflow`]) run over
+//! the workspace symbol table ([`resolve`]) and call graph
+//! ([`callgraph`]). See [`lints`] for the lint suite and its inline
+//! waivers, and DESIGN.md §10 for the workflow.
 
 pub mod ast;
 pub mod callgraph;
@@ -20,7 +24,6 @@ pub mod parser;
 pub mod report;
 pub mod resolve;
 pub mod sarif;
-pub mod taint;
 pub mod walker;
 
 use std::collections::BTreeMap;
@@ -103,9 +106,8 @@ impl Outcome {
 /// honored), so output order is a function of the sorted walk, never of
 /// scheduling. The **global phase** is serial: it builds the workspace
 /// symbol table and call graph from the per-file ASTs, runs the
-/// [`dataflow`] and [`taint`] passes, merges their findings
-/// back into each file's stream, and only then applies that file's
-/// waivers — one waiver mechanism for token and cross-file lints alike.
+/// [`dataflow`] pass, merges its findings back into each file's stream,
+/// and only then applies that file's waivers — one waiver mechanism for token and cross-file lints alike.
 pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
     let sources = walker::rust_sources(&opts.root)?;
     let manifests = walker::manifests(&opts.root)?;
@@ -142,9 +144,7 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
         .enumerate()
         .map(|(i, f)| (f.rel_path.as_str(), i))
         .collect();
-    let mut global = dataflow::run(&ws, &cg);
-    global.extend(taint::run(&ws));
-    for finding in global {
+    for finding in dataflow::run(&ws, &cg) {
         if let Some(&i) = index_of.get(finding.file.as_str()) {
             raw_by_file[i].0.push(finding);
         }

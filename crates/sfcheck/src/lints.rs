@@ -3,21 +3,21 @@
 //! | id | lint | invariant it guards |
 //! |----|------|---------------------|
 //! | D1 | `wall-clock` | wall-clock reads only inside `crates/obs`'s gate |
-//! | D2 | `hash-collections` | no `HashMap`/`HashSet` in output-feeding crates |
+//! | D2 | `hash-collections` | no `HashMap`/`HashSet` in non-test code |
 //! | D3 | `env-dependence` | env reads only at the sanctioned resolution points |
 //! | P1 | `panic-hygiene` | no `unwrap`/`expect`/`panic!` in core/frame library code |
 //! | W1 | `waiver-syntax` | every waiver names a known lint and gives a reason; every marker is spelled right |
 //! | F1 | `rng-seed-discipline` | rng streams in parallel regions derive per item |
 //! | F2 | `panic-reachability` | no panic site reachable from the public pipeline API |
-//! | T1 | `determinism-taint` | no wall/env/thread/hash-order value reaches an output sink |
-//! | T2 | `obs-volatile-discipline` | volatile fields reach the report only under `volatile` |
 //! | L1 | `lock-confinement` | no `Mutex`/`RwLock` in library code outside `crates/par` |
 //!
+//! D1–D3 ban each nondeterministic source (wall clock, hash-iteration
+//! order, environment) where it is read, so no such value exists to flow
+//! into an output; the thread count and the wall-mode `volatile` fields
+//! are pinned by runtime tests instead (DESIGN.md §15).
 //! F1–F2 are the cross-file dataflow lints ([`crate::dataflow`]); they run
 //! over the workspace symbol table and call graph rather than per-file
-//! tokens, but their findings waive identically. T1 and T2 are the
-//! interprocedural taint lints ([`crate::taint`]), added in v3 — same
-//! waiver mechanism.
+//! tokens, but their findings waive identically.
 //! L1 is a per-file token rule: FM and recorder state is single-threaded
 //! and owned by the serial control path, so the pool's run context in
 //! `crates/par` is the only place a lock may live (DESIGN.md §8).
@@ -40,12 +40,10 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::walker::{FileClass, SourceFile};
 
 /// Identifiers of every shipped lint, in report order.
-pub const LINT_IDS: [&str; 10] = [
-    "determinism-taint",
+pub const LINT_IDS: [&str; 8] = [
     "env-dependence",
     "hash-collections",
     "lock-confinement",
-    "obs-volatile-discipline",
     "panic-hygiene",
     "panic-reachability",
     "rng-seed-discipline",
@@ -201,13 +199,7 @@ fn collect_waivers(file: &str, lines: &[&str], tokens: &[Token]) -> (Vec<Waiver>
 /// The plain `// sfcheck:<name>` markers. The parser accepts any name,
 /// so a marker spelled with underscores attaches to nothing and silently
 /// turns off the pass that reads it.
-const MARKERS: [&str; 5] = [
-    "metrics-report",
-    "output-sink",
-    "parallel-entry",
-    "seed-derivation",
-    "volatile-field",
-];
+const MARKERS: [&str; 2] = ["parallel-entry", "seed-derivation"];
 
 /// W1 `waiver-syntax`, marker half: a [`MARKERS`] name written in a
 /// comment with underscores for its hyphens is a finding, with a
@@ -501,14 +493,9 @@ fn lock_confinement_lint(
     }
 }
 
-/// Crates whose data structures can reach serialized or user-visible
-/// output (reports, CSV/JSON emission, metrics, tables): iteration order
-/// there must be defined, so hash collections are banned.
-fn feeds_output(crate_dir: &str) -> bool {
-    matches!(crate_dir, "frame" | "core" | "obs" | "bench" | "sfcheck")
-}
-
-/// D2 `hash-collections`: `HashMap`/`HashSet` in output-feeding crates.
+/// D2 `hash-collections`: `HashMap`/`HashSet` in non-test code of any
+/// crate. Every crate's values can reach a report, a table or a fitted
+/// model, so iteration order must be defined everywhere.
 fn hash_collections_lint(
     file: &SourceFile,
     lines: &[&str],
@@ -516,7 +503,7 @@ fn hash_collections_lint(
     code: &[&Token],
     out: &mut Vec<Finding>,
 ) {
-    if !feeds_output(&file.crate_dir) || file.class == FileClass::Test {
+    if file.class == FileClass::Test {
         return;
     }
     for tok in code {
@@ -540,7 +527,7 @@ fn hash_collections_lint(
             tok,
             "hash-collections",
             format!(
-                "`{}` in an output-feeding module; iteration order is nondeterministic — \
+                "`{}` in non-test code; iteration order is nondeterministic — \
                  use `{replacement}` or `smartfeat_frame::{stable}`",
                 tok.text
             ),
@@ -705,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_collections_scoped_to_output_crates_with_suggestion() {
+    fn hash_collections_fires_in_every_crate_with_suggestion() {
         let src = "use std::collections::HashMap;\nfn f() -> HashMap<u32, u32> { HashMap::new() }";
         let in_frame = lib_file("frame", "crates/frame/src/csv.rs", src);
         let result = scan_rust(&in_frame);
@@ -717,9 +704,12 @@ mod tests {
         assert!(result.findings[0]
             .message
             .contains("smartfeat_frame::StableMap"));
-        // `ml` does not feed serialized output; exempt.
+        // Every crate is covered: `ml` is no longer exempt.
         let in_ml = lib_file("ml", "crates/ml/src/forest.rs", src);
-        assert!(scan_rust(&in_ml).findings.is_empty());
+        assert_eq!(lints_of(&scan_rust(&in_ml)), ["hash-collections"; 3]);
+        // Test code is exempt.
+        let in_test = lib_file("root", "tests/x.rs", src);
+        assert!(scan_rust(&in_test).findings.is_empty());
     }
 
     #[test]
@@ -874,15 +864,16 @@ fn lib4() { panic!("boom"); }
     #[test]
     fn misspelled_marker_is_a_waiver_syntax_finding_with_a_fix() {
         // The underscore spelling attaches no marker, so the fn would
-        // silently drop out of the taint pass's sinks.
-        let src = "// sfcheck:output_sink\npub fn write(s: &str) {}\n";
-        let file = lib_file("frame", "crates/frame/src/csv.rs", src);
+        // silently drop out of the parallel entries `rng-seed-discipline`
+        // checks.
+        let src = "// sfcheck:parallel_entry\npub fn par_map(n: usize) {}\n";
+        let file = lib_file("par", "crates/par/src/lib.rs", src);
         let result = scan_rust(&file);
         assert_eq!(lints_of(&result), ["waiver-syntax"]);
         assert_eq!((result.findings[0].line, result.findings[0].col), (1, 4));
         assert_eq!(
             result.findings[0].suggestion.as_deref(),
-            Some("// sfcheck:output-sink")
+            Some("// sfcheck:parallel-entry")
         );
     }
 

@@ -15,11 +15,9 @@ use crate::report::ReportInput;
 /// Stable one-line description per lint id, for the SARIF rule metadata.
 fn describe(lint: &str) -> &'static str {
     match lint {
-        "determinism-taint" => "no wall/env/thread/hash-order value reaches an output sink",
         "env-dependence" => "environment reads only at the sanctioned resolution points",
-        "hash-collections" => "no HashMap/HashSet in output-feeding crates",
+        "hash-collections" => "no HashMap/HashSet in non-test code",
         "lock-confinement" => "no Mutex/RwLock in library code outside crates/par",
-        "obs-volatile-discipline" => "volatile fields reach the metrics report only under volatile",
         "panic-hygiene" => "no unwrap/expect/panic! in core/frame library code",
         "panic-reachability" => "no panic site reachable from the public pipeline API",
         "rng-seed-discipline" => "rng streams in parallel regions derive per item",

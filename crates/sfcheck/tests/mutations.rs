@@ -145,24 +145,3 @@ fn unwrap_in_candidate_check_is_panic_reachable() {
         "let null_fraction = Some(col.null_fraction()).unwrap();",
     );
 }
-
-#[test]
-fn thread_count_in_the_trace_is_determinism_taint() {
-    assert_fires(
-        "determinism-taint",
-        "crates/core/src/pipeline.rs",
-        "drop(eval_span);",
-        "drop(eval_span);\n\
-         state.rec.incr(\"eval.threads\", threads as u64);",
-    );
-}
-
-#[test]
-fn raw_span_time_in_the_work_map_is_obs_volatile_discipline() {
-    assert_fires(
-        "obs-volatile-discipline",
-        "crates/obs/src/lib.rs",
-        ".map(|(k, v)| ((*k).to_string(), JsonValue::from(v.count)))",
-        ".map(|(k, v)| ((*k).to_string(), JsonValue::from(v.ns as u64)))",
-    );
-}
