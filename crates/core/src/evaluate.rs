@@ -42,75 +42,145 @@ pub fn check_new_column_threaded(
     // A column that is an exact or affine duplicate of an existing one
     // adds no information (identity transforms, min-max/z-score rescales
     // of a column that is still present) — it only double-counts evidence
-    // for models like naive Bayes.
+    // for models like naive Bayes. The candidate's numeric form is built
+    // once here; existing columns are read in place through their views.
     let existing = df.columns();
+    let numeric = col.is_numeric().then(|| col.to_f64());
     let threads = smartfeat_par::resolve_threads(threads);
-    smartfeat_par::par_map_indexed(threads, existing.len(), |i| duplicate_of(col, &existing[i]))
-        .into_iter()
-        .flatten()
-        .next()
+    smartfeat_par::par_map_indexed(threads, existing.len(), |i| {
+        duplicate_of(col, numeric.as_deref(), &existing[i])
+    })
+    .into_iter()
+    .flatten()
+    .next()
 }
 
 /// Is `col` an exact or positive-affine duplicate of `existing`?
-fn duplicate_of(col: &Column, existing: &Column) -> Option<SkipReason> {
-    if columns_identical(col, existing) {
-        return Some(SkipReason::Duplicate(existing.name().to_string()));
-    }
-    // Positive-affine rescales of a surviving column (min-max / z-score
-    // copies) only double-count evidence; r = +1 with ≥ 3 overlapping
-    // points identifies them. Negative-affine derivations (e.g. the
-    // paper's manufacturing year = 2024 − car age) re-express the
-    // quantity on a meaningful scale and are kept, as the paper does.
-    if existing.is_numeric() && col.is_numeric() {
-        let a = col.to_f64();
-        let b = existing.to_f64();
-        let complete = a
-            .iter()
-            .zip(&b)
-            .filter(|(x, y)| x.is_some() && y.is_some())
-            .count();
-        if complete >= 3 {
-            if let Some(r) = smartfeat_frame::stats::pearson(&a, &b) {
-                if r > 0.9999 {
-                    return Some(SkipReason::Duplicate(existing.name().to_string()));
-                }
-            }
+/// `numeric` is `col`'s numeric form, present when `col` is numeric.
+fn duplicate_of(
+    col: &Column,
+    numeric: Option<&[Option<f64>]>,
+    existing: &Column,
+) -> Option<SkipReason> {
+    let duplicate = match (numeric, existing.numeric_view()) {
+        // Both numeric: equal as f64 with aligned nulls (Int-vs-Float
+        // storage of the same values matches). Positive-affine rescales
+        // of a surviving column (min-max / z-score copies) only
+        // double-count evidence; r = +1 with ≥ 3 overlapping points
+        // identifies them. Negative-affine derivations (e.g. the paper's
+        // manufacturing year = 2024 − car age) re-express the quantity on
+        // a meaningful scale and are kept, as the paper does.
+        (Some(a), Ok(b)) => {
+            // The pairs enumerate the view rather than zip it, so both
+            // of pearson's folds run the view's own monomorphic loop.
+            (a.len() == b.len() && a.iter().copied().eq(b.iter()))
+                || smartfeat_frame::stats::pearson_pairs(
+                    b.iter()
+                        .enumerate()
+                        .filter_map(|(i, y)| Some((a.get(i).copied().flatten()?, y?))),
+                    3,
+                )
+                .is_some_and(|r| r > 0.9999)
         }
-    }
-    None
+        _ => rendered_identical(col, existing),
+    };
+    duplicate.then(|| SkipReason::Duplicate(existing.name().to_string()))
 }
 
-/// Value-level equality of two columns (nulls align, values render equal).
-fn columns_identical(a: &Column, b: &Column) -> bool {
-    if a.len() != b.len() {
-        return false;
+/// Row-wise equality of rendered cells with aligned nulls: the path for
+/// a `Str` side, where Str `"1"` must still match Int `1`.
+fn rendered_identical(a: &Column, b: &Column) -> bool {
+    a.len() == b.len()
+        && (0..a.len()).all(|i| match (a.is_null(i), b.is_null(i)) {
+            (true, true) => true,
+            (false, false) => a.get(i).render() == b.get(i).render(),
+            _ => false,
+        })
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The duplicate scan as it was before it read packed views: both
+    //! sides converted per existing column, the pairs collected for
+    //! `pearson`, and identity checked cell by cell through `get`. Kept as
+    //! the reference the view-based scan must agree with.
+
+    use smartfeat_frame::{Column, DataFrame};
+
+    use crate::report::SkipReason;
+
+    /// `check_new_column` with the reference scan, serial.
+    pub(super) fn check(
+        col: &Column,
+        df: &DataFrame,
+        max_null_fraction: f64,
+    ) -> Option<SkipReason> {
+        let null_fraction = col.null_fraction();
+        if null_fraction > max_null_fraction {
+            return Some(SkipReason::HighNull(null_fraction));
+        }
+        if col.is_constant() {
+            return Some(SkipReason::SingleValued);
+        }
+        if df.has_column(col.name()) {
+            return Some(SkipReason::Duplicate(col.name().to_string()));
+        }
+        df.columns().iter().find_map(|e| duplicate_of(col, e))
     }
-    for i in 0..a.len() {
-        match (a.is_null(i), b.is_null(i)) {
-            (true, true) => continue,
-            (false, false) => {
-                // Compare numerically when both are numeric to catch
-                // Int-vs-Float storage of the same values.
-                let av = a.get(i);
-                let bv = b.get(i);
-                let equal = match (av.as_f64(), bv.as_f64()) {
-                    (Some(x), Some(y)) => x == y,
-                    _ => av.render() == bv.render(),
-                };
-                if !equal {
-                    return false;
+
+    fn duplicate_of(col: &Column, existing: &Column) -> Option<SkipReason> {
+        if columns_identical(col, existing) {
+            return Some(SkipReason::Duplicate(existing.name().to_string()));
+        }
+        if existing.is_numeric() && col.is_numeric() {
+            let a = col.to_f64();
+            let b = existing.to_f64();
+            let complete = a
+                .iter()
+                .zip(&b)
+                .filter(|(x, y)| x.is_some() && y.is_some())
+                .count();
+            if complete >= 3 {
+                if let Some(r) = smartfeat_frame::stats::pearson(&a, &b) {
+                    if r > 0.9999 {
+                        return Some(SkipReason::Duplicate(existing.name().to_string()));
+                    }
                 }
             }
-            _ => return false,
         }
+        None
     }
-    true
+
+    fn columns_identical(a: &Column, b: &Column) -> bool {
+        if a.len() != b.len() {
+            return false;
+        }
+        for i in 0..a.len() {
+            match (a.is_null(i), b.is_null(i)) {
+                (true, true) => continue,
+                (false, false) => {
+                    let av = a.get(i);
+                    let bv = b.get(i);
+                    let equal = match (av.as_f64(), bv.as_f64()) {
+                        (Some(x), Some(y)) => x == y,
+                        _ => av.render() == bv.render(),
+                    };
+                    if !equal {
+                        return false;
+                    }
+                }
+                _ => return false,
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use smartfeat_frame::DataFrame;
+    use smartfeat_rng::{check, Rng};
 
     fn base() -> DataFrame {
         DataFrame::from_columns(vec![
@@ -210,6 +280,151 @@ mod tests {
                 Some(SkipReason::Duplicate(n)) if n == "first"
             ));
         }
+    }
+
+    /// The view-based scan's verdict equals the reference scan's at 1, 2
+    /// and 4 threads.
+    fn assert_matches_oracle(col: &Column, df: &DataFrame) -> Option<SkipReason> {
+        let expected = oracle::check(col, df, 0.5);
+        for threads in [1usize, 2, 4] {
+            assert_eq!(
+                check_new_column_threaded(col, df, 0.5, threads),
+                expected,
+                "candidate {col:?} at {threads} threads against {df:?}"
+            );
+        }
+        expected
+    }
+
+    fn frame(columns: Vec<Column>) -> DataFrame {
+        DataFrame::from_columns(columns).unwrap()
+    }
+
+    #[test]
+    fn scan_agrees_with_oracle_on_named_shapes() {
+        let ints = || Column::from_ints("i", vec![Some(1), Some(0), Some(1), Some(1)]);
+        let dup = |c: &Column, df: &DataFrame| {
+            matches!(assert_matches_oracle(c, df), Some(SkipReason::Duplicate(_)))
+        };
+        // Int vs Float storage of the same values.
+        let floats = Column::from_floats("f", vec![Some(1.0), Some(0.0), Some(1.0), Some(1.0)]);
+        assert!(dup(&floats, &frame(vec![ints()])));
+        // Bool vs Int.
+        let bools = Column::from_bools("b", vec![Some(true), Some(false), Some(true), Some(true)]);
+        assert!(dup(&bools, &frame(vec![ints()])));
+        // Str "1" vs Int 1 matches; Str "1.0" vs Int 1 does not, and a
+        // Str side never reaches the correlation check.
+        let text = |s: [&str; 4]| Column::from_str_slice("s", &s);
+        assert!(dup(&text(["1", "0", "1", "1"]), &frame(vec![ints()])));
+        assert!(!dup(
+            &text(["1.0", "0.0", "1.0", "1.0"]),
+            &frame(vec![ints()])
+        ));
+        // Misaligned nulls fail the identity check; three overlapping
+        // pairs on the line y = x still make an affine duplicate, two do
+        // not.
+        let x = Column::from_floats("x", vec![Some(1.0), None, Some(3.0), Some(5.0), Some(2.0)]);
+        let y = Column::from_floats("y", vec![Some(1.0), Some(3.0), None, Some(5.0), Some(2.0)]);
+        assert!(dup(&y, &frame(vec![x.clone()])));
+        let y1 = Column::from_floats("y1", vec![Some(1.0), Some(3.0), None, Some(5.0), None]);
+        assert!(!dup(&y1, &frame(vec![x.clone()])));
+        // Fewer than three overlapping pairs: no correlation verdict.
+        let sparse = Column::from_floats("z", vec![Some(2.0), None, None, Some(10.0), Some(9.0)]);
+        let short = Column::from_floats("w", vec![None, Some(7.0), Some(1.0), Some(5.0), None]);
+        assert!(!dup(&short, &frame(vec![sparse])));
+        // Positive vs negative affine copies.
+        let up = Column::from_floats(
+            "up",
+            vec![Some(3.0), None, Some(7.0), Some(11.0), Some(5.0)],
+        );
+        let down = Column::from_floats(
+            "down",
+            vec![Some(-1.0), None, Some(-5.0), Some(-9.0), Some(-3.0)],
+        );
+        assert!(dup(&up, &frame(vec![x.clone()])));
+        assert!(!dup(&down, &frame(vec![x.clone()])));
+        // Two matching existing columns: the lowest index is named.
+        let twins = frame(vec![
+            Column::from_i64("p", vec![4, 1, 3]),
+            Column::from_f64("q", vec![4.0, 1.0, 3.0]),
+            Column::from_f64("r", vec![8.0, 2.0, 6.0]),
+        ]);
+        let copy = Column::from_f64("copy", vec![8.0, 2.0, 6.0]);
+        assert_eq!(
+            assert_matches_oracle(&copy, &twins),
+            Some(SkipReason::Duplicate("p".into()))
+        );
+    }
+
+    /// One column holding `base` in a randomly chosen representation.
+    fn random_copy(rng: &mut Rng, name: &str, base: &[Option<i64>]) -> Column {
+        let drop_nulls = |rng: &mut Rng| -> Vec<Option<i64>> {
+            base.iter()
+                .map(|v| v.filter(|_| rng.gen_bool(0.85)))
+                .collect()
+        };
+        match rng.gen_range(0..8usize) {
+            0 => Column::from_ints(name, base.to_vec()),
+            1 => Column::from_floats(name, base.iter().map(|v| v.map(|x| x as f64)).collect()),
+            2 => Column::from_bools(name, base.iter().map(|v| v.map(|x| x != 0)).collect()),
+            3 => Column::from_strs(
+                name,
+                base.iter().map(|v| v.map(|x| x.to_string())).collect(),
+            ),
+            4 => {
+                let (a, b) = (rng.gen_range(0.5..4.0), rng.gen_range(-10.0..10.0));
+                let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                let affine = base.iter().map(|v| v.map(|x| sign * a * x as f64 + b));
+                Column::from_floats(name, affine.collect())
+            }
+            5 => Column::from_ints(name, drop_nulls(rng)),
+            6 => Column::from_floats(
+                name,
+                drop_nulls(rng)
+                    .iter()
+                    .map(|v| v.map(|x| x as f64))
+                    .collect(),
+            ),
+            _ => {
+                let noise = base
+                    .iter()
+                    .map(|_| rng.gen_bool(0.9).then(|| rng.gen_range(-3..4i64) as f64));
+                Column::from_floats(name, noise.collect())
+            }
+        }
+    }
+
+    #[test]
+    fn scan_agrees_with_oracle_on_random_frames() {
+        let (mut duplicates, mut passes) = (0, 0);
+        check::cases(400, |rng| {
+            let rows = rng.gen_range(2..12usize);
+            let bases: Vec<Vec<Option<i64>>> = (0..rng.gen_range(1..4usize))
+                .map(|_| {
+                    let hi: i64 = if rng.gen_bool(0.5) { 2 } else { 6 };
+                    (0..rows)
+                        .map(|_| rng.gen_bool(0.85).then(|| rng.gen_range(-1..hi)))
+                        .collect()
+                })
+                .collect();
+            let existing = (0..rng.gen_range(1..6usize))
+                .map(|i| {
+                    let base = &bases[rng.gen_range(0..bases.len())];
+                    random_copy(rng, &format!("c{i}"), base)
+                })
+                .collect();
+            let df = frame(existing);
+            let base = &bases[rng.gen_range(0..bases.len())];
+            let cand = random_copy(rng, "cand", base);
+            match assert_matches_oracle(&cand, &df) {
+                Some(SkipReason::Duplicate(_)) => duplicates += 1,
+                None => passes += 1,
+                Some(_) => {}
+            }
+        });
+        // Both verdicts occur often enough for the agreement to mean
+        // something.
+        assert!(duplicates >= 50 && passes >= 50, "{duplicates} / {passes}");
     }
 
     #[test]

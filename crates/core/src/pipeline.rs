@@ -110,9 +110,9 @@ fn check_target(df: &DataFrame, target: &str) -> Result<()> {
 }
 
 /// Distinct non-null values of `col`, counting no further than `cap`.
-/// Reads the packed buffers instead of rendering every cell: floats
-/// compare by bits and strings by dictionary code, the distinctions
-/// `Column::cardinality` draws on rendered values.
+/// Reads the packed buffers like `Column::cardinality`: floats compare
+/// by bits and strings by dictionary code. Unlike it, the scan stops at
+/// `cap`.
 fn distinct_up_to(col: &Column, cap: usize) -> usize {
     fn count<T: PartialEq>(
         values: impl Iterator<Item = T>,

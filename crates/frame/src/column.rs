@@ -372,8 +372,7 @@ impl Column {
                 .collect();
             Column::from_strs(name, data)
         } else if has_float || (has_int && has_bool) {
-            let data = values.into_iter().map(|v| v.as_f64()).collect();
-            Column::new(name, ColumnData::from_opt_floats(data))
+            Column::from_floats(name, values.into_iter().map(|v| v.as_f64()).collect())
         } else if has_int {
             let data = values
                 .into_iter()
@@ -572,7 +571,9 @@ impl Column {
     ///
     /// The sorted `BTreeMap` return is a contract (`get_dummies` derives
     /// its column order from it); accumulation is O(n) over dictionary
-    /// codes for `Str` columns rather than a per-row map lookup.
+    /// codes for `Str` columns rather than a per-row map lookup. Numeric
+    /// columns render every present cell to a `String` key, so callers
+    /// that only need the count use [`Column::cardinality`].
     pub fn value_counts(&self) -> BTreeMap<String, usize> {
         if let Some((codes, validity, dict)) = self.dict_parts() {
             let mut per_code = vec![0usize; dict.len()];
@@ -594,32 +595,50 @@ impl Column {
         out
     }
 
-    /// Number of distinct non-null values.
+    /// Number of distinct non-null values — always
+    /// `value_counts().len()`, without rendering a cell.
+    ///
+    /// `Str` columns count the dictionary codes present. Numeric columns
+    /// sort and dedup the present packed values, floats by bit pattern.
+    /// Bits and renders draw the same distinctions: stored floats are
+    /// never `NaN`, the render keeps `-0.0` apart from `0.0`, and the
+    /// shortest-roundtrip float render is injective on finite values and
+    /// `±inf`. The agenda calls this once per original column and once
+    /// per kept feature.
     pub fn cardinality(&self) -> usize {
-        if let Some((codes, validity, dict)) = self.dict_parts() {
-            // A take()-derived column shares a larger parent book, so count
-            // codes actually present, not the book size.
-            let mut seen = vec![false; dict.len()];
-            let mut distinct = 0;
-            for (i, &c) in codes.iter().enumerate() {
-                if validity.is_valid(i) && !seen[c as usize] {
-                    seen[c as usize] = true;
-                    distinct += 1;
-                }
+        match &self.data {
+            ColumnData::Int { values, validity } => packed_distinct(values, validity, |v| v),
+            ColumnData::Bool { values, validity } => packed_distinct(values, validity, |v| v),
+            ColumnData::Float { values, validity } => {
+                packed_distinct(values, validity, f64::to_bits)
             }
-            return distinct;
+            ColumnData::Dict {
+                codes,
+                validity,
+                dict,
+            } => {
+                // A take()-derived column shares a larger parent book, so
+                // count codes actually present, not the book size.
+                let mut seen = vec![false; dict.len()];
+                let mut distinct = 0;
+                for (&c, valid) in codes.iter().zip(validity.iter()) {
+                    if valid && !seen[c as usize] {
+                        seen[c as usize] = true;
+                        distinct += 1;
+                    }
+                }
+                distinct
+            }
         }
-        self.value_counts().len()
     }
 
     /// True if all non-null values are identical (or the column is all-null).
     ///
     /// Numeric columns scan the packed value buffer directly (floats
-    /// compare by bits, so `-0.0` and `0.0` stay distinct — matching the
-    /// rendered-key distinction `cardinality` draws) instead of paying
-    /// `value_counts`' per-row string rendering. This is an evaluation-
-    /// stage read: `check_new_column` calls it on every realized
-    /// candidate.
+    /// compare by bits, so `-0.0` and `0.0` stay distinct, as they do in
+    /// `cardinality` and in `value_counts`' rendered keys). This is an
+    /// evaluation-stage read: `check_new_column` calls it on every
+    /// realized candidate.
     pub fn is_constant(&self) -> bool {
         match &self.data {
             ColumnData::Int { values, validity } => packed_is_constant(values, validity),
@@ -665,6 +684,28 @@ impl Column {
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// Distinct present values under a key function: the keys are gathered
+/// (all-valid columns straight from the raw slice), sorted and deduped.
+fn packed_distinct<T: Copy, K: Ord>(
+    values: &[T],
+    validity: &NullBitmap,
+    key: impl Fn(T) -> K,
+) -> usize {
+    let mut keys: Vec<K> = if validity.all_are_valid() {
+        values.iter().map(|&v| key(v)).collect()
+    } else {
+        values
+            .iter()
+            .zip(validity.iter())
+            .filter(|&(_, ok)| ok)
+            .map(|(&v, _)| key(v))
+            .collect()
+    };
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len()
 }
 
 /// All present values equal? All-valid columns scan the raw slice

@@ -40,32 +40,50 @@ pub fn summarize(values: &[Option<f64>]) -> Option<Summary> {
 }
 
 /// Pearson correlation over rows where both columns are non-null.
-/// Returns `None` when fewer than two complete pairs exist or either side
-/// has zero variance.
+/// Returns `None` when fewer than two complete pairs exist, either side
+/// has zero variance, or `r` is not finite (an infinite input).
 pub fn pearson(a: &[Option<f64>], b: &[Option<f64>]) -> Option<f64> {
-    let pairs: Vec<(f64, f64)> = a
-        .iter()
-        .zip(b)
-        .filter_map(|(x, y)| Some(((*x)?, (*y)?)))
-        .collect();
-    if pairs.len() < 2 {
+    pearson_pairs(a.iter().zip(b).filter_map(|(x, y)| Some(((*x)?, (*y)?))), 2)
+}
+
+/// Pearson correlation over complete `(x, y)` pairs, in iteration order,
+/// without collecting them: one pass takes the count and the means, a
+/// second the centred sums. Each sum runs in the same order as summing a
+/// collected pair list, so `r` is bit-identical to that. Both passes are
+/// folds, so an iterator with a specialised `fold` (the view iterators)
+/// runs its own loop. Returns `None` when fewer than `min_pairs` pairs
+/// (and never fewer than two) exist, either side has zero variance, or
+/// `r` is not finite.
+pub fn pearson_pairs<I>(pairs: I, min_pairs: usize) -> Option<f64>
+where
+    I: Iterator<Item = (f64, f64)> + Clone,
+{
+    // `f64::sum` folds from its own neutral element (`-0.0`); starting
+    // from the same one keeps the means bit-identical to `.sum()`.
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let (count, sum_x, sum_y) = pairs
+        .clone()
+        .fold((0usize, zero, zero), |(c, sx, sy), (x, y)| {
+            (c + 1, sx + x, sy + y)
+        });
+    if count < min_pairs.max(2) {
         return None;
     }
-    let n = pairs.len() as f64;
-    let mx = pairs.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = pairs.iter().map(|p| p.1).sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in &pairs {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx).powi(2);
-        syy += (y - my).powi(2);
-    }
+    let n = count as f64;
+    let mx = sum_x / n;
+    let my = sum_y / n;
+    let (sxy, sxx, syy) = pairs.fold((0.0, 0.0, 0.0), |(sxy, sxx, syy), (x, y)| {
+        (
+            sxy + (x - mx) * (y - my),
+            sxx + (x - mx).powi(2),
+            syy + (y - my).powi(2),
+        )
+    });
     if sxx == 0.0 || syy == 0.0 {
         return None;
     }
-    Some(sxy / (sxx * syy).sqrt())
+    let r = sxy / (sxx * syy).sqrt();
+    r.is_finite().then_some(r)
 }
 
 /// Pearson correlation between two columns' numeric views.
@@ -198,6 +216,25 @@ mod tests {
         let a = vec![Some(1.0), None, Some(3.0), Some(5.0)];
         let b = vec![Some(1.0), Some(99.0), Some(3.0), Some(5.0)];
         assert!((pearson(&a, &b).unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pearson_infinite_input_is_none() {
+        // An original column keeps `inf` (a CSV cell `inf` or `1e400`);
+        // its mean is infinite and `r` would be NaN.
+        let a = vec![Some(1.0), Some(f64::INFINITY), Some(3.0)];
+        let b = vec![Some(1.0), Some(2.0), Some(3.0)];
+        assert_eq!(pearson(&a, &b), None);
+        assert_eq!(pearson(&b, &a), None);
+    }
+
+    #[test]
+    fn pearson_pairs_honours_min_pairs() {
+        let pairs = [(1.0, 2.0), (2.0, 4.0)];
+        assert!(pearson_pairs(pairs.iter().copied(), 2).is_some());
+        assert_eq!(pearson_pairs(pairs.iter().copied(), 3), None);
+        // Two pairs is the floor whatever is asked for.
+        assert_eq!(pearson_pairs(pairs[..1].iter().copied(), 0), None);
     }
 
     #[test]

@@ -259,3 +259,49 @@ fn value_counts_agrees_with_scan_oracle() {
         assert_eq!(col.is_constant(), oracle.len() <= 1);
     });
 }
+
+#[test]
+fn cardinality_agrees_with_value_counts() {
+    // Floats whose renders are hard to tell apart: signed zeros, the
+    // infinities, and integral values on both sides of the 1e15 switch
+    // between `{v:.1}` and shortest-roundtrip rendering.
+    const PLANTED: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e15,
+        -1e15,
+        1e15 + 2.0,
+        999_999_999_999_999.0,
+        1.234_567_890_123_456_8e17,
+    ];
+    check::cases(96, |rng| {
+        let mut floats = float_cells(rng);
+        for cell in floats.iter_mut() {
+            if rng.gen_range(0.0..1.0) < 0.3 {
+                *cell = Some(PLANTED[rng.gen_range(0..PLANTED.len())]);
+            }
+        }
+        let n = floats.len();
+        let ints = (0..n)
+            .map(|_| (rng.gen_range(0.0..1.0) < 0.8).then(|| rng.gen_range(-5..5i64)))
+            .collect();
+        let bools = (0..n)
+            .map(|_| (rng.gen_range(0.0..1.0) < 0.8).then(|| rng.gen_range(0.0..1.0) < 0.5))
+            .collect();
+        let columns = [
+            Column::from_floats("f", floats),
+            Column::from_ints("i", ints),
+            Column::from_bools("b", bools),
+            Column::from_strs("s", string_cells(rng)),
+            Column::from_floats("null", vec![None; n]),
+        ];
+        for col in &columns {
+            let rows = check::vec_with(rng, 0..2 * col.len(), |rng| rng.gen_range(0..col.len()));
+            for c in [col.clone(), col.take(&rows)] {
+                assert_eq!(c.cardinality(), c.value_counts().len(), "{c:?}");
+            }
+        }
+    });
+}
