@@ -7,12 +7,12 @@
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
 # Steps: build test crates fmt clippy sfcheck sarif fix strategy
-#        artifacts bench perf
+#        artifacts perf
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# One EXIT trap over a cleanup registry, so a failing step (e.g. a bench
-# count-match) never leaves stale temp files behind.
+# One EXIT trap over a cleanup registry, so a failing step (e.g. the
+# --fix idempotency check) never leaves stale temp files behind.
 CLEANUP_PATHS=()
 cleanup() {
   local p
@@ -126,48 +126,6 @@ step_artifacts() {
   echo "    wrote ci-artifacts/trace.jsonl ($(wc -l < ci-artifacts/trace.jsonl) events)"
 }
 
-step_bench() {
-  # Not a perf gate — numbers from shared CI hardware are noise. This
-  # only proves each harness runs end to end and emits one JSON line per
-  # benchmark in its checked-in BENCH_*.json baseline (recorded on a
-  # quiet machine; regenerate per EXPERIMENTS.md). Every baseline names
-  # its bench source via a "ci-baseline: <file>" marker comment, so
-  # checking in a new BENCH_*.json plus a marked bench is all it takes
-  # to be gated here. KEEP_BENCH_SMOKE=1 preserves the sink files
-  # for CI artifact upload; otherwise the EXIT trap removes them even
-  # when a count-match fails.
-  local base src bench sink smoke_lines base_lines
-  for base in BENCH_*.json; do
-    src="$(grep -rl "ci-baseline: $base" crates/bench/benches || true)"
-    if [ -z "$src" ]; then
-      echo "    ERROR: no bench under crates/bench/benches carries a 'ci-baseline: $base' marker" >&2
-      exit 1
-    fi
-    if [ "$(printf '%s\n' "$src" | wc -l)" -ne 1 ]; then
-      echo "    ERROR: multiple benches claim $base: $src" >&2
-      exit 1
-    fi
-    bench="$(basename "$src" .rs)"
-    sink="$PWD/bench-smoke-$bench.json"
-    if [ "${KEEP_BENCH_SMOKE:-0}" != "1" ]; then
-      CLEANUP_PATHS+=("$sink")
-    fi
-    echo "==> bench smoke: $bench matches $base"
-    rm -f "$sink"
-    # The sink path must be absolute: cargo runs bench binaries with the
-    # package directory as cwd, not the workspace root.
-    SMARTFEAT_BENCH_SAMPLES=2 SMARTFEAT_BENCH_JSON="$sink" \
-      cargo bench -p smartfeat-bench --bench "$bench" --offline > /dev/null
-    smoke_lines="$(wc -l < "$sink")"
-    base_lines="$(wc -l < "$base")"
-    echo "    bench-smoke-$bench.json: $smoke_lines benchmarks (baseline has $base_lines)"
-    if [ "$smoke_lines" -ne "$base_lines" ]; then
-      echo "    ERROR: bench set drifted from $base — regenerate the baseline" >&2
-      exit 1
-    fi
-  done
-}
-
 step_perf() {
   # perfbench/ is its own cargo workspace (BENCHMARK.json runs it), so the
   # root `cargo test` never compiles it: this step catches an API change
@@ -178,7 +136,7 @@ step_perf() {
   cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 }
 
-ALL_STEPS=(build test crates fmt clippy sfcheck sarif fix strategy artifacts bench perf)
+ALL_STEPS=(build test crates fmt clippy sfcheck sarif fix strategy artifacts perf)
 
 main() {
   local steps=("$@") s

@@ -18,8 +18,8 @@
 //!   paper reports on Diabetes).
 //!
 //! All three implement [`AfeMethod`] with a wall-clock deadline, so the
-//! harness can reproduce the paper's one-hour-timeout behaviour at scaled
-//! budgets.
+//! evaluation grid can reproduce the paper's one-hour-timeout behaviour
+//! at scaled budgets.
 
 pub mod autofeat;
 pub mod caafe;

@@ -1,5 +1,5 @@
 //! The common interface all AFE methods (baselines and SMARTFEAT's
-//! adapter in the bench harness) expose to the evaluation grid.
+//! adapter in `smartfeat-bench`) expose to the evaluation grid.
 
 use std::time::Duration;
 

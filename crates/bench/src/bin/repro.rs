@@ -1,29 +1,51 @@
 //! `repro` — regenerate every table and figure of the SMARTFEAT paper.
 //!
-//! ```text
-//! repro [--scale F] [--seed N] [--deadline SECS] [--full] <command>
-//!
-//! commands:
-//!   fig1          Figure 1   row-level vs feature-level interaction cost
-//!   table3        Table 3    dataset statistics
-//!   table4        Table 4    average-AUC grid (also prints Table 5 input)
-//!   table5        Table 5    median-AUC grid
-//!   efficiency    §4.2       wall-clock per method with timeout notes
-//!   table6        Table 6    top-10 feature importance on Tennis
-//!   table7        Table 7    operator ablation on Tennis
-//!   descriptions  §4.2       full data card vs names-only ablation
-//!   ablations     DESIGN.md  pipeline design-choice ablations
-//!   all           everything above, in paper order
-//! ```
-//!
-//! `--scale` scales the paper's row counts (default 0.25; `--full` = 1.0).
-//! `--deadline` is the per-method wall-clock budget in seconds — the
-//! analogue of the paper's one-hour limit, scaled to this implementation.
+//! Run `repro --help` (or `-h`) for the command list (`USAGE` below).
 
+use std::process::exit;
 use std::time::Duration;
 
 use smartfeat_bench::grid::{run_grid, GridConfig};
 use smartfeat_bench::{fig1, tables};
+
+/// The `--help` text: synopsis line, then every command and option.
+const USAGE: &str = "\
+usage: repro [--scale F] [--seed N] [--deadline SECS] [--full] [command]
+
+commands (default: all):
+  fig1          Figure 1   row-level vs feature-level interaction cost
+  table3        Table 3    dataset statistics
+  table4        Table 4    average-AUC grid
+  table5        Table 5    median-AUC grid
+  efficiency    §4.2       wall-clock per method with timeout notes
+  table6        Table 6    top-10 feature importance on Tennis
+  table7        Table 7    operator ablation on Tennis
+  descriptions  §4.2       full data card vs names-only ablation
+  ablations     DESIGN.md  pipeline design-choice ablations
+  all           everything above, in paper order
+
+options:
+  --scale F        fraction of the paper's row counts, finite and > 0
+                   (default 0.25; datasets keep at least 200 rows)
+  --full           same as --scale 1
+  --seed N         seed for datasets, FMs and models (default 42)
+  --deadline SECS  per-method wall-clock budget in seconds (default 12),
+                   the analogue of the paper's one-hour limit, scaled to
+                   this implementation
+";
+
+/// Every command `all` runs, in paper order.
+const COMMANDS: [&str; 9] = [
+    "fig1",
+    "table3",
+    "table4",
+    "table5",
+    "efficiency",
+    "table6",
+    "table7",
+    "descriptions",
+    "ablations",
+];
 
 struct Args {
     scale: f64,
@@ -39,32 +61,46 @@ fn parse_args() -> Result<Args, String> {
     let mut command = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
+        let mut value = |what: &str| -> Result<String, String> {
+            argv.next().ok_or(format!("{what} needs a value"))
+        };
         match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                exit(0);
+            }
             "--scale" => {
-                scale = argv
-                    .next()
-                    .ok_or("--scale needs a value")?
+                let v: f64 = value("--scale")?
                     .parse()
                     .map_err(|e| format!("bad --scale: {e}"))?;
+                if !(v.is_finite() && v > 0.0) {
+                    return Err(format!("bad --scale: {v} is not a finite number > 0"));
+                }
+                scale = v;
             }
             "--seed" => {
-                seed = argv
-                    .next()
-                    .ok_or("--seed needs a value")?
+                seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--deadline" => {
-                let secs: f64 = argv
-                    .next()
-                    .ok_or("--deadline needs a value")?
+                let secs: f64 = value("--deadline")?
                     .parse()
                     .map_err(|e| format!("bad --deadline: {e}"))?;
-                deadline = Duration::from_secs_f64(secs);
+                deadline = Duration::try_from_secs_f64(secs)
+                    .map_err(|e| format!("bad --deadline: {secs}: {e}"))?;
             }
             "--full" => scale = 1.0,
-            other if !other.starts_with('-') => command = Some(other.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+            other => {
+                if let Some(first) = &command {
+                    return Err(format!("one command at a time: got {first} and {other}"));
+                }
+                if other != "all" && !COMMANDS.contains(&other) {
+                    return Err(format!("unknown command {other}"));
+                }
+                command = Some(other.to_string());
+            }
         }
     }
     Ok(Args {
@@ -79,9 +115,9 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: repro [--scale F] [--seed N] [--deadline SECS] [--full] <command>");
-            std::process::exit(2);
+            let synopsis = USAGE.lines().next().unwrap_or_default();
+            eprintln!("error: {e}\n{synopsis}\nrun `repro --help` for the command list");
+            exit(2);
         }
     };
     let grid_config = GridConfig {
@@ -143,24 +179,11 @@ fn main() {
             print_header("Design-choice ablations (DESIGN.md): pipeline knobs");
             println!("{}", tables::ablations(args.scale, args.seed));
         }
-        other => {
-            eprintln!("unknown command {other}");
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args rejects unknown command {other}"),
     };
 
     if args.command == "all" {
-        for cmd in [
-            "fig1",
-            "table3",
-            "table4",
-            "table5",
-            "efficiency",
-            "table6",
-            "table7",
-            "descriptions",
-            "ablations",
-        ] {
+        for cmd in COMMANDS {
             run_one(cmd);
         }
     } else {

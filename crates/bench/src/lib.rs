@@ -1,7 +1,7 @@
 //! # smartfeat-bench
 //!
-//! The benchmark harness that regenerates **every table and figure** of
-//! the paper's evaluation (Section 4):
+//! The drivers that regenerate **every table and figure** of the paper's
+//! evaluation (Section 4):
 //!
 //! | Artifact | Driver |
 //! |---|---|
@@ -15,19 +15,17 @@
 //! | §4.2 feature-description impact | [`tables::descriptions`] |
 //!
 //! The `repro` binary (`cargo run --release -p smartfeat-bench --bin repro`)
-//! wires these to a CLI; the benches under `benches/` measure the same
-//! drivers at fixed small scales on the in-repo [`harness`] (a
-//! Criterion-compatible API without the registry dependency).
+//! wires these to a CLI. Speed is measured end to end by the `perfbench/`
+//! workspace (`BENCHMARK.json`), which drives [`prep`], [`methods`],
+//! [`grid`] and [`evalml`] directly.
 
 pub mod evalml;
 pub mod fig1;
 pub mod fmt;
 pub mod grid;
-pub mod harness;
 pub mod methods;
 pub mod prep;
 pub mod tables;
 
 pub use grid::{GridConfig, GridResult};
-pub use harness::{Bencher, BenchmarkGroup, BenchmarkId, Criterion};
 pub use methods::MethodName;
