@@ -6,7 +6,7 @@
 # dependencies).
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
-# Steps: build test crates fmt clippy sfcheck sarif fix strategy
+# Steps: build test crates fmt clippy doc sfcheck sarif fix strategy
 #        artifacts perf
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -50,6 +50,11 @@ step_clippy() {
   echo "==> lint: clippy (warnings are errors)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
   cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --offline -- -D warnings
+}
+
+step_doc() {
+  echo "==> lint: rustdoc (warnings are errors)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 step_sfcheck() {
@@ -136,7 +141,7 @@ step_perf() {
   cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 }
 
-ALL_STEPS=(build test crates fmt clippy sfcheck sarif fix strategy artifacts perf)
+ALL_STEPS=(build test crates fmt clippy doc sfcheck sarif fix strategy artifacts perf)
 
 main() {
   local steps=("$@") s

@@ -193,7 +193,7 @@ impl ObservabilityConfig {
     }
 }
 
-/// Which [`SearchStrategy`](crate::search::SearchStrategy) drives the
+/// Which `search::SearchStrategy` drives the
 /// propose→realize→evaluate→prune loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchStrategyKind {

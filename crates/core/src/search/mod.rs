@@ -3,15 +3,15 @@
 //!
 //! The paper explores the operator space with a single pass (unary
 //! proposals, then one sampling walk per family). This module extracts
-//! that loop behind the [`SearchStrategy`] trait and adds three
+//! that loop behind the `SearchStrategy` trait and adds three
 //! score-guided alternatives:
 //!
-//! - [`one_shot::OneShot`] — the paper's walk, bit-for-bit;
-//! - [`beam::Beam`] — pooled sampling rounds pruned to the top
+//! - `one_shot::OneShot` — the paper's walk, bit-for-bit;
+//! - `beam::Beam` — pooled sampling rounds pruned to the top
 //!   `beam_width` columns by single-feature CV AUC;
-//! - [`evolution::Evolutionary`] — an LLM-FE-style population loop that
+//! - `evolution::Evolutionary` — an LLM-FE-style population loop that
 //!   mutates and crosses over survivors through FM prompts;
-//! - [`react::React`] — an observe-think-act agent that feeds evaluation
+//! - `react::React` — an observe-think-act agent that feeds evaluation
 //!   results back to the FM and lets it pick the next move.
 //!
 //! # Determinism contract
@@ -21,7 +21,7 @@
 //!
 //! - FM calls, sampling decisions, and event emission happen only on the
 //!   serial control path; parallelism stays inside
-//!   [`SmartFeat::realize_batch_kept`] and the CV scorer, both of which
+//!   `SmartFeat::realize_batch_kept` and the CV scorer, both of which
 //!   are ordered and thread-invariant.
 //! - Randomness comes from [`smartfeat_rng::Rng`] streams derived from
 //!   `config.seed` via [`smartfeat_rng::seed_jump`], one

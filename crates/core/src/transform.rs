@@ -10,10 +10,10 @@
 
 use smartfeat_fm::FoundationModel;
 use smartfeat_frame::ops::{
-    binary_op, bucketize, date_part, frequency_encode, get_dummies, groupby_transform, normalize,
-    unary_map, AggFunc, BinaryOp, DatePart, NormKind, UnaryFn,
+    binary_op, bucketize, date_part, frequency_encode, get_dummies, group_slots, groupby_transform,
+    normalize, unary_map, AggFunc, BinaryOp, DatePart, NormKind, UnaryFn,
 };
-use smartfeat_frame::{Column, DataFrame, KeysView, StableMap};
+use smartfeat_frame::{Column, DataFrame};
 
 use crate::error::{CoreError, Result};
 use crate::prompts;
@@ -291,6 +291,9 @@ fn quartiles(col: &Column) -> Result<Vec<f64>> {
 
 /// Feature-level-efficient row completion: one FM call per *distinct* key
 /// combination, values memoized, then broadcast to all rows.
+///
+/// Rows are grouped by key codes ([`group_slots`]); only the first row of
+/// each distinct key is rendered, for its prompt.
 fn row_completion(
     df: &DataFrame,
     key_cols: &[String],
@@ -298,57 +301,40 @@ fn row_completion(
     fm: &dyn FoundationModel,
     max_distinct: usize,
 ) -> Result<Vec<Column>> {
-    let keys: Vec<KeysView<'_>> = key_cols
-        .iter()
-        .map(|c| df.column(c).map(|col| col.keys_view()))
-        .collect::<std::result::Result<_, _>>()?;
-    let n = df.n_rows();
-    let mut distinct: StableMap<Vec<String>, Option<f64>> = StableMap::new();
-    let mut row_keys: Vec<Option<Vec<String>>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut key = Vec::with_capacity(key_cols.len());
-        let mut has_null = false;
-        for col in &keys {
-            match col.get(i) {
-                Some(v) => key.push(v.to_string()),
-                None => {
-                    has_null = true;
-                    break;
-                }
-            }
-        }
-        if has_null {
-            row_keys.push(None);
-        } else {
-            distinct.entry_or_insert_with(key.clone(), || None);
-            row_keys.push(Some(key));
-        }
-    }
-    if distinct.len() > max_distinct {
+    let (row_slots, n_distinct) = group_slots(df, key_cols)?;
+    if n_distinct > max_distinct {
         return Err(CoreError::RowCompletionUnavailable(format!(
-            "{} distinct key combinations exceed the completion budget of {max_distinct}",
-            distinct.len()
+            "{n_distinct} distinct key combinations exceed the completion budget of {max_distinct}"
         )));
     }
-    // One FM call per distinct key. StableMap iterates in first-occurrence
-    // order — a pure function of row data, independent of thread count, so
-    // the FM-call sequence stays deterministic without the old BTreeMap's
-    // per-row log-cardinality lookups.
-    let ordered: Vec<Vec<String>> = distinct.keys().cloned().collect();
-    for key in ordered {
+    let cols: Vec<&Column> = key_cols
+        .iter()
+        .map(|c| df.column(c))
+        .collect::<std::result::Result<_, _>>()?;
+    // Slots are numbered in first-occurrence order, so walking rows and
+    // keeping each slot's first sighting yields the keys in that order —
+    // a pure function of row data, independent of thread count, which
+    // keeps the FM-call sequence deterministic.
+    let mut first_rows = Vec::with_capacity(n_distinct);
+    for (i, slot) in row_slots.iter().enumerate() {
+        if *slot == Some(first_rows.len() as u32) {
+            first_rows.push(i);
+        }
+    }
+    let mut values = Vec::with_capacity(n_distinct);
+    for row in first_rows {
         let fields: Vec<(String, String)> = key_cols
             .iter()
-            .zip(&key)
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .zip(&cols)
+            .map(|(k, col)| (k.clone(), col.get(row).render()))
             .collect();
         let prompt = prompts::row_completion(&fields, out_name);
         let response = fm.complete(&prompt).map_err(CoreError::from)?;
-        let value = response.text.trim().parse::<f64>().ok();
-        distinct.insert(key, value);
+        values.push(response.text.trim().parse::<f64>().ok());
     }
-    let data: Vec<Option<f64>> = row_keys
+    let data: Vec<Option<f64>> = row_slots
         .into_iter()
-        .map(|k| k.and_then(|key| distinct.get(&key).copied().flatten()))
+        .map(|slot| slot.and_then(|s| values[s as usize]))
         .collect();
     Ok(vec![Column::from_floats(out_name, data)])
 }

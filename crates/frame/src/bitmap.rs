@@ -189,7 +189,7 @@ impl BitmapBuilder {
 }
 
 /// Validity iterator over the packed words. `next` is a shift-and-mask
-/// read with no per-row division; [`BitIter::raw_parts`] lets the view
+/// read with no per-row division; `BitIter::raw_parts` lets the view
 /// iterators fold over the raw words for fully monomorphic hot loops.
 #[derive(Debug, Clone)]
 pub struct BitIter<'a> {

@@ -19,8 +19,10 @@ use crate::bitmap::{BitmapBuilder, NullBitmap};
 use crate::dict::Dictionary;
 use crate::dtype::DType;
 use crate::error::{FrameError, Result};
+use crate::index::StableMap;
 use crate::value::Value;
-use crate::view::{KeysView, NumericView};
+use crate::view::{KeyCodes, KeysView, NumericView};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Typed storage backing a [`Column`].
@@ -542,6 +544,37 @@ impl Column {
         }
     }
 
+    /// Dense per-row key codes: two present cells share a code exactly
+    /// when their rendered keys are equal, without rendering a cell.
+    ///
+    /// `Str` columns borrow their dictionary codes; `Bool` cells are their
+    /// own code; `Int` and `Float` columns number their distinct packed
+    /// values (floats by bit pattern) in first-occurrence order. Bits and
+    /// renders draw the same distinctions for the reasons given on
+    /// [`Column::cardinality`].
+    pub fn key_codes(&self) -> KeyCodes<'_> {
+        match &self.data {
+            ColumnData::Int { values, validity } => {
+                let (codes, n) = packed_codes(values, validity, |v| v as u64);
+                KeyCodes::new(Cow::Owned(codes), validity, n)
+            }
+            ColumnData::Float { values, validity } => {
+                let (codes, n) = packed_codes(values, validity, f64::to_bits);
+                KeyCodes::new(Cow::Owned(codes), validity, n)
+            }
+            ColumnData::Bool { values, validity } => KeyCodes::new(
+                Cow::Owned(values.iter().map(|&b| u32::from(b)).collect()),
+                validity,
+                2,
+            ),
+            ColumnData::Dict {
+                codes,
+                validity,
+                dict,
+            } => KeyCodes::new(Cow::Borrowed(codes), validity, dict.len()),
+        }
+    }
+
     /// Numeric view of the whole column: ints/floats/bools coerce,
     /// strings and nulls are `None`. Materializes; the ops hot paths use
     /// [`Column::numeric_view`] instead.
@@ -684,6 +717,29 @@ impl Column {
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// Number the distinct present values under a key function in
+/// first-occurrence order. Null rows get code 0, which readers never see
+/// through the validity gate.
+fn packed_codes<T: Copy>(
+    values: &[T],
+    validity: &NullBitmap,
+    key: impl Fn(T) -> u64,
+) -> (Vec<u32>, usize) {
+    let mut code_of: StableMap<u64, u32> = StableMap::new();
+    let codes = values
+        .iter()
+        .zip(validity.iter())
+        .map(|(&v, ok)| {
+            if !ok {
+                return 0;
+            }
+            let next = code_of.len() as u32;
+            *code_of.entry_or_insert_with(key(v), || next)
+        })
+        .collect();
+    (codes, code_of.len())
 }
 
 /// Distinct present values under a key function: the keys are gathered

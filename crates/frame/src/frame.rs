@@ -234,57 +234,30 @@ impl DataFrame {
     /// parent book, and first-seen order is a property of *this* column's
     /// rows) — no per-row map lookups at all.
     pub fn factorize_strings(&mut self) -> BTreeMap<String, Vec<String>> {
+        const UNSEEN: i64 = -1;
         let mut books = BTreeMap::new();
-        let names: Vec<String> = self
-            .columns
-            .iter()
-            .filter(|c| !c.is_numeric())
-            .map(|c| c.name().to_string())
-            .collect();
-        for name in names {
-            // sfcheck:allow(panic-hygiene) invariant: name was just collected from self.columns
-            let col = self.column(&name).expect("exists");
-            let (book, codes) = if let Some((codes, validity, dict)) = col.dict_parts() {
-                const UNSEEN: i64 = -1;
-                let mut remap = vec![UNSEEN; dict.len()];
-                let mut book: Vec<String> = Vec::new();
-                let out: Vec<Option<i64>> = codes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| {
-                        validity.is_valid(i).then(|| {
-                            let slot = &mut remap[c as usize];
-                            if *slot == UNSEEN {
-                                *slot = book.len() as i64;
-                                book.push(dict.get(c).to_string());
-                            }
-                            *slot
-                        })
-                    })
-                    .collect();
-                (book, out)
-            } else {
-                // Non-dict fallback (numeric columns never reach here, but
-                // keep the general path honest for future dtypes).
-                let keys = col.to_keys();
-                let mut book: Vec<String> = Vec::new();
-                let mut lookup: StableMap<String, i64> = StableMap::new();
-                let codes: Vec<Option<i64>> = keys
-                    .into_iter()
-                    .map(|k| {
-                        k.map(|key| {
-                            *lookup.entry_or_insert_with(key.clone(), || {
-                                book.push(key);
-                                (book.len() - 1) as i64
-                            })
-                        })
-                    })
-                    .collect();
-                (book, codes)
+        for col in &mut self.columns {
+            let Some((codes, validity, dict)) = col.dict_parts() else {
+                continue;
             };
-            self.upsert_column(Column::from_ints(name.clone(), codes))
-                // sfcheck:allow(panic-hygiene) invariant: codes has one entry per key of an existing column
-                .expect("same length");
+            let mut remap = vec![UNSEEN; dict.len()];
+            let mut book: Vec<String> = Vec::new();
+            let out: Vec<Option<i64>> = codes
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| {
+                    validity.is_valid(i).then(|| {
+                        let slot = &mut remap[c as usize];
+                        if *slot == UNSEEN {
+                            *slot = book.len() as i64;
+                            book.push(dict.get(c).to_string());
+                        }
+                        *slot
+                    })
+                })
+                .collect();
+            let name = col.name().to_string();
+            *col = Column::from_ints(name.clone(), out);
             books.insert(name, book);
         }
         books

@@ -11,8 +11,9 @@
 //!   mirroring pandas' nullable semantics after `dropna`/`factorize`.
 //! - Storage is columnar v2: dense value buffers + [`bitmap::NullBitmap`]
 //!   validity, dictionary-encoded categoricals ([`dict::Dictionary`]), and
-//!   zero-copy read-views ([`view::NumericView`] / [`view::KeysView`]) for
-//!   the transform hot paths.
+//!   zero-copy read-views ([`view::NumericView`] / [`view::KeysView`]), and
+//!   dense per-row [`view::KeyCodes`] that grouping and counting read
+//!   instead of rendered strings.
 //! - Every operation is deterministic; anything stochastic (shuffles,
 //!   splits) takes an explicit seed. Hash-based lookups use the fixed-seed
 //!   first-occurrence-ordered [`index::StableMap`], never `std::HashMap`.
@@ -43,4 +44,4 @@ pub use error::{FrameError, Result};
 pub use frame::DataFrame;
 pub use index::{StableHash, StableHasher, StableMap, StableSet};
 pub use value::Value;
-pub use view::{KeysView, NumericView};
+pub use view::{KeyCodes, KeysView, NumericView};

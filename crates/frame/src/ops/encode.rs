@@ -59,35 +59,16 @@ pub fn get_dummies(col: &Column, max_cardinality: usize) -> Result<Vec<Column>> 
 
 /// Frequency encoding: each value maps to its occurrence fraction among
 /// non-null cells. A common alternative to dummies for high-cardinality
-/// categoricals.
+/// categoricals. Counts are kept per [`Column::key_codes`] code, so no cell
+/// is rendered.
 pub fn frequency_encode(col: &Column, out_name: &str) -> Result<Column> {
-    if let Some((codes, validity, dict)) = col.dict_parts() {
-        // Dictionary fast path: count per code, then one indexed read per row.
-        let mut per_code = vec![0usize; dict.len()];
-        let mut total = 0usize;
-        for (i, &c) in codes.iter().enumerate() {
-            if validity.is_valid(i) {
-                per_code[c as usize] += 1;
-                total += 1;
-            }
-        }
-        if total == 0 {
-            return Err(FrameError::InvalidArgument(format!(
-                "frequency_encode on all-null column {:?}",
-                col.name()
-            )));
-        }
-        return Ok(Column::from_float_iter(
-            out_name,
-            codes
-                .iter()
-                .zip(validity.iter())
-                .map(|(&c, ok)| ok.then(|| per_code[c as usize] as f64 / total as f64)),
-        ));
+    let keys = col.key_codes();
+    let mut per_code = vec![0usize; keys.n_codes()];
+    let mut total = 0usize;
+    for c in keys.iter().flatten() {
+        per_code[c as usize] += 1;
+        total += 1;
     }
-    let keys = col.keys_view();
-    let counts = col.value_counts();
-    let total: usize = counts.values().sum();
     if total == 0 {
         return Err(FrameError::InvalidArgument(format!(
             "frequency_encode on all-null column {:?}",
@@ -97,7 +78,7 @@ pub fn frequency_encode(col: &Column, out_name: &str) -> Result<Column> {
     Ok(Column::from_float_iter(
         out_name,
         keys.iter()
-            .map(|k| k.map(|key| counts[key] as f64 / total as f64)),
+            .map(|k| k.map(|c| per_code[c as usize] as f64 / total as f64)),
     ))
 }
 

@@ -5,7 +5,7 @@ use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
 use crate::index::StableMap;
-use crate::view::KeysView;
+use crate::view::KeyCodes;
 
 /// Aggregation functions the FM may choose for the high-order operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,13 +103,9 @@ impl AggFunc {
 /// aggregate. Rows with a null group key or (for non-count aggregates) an
 /// all-null group get null.
 ///
-/// Grouping assigns each row a dense group slot in one pass: a single
-/// dictionary-encoded group column maps code → slot through a plain vector
-/// (no hashing at all); the general composite-key path probes a
-/// [`StableMap`] with a reused key buffer, allocating only on first sight
-/// of a group. Output is a per-row lookup of its own slot's aggregate, so
-/// slot numbering never leaks into results — determinism holds by
-/// construction.
+/// Rows are grouped by [`group_slots`]. Output is a per-row lookup of its
+/// own slot's aggregate, so slot numbering never leaks into results —
+/// determinism holds by construction.
 pub fn groupby_transform(
     df: &DataFrame,
     group_cols: &[&str],
@@ -122,40 +118,7 @@ pub fn groupby_transform(
             "groupby requires at least one group column".into(),
         ));
     }
-    let n = df.n_rows();
-    const UNSEEN: u32 = u32::MAX;
-
-    // Per-row dense group slot; None if any key component is null.
-    let mut n_groups: usize = 0;
-    let row_slots: Vec<Option<u32>> = if let [only] = group_cols {
-        if let Some((codes, validity, dict)) = df.column(only)?.dict_parts() {
-            // Fast path: group codes are already dense dictionary codes.
-            let mut slot_for_code = vec![UNSEEN; dict.len()];
-            codes
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| {
-                    validity.is_valid(i).then(|| {
-                        let slot = &mut slot_for_code[c as usize];
-                        if *slot == UNSEEN {
-                            *slot = n_groups as u32;
-                            n_groups += 1;
-                        }
-                        *slot
-                    })
-                })
-                .collect()
-        } else {
-            let view = df.column(only)?.keys_view();
-            slots_from_views(&[view], n, &mut n_groups)
-        }
-    } else {
-        let views: Vec<KeysView<'_>> = group_cols
-            .iter()
-            .map(|&g| df.column(g).map(|c| c.keys_view()))
-            .collect::<Result<_>>()?;
-        slots_from_views(&views, n, &mut n_groups)
-    };
+    let (row_slots, n_groups) = group_slots(df, group_cols)?;
 
     // One pass to bucket the aggregation values, one to aggregate.
     let values = df.column(agg_col)?.numeric_view()?;
@@ -176,37 +139,62 @@ pub fn groupby_transform(
     Ok(Column::from_floats(out_name, data))
 }
 
-/// Assign dense group slots from composite row keys (general path).
-fn slots_from_views(views: &[KeysView<'_>], n: usize, n_groups: &mut usize) -> Vec<Option<u32>> {
-    let mut slot_of: StableMap<String, u32> = StableMap::new();
-    let mut row_slots = Vec::with_capacity(n);
-    let mut buf = String::new();
-    'row: for i in 0..n {
-        buf.clear();
-        for view in views {
-            match view.get(i) {
-                Some(part) => {
-                    buf.push_str(part);
-                    buf.push('\u{1f}'); // unit separator: unambiguous join
-                }
-                None => {
-                    row_slots.push(None);
-                    continue 'row;
-                }
-            }
-        }
-        let slot = match slot_of.get(buf.as_str()) {
-            Some(&s) => s,
-            None => {
-                let s = slot_of.len() as u32;
-                slot_of.insert(buf.clone(), s);
-                s
-            }
-        };
-        row_slots.push(Some(slot));
+/// Give each row of `df` a dense group slot for its composite key over
+/// `key_cols`, numbered in first-occurrence order; `None` where any key
+/// cell is null. Returns the per-row slots and the number of groups.
+///
+/// Keys are tuples of [`Column::key_codes`], never rendered strings, so
+/// two rows share a slot exactly when every key cell renders alike, and
+/// no choice of cell text can make two distinct tuples meet. One key
+/// column maps code → slot through a plain vector; several probe a
+/// [`StableMap`] through one reused buffer, allocating only on first sight
+/// of a group.
+pub fn group_slots<S: AsRef<str>>(
+    df: &DataFrame,
+    key_cols: &[S],
+) -> Result<(Vec<Option<u32>>, usize)> {
+    let keys: Vec<KeyCodes<'_>> = key_cols
+        .iter()
+        .map(|c| df.column(c.as_ref()).map(Column::key_codes))
+        .collect::<Result<_>>()?;
+    if let [only] = keys.as_slice() {
+        const UNSEEN: u32 = u32::MAX;
+        let mut slot_for_code = vec![UNSEEN; only.n_codes()];
+        let mut n_groups = 0u32;
+        let slots = only
+            .iter()
+            .map(|code| {
+                code.map(|c| {
+                    let slot = &mut slot_for_code[c as usize];
+                    if *slot == UNSEEN {
+                        *slot = n_groups;
+                        n_groups += 1;
+                    }
+                    *slot
+                })
+            })
+            .collect();
+        return Ok((slots, n_groups as usize));
     }
-    *n_groups = slot_of.len();
-    row_slots
+    let mut slot_of: StableMap<Vec<u32>, u32> = StableMap::new();
+    let mut buf = Vec::with_capacity(keys.len());
+    let slots = (0..df.n_rows())
+        .map(|i| {
+            buf.clear();
+            for key in &keys {
+                buf.push(key.get(i)?);
+            }
+            Some(match slot_of.get(buf.as_slice()) {
+                Some(&s) => s,
+                None => {
+                    let s = slot_of.len() as u32;
+                    slot_of.insert(buf.clone(), s);
+                    s
+                }
+            })
+        })
+        .collect();
+    Ok((slots, slot_of.len()))
 }
 
 #[cfg(test)]
@@ -235,16 +223,20 @@ mod tests {
 
     #[test]
     fn multi_column_groupby_key_is_unambiguous() {
-        // ("ab","c") must not collide with ("a","bc").
+        // ("ab","c") must not collide with ("a","bc"), and no separator
+        // character may merge tuples either: joined with U+001F, both
+        // ("x\u{1f}","y") and ("x","\u{1f}y") read "x\u{1f}\u{1f}y\u{1f}".
         let df = DataFrame::from_columns(vec![
-            Column::from_str_slice("g1", &["ab", "a"]),
-            Column::from_str_slice("g2", &["c", "bc"]),
-            Column::from_f64("v", vec![1.0, 5.0]),
+            Column::from_str_slice("g1", &["ab", "a", "x\u{1f}", "x"]),
+            Column::from_str_slice("g2", &["c", "bc", "y", "\u{1f}y"]),
+            Column::from_f64("v", vec![1.0, 5.0, 1.0, 3.0]),
         ])
         .unwrap();
         let c = groupby_transform(&df, &["g1", "g2"], "v", AggFunc::Mean, "m").unwrap();
         assert_eq!(c.get(0), Value::Float(1.0));
         assert_eq!(c.get(1), Value::Float(5.0));
+        assert_eq!(c.get(2), Value::Float(1.0));
+        assert_eq!(c.get(3), Value::Float(3.0));
     }
 
     #[test]

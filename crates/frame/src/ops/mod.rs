@@ -9,10 +9,12 @@ pub mod binary;
 pub mod datetime;
 pub mod encode;
 pub mod groupby;
+#[cfg(test)]
+mod oracle;
 pub mod unary;
 
 pub use binary::{binary_op, BinaryOp};
 pub use datetime::{date_part, DatePart};
 pub use encode::{frequency_encode, get_dummies, one_hot_limit};
-pub use groupby::{groupby_transform, AggFunc};
+pub use groupby::{group_slots, groupby_transform, AggFunc};
 pub use unary::{bucketize, clip, normalize, unary_map, NormKind, UnaryFn};

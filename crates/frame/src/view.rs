@@ -10,8 +10,10 @@
 //!
 //! Only non-`Str` numeric renderings (`to_keys` on an `Int` column, say)
 //! still allocate — those paths fall back to an owned buffer inside the
-//! view, invisible to callers.
+//! view, invisible to callers. Grouping and counting never render: they
+//! read [`KeyCodes`], one dense `u32` per row taken from the packed value.
 
+use std::borrow::Cow;
 use std::slice;
 
 use crate::bitmap::{BitIter, NullBitmap};
@@ -362,6 +364,59 @@ impl<'a> Iterator for KeysIter<'a> {
 }
 
 impl ExactSizeIterator for KeysIter<'_> {}
+
+/// Dense per-row key codes over one column, built by
+/// [`Column::key_codes`](crate::Column::key_codes).
+///
+/// Every present cell has a code in `0..n_codes()`, and two present cells
+/// share a code exactly when their values (equivalently, their rendered
+/// keys) are equal. Nulls have no code.
+#[derive(Debug)]
+pub struct KeyCodes<'a> {
+    codes: Cow<'a, [u32]>,
+    validity: &'a NullBitmap,
+    n_codes: usize,
+}
+
+impl<'a> KeyCodes<'a> {
+    /// Wrap per-row codes; `codes` must lie in `0..n_codes` at valid rows.
+    pub(crate) fn new(codes: Cow<'a, [u32]>, validity: &'a NullBitmap, n_codes: usize) -> Self {
+        KeyCodes {
+            codes,
+            validity,
+            n_codes,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True if the view covers zero rows.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// Exclusive upper bound on the codes: size a code-indexed table with
+    /// it. A `take`-derived `Str` column may leave some codes unused.
+    pub fn n_codes(&self) -> usize {
+        self.n_codes
+    }
+
+    /// Row `i`'s code, or `None` for a null.
+    pub fn get(&self, i: usize) -> Option<u32> {
+        self.validity.is_valid(i).then(|| self.codes[i])
+    }
+
+    /// Iterate rows as `Option<u32>`.
+    pub fn iter(&self) -> impl Iterator<Item = Option<u32>> + '_ {
+        self.codes
+            .iter()
+            .zip(self.validity.iter())
+            .map(|(&c, ok)| ok.then_some(c))
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! - **Method calls** (`x.f(…)`) under the *unambiguous-dispatch* rule:
 //!   an edge is added only when exactly one non-test impl-associated fn in
 //!   the entire workspace has that name. Ambiguous names produce no edge,
-//!   and neither do names std types also provide ([`STD_METHOD_NAMES`]:
+//!   and neither do names std types also provide (`STD_METHOD_NAMES`:
 //!   `load`, `lock`, `parse`, …) — the approximation trades recall for
 //!   zero-noise reachability reports (DESIGN.md §11).
 //!

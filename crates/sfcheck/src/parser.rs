@@ -4,7 +4,7 @@
 //! Design goals, in order:
 //!
 //! 1. **Never panic, never loop.** Every construct the parser does not
-//!    understand is consumed as [`ast::Expr::Seq`] soup; every loop either
+//!    understand is consumed as [`crate::ast::Expr::Seq`] soup; every loop either
 //!    consumes a token or breaks. The rng-driven fuzz harness holds the
 //!    parser to this on arbitrary byte soup.
 //! 2. **Never lose a call or closure.** The semantic lints walk the tree

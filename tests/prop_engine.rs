@@ -260,11 +260,12 @@ fn value_counts_agrees_with_scan_oracle() {
     });
 }
 
-#[test]
-fn cardinality_agrees_with_value_counts() {
-    // Floats whose renders are hard to tell apart: signed zeros, the
-    // infinities, and integral values on both sides of the 1e15 switch
-    // between `{v:.1}` and shortest-roundtrip rendering.
+/// One column of each dtype plus an all-null one, each alongside a
+/// `take`-derived copy (whose `Str` book holds codes no row uses). Floats
+/// plant values whose renders are hard to tell apart: signed zeros, the
+/// infinities, and integral values on both sides of the 1e15 switch
+/// between `{v:.1}` and shortest-roundtrip rendering.
+fn mixed_dtype_columns(rng: &mut Rng) -> Vec<Column> {
     const PLANTED: [f64; 9] = [
         0.0,
         -0.0,
@@ -276,31 +277,69 @@ fn cardinality_agrees_with_value_counts() {
         999_999_999_999_999.0,
         1.234_567_890_123_456_8e17,
     ];
-    check::cases(96, |rng| {
-        let mut floats = float_cells(rng);
-        for cell in floats.iter_mut() {
-            if rng.gen_range(0.0..1.0) < 0.3 {
-                *cell = Some(PLANTED[rng.gen_range(0..PLANTED.len())]);
-            }
+    let mut floats = float_cells(rng);
+    for cell in floats.iter_mut() {
+        if rng.gen_range(0.0..1.0) < 0.3 {
+            *cell = Some(PLANTED[rng.gen_range(0..PLANTED.len())]);
         }
-        let n = floats.len();
-        let ints = (0..n)
-            .map(|_| (rng.gen_range(0.0..1.0) < 0.8).then(|| rng.gen_range(-5..5i64)))
-            .collect();
-        let bools = (0..n)
-            .map(|_| (rng.gen_range(0.0..1.0) < 0.8).then(|| rng.gen_range(0.0..1.0) < 0.5))
-            .collect();
-        let columns = [
-            Column::from_floats("f", floats),
-            Column::from_ints("i", ints),
-            Column::from_bools("b", bools),
-            Column::from_strs("s", string_cells(rng)),
-            Column::from_floats("null", vec![None; n]),
-        ];
-        for col in &columns {
-            let rows = check::vec_with(rng, 0..2 * col.len(), |rng| rng.gen_range(0..col.len()));
-            for c in [col.clone(), col.take(&rows)] {
-                assert_eq!(c.cardinality(), c.value_counts().len(), "{c:?}");
+    }
+    let n = floats.len();
+    let ints = (0..n)
+        .map(|_| (rng.gen_range(0.0..1.0) < 0.8).then(|| rng.gen_range(-5..5i64)))
+        .collect();
+    let bools = (0..n)
+        .map(|_| (rng.gen_range(0.0..1.0) < 0.8).then(|| rng.gen_range(0.0..1.0) < 0.5))
+        .collect();
+    let columns = [
+        Column::from_floats("f", floats),
+        Column::from_ints("i", ints),
+        Column::from_bools("b", bools),
+        Column::from_strs("s", string_cells(rng)),
+        Column::from_floats("null", vec![None; n]),
+    ];
+    let mut out = Vec::with_capacity(2 * columns.len());
+    for col in columns {
+        let rows = check::vec_with(rng, 0..2 * col.len(), |rng| rng.gen_range(0..col.len()));
+        let taken = col.take(&rows);
+        out.push(col);
+        out.push(taken);
+    }
+    out
+}
+
+#[test]
+fn cardinality_agrees_with_value_counts() {
+    check::cases(96, |rng| {
+        for c in mixed_dtype_columns(rng) {
+            assert_eq!(c.cardinality(), c.value_counts().len(), "{c:?}");
+        }
+    });
+}
+
+#[test]
+fn key_codes_agree_with_rendered_keys() {
+    check::cases(96, |rng| {
+        for c in mixed_dtype_columns(rng) {
+            let codes = c.key_codes();
+            let keys = c.to_keys();
+            assert_eq!(codes.len(), keys.len(), "{c:?}");
+            assert_eq!(
+                codes.iter().collect::<Vec<_>>(),
+                (0..c.len()).map(|i| codes.get(i)).collect::<Vec<_>>()
+            );
+            for (i, key) in keys.iter().enumerate() {
+                let code = codes.get(i);
+                assert_eq!(
+                    code.is_some(),
+                    key.is_some(),
+                    "null mismatch at row {i} of {c:?}"
+                );
+                assert!(code.is_none_or(|k| (k as usize) < codes.n_codes()), "{c:?}");
+                for (j, other) in keys.iter().enumerate() {
+                    if let (Some(a), Some(b)) = (key, other) {
+                        assert_eq!(code == codes.get(j), a == b, "rows {i}, {j} of {c:?}");
+                    }
+                }
             }
         }
     });
