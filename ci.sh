@@ -6,8 +6,8 @@
 # dependencies).
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
-# Steps: build test crates fmt clippy doc sfcheck sarif fix strategy
-#        artifacts perf
+# Steps: build test crates fmt clippy doc sfcheck sarif fix artifacts
+#        perf
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -100,16 +100,6 @@ step_fix() {
   fi
 }
 
-step_strategy() {
-  echo "==> strategy + cascade determinism: differential oracles + 1/4/8 thread matrices"
-  # strategy_oracle and cascade run their 1/4/8-thread matrices in
-  # process, serially and concurrently; strategy_trace pins the blessed
-  # per-strategy trace goldens and prop_search the search invariants
-  # (width/population/turn/FM budget).
-  cargo test -q --offline \
-    --test strategy_oracle --test strategy_trace --test prop_search --test cascade
-}
-
 step_artifacts() {
   echo "==> observability artifacts: cascade CLI run (metrics + trace JSON)"
   mkdir -p ci-artifacts
@@ -141,7 +131,7 @@ step_perf() {
   cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 }
 
-ALL_STEPS=(build test crates fmt clippy doc sfcheck sarif fix strategy artifacts perf)
+ALL_STEPS=(build test crates fmt clippy doc sfcheck sarif fix artifacts perf)
 
 main() {
   local steps=("$@") s

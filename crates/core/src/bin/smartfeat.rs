@@ -45,9 +45,6 @@ options:
                         cascade (babbage-002 -> gpt-3.5-turbo -> gpt-4),
                         escalating on parse failure or hedged output;
                         mutually exclusive with --backend
-  --threads N           worker threads for parallel compute stages
-                        (default 0 = auto: SMARTFEAT_THREADS, else the
-                        core count; output is identical for every value)
   --no-drop             disable the original-feature drop heuristic
   --fm-removal          enable the FM feature-removal extension
   --transcript          print the full FM dialogue afterwards
@@ -55,6 +52,11 @@ options:
   --metrics-out PATH    write the end-of-run JSON metrics report here
                         (timestamps use a deterministic logical clock;
                         set SMARTFEAT_OBS_WALLCLOCK=1 for wall time)
+
+environment:
+  SMARTFEAT_THREADS=N   worker threads for parallel compute stages
+                        (default: the core count; output is identical
+                        for every value)
 ";
 
 struct Args {
@@ -65,7 +67,6 @@ struct Args {
     model: String,
     seed: u64,
     budget: usize,
-    threads: usize,
     search: SearchConfig,
     backend: Option<BackendKind>,
     cascade: bool,
@@ -84,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
     let mut model = "RF".to_string();
     let mut seed = 42u64;
     let mut budget = 10usize;
-    let mut threads = 0usize;
     let mut search = SearchConfig::default();
     let mut backend = None;
     let mut cascade = false;
@@ -123,11 +123,6 @@ fn parse_args() -> Result<Args, String> {
                 budget = value("--budget")?
                     .parse()
                     .map_err(|e| format!("bad --budget: {e}"))?;
-            }
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
             }
             "--strategy" => {
                 let name = value("--strategy")?;
@@ -196,7 +191,6 @@ fn parse_args() -> Result<Args, String> {
         model,
         seed,
         budget,
-        threads,
         search,
         backend,
         cascade,
@@ -258,7 +252,6 @@ fn main() {
         },
         drop_heuristic: args.drop_heuristic,
         fm_feature_removal: args.fm_removal,
-        threads: args.threads,
         observability: smartfeat::config::ObservabilityConfig {
             enabled: false,
             trace_out: args.trace_out.clone(),

@@ -193,8 +193,8 @@ impl ObservabilityConfig {
     }
 }
 
-/// Which `search::SearchStrategy` drives the
-/// propose→realize→evaluate→prune loop.
+/// Which search strategy drives the propose→realize→evaluate→prune
+/// loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchStrategyKind {
     /// The paper's single-pass proposal/sampling walk (the default).
@@ -439,12 +439,6 @@ pub struct SmartFeatConfig {
     /// EXTENSION (paper §5 future work): after generation, ask the FM
     /// which features are unlikely to help and remove them.
     pub fm_feature_removal: bool,
-    /// Worker threads for the parallel compute stages (candidate
-    /// transforms, duplicate scans): 0 = auto-detect, 1 = exact serial
-    /// path. At 0 the run takes the enclosing run context's count, else
-    /// the `SMARTFEAT_THREADS` environment variable, else the core count.
-    /// Output is bit-identical for every value.
-    pub threads: usize,
     /// Structured-telemetry settings (off by default; see
     /// [`ObservabilityConfig`]).
     pub observability: ObservabilityConfig,
@@ -476,7 +470,6 @@ impl Default for SmartFeatConfig {
             max_null_fraction: 0.5,
             retry_malformed: 1,
             fm_feature_removal: false,
-            threads: 0,
             observability: ObservabilityConfig::default(),
             search: SearchConfig::default(),
             backend: None,
@@ -548,7 +541,6 @@ impl SmartFeatConfig {
             ("max_null_fraction", self.max_null_fraction.into()),
             ("retry_malformed", self.retry_malformed.into()),
             ("fm_feature_removal", self.fm_feature_removal.into()),
-            ("threads", self.threads.into()),
             ("observability", self.observability.to_json()),
             ("search", self.search.to_json()),
             (
@@ -586,18 +578,8 @@ impl SmartFeatConfig {
             max_null_fraction: get_f64(v, "max_null_fraction")?,
             retry_malformed: get_usize(v, "retry_malformed")?,
             fm_feature_removal: get_bool(v, "fm_feature_removal")?,
-            // Absent in configs serialized before the parallel subsystem
-            // existed — default to auto rather than rejecting them.
-            threads: v
-                .get("threads")
-                .map(|t| {
-                    t.as_usize()
-                        .ok_or_else(|| JsonError::decode("non-integer field: threads"))
-                })
-                .transpose()?
-                .unwrap_or(0),
             // Absent in configs serialized before the observability layer
-            // existed — default to off, matching the `threads` precedent.
+            // existed — default to off rather than rejecting them.
             observability: v
                 .get("observability")
                 .map(ObservabilityConfig::from_json)
@@ -718,6 +700,11 @@ mod tests {
             d
         );
         assert_eq!(d.to_json_string(), d.to_json_string());
+        // A legacy `threads` key is ignored like any unknown key: the
+        // thread count belongs to the run context.
+        assert!(!d.to_json_string().contains("\"threads\""));
+        let legacy = d.to_json_string().replacen('{', "{\"threads\":4,", 1);
+        assert_eq!(SmartFeatConfig::from_json_string(&legacy).unwrap(), d);
     }
 
     #[test]
@@ -728,25 +715,6 @@ mod tests {
             m.remove("operators");
         }
         assert!(SmartFeatConfig::from_json(&v).is_err());
-    }
-
-    #[test]
-    fn config_without_threads_field_defaults_to_auto() {
-        let mut v = SmartFeatConfig {
-            threads: 4,
-            ..SmartFeatConfig::default()
-        }
-        .to_json();
-        if let JsonValue::Object(m) = &mut v {
-            m.remove("threads");
-        }
-        let back = SmartFeatConfig::from_json(&v).unwrap();
-        assert_eq!(back.threads, 0);
-        assert_eq!(
-            back,
-            SmartFeatConfig::default(),
-            "pre-parallelism configs parse to the auto thread count"
-        );
     }
 
     #[test]

@@ -10,24 +10,15 @@ use crate::report::SkipReason;
 
 /// Check one freshly-generated column against the frame it would join.
 /// Returns the reason to skip it, or `None` if it passes.
+///
+/// The duplicate scan compares the candidate against every existing
+/// column at the run context's thread count; columns are independent, so
+/// the pool splits them and the **lowest-index** match is reported — the
+/// same verdict the serial left-to-right scan returns.
 pub fn check_new_column(
     col: &Column,
     df: &DataFrame,
     max_null_fraction: f64,
-) -> Option<SkipReason> {
-    check_new_column_threaded(col, df, max_null_fraction, 1)
-}
-
-/// [`check_new_column`] with an explicit thread count for the duplicate
-/// scan (0 = auto, 1 = exact serial path). The scan compares the candidate
-/// against every existing column; columns are independent, so the pool
-/// splits them and the **lowest-index** match is reported — the same
-/// verdict the serial left-to-right scan returns.
-pub fn check_new_column_threaded(
-    col: &Column,
-    df: &DataFrame,
-    max_null_fraction: f64,
-    threads: usize,
 ) -> Option<SkipReason> {
     let null_fraction = col.null_fraction();
     if null_fraction > max_null_fraction {
@@ -46,8 +37,7 @@ pub fn check_new_column_threaded(
     // once here; existing columns are read in place through their views.
     let existing = df.columns();
     let numeric = col.is_numeric().then(|| col.to_f64());
-    let threads = smartfeat_par::resolve_threads(threads);
-    smartfeat_par::par_map_indexed(threads, existing.len(), |i| {
+    smartfeat_par::par_map_indexed(smartfeat_par::resolve_threads(0), existing.len(), |i| {
         duplicate_of(col, numeric.as_deref(), &existing[i])
     })
     .into_iter()
@@ -276,7 +266,7 @@ mod tests {
         let c = Column::from_i64("copy", vec![1, 2, 3, 4]);
         for threads in [1usize, 2, 4, 8] {
             assert!(matches!(
-                check_new_column_threaded(&c, &df, 0.5, threads),
+                smartfeat_par::within(threads, || check_new_column(&c, &df, 0.5)),
                 Some(SkipReason::Duplicate(n)) if n == "first"
             ));
         }
@@ -288,7 +278,7 @@ mod tests {
         let expected = oracle::check(col, df, 0.5);
         for threads in [1usize, 2, 4] {
             assert_eq!(
-                check_new_column_threaded(col, df, 0.5, threads),
+                smartfeat_par::within(threads, || check_new_column(col, df, 0.5)),
                 expected,
                 "candidate {col:?} at {threads} threads against {df:?}"
             );

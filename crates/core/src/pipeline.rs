@@ -15,7 +15,7 @@ use smartfeat_obs::Recorder;
 
 use crate::config::SmartFeatConfig;
 use crate::error::{CoreError, Result};
-use crate::evaluate::check_new_column_threaded;
+use crate::evaluate::check_new_column;
 use crate::generator::{FunctionGenerator, Generated};
 use crate::operators::Candidate;
 use crate::report::{GeneratedFeature, SkipReason, SkippedFeature, SmartFeatReport};
@@ -74,7 +74,7 @@ enum Staged {
 }
 
 /// Internal mutable state of one run, threaded through the active
-/// [`crate::search::SearchStrategy`].
+/// search strategy ([`crate::search::search`]).
 pub(crate) struct RunState {
     pub(crate) frame: DataFrame,
     pub(crate) agenda: DataAgenda,
@@ -171,7 +171,7 @@ impl<'a> SmartFeat<'a> {
     pub fn run(&self, df: &DataFrame, agenda: &DataAgenda) -> Result<SmartFeatReport> {
         self.config.validate()?;
         check_target(df, &agenda.target)?;
-        let threads = smartfeat_par::resolve_threads(self.config.threads);
+        let threads = smartfeat_par::resolve_threads(0);
         smartfeat_par::within(threads, || self.run_in_context(df, agenda))
     }
 
@@ -201,7 +201,7 @@ impl<'a> SmartFeat<'a> {
         let selector = OperatorSelector::new(self.selector_fm, &self.config, rec.clone());
         let generator = FunctionGenerator::new(self.generator_fm, &self.config, rec.clone());
 
-        let strategy = crate::search::strategy_for(self.config.search.strategy);
+        let strategy = self.config.search.strategy;
         {
             let _span = rec.span(&format!("stage.search.{}", strategy.name()));
             let mut ctx = crate::search::SearchCtx {
@@ -211,7 +211,7 @@ impl<'a> SmartFeat<'a> {
                 state: &mut state,
                 selector_calls_start: selector_before.calls,
             };
-            strategy.search(&mut ctx)?;
+            crate::search::search(strategy, &mut ctx)?;
         }
 
         let dropped_originals = if self.config.drop_heuristic {
@@ -388,8 +388,6 @@ impl<'a> SmartFeat<'a> {
         state: &mut RunState,
         cands: &[Candidate],
     ) -> Result<Vec<Vec<String>>> {
-        let threads = smartfeat_par::resolve_threads(self.config.threads);
-
         // Stage 1: serial FM walk.
         let fm_walk_span = state.rec.span("realize.fm_walk");
         let mut staged: Vec<Staged> = Vec::with_capacity(cands.len());
@@ -451,6 +449,7 @@ impl<'a> SmartFeat<'a> {
         let transforms_span = state.rec.span("realize.transforms");
         let frame = &state.frame;
         let max_distinct = self.config.row_completion_max_distinct;
+        let threads = smartfeat_par::resolve_threads(0);
         let applied = smartfeat_par::par_map_indexed(threads, pure.len(), |j| {
             let (i, func) = &pure[j];
             transform::apply(func, frame, &cands[*i].name, None, max_distinct)
@@ -489,12 +488,8 @@ impl<'a> SmartFeat<'a> {
             for col in columns {
                 if self.config.feature_filter {
                     let eval_span = state.rec.span("stage.evaluate");
-                    let verdict = check_new_column_threaded(
-                        &col,
-                        &state.frame,
-                        self.config.max_null_fraction,
-                        threads,
-                    );
+                    let verdict =
+                        check_new_column(&col, &state.frame, self.config.max_null_fraction);
                     drop(eval_span);
                     if let Some(reason) = verdict {
                         state.rec.event(

@@ -12,103 +12,94 @@
 use crate::error::Result;
 use crate::selector::Sample;
 
-use super::{one_shot, SearchCtx, SearchStrategy};
+use super::{one_shot, SearchCtx};
 
 /// Score-guided beam over the sampled operator families.
-pub(crate) struct Beam;
-
-impl SearchStrategy for Beam {
-    fn name(&self) -> &'static str {
-        "beam"
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
+    if ctx.sf.config.operators.unary {
+        let _span = ctx.state.rec.span("phase.unary");
+        one_shot::unary_phase(ctx)?;
     }
-
-    fn search(&self, ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
-        if ctx.sf.config.operators.unary {
-            let _span = ctx.state.rec.span("phase.unary");
-            one_shot::unary_phase(ctx)?;
-        }
-        let width = ctx.sf.config.search.beam_width;
-        let families = ctx.sampled_families();
-        if families.is_empty() {
-            return Ok(());
-        }
-        let mut errors = 0usize;
-        for round in 0..ctx.sf.config.search.beam_depth {
-            let round_span = ctx.state.rec.span("search.beam.round");
-            // Pool: up to `width` samples per family, realized one by one
-            // so each prompt sees the agenda as enriched so far.
-            let mut kept_this_round: Vec<String> = Vec::new();
-            let mut pooled = 0usize;
-            for &family in &families {
-                for _ in 0..width {
-                    if errors >= ctx.sf.config.error_threshold || !ctx.can_spend(ctx.sample_cost())
-                    {
-                        break;
+    let width = ctx.sf.config.search.beam_width;
+    let families = ctx.sampled_families();
+    if families.is_empty() {
+        return Ok(());
+    }
+    let mut errors = 0usize;
+    for round in 0..ctx.sf.config.search.beam_depth {
+        let round_span = ctx.state.rec.span("search.beam.round");
+        // Pool: up to `width` samples per family, realized one by one
+        // so each prompt sees the agenda as enriched so far.
+        let mut kept_this_round: Vec<String> = Vec::new();
+        let mut pooled = 0usize;
+        for &family in &families {
+            for _ in 0..width {
+                if errors >= ctx.sf.config.error_threshold || !ctx.can_spend(ctx.sample_cost()) {
+                    break;
+                }
+                pooled += 1;
+                match ctx.draw_sample(family)? {
+                    Sample::Exhausted => break,
+                    Sample::Invalid(_) => {
+                        errors += 1;
+                        ctx.state.skipped.push(crate::report::SkippedFeature {
+                            name: format!("<{} sample>", family.name()),
+                            family,
+                            reason: crate::report::SkipReason::InvalidSample,
+                        });
                     }
-                    pooled += 1;
-                    match ctx.draw_sample(family)? {
-                        Sample::Exhausted => break,
-                        Sample::Invalid(_) => {
+                    Sample::Candidate(cand) => {
+                        if !ctx.state.seen_keys.insert(cand.dedup_key()) {
                             errors += 1;
                             ctx.state.skipped.push(crate::report::SkippedFeature {
-                                name: format!("<{} sample>", family.name()),
+                                name: cand.name.clone(),
                                 family,
-                                reason: crate::report::SkipReason::InvalidSample,
+                                reason: crate::report::SkipReason::RepeatedSample,
                             });
+                            continue;
                         }
-                        Sample::Candidate(cand) => {
-                            if !ctx.state.seen_keys.insert(cand.dedup_key()) {
-                                errors += 1;
-                                ctx.state.skipped.push(crate::report::SkippedFeature {
-                                    name: cand.name.clone(),
-                                    family,
-                                    reason: crate::report::SkipReason::RepeatedSample,
-                                });
-                                continue;
+                        let kept = ctx.sf.realize_batch_kept(
+                            ctx.generator,
+                            ctx.state,
+                            std::slice::from_ref(&cand),
+                        )?;
+                        if !kept[0].is_empty() {
+                            for col in &cand.columns {
+                                ctx.state.referenced.insert(col.clone());
                             }
-                            let kept = ctx.sf.realize_batch_kept(
-                                ctx.generator,
-                                ctx.state,
-                                std::slice::from_ref(&cand),
-                            )?;
-                            if !kept[0].is_empty() {
-                                for col in &cand.columns {
-                                    ctx.state.referenced.insert(col.clone());
-                                }
-                                kept_this_round.extend(kept[0].iter().cloned());
-                            }
+                            kept_this_round.extend(kept[0].iter().cloned());
                         }
                     }
                 }
             }
-            // Score and prune: keep the round's top `width` columns by CV
-            // AUC, ties broken by name so the ranking is total.
-            let mut scored: Vec<(String, f64)> = kept_this_round
-                .iter()
-                .map(|name| (name.clone(), ctx.feature_score(name)))
-                .collect();
-            scored.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            for (name, _) in scored.iter().skip(width) {
-                ctx.prune_feature(name);
-            }
-            let survivors = scored.len().min(width);
-            drop(round_span);
-            ctx.state.rec.event(
-                "search.beam.round",
-                &[
-                    ("round", (round as u64).into()),
-                    ("pooled", (pooled as u64).into()),
-                    ("kept", (survivors as u64).into()),
-                ],
-            );
-            if errors >= ctx.sf.config.error_threshold || !ctx.can_spend(ctx.sample_cost()) {
-                break;
-            }
         }
-        Ok(())
+        // Score and prune: keep the round's top `width` columns by CV
+        // AUC, ties broken by name so the ranking is total.
+        let mut scored: Vec<(String, f64)> = kept_this_round
+            .iter()
+            .map(|name| (name.clone(), ctx.feature_score(name)))
+            .collect();
+        scored.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        for (name, _) in scored.iter().skip(width) {
+            ctx.prune_feature(name);
+        }
+        let survivors = scored.len().min(width);
+        drop(round_span);
+        ctx.state.rec.event(
+            "search.beam.round",
+            &[
+                ("round", (round as u64).into()),
+                ("pooled", (pooled as u64).into()),
+                ("kept", (survivors as u64).into()),
+            ],
+        );
+        if errors >= ctx.sf.config.error_threshold || !ctx.can_spend(ctx.sample_cost()) {
+            break;
+        }
     }
+    Ok(())
 }

@@ -2,17 +2,18 @@
 //! loop.
 //!
 //! The paper explores the operator space with a single pass (unary
-//! proposals, then one sampling walk per family). This module extracts
-//! that loop behind the `SearchStrategy` trait and adds three
-//! score-guided alternatives:
+//! proposals, then one sampling walk per family). This module runs that
+//! loop as one of four strategies, picked by a `match` on
+//! [`SearchStrategyKind`] in `search`; three of them are score-guided
+//! alternatives:
 //!
-//! - `one_shot::OneShot` — the paper's walk, bit-for-bit;
-//! - `beam::Beam` — pooled sampling rounds pruned to the top
-//!   `beam_width` columns by single-feature CV AUC;
-//! - `evolution::Evolutionary` — an LLM-FE-style population loop that
-//!   mutates and crosses over survivors through FM prompts;
-//! - `react::React` — an observe-think-act agent that feeds evaluation
-//!   results back to the FM and lets it pick the next move.
+//! - `one_shot` — the paper's walk, bit-for-bit;
+//! - `beam` — pooled sampling rounds pruned to the top `beam_width`
+//!   columns by single-feature CV AUC;
+//! - `evolution` — an LLM-FE-style population loop that mutates and
+//!   crosses over survivors through FM prompts;
+//! - `react` — an observe-think-act agent that feeds evaluation results
+//!   back to the FM and lets it pick the next move.
 //!
 //! # Determinism contract
 //!
@@ -40,28 +41,21 @@ pub(crate) mod one_shot;
 pub(crate) mod react;
 
 use crate::config::{OperatorFamily, SearchStrategyKind};
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::generator::FunctionGenerator;
 use crate::pipeline::{RunState, SmartFeat};
 use crate::report::{SkipReason, SkippedFeature};
 use crate::selector::{OperatorSelector, Sample};
 
-/// One search strategy: owns the explore loop between the pipeline's
-/// setup and its drop-heuristic / removal epilogue.
-pub(crate) trait SearchStrategy {
-    /// Stable identifier; also the `stage.search.<name>` span suffix.
-    fn name(&self) -> &'static str;
-    /// Run the search, mutating `ctx.state` (frame, agenda, report rows).
-    fn search(&self, ctx: &mut SearchCtx<'_, '_>) -> Result<()>;
-}
-
-/// Resolve the configured strategy to its implementation.
-pub(crate) fn strategy_for(kind: SearchStrategyKind) -> Box<dyn SearchStrategy> {
+/// Run the configured strategy's explore loop, the part of a run between
+/// the pipeline's setup and its drop-heuristic / removal epilogue. Each
+/// strategy mutates `ctx.state` (frame, agenda, report rows).
+pub(crate) fn search(kind: SearchStrategyKind, ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
     match kind {
-        SearchStrategyKind::OneShot => Box::new(one_shot::OneShot),
-        SearchStrategyKind::Beam => Box::new(beam::Beam),
-        SearchStrategyKind::Evolutionary => Box::new(evolution::Evolutionary),
-        SearchStrategyKind::React => Box::new(react::React),
+        SearchStrategyKind::OneShot => one_shot::search(ctx),
+        SearchStrategyKind::Beam => beam::search(ctx),
+        SearchStrategyKind::Evolutionary => evolution::search(ctx),
+        SearchStrategyKind::React => react::search(ctx),
     }
 }
 
@@ -113,8 +107,12 @@ impl SearchCtx<'_, '_> {
                 OperatorFamily::Binary => self.selector.sample_binary(&self.state.agenda)?,
                 OperatorFamily::HighOrder => self.selector.sample_highorder(&self.state.agenda)?,
                 OperatorFamily::Extractor => self.selector.sample_extractor(&self.state.agenda)?,
-                // sfcheck:allow(panic-hygiene, panic-reachability) invariant: strategies route Unary to propose_unary
-                OperatorFamily::Unary => unreachable!("unary uses the proposal strategy"),
+                // Strategies route Unary to `one_shot::unary_phase`.
+                OperatorFamily::Unary => {
+                    return Err(CoreError::InvalidConfig(
+                        "unary features come from proposals, not sampling".into(),
+                    ))
+                }
             };
             if !matches!(sample, Sample::Invalid(_)) {
                 break;
@@ -140,15 +138,7 @@ impl SearchCtx<'_, '_> {
             return 0.0;
         };
         let seed = smartfeat_rng::seed_jump(self.sf.config.seed, smartfeat_rng::Stream::Score);
-        smartfeat_ml::kfold_cv_auc_threaded(
-            smartfeat_ml::ModelKind::LR,
-            &x,
-            &labels,
-            3,
-            seed,
-            self.sf.config.threads,
-        )
-        .unwrap_or(0.0)
+        smartfeat_ml::kfold_cv_auc(smartfeat_ml::ModelKind::LR, &x, &labels, 3, seed).unwrap_or(0.0)
     }
 
     /// Best [`SearchCtx::feature_score`] across a candidate's kept

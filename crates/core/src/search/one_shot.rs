@@ -1,8 +1,9 @@
 //! The paper's single-pass walk (Section 3.2), unchanged: unary
 //! proposals per original attribute, then one sampling loop per enabled
 //! family. With `fm_call_budget = 0` (the default) this emits exactly
-//! the FM calls, events, and report rows of the pre-trait pipeline —
-//! `tests/strategy_oracle.rs` holds the byte-level proof.
+//! the FM calls, events, and report rows of the pipeline before search
+//! strategies became pluggable — `tests/strategy_oracle.rs` holds the
+//! byte-level proof.
 
 use crate::config::OperatorFamily;
 use crate::error::Result;
@@ -10,35 +11,27 @@ use crate::operators::Candidate;
 use crate::report::{SkipReason, SkippedFeature};
 use crate::selector::Sample;
 
-use super::{SearchCtx, SearchStrategy};
+use super::SearchCtx;
 
 /// The default strategy: one proposal pass, one sampling pass per family.
-pub(crate) struct OneShot;
-
-impl SearchStrategy for OneShot {
-    fn name(&self) -> &'static str {
-        "one_shot"
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
+    if ctx.sf.config.operators.unary {
+        let _span = ctx.state.rec.span("phase.unary");
+        unary_phase(ctx)?;
     }
-
-    fn search(&self, ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
-        if ctx.sf.config.operators.unary {
-            let _span = ctx.state.rec.span("phase.unary");
-            unary_phase(ctx)?;
-        }
-        if ctx.sf.config.operators.binary {
-            let _span = ctx.state.rec.span("phase.binary");
-            sampling_phase(ctx, OperatorFamily::Binary)?;
-        }
-        if ctx.sf.config.operators.high_order {
-            let _span = ctx.state.rec.span("phase.high_order");
-            sampling_phase(ctx, OperatorFamily::HighOrder)?;
-        }
-        if ctx.sf.config.operators.extractor {
-            let _span = ctx.state.rec.span("phase.extractor");
-            sampling_phase(ctx, OperatorFamily::Extractor)?;
-        }
-        Ok(())
+    if ctx.sf.config.operators.binary {
+        let _span = ctx.state.rec.span("phase.binary");
+        sampling_phase(ctx, OperatorFamily::Binary)?;
     }
+    if ctx.sf.config.operators.high_order {
+        let _span = ctx.state.rec.span("phase.high_order");
+        sampling_phase(ctx, OperatorFamily::HighOrder)?;
+    }
+    if ctx.sf.config.operators.extractor {
+        let _span = ctx.state.rec.span("phase.extractor");
+        sampling_phase(ctx, OperatorFamily::Extractor)?;
+    }
+    Ok(())
 }
 
 /// Unary exploration with the proposal strategy, one call per original

@@ -13,125 +13,117 @@ use crate::operators::Candidate;
 use crate::report::{SkipReason, SkippedFeature};
 use crate::selector::{ReactDecision, Sample};
 
-use super::{SearchCtx, SearchStrategy};
+use super::SearchCtx;
 
 /// Observe-think-act agent over the operator space.
-pub(crate) struct React;
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
+    let turns = ctx.sf.config.search.react_turns;
+    let mut failures = 0usize;
+    let mut last_action = "start".to_string();
+    let mut last_outcome = "n/a".to_string();
+    let mut last_score = "n/a".to_string();
+    // Attributes already proposed on this run, fruitful or not —
+    // `unary_transformed` only records fruitful ones, and retrying a
+    // fruitless attribute would burn every remaining turn on it.
+    let mut explored: BTreeSet<String> = BTreeSet::new();
+    for turn in 0..turns {
+        if failures >= ctx.sf.config.error_threshold {
+            break;
+        }
+        // Worst case per turn: one decision call plus one sampling
+        // step with retries.
+        if !ctx.can_spend(1 + ctx.sample_cost()) {
+            break;
+        }
+        let turn_span = ctx.state.rec.span("search.react.turn");
+        let observation = observe(
+            ctx,
+            &explored,
+            turn,
+            turns,
+            &last_action,
+            &last_outcome,
+            &last_score,
+            failures,
+        );
+        let select_span = ctx.state.rec.span("stage.select");
+        let decision = ctx.selector.decide(&ctx.state.agenda, &observation)?;
+        drop(select_span);
 
-impl SearchStrategy for React {
-    fn name(&self) -> &'static str {
-        "react"
-    }
-
-    fn search(&self, ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
-        let turns = ctx.sf.config.search.react_turns;
-        let mut failures = 0usize;
-        let mut last_action = "start".to_string();
-        let mut last_outcome = "n/a".to_string();
-        let mut last_score = "n/a".to_string();
-        // Attributes already proposed on this run, fruitful or not —
-        // `unary_transformed` only records fruitful ones, and retrying a
-        // fruitless attribute would burn every remaining turn on it.
-        let mut explored: BTreeSet<String> = BTreeSet::new();
-        for turn in 0..turns {
-            if failures >= ctx.sf.config.error_threshold {
+        let mut kept: Vec<String> = Vec::new();
+        let (action, outcome) = match decision {
+            ReactDecision::Stop => {
+                drop(turn_span);
+                ctx.state.rec.event(
+                    "search.react.turn",
+                    &[
+                        ("turn", (turn as u64).into()),
+                        ("action", "stop".into()),
+                        ("outcome", "stopped".into()),
+                    ],
+                );
                 break;
             }
-            // Worst case per turn: one decision call plus one sampling
-            // step with retries.
-            if !ctx.can_spend(1 + ctx.sample_cost()) {
-                break;
+            ReactDecision::Invalid => {
+                failures += 1;
+                ("invalid", "failed".to_string())
             }
-            let turn_span = ctx.state.rec.span("search.react.turn");
-            let observation = observe(
-                ctx,
-                &explored,
-                turn,
-                turns,
-                &last_action,
-                &last_outcome,
-                &last_score,
-                failures,
-            );
-            let select_span = ctx.state.rec.span("stage.select");
-            let decision = ctx.selector.decide(&ctx.state.agenda, &observation)?;
-            drop(select_span);
-
-            let mut kept: Vec<String> = Vec::new();
-            let (action, outcome) = match decision {
-                ReactDecision::Stop => {
-                    drop(turn_span);
-                    ctx.state.rec.event(
-                        "search.react.turn",
-                        &[
-                            ("turn", (turn as u64).into()),
-                            ("action", "stop".into()),
-                            ("outcome", "stopped".into()),
-                        ],
-                    );
-                    break;
-                }
-                ReactDecision::Invalid => {
-                    failures += 1;
-                    ("invalid", "failed".to_string())
-                }
-                ReactDecision::ProposeUnary(attr) => {
-                    let attr = attr
-                        .filter(|a| unexplored(ctx, &explored).contains(a))
-                        .or_else(|| unexplored(ctx, &explored).first().cloned());
-                    match attr {
-                        None => {
-                            failures += 1;
-                            ("propose_unary", "exhausted".to_string())
-                        }
-                        Some(attr) => {
-                            explored.insert(attr.clone());
-                            kept = propose_step(ctx, &attr)?;
-                            if kept.is_empty() {
-                                failures += 1;
-                                ("propose_unary", "nothing_kept".to_string())
-                            } else {
-                                failures = 0;
-                                ("propose_unary", format!("kept {}", kept.len()))
-                            }
-                        }
-                    }
-                }
-                ReactDecision::SampleFamily(family) => {
-                    if !family_enabled(ctx, family) {
+            ReactDecision::ProposeUnary(attr) => {
+                let attr = attr
+                    .filter(|a| unexplored(ctx, &explored).contains(a))
+                    .or_else(|| unexplored(ctx, &explored).first().cloned());
+                match attr {
+                    None => {
                         failures += 1;
-                        ("sample", "family_disabled".to_string())
-                    } else {
-                        let (outcome, k) = sample_step(ctx, family)?;
-                        kept = k;
+                        ("propose_unary", "exhausted".to_string())
+                    }
+                    Some(attr) => {
+                        explored.insert(attr.clone());
+                        kept = propose_step(ctx, &attr)?;
                         if kept.is_empty() {
                             failures += 1;
+                            ("propose_unary", "nothing_kept".to_string())
                         } else {
                             failures = 0;
+                            ("propose_unary", format!("kept {}", kept.len()))
                         }
-                        ("sample", outcome)
                     }
                 }
-            };
-            last_action = action.to_string();
-            last_outcome = outcome.clone();
-            last_score = if kept.is_empty() {
-                "n/a".to_string()
-            } else {
-                format!("{:.2}", ctx.best_feature_score(&kept))
-            };
-            drop(turn_span);
-            ctx.state.rec.event(
-                "search.react.turn",
-                &[
-                    ("turn", (turn as u64).into()),
-                    ("action", action.into()),
-                    ("outcome", outcome.as_str().into()),
-                ],
-            );
-        }
-        Ok(())
+            }
+            ReactDecision::SampleFamily(family) => {
+                if !family_enabled(ctx, family) {
+                    failures += 1;
+                    ("sample", "family_disabled".to_string())
+                } else {
+                    let (outcome, k) = sample_step(ctx, family)?;
+                    kept = k;
+                    if kept.is_empty() {
+                        failures += 1;
+                    } else {
+                        failures = 0;
+                    }
+                    ("sample", outcome)
+                }
+            }
+        };
+        last_action = action.to_string();
+        last_outcome = outcome.clone();
+        last_score = if kept.is_empty() {
+            "n/a".to_string()
+        } else {
+            format!("{:.2}", ctx.best_feature_score(&kept))
+        };
+        drop(turn_span);
+        ctx.state.rec.event(
+            "search.react.turn",
+            &[
+                ("turn", (turn as u64).into()),
+                ("action", action.into()),
+                ("outcome", outcome.as_str().into()),
+            ],
+        );
     }
+    Ok(())
 }
 
 /// Original attributes not yet unary-proposed this run, in agenda order.

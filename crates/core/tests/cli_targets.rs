@@ -4,8 +4,9 @@
 //! message naming the target, prints no run summary and writes no
 //! metrics report, so no FM call was billed. `--help`/`-h` print the
 //! option list and exit 0; a bad argument exits 2 and points at `--help`.
+//! A run's output does not depend on `SMARTFEAT_THREADS`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn temp(case: &str, name: &str) -> PathBuf {
@@ -98,4 +99,98 @@ fn unknown_argument_exits_two_and_points_at_help() {
     );
     assert!(stderr.contains("smartfeat --help"), "{stderr}");
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn removed_threads_flag_is_an_unknown_argument() {
+    let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
+        .args(["--threads", "4"])
+        .output()
+        .expect("spawn smartfeat");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument --threads"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+/// A small CSV with a binary target: numeric, categorical and boolean-ish
+/// columns, so several operator families have something to build on.
+fn sample_csv() -> String {
+    let mut text = String::from("age,income,city,visits,label\n");
+    for i in 0..60u32 {
+        let age = 20 + (i * 7) % 45;
+        let income = 18_000 + (i * 3_517) % 70_000;
+        let city = ["SF", "LA", "NY", "SEA"][(i % 4) as usize];
+        let visits = (i * 5) % 11;
+        let label = u8::from(age + visits * 3 > 45);
+        text.push_str(&format!("{age},{income},{city},{visits},{label}\n"));
+    }
+    text
+}
+
+/// Run the binary on `csv` at `threads` worker threads; returns stdout,
+/// the `--out` CSV bytes and the `--metrics-out` report bytes.
+fn run_at(csv: &Path, threads: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let (out_csv, metrics) = (temp("threads", "out.csv"), temp("threads", "metrics.json"));
+    let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
+        .env("SMARTFEAT_THREADS", threads)
+        .env_remove("SMARTFEAT_OBS_WALLCLOCK")
+        .arg("--csv")
+        .arg(csv)
+        .args([
+            "--target",
+            "label",
+            "--describe",
+            "age=age in years",
+            "--describe",
+            "income=yearly income in USD",
+            "--out",
+        ])
+        .arg(&out_csv)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .output()
+        .expect("spawn smartfeat");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{threads} threads: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read(&out_csv).expect("--out written");
+    let report = std::fs::read(&metrics).expect("--metrics-out written");
+    let _ = std::fs::remove_file(&out_csv);
+    let _ = std::fs::remove_file(&metrics);
+    (out.stdout, written, report)
+}
+
+#[test]
+fn output_is_byte_identical_across_smartfeat_threads() {
+    // SMARTFEAT_THREADS is the CLI's only thread setting, and it is read
+    // once per process, so each count needs its own process.
+    let csv = temp("threads", "input.csv");
+    std::fs::write(&csv, sample_csv()).expect("write csv");
+    let serial = run_at(&csv, "1");
+    let parallel = run_at(&csv, "4");
+    let _ = std::fs::remove_file(&csv);
+    let header = serial.1.split(|&b| b == b'\n').next().unwrap_or_default();
+    assert!(
+        header.len() > "age,income,city,visits,label".len(),
+        "the run generated no feature: {}",
+        String::from_utf8_lossy(&serial.0)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&serial.0),
+        String::from_utf8_lossy(&parallel.0),
+        "stdout"
+    );
+    assert!(
+        serial.1 == parallel.1,
+        "--out CSV differs between 1 and 4 threads"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&serial.2),
+        String::from_utf8_lossy(&parallel.2),
+        "--metrics-out report"
+    );
 }

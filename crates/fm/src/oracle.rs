@@ -218,11 +218,6 @@ impl SimulatedFm {
         )
     }
 
-    /// The shared meter handle.
-    pub fn meter_rc(&self) -> Rc<UsageMeter> {
-        Rc::clone(&self.meter)
-    }
-
     fn answer(&self, prompt: &str, rng: &mut Rng) -> String {
         let ctx = PromptContext::parse(prompt);
         let kind = prompt_kind(prompt);
@@ -293,12 +288,10 @@ impl FoundationModel for SimulatedFm {
         let cost_usd = self.spec.cost_usd(prompt_tokens, completion_tokens);
         let latency = self.spec.latency(prompt_tokens, completion_tokens);
         self.meter.record(CallRecord {
-            model: self.spec.name.to_string(),
             prompt_tokens,
             completion_tokens,
             cost_usd,
             latency,
-            kind: prompt_kind(prompt).to_string(),
         });
         Ok(FmResponse {
             text,

@@ -11,8 +11,6 @@ use std::time::Duration;
 /// One API call's accounting record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CallRecord {
-    /// Model that served the call.
-    pub model: String,
     /// Prompt tokens billed.
     pub prompt_tokens: usize,
     /// Completion tokens billed.
@@ -21,8 +19,6 @@ pub struct CallRecord {
     pub cost_usd: f64,
     /// Simulated latency.
     pub latency: Duration,
-    /// Short label of the request kind (e.g. `"unary_proposal"`).
-    pub kind: String,
 }
 
 /// Aggregate snapshot of a meter.
@@ -96,68 +92,31 @@ impl RouteStat {
 /// Routing stats keyed by backend name, in sorted (deterministic) order.
 pub type RoutingSnapshot = BTreeMap<String, RouteStat>;
 
-/// Accumulating usage meter with a bounded call log.
+/// Accumulating usage meter: exact aggregates over every recorded call.
 #[derive(Debug, Default)]
 pub struct UsageMeter {
-    inner: RefCell<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    snapshot: UsageSnapshot,
-    log: Vec<CallRecord>,
-    log_cap: Option<usize>,
+    snapshot: RefCell<UsageSnapshot>,
 }
 
 impl UsageMeter {
-    /// A meter with an unbounded call log.
+    /// A meter at zero.
     pub fn new() -> Self {
         UsageMeter::default()
     }
 
-    /// A meter that retains only the most recent `cap` call records
-    /// (aggregates are always exact).
-    pub fn with_log_cap(cap: usize) -> Self {
-        UsageMeter {
-            inner: RefCell::new(Inner {
-                log_cap: Some(cap),
-                ..Inner::default()
-            }),
-        }
-    }
-
     /// Record one call.
     pub fn record(&self, rec: CallRecord) {
-        let mut inner = self.inner.borrow_mut();
-        inner.snapshot.calls += 1;
-        inner.snapshot.prompt_tokens += rec.prompt_tokens;
-        inner.snapshot.completion_tokens += rec.completion_tokens;
-        inner.snapshot.cost_usd += rec.cost_usd;
-        inner.snapshot.latency += rec.latency;
-        inner.log.push(rec);
-        if let Some(cap) = inner.log_cap {
-            let overflow = inner.log.len().saturating_sub(cap);
-            if overflow > 0 {
-                inner.log.drain(..overflow);
-            }
-        }
+        let mut s = self.snapshot.borrow_mut();
+        s.calls += 1;
+        s.prompt_tokens += rec.prompt_tokens;
+        s.completion_tokens += rec.completion_tokens;
+        s.cost_usd += rec.cost_usd;
+        s.latency += rec.latency;
     }
 
     /// Current aggregate totals.
     pub fn snapshot(&self) -> UsageSnapshot {
-        self.inner.borrow().snapshot
-    }
-
-    /// Clone of the retained call log.
-    pub fn log(&self) -> Vec<CallRecord> {
-        self.inner.borrow().log.clone()
-    }
-
-    /// Reset everything to zero.
-    pub fn reset(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.snapshot = UsageSnapshot::default();
-        inner.log.clear();
+        *self.snapshot.borrow()
     }
 }
 
@@ -167,12 +126,10 @@ mod tests {
 
     fn rec(tokens: usize) -> CallRecord {
         CallRecord {
-            model: "gpt-4".into(),
             prompt_tokens: tokens,
             completion_tokens: tokens / 2,
             cost_usd: 0.01,
             latency: Duration::from_millis(100),
-            kind: "test".into(),
         }
     }
 
@@ -188,28 +145,5 @@ mod tests {
         assert_eq!(s.total_tokens(), 450);
         assert!((s.cost_usd - 0.02).abs() < 1e-12);
         assert_eq!(s.latency, Duration::from_millis(200));
-    }
-
-    #[test]
-    fn log_cap_keeps_recent() {
-        let m = UsageMeter::with_log_cap(2);
-        m.record(rec(1));
-        m.record(rec(2));
-        m.record(rec(3));
-        let log = m.log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].prompt_tokens, 2);
-        assert_eq!(log[1].prompt_tokens, 3);
-        // Aggregates unaffected by the cap.
-        assert_eq!(m.snapshot().calls, 3);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let m = UsageMeter::new();
-        m.record(rec(10));
-        m.reset();
-        assert_eq!(m.snapshot(), UsageSnapshot::default());
-        assert!(m.log().is_empty());
     }
 }

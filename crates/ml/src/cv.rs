@@ -48,6 +48,11 @@ impl ModelScores {
 /// A model that fails to train (e.g. poisoned features from an unsafe
 /// baseline transformation) scores 50.0 — the AUC of random guessing —
 /// mirroring how the paper counts CAAFE's Diabetes failure.
+///
+/// Model kinds run on the pool at the run context's thread count. Scores
+/// are bit-identical for any count: each model kind is an independently
+/// seeded task and results are collected in `models` order by the
+/// ordered `par_map`.
 pub fn evaluate_models(
     models: &[ModelKind],
     x_train: &Matrix,
@@ -56,24 +61,8 @@ pub fn evaluate_models(
     y_test: &[u8],
     seed: u64,
 ) -> Result<ModelScores> {
-    evaluate_models_threaded(models, x_train, y_train, x_test, y_test, seed, 0)
-}
-
-/// [`evaluate_models`] with an explicit thread count (0 = auto, 1 = exact
-/// serial path). Scores are bit-identical for any value: each model kind
-/// is an independently seeded task and results are collected in `models`
-/// order by the ordered `par_map`.
-pub fn evaluate_models_threaded(
-    models: &[ModelKind],
-    x_train: &Matrix,
-    y_train: &[u8],
-    x_test: &Matrix,
-    y_test: &[u8],
-    seed: u64,
-    threads: usize,
-) -> Result<ModelScores> {
     let standardized = Standardizer::fit_transform(x_train, x_test).ok();
-    let threads = smartfeat_par::resolve_threads(threads);
+    let threads = smartfeat_par::resolve_threads(0);
     let scores = smartfeat_par::par_map_indexed(threads, models.len(), |i| {
         let kind = models[i];
         let (tr, te): (&Matrix, &Matrix) = if kind.wants_standardized_input() {
@@ -129,25 +118,15 @@ pub fn evaluate_all_models(
 }
 
 /// K-fold cross-validated AUC (× 100) for a single model kind.
+///
+/// Folds run on the pool at the run context's thread count. They are
+/// independent — each derives its own seed from `seed + fold_id` — and
+/// fold AUCs are averaged in fold order, so the result is bit-identical
+/// for any thread count.
 pub fn kfold_cv_auc(kind: ModelKind, x: &Matrix, y: &[u8], k: usize, seed: u64) -> Result<f64> {
-    kfold_cv_auc_threaded(kind, x, y, k, seed, 0)
-}
-
-/// [`kfold_cv_auc`] with an explicit thread count (0 = auto, 1 = exact
-/// serial path). Folds are independent — each derives its own seed from
-/// `seed + fold_id` — and fold AUCs are averaged in fold order, so the
-/// result is bit-identical for any thread count.
-pub fn kfold_cv_auc_threaded(
-    kind: ModelKind,
-    x: &Matrix,
-    y: &[u8],
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<f64> {
     let folds = smartfeat_frame::sample::kfold_indices(x.rows(), k, seed)
         .map_err(|e| crate::error::MlError::InvalidParameter(e.to_string()))?;
-    let threads = smartfeat_par::resolve_threads(threads);
+    let threads = smartfeat_par::resolve_threads(0);
     let aucs = smartfeat_par::try_par_map_indexed(threads, folds.len(), |fold_id| {
         smartfeat_obs::global::time("ml.cv.fold", || {
             let (train_idx, valid_idx) = &folds[fold_id];
@@ -155,17 +134,16 @@ pub fn kfold_cv_auc_threaded(
             let x_valid = x.take_rows(valid_idx);
             let y_train: Vec<u8> = train_idx.iter().map(|&i| y[i]).collect();
             let y_valid: Vec<u8> = valid_idx.iter().map(|&i| y[i]).collect();
-            // The fold's model evaluation stays serial: parallelism is at
-            // the fold level here, and nested pools would only
-            // oversubscribe.
-            evaluate_models_threaded(
+            // A one-model batch runs serially on this fold's worker. The
+            // model itself may open a pool: RF and ET fit their trees at
+            // the run context's count, nested inside the fold pool.
+            evaluate_models(
                 &[kind],
                 &x_train,
                 &y_train,
                 &x_valid,
                 &y_valid,
                 seed.wrapping_add(fold_id as u64),
-                1,
             )
             .map(|s| s.scores[0].1)
         })
@@ -254,7 +232,7 @@ mod tests {
         let x = Matrix::from_rows(rows).unwrap();
         let y: Vec<u8> = (0..n).map(|i| u8::from(i >= n / 2)).collect();
         let models = [ModelKind::LR, ModelKind::RF, ModelKind::ET, ModelKind::DNN];
-        let s = evaluate_models_threaded(&models, &x, &y, &x, &y, 9, 4).unwrap();
+        let s = smartfeat_par::within(4, || evaluate_models(&models, &x, &y, &x, &y, 9)).unwrap();
         assert_eq!(
             s.get(ModelKind::LR),
             Some(50.0),

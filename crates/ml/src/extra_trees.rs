@@ -21,10 +21,6 @@ pub struct ExtraTrees {
     pub n_trees: usize,
     /// Per-tree parameters (split mode is forced to `Random`).
     pub tree_params: TreeParams,
-    /// Worker threads for tree training: 0 = auto (the run context's
-    /// count, else `SMARTFEAT_THREADS`, else hardware), 1 = exact serial
-    /// path.
-    pub threads: usize,
     seed: u64,
     trees: Vec<DecisionTree>,
     n_features: usize,
@@ -42,17 +38,10 @@ impl ExtraTrees {
                 max_features: MaxFeatures::Sqrt,
                 split_mode: SplitMode::Random,
             },
-            threads: 0,
             seed,
             trees: Vec::new(),
             n_features: 0,
         }
-    }
-
-    /// Set the training thread count (builder style).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Mean normalized impurity-decrease importances across trees.
@@ -87,13 +76,16 @@ impl Classifier for ExtraTrees {
         self.n_features = x.cols();
         let all: Vec<usize> = (0..x.rows()).collect();
         let seed = self.seed;
-        let threads = smartfeat_par::resolve_threads(self.threads);
         self.trees = smartfeat_obs::global::time("ml.extra_trees.fit", || {
-            smartfeat_par::try_par_map_indexed(threads, self.n_trees, |i| {
-                let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
-                let mut tree = DecisionTree::new(params);
-                tree.fit_indices(x, y, &all, &mut rng).map(|()| tree)
-            })
+            smartfeat_par::try_par_map_indexed(
+                smartfeat_par::resolve_threads(0),
+                self.n_trees,
+                |i| {
+                    let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
+                    let mut tree = DecisionTree::new(params);
+                    tree.fit_indices(x, y, &all, &mut rng).map(|()| tree)
+                },
+            )
         })?;
         Ok(())
     }
@@ -163,10 +155,14 @@ mod tests {
     fn parallel_fit_is_bit_identical_to_serial() {
         let (x, y) = ring_data();
         for seed in [3u64, 11, 99] {
-            let mut serial = ExtraTrees::default_params(seed).with_threads(1);
-            let mut parallel = ExtraTrees::default_params(seed).with_threads(4);
-            serial.fit(&x, &y).unwrap();
-            parallel.fit(&x, &y).unwrap();
+            let fitted = |threads| {
+                smartfeat_par::within(threads, || {
+                    let mut model = ExtraTrees::default_params(seed);
+                    model.fit(&x, &y).unwrap();
+                    model
+                })
+            };
+            let (serial, parallel) = (fitted(1), fitted(4));
             let ps: Vec<u64> = serial
                 .predict_proba(&x)
                 .unwrap()

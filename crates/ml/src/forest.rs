@@ -21,10 +21,6 @@ pub struct RandomForest {
     pub tree_params: TreeParams,
     /// Bootstrap sample fraction (with replacement).
     pub bootstrap_fraction: f64,
-    /// Worker threads for tree training: 0 = auto (the run context's
-    /// count, else `SMARTFEAT_THREADS`, else hardware), 1 = exact serial
-    /// path.
-    pub threads: usize,
     seed: u64,
     trees: Vec<DecisionTree>,
     n_features: usize,
@@ -44,17 +40,10 @@ impl RandomForest {
                 split_mode: SplitMode::Exact,
             },
             bootstrap_fraction: 1.0,
-            threads: 0,
             seed,
             trees: Vec::new(),
             n_features: 0,
         }
-    }
-
-    /// Set the training thread count (builder style).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Mean normalized impurity-decrease importances across trees —
@@ -93,15 +82,19 @@ impl Classifier for RandomForest {
         // `seed_jump` reproduces the historical sequential SplitMix64
         // stream exactly, so seeded forest artifacts are unchanged.
         let seed = self.seed;
-        let threads = smartfeat_par::resolve_threads(self.threads);
         let params = self.tree_params;
         self.trees = smartfeat_obs::global::time("ml.forest.fit", || {
-            smartfeat_par::try_par_map_indexed(threads, self.n_trees, |i| {
-                let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
-                let indices: Vec<usize> = (0..sample_size).map(|_| rng.gen_range(0..n)).collect();
-                let mut tree = DecisionTree::new(params);
-                tree.fit_indices(x, y, &indices, &mut rng).map(|()| tree)
-            })
+            smartfeat_par::try_par_map_indexed(
+                smartfeat_par::resolve_threads(0),
+                self.n_trees,
+                |i| {
+                    let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
+                    let indices: Vec<usize> =
+                        (0..sample_size).map(|_| rng.gen_range(0..n)).collect();
+                    let mut tree = DecisionTree::new(params);
+                    tree.fit_indices(x, y, &indices, &mut rng).map(|()| tree)
+                },
+            )
         })?;
         Ok(())
     }
@@ -175,10 +168,14 @@ mod tests {
     fn parallel_fit_is_bit_identical_to_serial() {
         let (x, y) = noisy_threshold_data(2);
         for seed in [1u64, 7, 42] {
-            let mut serial = RandomForest::default_params(seed).with_threads(1);
-            let mut parallel = RandomForest::default_params(seed).with_threads(4);
-            serial.fit(&x, &y).unwrap();
-            parallel.fit(&x, &y).unwrap();
+            let fitted = |threads| {
+                smartfeat_par::within(threads, || {
+                    let mut model = RandomForest::default_params(seed);
+                    model.fit(&x, &y).unwrap();
+                    model
+                })
+            };
+            let (serial, parallel) = (fitted(1), fitted(4));
             let ps: Vec<u64> = serial
                 .predict_proba(&x)
                 .unwrap()

@@ -29,10 +29,7 @@ pub mod preprocess;
 pub mod select;
 pub mod tree;
 
-pub use cv::{
-    evaluate_all_models, evaluate_models, evaluate_models_threaded, kfold_cv_auc,
-    kfold_cv_auc_threaded, ModelScores,
-};
+pub use cv::{evaluate_all_models, evaluate_models, kfold_cv_auc, ModelScores};
 pub use error::{MlError, Result};
 pub use extra_trees::ExtraTrees;
 pub use forest::RandomForest;

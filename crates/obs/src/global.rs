@@ -32,8 +32,8 @@ pub fn time<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
 
 /// A running wall-clock measurement that records into the run's work
 /// tally when dropped. This is the sanctioned way for code outside
-/// `crates/obs` to consume wall time (deadline enforcement, bench
-/// sampling): the read stays behind the obs gate, the count lands
+/// `crates/obs` to consume wall time (deadline enforcement, grid cell
+/// timing): the read stays behind the obs gate, the count lands
 /// deterministically in the tally, and the nanosecond total only surfaces
 /// under the report's `volatile` key (sfcheck lint `wall-clock` enforces
 /// the routing).

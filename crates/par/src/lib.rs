@@ -1,9 +1,8 @@
 //! # smartfeat-par
 //!
 //! Std-only deterministic parallel execution for the SMARTFEAT
-//! reproduction: a scoped `scope`/`spawn` API with panic propagation and
-//! an ordered [`par_map`] whose output is **bit-identical to the serial
-//! loop** for any thread count.
+//! reproduction: an ordered [`par_map`] with panic propagation whose
+//! output is **bit-identical to the serial loop** for any thread count.
 //!
 //! ## Determinism contract
 //!
@@ -27,17 +26,16 @@
 //!
 //! ## Thread-count resolution
 //!
-//! [`resolve_threads`] prefers explicit settings over ambient ones: a
-//! positive configured value, else the current context's count, else the
-//! `SMARTFEAT_THREADS` environment variable (read once per process), else
-//! `std::thread::available_parallelism`. `1` selects the exact serial
-//! path.
+//! The run context is where a thread count lives: library code calls
+//! `resolve_threads(0)`, which returns the current context's count, else
+//! the `SMARTFEAT_THREADS` environment variable (read once per process),
+//! else `std::thread::available_parallelism`. [`within`] is how a caller
+//! pins a count. `1` selects the exact serial path.
 //!
 //! Hermetic-build policy: this crate depends on `std` only.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
@@ -158,7 +156,8 @@ pub fn available_threads() -> usize {
 /// Effective thread count: `configured` when positive, else the current
 /// context's count, else the `SMARTFEAT_THREADS` environment variable
 /// when set to a positive integer, else [`available_threads`]. `1` means
-/// "run the exact serial path".
+/// "run the exact serial path". Library code passes 0; [`within`] pins
+/// a count.
 pub fn resolve_threads(configured: usize) -> usize {
     if configured > 0 {
         return configured;
@@ -194,59 +193,6 @@ fn env_threads() -> Option<usize> {
 pub fn lock_or_poison<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // sfcheck:allow(panic-reachability) poisoned lock only re-raises a panic from another thread
     m.lock().expect("lock poisoned")
-}
-
-/// A scope in which borrowed-data tasks can be spawned; created by
-/// [`scope`]. Mirrors `std::thread::Scope` with panic-propagating joins.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope thread::Scope<'scope, 'env>,
-}
-
-/// Handle to a task spawned on a [`Scope`].
-pub struct ScopedHandle<'scope, T> {
-    inner: thread::ScopedJoinHandle<'scope, T>,
-}
-
-impl<'scope, T> ScopedHandle<'scope, T> {
-    /// Wait for the task and return its value. If the task panicked, the
-    /// panic is propagated here (resumed, not wrapped in a `Result`).
-    pub fn join(self) -> T {
-        match self.inner.join() {
-            Ok(v) => v,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// Whether the task has finished (without blocking).
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a task that may borrow from the enclosing scope.
-    // sfcheck:parallel-entry
-    pub fn spawn<T, F>(&self, f: F) -> ScopedHandle<'scope, T>
-    where
-        F: FnOnce() -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        ScopedHandle {
-            inner: self.inner.spawn(f),
-        }
-    }
-}
-
-/// Run `f` with a [`Scope`] on which borrowed-data tasks can be spawned.
-/// All spawned tasks are joined before `scope` returns. A panic in any
-/// unjoined task is propagated to the caller — tasks never disappear
-/// silently and a panicking task cannot deadlock the scope. Scopes nest.
-// sfcheck:parallel-entry
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    thread::scope(|s| f(&Scope { inner: s }))
 }
 
 /// Map `f` over `items` on up to `threads` worker threads, returning
@@ -378,47 +324,6 @@ mod tests {
             })
         });
         assert!(result.is_err(), "panic must propagate out of par_map");
-    }
-
-    #[test]
-    fn scope_spawn_join_returns_values() {
-        let data = [1, 2, 3];
-        let sum = scope(|s| {
-            let h1 = s.spawn(|| data.iter().sum::<i32>());
-            let h2 = s.spawn(|| data.len());
-            h1.join() + h2.join() as i32
-        });
-        assert_eq!(sum, 9);
-    }
-
-    #[test]
-    fn scope_propagates_unjoined_panic() {
-        let result = std::panic::catch_unwind(|| {
-            scope(|s| {
-                s.spawn(|| panic!("unjoined task panic"));
-                // handle dropped without join — scope must still surface it
-            })
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn nested_scopes_complete() {
-        let total = AtomicU64::new(0);
-        scope(|outer| {
-            for _ in 0..3 {
-                outer.spawn(|| {
-                    scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 12);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Differential test layer for the parallel execution subsystem: every
 //! parallel-wired path must produce **byte-identical** output between the
 //! exact serial path (1 thread) and a multi-threaded pool, across seeds.
+//! Each leg runs inside a run context (`smartfeat_par::within`), which is
+//! where the thread count lives.
 
 use smartfeat::{SmartFeat, SmartFeatConfig, SmartFeatReport};
 use smartfeat_fm::SimulatedFm;
 use smartfeat_frame::csv;
 use smartfeat_ml::{
-    evaluate_models_threaded, kfold_cv_auc_threaded, Classifier, ExtraTrees, Matrix, ModelKind,
-    RandomForest,
+    evaluate_models, kfold_cv_auc, Classifier, ExtraTrees, Matrix, ModelKind, RandomForest,
 };
+use smartfeat_par::within;
 use smartfeat_rng::Rng;
 
 const SEEDS: [u64; 5] = [1, 7, 42, 123, 9999];
@@ -31,13 +33,18 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 fn forest_fit_is_bit_identical_across_thread_counts() {
     for seed in SEEDS {
         let (x, y) = dense_data(seed, 240, 6);
-        let mut serial = RandomForest::default_params(seed).with_threads(1);
-        serial.fit(&x, &y).expect("fits");
+        let fitted = |threads| {
+            within(threads, || {
+                let mut forest = RandomForest::default_params(seed);
+                forest.fit(&x, &y).expect("fits");
+                forest
+            })
+        };
+        let serial = fitted(1);
         let p_serial = bits(&serial.predict_proba(&x).expect("fitted"));
         let i_serial = bits(&serial.feature_importances().expect("fitted"));
         for threads in THREAD_COUNTS {
-            let mut par = RandomForest::default_params(seed).with_threads(threads);
-            par.fit(&x, &y).expect("fits");
+            let par = fitted(threads);
             assert_eq!(
                 bits(&par.predict_proba(&x).expect("fitted")),
                 p_serial,
@@ -56,12 +63,16 @@ fn forest_fit_is_bit_identical_across_thread_counts() {
 fn extra_trees_fit_is_bit_identical_across_thread_counts() {
     for seed in SEEDS {
         let (x, y) = dense_data(seed.wrapping_add(31), 240, 6);
-        let mut serial = ExtraTrees::default_params(seed).with_threads(1);
-        serial.fit(&x, &y).expect("fits");
-        let p_serial = bits(&serial.predict_proba(&x).expect("fitted"));
+        let fitted = |threads| {
+            within(threads, || {
+                let mut trees = ExtraTrees::default_params(seed);
+                trees.fit(&x, &y).expect("fits");
+                trees
+            })
+        };
+        let p_serial = bits(&fitted(1).predict_proba(&x).expect("fitted"));
         for threads in THREAD_COUNTS {
-            let mut par = ExtraTrees::default_params(seed).with_threads(threads);
-            par.fit(&x, &y).expect("fits");
+            let par = fitted(threads);
             assert_eq!(
                 bits(&par.predict_proba(&x).expect("fitted")),
                 p_serial,
@@ -76,13 +87,14 @@ fn kfold_cv_is_bit_identical_across_thread_counts() {
     for seed in SEEDS {
         let (x, y) = dense_data(seed.wrapping_add(77), 160, 4);
         for kind in [ModelKind::RF, ModelKind::LR, ModelKind::NB] {
-            let serial = kfold_cv_auc_threaded(kind, &x, &y, 4, seed, 1)
-                .expect("scores")
-                .to_bits();
-            for threads in THREAD_COUNTS {
-                let par = kfold_cv_auc_threaded(kind, &x, &y, 4, seed, threads)
+            let cv = |threads| {
+                within(threads, || kfold_cv_auc(kind, &x, &y, 4, seed))
                     .expect("scores")
-                    .to_bits();
+                    .to_bits()
+            };
+            let serial = cv(1);
+            for threads in THREAD_COUNTS {
+                let par = cv(threads);
                 assert_eq!(par, serial, "seed {seed}, {kind}, {threads} threads");
             }
         }
@@ -100,10 +112,12 @@ fn evaluate_all_models_is_bit_identical_across_thread_counts() {
         let yt: Vec<u8> = train.iter().map(|&i| y[i]).collect();
         let ye: Vec<u8> = test.iter().map(|&i| y[i]).collect();
         let all = ModelKind::all();
-        let serial = evaluate_models_threaded(&all, &xt, &yt, &xe, &ye, seed, 1).expect("scores");
+        let scores = |threads| {
+            within(threads, || evaluate_models(&all, &xt, &yt, &xe, &ye, seed)).expect("scores")
+        };
+        let serial = scores(1);
         for threads in THREAD_COUNTS {
-            let par =
-                evaluate_models_threaded(&all, &xt, &yt, &xe, &ye, seed, threads).expect("scores");
+            let par = scores(threads);
             for ((ks, vs), (kp, vp)) in serial.scores.iter().zip(&par.scores) {
                 assert_eq!(ks, kp, "model order, seed {seed}, {threads} threads");
                 assert_eq!(
@@ -121,13 +135,13 @@ fn run_pipeline(seed: u64, threads: usize) -> SmartFeatReport {
     let selector = SimulatedFm::gpt4(seed);
     let generator = SimulatedFm::gpt35(seed.wrapping_add(1));
     let config = SmartFeatConfig {
-        threads,
         seed,
         ..SmartFeatConfig::default()
     };
-    SmartFeat::new(&selector, &generator, config)
-        .run(&ds.frame, &ds.agenda("RF"))
-        .expect("pipeline runs")
+    within(threads, || {
+        SmartFeat::new(&selector, &generator, config).run(&ds.frame, &ds.agenda("RF"))
+    })
+    .expect("pipeline runs")
 }
 
 #[test]

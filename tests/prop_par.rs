@@ -56,13 +56,13 @@ fn nested_scopes_complete() {
         let inner = rng.gen_range(1..5usize);
         let count = AtomicUsize::new(0);
         let totals = smartfeat_par::par_map_indexed(outer.min(4), outer, |_| {
-            smartfeat_par::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..inner)
                     .map(|_| s.spawn(|| count.fetch_add(1, Ordering::Relaxed)))
                     .collect();
                 let mut joined = 0;
                 for h in handles {
-                    h.join();
+                    h.join().expect("inner task finished");
                     joined += 1;
                 }
                 joined

@@ -2,8 +2,8 @@
 //! wherever that work executes and whatever else shares the process.
 //!
 //! 1. The `smartfeat_par` layer: contexts nest, survive panics, reach
-//!    pool workers, and resolve thread counts explicit-first (positive
-//!    config > context > `SMARTFEAT_THREADS` > core count).
+//!    pool workers, and resolve thread counts explicit-first (a positive
+//!    argument > context > `SMARTFEAT_THREADS` > core count).
 //! 2. The `smartfeat_obs::global` tally writes into the current context
 //!    and drops work recorded outside one.
 //! 3. The ml layer records one work entry per fit, fold and evaluated
@@ -168,20 +168,6 @@ fn configured_threads_beat_the_context() {
         assert_eq!(smartfeat_par::resolve_threads(3), 3);
         assert_eq!(smartfeat_par::resolve_threads(1), 1);
     });
-    // A model pinned to the serial path spawns no workers, even in an
-    // eight-thread run.
-    let (x, y) = toy_data(60, 4);
-    let (pool, _) = counted(8, || {
-        RandomForest::default_params(1)
-            .with_threads(1)
-            .fit(&x, &y)
-            .expect("fits");
-    });
-    assert_eq!(pool.batches, 1);
-    assert_eq!(
-        pool.workers_spawned, 0,
-        "explicit threads=1 beats the context"
-    );
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Differential strategy-oracle layer.
 //!
 //! 1. `one_shot_matches_pre_refactor_golden` — the default `one_shot`
-//!    strategy routed through the `SearchStrategy` trait must produce
+//!    strategy routed through the strategy dispatch must produce
 //!    byte-identical `SmartFeatReport`s (generated features, augmented
 //!    frame CSV, FM meter totals, downstream CV AUC) to the pre-refactor
 //!    hard-coded pipeline, across 5 seeds on two datasets, at 1, 4 and 8
 //!    threads. The golden fingerprint in
 //!    `tests/golden/strategy_oracle_one_shot.txt` was blessed from the
-//!    commit *before* the trait existed; regenerating it
+//!    commit *before* strategies were pluggable; regenerating it
 //!    (`SMARTFEAT_BLESS=1 cargo test --test strategy_oracle`) is only
 //!    legitimate when the one-shot semantics intentionally change.
 //! 2. `strategies_are_byte_identical_under_thread_matrix` — every search
@@ -75,7 +75,7 @@ fn one_shot_matches_pre_refactor_golden() {
     });
     assert_eq!(
         golden, fp,
-        "one_shot through the SearchStrategy trait diverged from the pre-refactor pipeline bytes"
+        "one_shot through the strategy dispatch diverged from the pre-refactor pipeline bytes"
     );
 }
 
