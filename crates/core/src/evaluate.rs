@@ -4,17 +4,25 @@
 //! (High-cardinality dummy expansion is rejected earlier, at transform
 //! execution, by the cardinality guard.)
 
+use smartfeat_frame::stats::{Centred, CROSS_LANES};
 use smartfeat_frame::{Column, DataFrame};
 
 use crate::report::SkipReason;
 
+/// Fewest overlapping rows the affine-duplicate check accepts as evidence.
+const MIN_PAIRS: usize = 3;
+
 /// Check one freshly-generated column against the frame it would join.
 /// Returns the reason to skip it, or `None` if it passes.
 ///
-/// The duplicate scan compares the candidate against every existing
-/// column at the run context's thread count; columns are independent, so
-/// the pool splits them and the **lowest-index** match is reported — the
-/// same verdict the serial left-to-right scan returns.
+/// The duplicate scan walks the existing columns left to right, on the
+/// calling thread, and reports the **lowest-index** match. When the
+/// candidate and an existing column are both numeric without nulls, the
+/// correlation comes from [`Centred::pearson`]: both columns' moments are
+/// cached on the columns, so the pair costs one cross-term chain, read
+/// [`CROSS_LANES`] existing columns per row pass. Any other pair takes
+/// the general path, which materializes the candidate's `f64` cells on
+/// first use.
 pub fn check_new_column(
     col: &Column,
     df: &DataFrame,
@@ -33,26 +41,47 @@ pub fn check_new_column(
     // A column that is an exact or affine duplicate of an existing one
     // adds no information (identity transforms, min-max/z-score rescales
     // of a column that is still present) — it only double-counts evidence
-    // for models like naive Bayes. The candidate's numeric form is built
-    // once here; existing columns are read in place through their views.
+    // for models like naive Bayes.
     let existing = df.columns();
-    let numeric = col.is_numeric().then(|| col.to_f64());
-    smartfeat_par::par_map_indexed(smartfeat_par::resolve_threads(0), existing.len(), |i| {
-        duplicate_of(col, numeric.as_deref(), &existing[i])
+    let complete = |e: &Column| e.len() == col.len() && e.complete_moments().is_some();
+    let lanes: Vec<&Column> = existing.iter().filter(|e| complete(e)).collect();
+    let centred = if lanes.is_empty() {
+        None
+    } else {
+        Centred::of(col)
+    };
+    let mut numeric: Option<Vec<Option<f64>>> = None;
+    let mut block: Vec<Option<f64>> = Vec::new();
+    let mut lane = 0;
+    existing.iter().find_map(|e| {
+        let duplicate = match &centred {
+            Some(centred) if complete(e) => {
+                // The next block of lanes is correlated when the scan
+                // reaches its first column, so a match wastes at most
+                // one block.
+                if lane % CROSS_LANES == 0 {
+                    let end = (lane + CROSS_LANES).min(lanes.len());
+                    block = centred.pearson(&lanes[lane..end], MIN_PAIRS);
+                }
+                let r = block.get(lane % CROSS_LANES).copied().flatten();
+                lane += 1;
+                r.is_some_and(|r| r > 0.9999) || numeric_identical(col, e)
+            }
+            _ => {
+                let numeric = col
+                    .is_numeric()
+                    .then(|| numeric.get_or_insert_with(|| col.to_f64()).as_slice());
+                duplicate_of(col, numeric, e)
+            }
+        };
+        duplicate.then(|| SkipReason::Duplicate(e.name().to_string()))
     })
-    .into_iter()
-    .flatten()
-    .next()
 }
 
 /// Is `col` an exact or positive-affine duplicate of `existing`?
 /// `numeric` is `col`'s numeric form, present when `col` is numeric.
-fn duplicate_of(
-    col: &Column,
-    numeric: Option<&[Option<f64>]>,
-    existing: &Column,
-) -> Option<SkipReason> {
-    let duplicate = match (numeric, existing.numeric_view()) {
+fn duplicate_of(col: &Column, numeric: Option<&[Option<f64>]>, existing: &Column) -> bool {
+    match (numeric, existing.numeric_view()) {
         // Both numeric: equal as f64 with aligned nulls (Int-vs-Float
         // storage of the same values matches). Positive-affine rescales
         // of a surviving column (min-max / z-score copies) only
@@ -68,13 +97,21 @@ fn duplicate_of(
                     b.iter()
                         .enumerate()
                         .filter_map(|(i, y)| Some((a.get(i).copied().flatten()?, y?))),
-                    3,
+                    MIN_PAIRS,
                 )
                 .is_some_and(|r| r > 0.9999)
         }
         _ => rendered_identical(col, existing),
-    };
-    duplicate.then(|| SkipReason::Duplicate(existing.name().to_string()))
+    }
+}
+
+/// Equal as `f64`, row by row: two numeric columns without nulls of the
+/// same length (Int-vs-Float storage of the same values matches).
+fn numeric_identical(a: &Column, b: &Column) -> bool {
+    match (a.numeric_view(), b.numeric_view()) {
+        (Ok(a), Ok(b)) => a.iter().eq(b.iter()),
+        _ => false,
+    }
 }
 
 /// Row-wise equality of rendered cells with aligned nulls: the path for
@@ -255,9 +292,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_scan_reports_lowest_index_duplicate() {
+    fn scan_reports_lowest_index_duplicate() {
         // Two existing columns both duplicate the candidate; the verdict
-        // must name the leftmost one regardless of worker scheduling.
+        // names the leftmost one at every thread count.
         let df = DataFrame::from_columns(vec![
             Column::from_i64("first", vec![1, 2, 3, 4]),
             Column::from_i64("second", vec![1, 2, 3, 4]),
@@ -415,6 +452,94 @@ mod tests {
         // Both verdicts occur often enough for the agreement to mean
         // something.
         assert!(duplicates >= 50 && passes >= 50, "{duplicates} / {passes}");
+    }
+
+    /// One column holding `base` in a randomly chosen representation,
+    /// mostly without nulls: Int, Float and Bool storage, affine copies,
+    /// unrelated noise, a constant, and (for the general path) a copy
+    /// with nulls or as `Str`.
+    fn random_complete_copy(rng: &mut Rng, name: &str, base: &[i64]) -> Column {
+        let rows = base.len();
+        match rng.gen_range(0..9usize) {
+            0 => Column::from_i64(name, base.to_vec()),
+            1 => Column::from_f64(name, base.iter().map(|&x| x as f64).collect()),
+            2 => Column::from_bools(name, base.iter().map(|&x| Some(x > 0)).collect()),
+            3 | 4 => {
+                let (a, b) = (rng.gen_range(0.5..4.0), rng.gen_range(-10.0..10.0));
+                let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                Column::from_f64(
+                    name,
+                    base.iter().map(|&x| sign * a * x as f64 + b).collect(),
+                )
+            }
+            5 => Column::from_f64(name, (0..rows).map(|_| rng.gen_range(-3.0..3.0)).collect()),
+            6 => Column::from_i64(name, vec![rng.gen_range(-2..3i64); rows]),
+            7 => Column::from_floats(
+                name,
+                base.iter()
+                    .map(|&x| rng.gen_bool(0.95).then_some(x as f64))
+                    .collect(),
+            ),
+            _ => Column::from_strs(name, base.iter().map(|x| Some(x.to_string())).collect()),
+        }
+    }
+
+    #[test]
+    fn scan_agrees_with_oracle_on_complete_frames() {
+        let (mut duplicates, mut passes) = (0, 0);
+        let (mut fast, mut general) = (0, 0);
+        check::cases(160, |rng| {
+            let rows = if rng.gen_bool(0.3) {
+                rng.gen_range(3..8usize)
+            } else {
+                rng.gen_range(3..601usize)
+            };
+            let bases: Vec<Vec<i64>> = (0..rng.gen_range(1..4usize))
+                .map(|_| {
+                    let hi: i64 = if rng.gen_bool(0.5) { 2 } else { 50 };
+                    (0..rows).map(|_| rng.gen_range(-1..hi)).collect()
+                })
+                .collect();
+            let existing: Vec<Column> = (0..rng.gen_range(1..21usize))
+                .map(|i| {
+                    let base = &bases[rng.gen_range(0..bases.len())];
+                    random_complete_copy(rng, &format!("c{i}"), base)
+                })
+                .collect();
+            let base = &bases[rng.gen_range(0..bases.len())];
+            let cand = random_complete_copy(rng, "cand", base);
+            // Which path each pair takes, from the inputs alone.
+            let complete = |c: &Column| c.complete_moments().is_some();
+            for e in &existing {
+                if complete(&cand) && complete(e) {
+                    fast += 1;
+                } else {
+                    general += 1;
+                }
+            }
+            match assert_matches_oracle(&cand, &frame(existing)) {
+                Some(SkipReason::Duplicate(_)) => duplicates += 1,
+                None => passes += 1,
+                Some(_) => {}
+            }
+        });
+        assert!(duplicates >= 30 && passes >= 30, "{duplicates} / {passes}");
+        assert!(fast >= 500 && general >= 300, "{fast} / {general}");
+    }
+
+    #[test]
+    fn re_added_column_gets_its_own_verdict() {
+        let x = Column::from_f64("x", vec![1.0, 4.0, 2.0, 8.0]);
+        let mut df = frame(vec![Column::from_i64("k", vec![3, 1, 4, 1]), x]);
+        let cand = Column::from_f64("cand", vec![3.0, 9.0, 5.0, 17.0]);
+        assert_eq!(
+            assert_matches_oracle(&cand, &df),
+            Some(SkipReason::Duplicate("x".into()))
+        );
+        df.drop_column("x").unwrap();
+        df.add_column(Column::from_f64("x", vec![8.0, 1.0, 6.0, 2.0]))
+            .unwrap();
+        assert_eq!(assert_matches_oracle(&cand, &df), None);
     }
 
     #[test]

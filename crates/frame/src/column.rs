@@ -13,13 +13,15 @@
 //! value + validity), so two columns with different dictionary books but
 //! the same logical cells compare equal.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::bitmap::{BitmapBuilder, NullBitmap};
 use crate::dict::Dictionary;
 use crate::dtype::DType;
 use crate::error::{FrameError, Result};
 use crate::index::StableMap;
+use crate::stats::Moments;
 use crate::value::Value;
 use crate::view::{KeyCodes, KeysView, NumericView};
 use std::borrow::Cow;
@@ -197,10 +199,35 @@ impl PartialEq for ColumnData {
 }
 
 /// A named, typed, nullable column.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its cells never change after construction (`set_name` is the only
+/// mutator), so values derived from them are cached on the column and
+/// need no invalidation: `moments` is filled by the first
+/// [`Column::complete_moments`] call. A clone carries the cache; a
+/// column built from another one's cells (`take`) starts empty.
+#[derive(Clone)]
 pub struct Column {
     name: String,
     data: ColumnData,
+    moments: OnceLock<Option<Moments>>,
+}
+
+/// Name and cells only: the moments cache is not part of a column's value.
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.data == other.data
+    }
+}
+
+/// Prints what the derived impl would without the moments cache, so a
+/// filled and an unfilled column print alike.
+impl fmt::Debug for Column {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Column")
+            .field("name", &self.name)
+            .field("data", &self.data)
+            .finish()
+    }
 }
 
 impl Column {
@@ -209,6 +236,7 @@ impl Column {
         Column {
             name: name.into(),
             data,
+            moments: OnceLock::new(),
         }
     }
 
@@ -665,13 +693,27 @@ impl Column {
         }
     }
 
+    /// The mean and centred sum of squares of a numeric column with no
+    /// nulls, or `None` for a `Str` column or one with a null. Computed
+    /// on the first call and cached on the column (see [`Moments`] for
+    /// why they equal the ones `stats::pearson_pairs` computes).
+    pub fn complete_moments(&self) -> Option<Moments> {
+        *self.moments.get_or_init(|| {
+            let view = self.numeric_view().ok()?;
+            self.data
+                .validity()
+                .all_are_valid()
+                .then(|| Moments::of(&view))
+        })
+    }
+
     /// True if all non-null values are identical (or the column is all-null).
     ///
     /// Numeric columns scan the packed value buffer directly (floats
     /// compare by bits, so `-0.0` and `0.0` stay distinct, as they do in
-    /// `cardinality` and in `value_counts`' rendered keys). This is an
-    /// evaluation-stage read: `check_new_column` calls it on every
-    /// realized candidate.
+    /// `cardinality` and in `value_counts`' rendered keys). The
+    /// evaluation stage asks it of every realized candidate before the
+    /// duplicate scan.
     pub fn is_constant(&self) -> bool {
         match &self.data {
             ColumnData::Int { values, validity } => packed_is_constant(values, validity),
@@ -944,5 +986,46 @@ mod tests {
         let b = Column::from_ints("x", vec![Some(1), None]);
         assert_eq!(a, b);
         assert_ne!(a, Column::from_ints("x", vec![Some(1), Some(0)]));
+    }
+
+    #[test]
+    fn complete_moments_only_for_numeric_columns_without_nulls() {
+        let c = Column::from_i64("i", vec![1, 2, 3, 6]);
+        let m = c.complete_moments().unwrap();
+        assert_eq!(m.mean, 3.0);
+        assert_eq!(m.sum_sq, 14.0);
+        assert_eq!(
+            Column::from_floats("f", vec![Some(1.0), None]).complete_moments(),
+            None
+        );
+        assert_eq!(
+            Column::from_str_slice("s", &["a", "b"]).complete_moments(),
+            None
+        );
+    }
+
+    #[test]
+    fn clone_carries_moments_and_take_starts_empty() {
+        let c = Column::from_f64("f", vec![0.5, 2.0, -1.0, 4.0]);
+        let filled = c.complete_moments();
+        assert!(filled.is_some());
+        let cloned = c.clone();
+        assert_eq!(cloned.moments.get().copied(), Some(filled));
+        assert_eq!(cloned.complete_moments(), filled);
+        let taken = c.take(&[0, 1, 2, 3]);
+        assert_eq!(taken.moments.get(), None);
+        // Recomputed from the same cells, the moments are the same.
+        assert_eq!(taken.complete_moments(), filled);
+    }
+
+    #[test]
+    fn moments_cache_is_invisible_to_eq_and_debug() {
+        let filled = Column::from_bools("b", vec![Some(true), Some(false), Some(true)]);
+        let unfilled = filled.take(&[0, 1, 2]);
+        assert!(filled.complete_moments().is_some());
+        assert!(unfilled.moments.get().is_none());
+        assert_eq!(filled, unfilled);
+        assert_eq!(format!("{filled:?}"), format!("{unfilled:?}"));
+        assert_eq!(format!("{filled:#?}"), format!("{unfilled:#?}"));
     }
 }

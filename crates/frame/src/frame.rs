@@ -427,4 +427,36 @@ mod tests {
         assert_eq!(r[0], Value::Int(2));
         assert!(df.row(10).is_err());
     }
+
+    #[test]
+    fn re_added_column_reads_its_own_moments() {
+        // A column pruned and then re-added under the same name with
+        // other cells: the frame's column carries the new cells' moments,
+        // and a correlation scan reads the new column, not the old one.
+        let mut df = DataFrame::from_columns(vec![
+            Column::from_i64("k", vec![1, 2, 3, 4]),
+            Column::from_f64("x", vec![2.0, 4.0, 6.0, 8.0]),
+        ])
+        .unwrap();
+        let cand = Column::from_f64("cand", vec![1.0, 2.0, 3.0, 4.5]);
+        let centred = crate::stats::Centred::of(&cand).unwrap();
+        let scan = |df: &DataFrame| {
+            let cols: Vec<&Column> = df.columns().iter().collect();
+            centred.pearson(&cols, 3)
+        };
+        let before = scan(&df);
+        assert!(before[1].unwrap() > 0.99);
+        let old = df.drop_column("x").unwrap();
+        assert!(old.complete_moments().is_some());
+        let new = Column::from_f64("x", vec![8.0, 1.0, 6.0, 2.0]);
+        let expected = new.complete_moments();
+        df.add_column(new).unwrap();
+        assert_eq!(df.column("x").unwrap().complete_moments(), expected);
+        assert_ne!(expected, old.complete_moments());
+        let after = scan(&df);
+        assert_eq!(after[0], before[0]);
+        let fresh = Column::from_f64("x", vec![8.0, 1.0, 6.0, 2.0]);
+        assert_eq!(after[1], centred.pearson(&[&fresh], 3)[0]);
+        assert!(after[1].unwrap() < 0.0);
+    }
 }

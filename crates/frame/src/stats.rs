@@ -4,6 +4,7 @@
 //! (Featuretools-style selection), and Table 6's information-gain metric.
 
 use crate::column::Column;
+use crate::view::NumericView;
 
 /// Summary statistics over the non-null cells of a numeric column.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,15 +59,12 @@ pub fn pearson_pairs<I>(pairs: I, min_pairs: usize) -> Option<f64>
 where
     I: Iterator<Item = (f64, f64)> + Clone,
 {
-    // `f64::sum` folds from its own neutral element (`-0.0`); starting
-    // from the same one keeps the means bit-identical to `.sum()`.
-    let zero: f64 = std::iter::empty::<f64>().sum();
     let (count, sum_x, sum_y) = pairs
         .clone()
-        .fold((0usize, zero, zero), |(c, sx, sy), (x, y)| {
+        .fold((0usize, sum_zero(), sum_zero()), |(c, sx, sy), (x, y)| {
             (c + 1, sx + x, sy + y)
         });
-    if count < min_pairs.max(2) {
+    if !enough_pairs(count, min_pairs) {
         return None;
     }
     let n = count as f64;
@@ -79,11 +77,159 @@ where
             syy + (y - my).powi(2),
         )
     });
-    if sxx == 0.0 || syy == 0.0 {
+    finish_pearson(count, min_pairs, sxy, sxx, syy)
+}
+
+/// `f64::sum` folds from its own neutral element (`-0.0`); starting a
+/// sum from the same one keeps a mean bit-identical to `.sum()`.
+fn sum_zero() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// Are `count` pairs enough evidence? Never fewer than two.
+fn enough_pairs(count: usize, min_pairs: usize) -> bool {
+    count >= min_pairs.max(2)
+}
+
+/// The finishing step every Pearson path shares: `r` from the centred
+/// sums, or `None` for too few pairs, a zero-variance side, or a
+/// non-finite `r` (an infinite input).
+fn finish_pearson(count: usize, min_pairs: usize, sxy: f64, sxx: f64, syy: f64) -> Option<f64> {
+    if !enough_pairs(count, min_pairs) || sxx == 0.0 || syy == 0.0 {
         return None;
     }
     let r = sxy / (sxx * syy).sqrt();
     r.is_finite().then_some(r)
+}
+
+/// The per-column half of Pearson's `r` for a column with no nulls:
+/// its mean and its centred sum of squares, each summed in row order from
+/// the neutral elements `pearson_pairs` uses, so both are bit-identical
+/// to the ones `pearson_pairs` computes for the column on either side.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Moments {
+    /// Mean of the column's cells.
+    pub mean: f64,
+    /// `Σ (v − mean)²` over the column's cells.
+    pub sum_sq: f64,
+}
+
+impl Moments {
+    /// Fold the moments of a view's present cells, in row order.
+    pub(crate) fn of(view: &NumericView<'_>) -> Moments {
+        let n = view.present_count() as f64;
+        let mean = view.fold_present(sum_zero(), |s, v| s + v) / n;
+        let sum_sq = view.fold_present(0.0, |s, v| s + (v - mean).powi(2));
+        Moments { mean, sum_sq }
+    }
+}
+
+/// Existing columns the cross-term kernel reads side by side: one `sxy`
+/// chain per lane, so the adds of different columns overlap instead of
+/// waiting on each other.
+pub const CROSS_LANES: usize = 8;
+
+/// Rows of each lane the kernel centres into its scratch block at a time.
+pub const CROSS_CHUNK_ROWS: usize = 256;
+
+/// A complete numeric column, centred once, to correlate against many
+/// complete columns: [`Centred::pearson`] computes only the cross term
+/// `Σ (x − mx)(y − my)` per column and takes both sums of squares from
+/// the columns' cached [`Moments`].
+#[derive(Debug)]
+pub struct Centred {
+    centred: Vec<f64>,
+    sum_sq: f64,
+}
+
+impl Centred {
+    /// Centre `col`; `None` unless it is numeric with no nulls.
+    pub fn of(col: &Column) -> Option<Centred> {
+        let Moments { mean, sum_sq } = col.complete_moments()?;
+        let (centred, _) = col.numeric_view().ok()?.map_packed_f64(|v| v - mean);
+        Some(Centred { centred, sum_sq })
+    }
+
+    /// Pearson's `r` of this column (as `x`) against each of `others`
+    /// (as `y`), over all rows: bit-identical to `pearson_pairs` over the
+    /// two columns' pairs in row order, with the same `min_pairs` rule.
+    /// A column that has nulls, is not numeric, or differs in length
+    /// gets `None`.
+    ///
+    /// Columns are read [`CROSS_LANES`] at a time, one row chunk at a
+    /// time: each lane's chunk is centred into a row-major scratch block,
+    /// then one loop adds every lane's product for a row. Each lane's
+    /// `sxy` still accumulates in row order from `0.0`. A short last
+    /// block is padded with zero lanes, so it runs the same loop.
+    pub fn pearson(&self, others: &[&Column], min_pairs: usize) -> Vec<Option<f64>> {
+        let rows = self.centred.len();
+        let lanes: Vec<Option<(NumericView<'_>, Moments)>> = others
+            .iter()
+            .map(|c| {
+                let moments = c.complete_moments().filter(|_| c.len() == rows)?;
+                Some((c.numeric_view().ok()?, moments))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(others.len());
+        let mut block = vec![[0.0f64; CROSS_LANES]; CROSS_CHUNK_ROWS];
+        for group in lanes.chunks(CROSS_LANES) {
+            // Lanes nothing is centred into read zeros, not a stale chunk.
+            for lane in 0..CROSS_LANES {
+                if !matches!(group.get(lane), Some(Some(_))) {
+                    block.iter_mut().for_each(|row| row[lane] = 0.0);
+                }
+            }
+            let mut sxy = [0.0f64; CROSS_LANES];
+            for start in (0..rows).step_by(CROSS_CHUNK_ROWS) {
+                let end = (start + CROSS_CHUNK_ROWS).min(rows);
+                let block = &mut block[..end - start];
+                for (lane, slot) in group.iter().enumerate() {
+                    if let Some((view, m)) = slot {
+                        centre_into(view, m.mean, start, block, lane);
+                    }
+                }
+                for (x, ys) in self.centred[start..end].iter().zip(block.iter()) {
+                    for (acc, y) in sxy.iter_mut().zip(ys) {
+                        *acc += x * y;
+                    }
+                }
+            }
+            out.extend(group.iter().zip(sxy).map(|(slot, sxy)| {
+                let (_, m) = slot.as_ref()?;
+                finish_pearson(rows, min_pairs, sxy, self.sum_sq, m.sum_sq)
+            }));
+        }
+        out
+    }
+}
+
+/// Write rows `start..start + block.len()` of `view`, minus `mean`, into
+/// column `lane` of the row-major `block`.
+fn centre_into(
+    view: &NumericView<'_>,
+    mean: f64,
+    start: usize,
+    block: &mut [[f64; CROSS_LANES]],
+    lane: usize,
+) {
+    let end = start + block.len();
+    match *view {
+        NumericView::Int { values, .. } => {
+            for (row, &v) in block.iter_mut().zip(&values[start..end]) {
+                row[lane] = v as f64 - mean;
+            }
+        }
+        NumericView::Float { values, .. } => {
+            for (row, &v) in block.iter_mut().zip(&values[start..end]) {
+                row[lane] = v - mean;
+            }
+        }
+        NumericView::Bool { values, .. } => {
+            for (row, &v) in block.iter_mut().zip(&values[start..end]) {
+                row[lane] = f64::from(u8::from(v)) - mean;
+            }
+        }
+    }
 }
 
 /// Pearson correlation between two columns' numeric views.

@@ -10,6 +10,7 @@ use smartfeat_repro::frame::csv;
 use smartfeat_repro::frame::ops::{
     bucketize, clip, groupby_transform, normalize, AggFunc, NormKind,
 };
+use smartfeat_repro::frame::stats::{pearson_pairs, Centred, CROSS_CHUNK_ROWS, CROSS_LANES};
 use smartfeat_repro::frame::{DType, StableMap};
 use smartfeat_repro::prelude::*;
 use smartfeat_repro::rng::check;
@@ -343,4 +344,105 @@ fn key_codes_agree_with_rendered_keys() {
             }
         }
     });
+}
+
+/// One complete numeric column of `rows` cells in a random storage type
+/// and shape: spread values, a constant, an affine copy of `base`, or
+/// floats with planted `±inf` cells.
+fn complete_numeric(rng: &mut Rng, name: &str, rows: usize, base: &[f64]) -> Column {
+    match rng.gen_range(0..6usize) {
+        0 => Column::from_i64(name, (0..rows).map(|_| rng.gen_range(-5..6i64)).collect()),
+        1 => Column::from_bools(name, (0..rows).map(|_| Some(rng.gen_bool(0.5))).collect()),
+        2 => {
+            let v = rng.gen_range(-3.0..3.0);
+            Column::from_f64(name, vec![v; rows])
+        }
+        3 => {
+            let (a, b) = (rng.gen_range(0.1..50.0), rng.gen_range(-1e3..1e3));
+            Column::from_f64(name, base.iter().map(|x| a * x + b).collect())
+        }
+        4 => {
+            let planted = [f64::INFINITY, f64::NEG_INFINITY];
+            let cells = (0..rows).map(|_| match rng.gen_range(0..20usize) {
+                0 => planted[rng.gen_range(0..2usize)],
+                _ => rng.gen_range(-1e4..1e4),
+            });
+            Column::from_f64(name, cells.collect())
+        }
+        _ => Column::from_f64(name, (0..rows).map(|_| rng.gen_range(-1e4..1e4)).collect()),
+    }
+}
+
+/// `Centred::pearson` against 1–17 complete columns (every remainder of
+/// the lane block) gives each column the bits of `pearson_pairs` over
+/// the same pairs in row order, at the `min_pairs` edge (n = 3) and on
+/// row counts that cross the chunk boundary. A column with a null gets
+/// `None`.
+#[test]
+fn cross_term_kernel_is_bit_identical_to_pearson_pairs() {
+    let sizes = [
+        3,
+        4,
+        CROSS_CHUNK_ROWS - 1,
+        CROSS_CHUNK_ROWS,
+        CROSS_CHUNK_ROWS + 1,
+        2 * CROSS_CHUNK_ROWS + 5,
+    ];
+    let (mut some, mut none) = (0, 0);
+    check::cases(48, |rng| {
+        let rows = match rng.gen_range(0..3usize) {
+            0 => rng.gen_range(3..40usize),
+            _ => sizes[rng.gen_range(0..sizes.len())],
+        };
+        let base: Vec<f64> = (0..rows).map(|_| rng.gen_range(-100.0..100.0)).collect();
+        let cand = match rng.gen_range(0..4usize) {
+            0 => Column::from_f64("cand", base.clone()),
+            _ => complete_numeric(rng, "cand", rows, &base),
+        };
+        let Some(centred) = Centred::of(&cand) else {
+            panic!("complete candidate {cand:?} has no moments");
+        };
+        for count in 1..=2 * CROSS_LANES + 1 {
+            let mut others: Vec<Column> = (0..count)
+                .map(|i| complete_numeric(rng, &format!("e{i}"), rows, &base))
+                .collect();
+            let nulls = (0..rows)
+                .map(|_| rng.gen_bool(0.9).then(|| rng.gen_range(-5.0..5.0)))
+                .collect();
+            let with_null = rng.gen_range(0..count + 1);
+            if with_null < count {
+                others[with_null] = Column::from_floats("nulls", nulls);
+            }
+            let refs: Vec<&Column> = others.iter().collect();
+            let got = centred.pearson(&refs, 3);
+            assert_eq!(got.len(), count);
+            for (e, r) in others.iter().zip(&got) {
+                let (Ok(x), Ok(y)) = (cand.numeric_view(), e.numeric_view()) else {
+                    panic!("numeric columns");
+                };
+                let expected = if e.null_count() > 0 {
+                    None
+                } else {
+                    let pairs = x.iter().zip(y.iter()).filter_map(|(a, b)| Some((a?, b?)));
+                    pearson_pairs(pairs, 3)
+                };
+                assert_eq!(
+                    r.map(f64::to_bits),
+                    expected.map(f64::to_bits),
+                    "{rows} rows, {count} columns: {:?} candidate vs {:?} {}",
+                    cand.dtype(),
+                    e.dtype(),
+                    e.name()
+                );
+                if r.is_some() {
+                    some += 1;
+                } else {
+                    none += 1;
+                }
+            }
+        }
+    });
+    // Both a defined r and each `None` cause occur often enough for the
+    // bit comparison to mean something.
+    assert!(some >= 500 && none >= 100, "{some} / {none}");
 }
