@@ -127,14 +127,20 @@ impl SearchCtx<'_, '_> {
     /// scored (string target, degenerate folds) so ranking stays total
     /// and deterministic instead of erroring the run.
     pub(crate) fn feature_score(&self, name: &str) -> f64 {
-        let target = self.state.agenda.target.clone();
-        let Ok(labels) = self.state.frame.to_labels(&target) else {
+        let Ok(labels) = self.state.frame.to_labels(&self.state.agenda.target) else {
             return 0.0;
         };
-        let Ok(rows) = self.state.frame.to_matrix(&[name], 0.0) else {
+        let Ok(column) = self.state.frame.column(name) else {
             return 0.0;
         };
-        let Ok(x) = smartfeat_ml::Matrix::from_rows(rows) else {
+        // `to_matrix`'s fill rule: null or non-finite cells read 0.0.
+        let values: Vec<f64> = column
+            .to_f64()
+            .into_iter()
+            .map(|v| v.filter(|v| v.is_finite()).unwrap_or(0.0))
+            .collect();
+        let n = values.len();
+        let Ok(x) = smartfeat_ml::Matrix::new(values, n, 1) else {
             return 0.0;
         };
         let seed = smartfeat_rng::seed_jump(self.sf.config.seed, smartfeat_rng::Stream::Score);

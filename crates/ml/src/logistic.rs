@@ -4,10 +4,15 @@
 use crate::error::{MlError, Result};
 use crate::matrix::{dot, Matrix};
 use crate::model::Classifier;
+use smartfeat_frame::{StableHash, StableHasher, StableMap};
 
 /// L2-regularized logistic regression.
 ///
 /// Deterministic (zero-initialized, full-batch), so it needs no seed.
+/// Training computes the sigmoid once per distinct row per iteration:
+/// rows with equal bit patterns share one probability, and the gradient
+/// is still summed over every row in row order, so the fitted weights
+/// are bit-identical to a per-row loop.
 #[derive(Debug, Clone)]
 pub struct LogisticRegression {
     /// Learning rate.
@@ -73,14 +78,17 @@ impl LogisticRegression {
         self.weights = vec![0.0; d];
         self.bias = 0.0;
         let mut grad = vec![0.0; d];
+        let (codes, reps) = distinct_rows(x);
+        let mut probs = vec![0.0; reps.len()];
         for _ in 0..self.max_iter {
+            for (p, &r) in probs.iter_mut().zip(&reps) {
+                *p = sigmoid(dot(x.row(r), &self.weights) + self.bias);
+            }
             grad.iter_mut().for_each(|g| *g = 0.0);
             let mut grad_b = 0.0;
-            for (i, &label) in y.iter().enumerate() {
-                let row = x.row(i);
-                let p = sigmoid(dot(row, &self.weights) + self.bias);
-                let err = p - f64::from(label);
-                for (g, &v) in grad.iter_mut().zip(row) {
+            for (i, (&label, &c)) in y.iter().zip(&codes).enumerate() {
+                let err = probs[c as usize] - f64::from(label);
+                for (g, &v) in grad.iter_mut().zip(x.row(i)) {
                     *g += err * v;
                 }
                 grad_b += err;
@@ -103,6 +111,48 @@ impl LogisticRegression {
         self.fitted = true;
         Ok(())
     }
+}
+
+/// A matrix row keyed by its cells' bit patterns: `0.0` and `-0.0` are
+/// different keys, and equal keys give bit-equal `dot` results.
+struct RowBits<'a>(&'a [f64]);
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(other.0.iter().map(|v| v.to_bits()))
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl StableHash for RowBits<'_> {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        for v in self.0 {
+            h.write_u64(v.to_bits());
+        }
+    }
+}
+
+/// Number the distinct rows of `x` in first-occurrence order. Returns
+/// each row's class code and each class's first row. When every row is
+/// distinct the codes are `0..n` and the representatives are `0..n`.
+fn distinct_rows(x: &Matrix) -> (Vec<u32>, Vec<usize>) {
+    let mut class_of: StableMap<RowBits<'_>, u32> = StableMap::with_capacity(x.rows());
+    let mut reps = Vec::new();
+    let codes = (0..x.rows())
+        .map(|i| {
+            let next = reps.len() as u32;
+            let code = *class_of.entry_or_insert_with(RowBits(x.row(i)), || next);
+            if code == next {
+                reps.push(i);
+            }
+            code
+        })
+        .collect();
+    (codes, reps)
 }
 
 impl Classifier for LogisticRegression {

@@ -1,6 +1,8 @@
 //! Property-based tests over the ML substrate's invariants, driven by the
 //! in-repo `smartfeat_rng::check` harness.
 
+use smartfeat_repro::ml::logistic::{sigmoid, LogisticRegression};
+use smartfeat_repro::ml::matrix::dot;
 use smartfeat_repro::ml::metrics::{accuracy, log_loss, median};
 use smartfeat_repro::ml::preprocess::Standardizer;
 use smartfeat_repro::ml::roc_auc;
@@ -107,8 +109,7 @@ fn logistic_regression_probabilities_valid() {
             .collect();
         let y: Vec<u8> = (0..n).map(|i| u8::from(i % 2 == 0)).collect();
         let x = Matrix::from_rows(rows).unwrap();
-        let mut lr = smartfeat_repro::ml::logistic::LogisticRegression::default_params();
-        use smartfeat_repro::ml::Classifier;
+        let mut lr = LogisticRegression::default_params();
         lr.fit(&x, &y).unwrap();
         for p in lr.predict_proba(&x).unwrap() {
             assert!((0.0..=1.0).contains(&p));
@@ -131,4 +132,131 @@ fn tree_ensembles_never_exceed_probability_bounds() {
             assert!((0.0..=1.0).contains(&p), "{kind} produced {p}");
         }
     }
+}
+
+/// The per-row LR trainer: one sigmoid per row per iteration, built from
+/// the public kernel pieces. Returns the weights, the bias and the number
+/// of iterations run.
+fn reference_lr(lr: &LogisticRegression, x: &Matrix, y: &[u8]) -> (Vec<f64>, f64, usize) {
+    let inv_n = 1.0 / x.rows() as f64;
+    let mut weights = vec![0.0; x.cols()];
+    let mut bias = 0.0;
+    let mut grad = vec![0.0; x.cols()];
+    for iter in 0..lr.max_iter {
+        grad.iter_mut().for_each(|g| *g = 0.0);
+        let mut grad_b = 0.0;
+        for (i, &label) in y.iter().enumerate() {
+            let row = x.row(i);
+            let err = sigmoid(dot(row, &weights) + bias) - f64::from(label);
+            for (g, &v) in grad.iter_mut().zip(row) {
+                *g += err * v;
+            }
+            grad_b += err;
+        }
+        let mut norm = 0.0;
+        for (g, w) in grad.iter_mut().zip(&weights) {
+            *g = *g * inv_n + lr.l2 * w;
+            norm += *g * *g;
+        }
+        grad_b *= inv_n;
+        norm += grad_b * grad_b;
+        for (w, g) in weights.iter_mut().zip(&grad) {
+            *w -= lr.learning_rate * g;
+        }
+        bias -= lr.learning_rate * grad_b;
+        if norm.sqrt() < lr.tol {
+            return (weights, bias, iter + 1);
+        }
+    }
+    (weights, bias, lr.max_iter)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `n` rows drawn from `pool`, so repeats are planted.
+fn rows_from_pool(rng: &mut Rng, pool: &[Vec<f64>], n: usize) -> Matrix {
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+        .collect();
+    Matrix::from_rows(rows).unwrap()
+}
+
+#[test]
+fn logistic_regression_matches_per_row_reference_bit_for_bit() {
+    check::cases(96, |rng| {
+        let mut lr = LogisticRegression::default_params();
+        let shape = rng.gen_range(0..6u32);
+        let x = match shape {
+            // d = 1 with 1, 2 or a few distinct values.
+            0 => {
+                let k = rng.gen_range(1..6usize);
+                let pool: Vec<Vec<f64>> = (0..k).map(|_| vec![rng.gen_range(-3.0..3.0)]).collect();
+                let n = rng.gen_range(2..150usize);
+                rows_from_pool(rng, &pool, n)
+            }
+            // d = 1, every value distinct.
+            1 => {
+                let n = rng.gen_range(2..150usize);
+                Matrix::new((0..n).map(|i| i as f64 * 0.37 - 9.0).collect(), n, 1).unwrap()
+            }
+            // d >= 2 with planted duplicate rows.
+            2 => {
+                let d = rng.gen_range(2..7usize);
+                let k = rng.gen_range(1..20usize);
+                let pool: Vec<Vec<f64>> = (0..k)
+                    .map(|_| check::vec_f64(rng, d..d + 1, -2.0..2.0))
+                    .collect();
+                let n = rng.gen_range(2..120usize);
+                rows_from_pool(rng, &pool, n)
+            }
+            // `0.0` and `-0.0`: equal values, different bits.
+            3 => {
+                let d = rng.gen_range(1..4usize);
+                let cells = [0.0, -0.0, 1.0, -1.5];
+                let pool: Vec<Vec<f64>> = (0..8)
+                    .map(|_| (0..d).map(|_| cells[rng.gen_range(0..4usize)]).collect())
+                    .collect();
+                let n = rng.gen_range(2..80usize);
+                rows_from_pool(rng, &pool, n)
+            }
+            // AutoFeat's selection fit: strong L2, no early stop, wide d,
+            // small n.
+            4 => {
+                lr.l2 = 1e-2;
+                lr.tol = 0.0;
+                lr.max_iter = rng.gen_range(1..400usize);
+                let d = rng.gen_range(10..60usize);
+                let n = rng.gen_range(2..30usize);
+                let pool: Vec<Vec<f64>> = (0..n)
+                    .map(|_| check::vec_f64(rng, d..d + 1, -2.0..2.0))
+                    .collect();
+                rows_from_pool(rng, &pool, n)
+            }
+            // A large tolerance, so training stops early.
+            _ => {
+                lr.tol = 0.05;
+                let k = rng.gen_range(2..10usize);
+                let pool: Vec<Vec<f64>> = (0..k).map(|_| vec![rng.gen_range(-1.0..1.0)]).collect();
+                let n = rng.gen_range(2..100usize);
+                rows_from_pool(rng, &pool, n)
+            }
+        };
+        // Both classes present, as `fit` requires.
+        let mut y: Vec<u8> = (0..x.rows()).map(|_| rng.gen_range(0..2u8)).collect();
+        y[0] = 0;
+        y[1] = 1;
+        let (weights, bias, iters) = reference_lr(&lr, &x, &y);
+        if shape == 5 {
+            assert!(iters < lr.max_iter, "early stop never fired");
+        }
+        lr.fit(&x, &y).unwrap();
+        assert_eq!(bits(lr.weights()), bits(&weights), "shape {shape}");
+        assert_eq!(lr.bias().to_bits(), bias.to_bits(), "shape {shape}");
+        let expected: Vec<f64> = (0..x.rows())
+            .map(|i| sigmoid(dot(x.row(i), &weights) + bias))
+            .collect();
+        assert_eq!(bits(&lr.predict_proba(&x).unwrap()), bits(&expected));
+    });
 }
