@@ -101,7 +101,7 @@ step_fix() {
 }
 
 step_artifacts() {
-  echo "==> observability artifacts: cascade CLI run (metrics + trace JSON)"
+  echo "==> observability artifacts: cascade and beam CLI runs (metrics + trace JSON)"
   mkdir -p ci-artifacts
   printf '%s\n' \
     'age,bmi,smoker,children,label' \
@@ -119,6 +119,16 @@ step_artifacts() {
   fi
   echo "    wrote ci-artifacts/metrics.json ($(wc -c < ci-artifacts/metrics.json) bytes)"
   echo "    wrote ci-artifacts/trace.jsonl ($(wc -l < ci-artifacts/trace.jsonl) events)"
+  # A score-guided run: beam search scores each round through the batched
+  # CV scorer, whose folds the metrics report counts under `work`.
+  cargo run -q --offline -p smartfeat --bin smartfeat -- \
+    --csv ci-artifacts/smoke.csv --target label --strategy beam \
+    --metrics-out ci-artifacts/metrics-beam.json > /dev/null
+  if ! grep -q '"work":{[^}]*"ml.cv.fold"' ci-artifacts/metrics-beam.json; then
+    echo "    ERROR: beam metrics lack CV fold work (ml.cv.fold)" >&2
+    exit 1
+  fi
+  echo "    wrote ci-artifacts/metrics-beam.json ($(wc -c < ci-artifacts/metrics-beam.json) bytes)"
 }
 
 step_perf() {

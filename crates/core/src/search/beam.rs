@@ -2,9 +2,9 @@
 //!
 //! Each of the `beam_depth` rounds pools up to `beam_width` samples per
 //! enabled family (so the FM sees one enriched agenda per round), scores
-//! every column the round kept with the single-feature CV scorer, and
-//! prunes the round's keeps down to the top `beam_width` across all
-//! families. Survivors stay in the frame and agenda, steering the next
+//! every column the round kept with the single-feature CV scorer in one
+//! batch, and prunes the round's keeps down to the top `beam_width`
+//! across all families. Survivors stay in the frame and agenda, steering the next
 //! round's prompts; pruned candidates keep their dedup keys, so the beam
 //! never revisits them. Unary proposals seed the beam exactly as in the
 //! one-shot walk.
@@ -73,12 +73,11 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                 }
             }
         }
-        // Score and prune: keep the round's top `width` columns by CV
-        // AUC, ties broken by name so the ranking is total.
-        let mut scored: Vec<(String, f64)> = kept_this_round
-            .iter()
-            .map(|name| (name.clone(), ctx.feature_score(name)))
-            .collect();
+        // Score (one batch per round) and prune: keep the round's top
+        // `width` columns by CV AUC, ties broken by name so the ranking
+        // is total.
+        let scores = ctx.feature_scores(&kept_this_round);
+        let mut scored: Vec<(String, f64)> = kept_this_round.into_iter().zip(scores).collect();
         scored.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)

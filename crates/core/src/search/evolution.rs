@@ -1,8 +1,9 @@
 //! Evolutionary search in the LLM-FE mold (see PAPERS.md): a seeded
 //! population of sampled candidates evolves for `generations` rounds.
-//! Each round ranks members by single-feature CV score, keeps the top
-//! half as survivors, prunes the losers' columns from the frame, and
-//! refills the population with FM-generated offspring — mutations of one
+//! Each round scores the members it has not scored yet (one batch),
+//! ranks members by single-feature CV score, keeps the top half as
+//! survivors, prunes the losers' columns from the frame, and refills
+//! the population with FM-generated offspring — mutations of one
 //! survivor or crossovers of two, parents drawn with a seeded rng from
 //! survivors only. The population size is invariant across generations:
 //! when the FM cannot produce enough viable offspring, the best
@@ -20,11 +21,12 @@ use crate::selector::Sample;
 
 use super::{one_shot, SearchCtx};
 
-/// One population member: the candidate and what its realization kept.
+/// One population member: the candidate, what its realization kept and,
+/// once it has been ranked, its best kept column's score.
 struct Member {
     cand: Candidate,
     kept: Vec<String>,
-    score: f64,
+    score: Option<f64>,
 }
 
 /// Population-based mutate/crossover search.
@@ -90,6 +92,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
 
         // Selection: rank by score (name-tie-broken), keep the top
         // half, prune every column only losers hold.
+        score_unscored(ctx, &mut members);
         rank(&mut members);
         let cut = members.len().div_ceil(2);
         let losers: Vec<Member> = members.split_off(cut);
@@ -211,7 +214,8 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
     Ok(())
 }
 
-/// Realize one candidate (a batch of one) and score its best kept column.
+/// Realize one candidate (a batch of one); it is scored when first
+/// ranked.
 fn realize_member(ctx: &mut SearchCtx<'_, '_>, cand: Candidate) -> Result<Member> {
     let kept = ctx
         .sf
@@ -222,8 +226,26 @@ fn realize_member(ctx: &mut SearchCtx<'_, '_>, cand: Candidate) -> Result<Member
             ctx.state.referenced.insert(col.clone());
         }
     }
-    let score = ctx.best_feature_score(&kept);
-    Ok(Member { cand, kept, score })
+    Ok(Member {
+        cand,
+        kept,
+        score: None,
+    })
+}
+
+/// Score every member not scored yet by its best kept column (0.0 when
+/// it kept nothing), all their columns in one batch. Offspring that are
+/// never ranked are never scored.
+fn score_unscored(ctx: &SearchCtx<'_, '_>, members: &mut [Member]) {
+    let unscored: Vec<&mut Member> = members.iter_mut().filter(|m| m.score.is_none()).collect();
+    let names: Vec<String> = unscored
+        .iter()
+        .flat_map(|m| m.kept.iter().cloned())
+        .collect();
+    let mut scores = ctx.feature_scores(&names).into_iter();
+    for m in unscored {
+        m.score = Some(scores.by_ref().take(m.kept.len()).fold(0.0, f64::max));
+    }
 }
 
 /// Sort members best-first: score descending, then name ascending so the

@@ -122,37 +122,53 @@ impl SearchCtx<'_, '_> {
         Ok(sample)
     }
 
-    /// Score one realized feature column: 3-fold CV AUC of a linear model
-    /// over that single column. Returns 0.0 whenever the frame cannot be
-    /// scored (string target, degenerate folds) so ranking stays total
-    /// and deterministic instead of erroring the run.
-    pub(crate) fn feature_score(&self, name: &str) -> f64 {
+    /// Score realized feature columns: for each name, the 3-fold CV AUC
+    /// of a linear model over that single column. All columns go to the
+    /// ml crate as one batch (one pool batch of columns × folds). A name
+    /// scores 0.0 whenever it cannot be scored (string target, missing
+    /// column, degenerate folds), so ranking stays total and
+    /// deterministic instead of erroring the run.
+    ///
+    /// A column's score depends only on its cells, the target and the
+    /// seed, and a committed column is never replaced, so scoring it
+    /// later, or in another batch, gives the same bits.
+    pub(crate) fn feature_scores(&self, names: &[String]) -> Vec<f64> {
+        if names.is_empty() {
+            return Vec::new();
+        }
         let Ok(labels) = self.state.frame.to_labels(&self.state.agenda.target) else {
-            return 0.0;
+            return vec![0.0; names.len()];
         };
-        let Ok(column) = self.state.frame.column(name) else {
-            return 0.0;
-        };
-        // `to_matrix`'s fill rule: null or non-finite cells read 0.0.
-        let values: Vec<f64> = column
-            .to_f64()
-            .into_iter()
-            .map(|v| v.filter(|v| v.is_finite()).unwrap_or(0.0))
+        // Each name's index into the batch, if its column could be read.
+        let mut xs = Vec::with_capacity(names.len());
+        let slots: Vec<Option<usize>> = names
+            .iter()
+            .map(|name| {
+                let column = self.state.frame.column(name).ok()?;
+                // `to_matrix`'s fill rule: null or non-finite cells read 0.0.
+                let values: Vec<f64> = column
+                    .to_f64()
+                    .into_iter()
+                    .map(|v| v.filter(|v| v.is_finite()).unwrap_or(0.0))
+                    .collect();
+                let n = values.len();
+                xs.push(smartfeat_ml::Matrix::new(values, n, 1).ok()?);
+                Some(xs.len() - 1)
+            })
             .collect();
-        let n = values.len();
-        let Ok(x) = smartfeat_ml::Matrix::new(values, n, 1) else {
-            return 0.0;
-        };
         let seed = smartfeat_rng::seed_jump(self.sf.config.seed, smartfeat_rng::Stream::Score);
-        smartfeat_ml::kfold_cv_auc(smartfeat_ml::ModelKind::LR, &x, &labels, 3, seed).unwrap_or(0.0)
-    }
-
-    /// Best [`SearchCtx::feature_score`] across a candidate's kept
-    /// columns (0.0 when nothing was kept).
-    pub(crate) fn best_feature_score(&self, kept: &[String]) -> f64 {
-        kept.iter()
-            .map(|name| self.feature_score(name))
-            .fold(0.0, f64::max)
+        let Ok(scores) =
+            smartfeat_ml::kfold_cv_auc_many(smartfeat_ml::ModelKind::LR, &xs, &labels, 3, seed)
+        else {
+            return vec![0.0; names.len()];
+        };
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.and_then(|i| scores.get(i)?.as_ref().ok().copied())
+                    .unwrap_or(0.0)
+            })
+            .collect()
     }
 
     /// Remove a previously kept feature that lost a selection round:

@@ -3,7 +3,9 @@
 //! action's outcome and CV score) and picks the next exploration move —
 //! a unary proposal on a named attribute, one sample from a family, or
 //! stop. Turns are bounded by `react_turns`; unparseable decisions and
-//! fruitless actions count as failures against `error_threshold`.
+//! fruitless actions count as failures against `error_threshold`. A
+//! turn's kept columns are scored when the next observation is built, so
+//! a run that ends after a turn never pays for that turn's score.
 
 use std::collections::BTreeSet;
 
@@ -21,7 +23,9 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
     let mut failures = 0usize;
     let mut last_action = "start".to_string();
     let mut last_outcome = "n/a".to_string();
-    let mut last_score = "n/a".to_string();
+    // The last turn's kept columns, scored only when the next
+    // observation reports them.
+    let mut last_kept: Vec<String> = Vec::new();
     // Attributes already proposed on this run, fruitful or not —
     // `unary_transformed` only records fruitful ones, and retrying a
     // fruitless attribute would burn every remaining turn on it.
@@ -43,7 +47,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
             turns,
             &last_action,
             &last_outcome,
-            &last_score,
+            &last_kept,
             failures,
         );
         let select_span = ctx.state.rec.span("stage.select");
@@ -108,11 +112,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
         };
         last_action = action.to_string();
         last_outcome = outcome.clone();
-        last_score = if kept.is_empty() {
-            "n/a".to_string()
-        } else {
-            format!("{:.2}", ctx.best_feature_score(&kept))
-        };
+        last_kept = kept;
         drop(turn_span);
         ctx.state.rec.event(
             "search.react.turn",
@@ -159,9 +159,18 @@ fn observe(
     turns: usize,
     last_action: &str,
     last_outcome: &str,
-    last_score: &str,
+    last_kept: &[String],
     failures: usize,
 ) -> String {
+    let last_score = if last_kept.is_empty() {
+        "n/a".to_string()
+    } else {
+        let best = ctx
+            .feature_scores(last_kept)
+            .into_iter()
+            .fold(0.0, f64::max);
+        format!("{best:.2}")
+    };
     let unexplored = unexplored(ctx, explored);
     let unexplored = if unexplored.is_empty() {
         "none".to_string()

@@ -128,10 +128,11 @@ fn sample_csv() -> String {
     text
 }
 
-/// Run the binary on `csv` at `threads` worker threads; returns stdout,
-/// the `--out` CSV bytes and the `--metrics-out` report bytes.
-fn run_at(csv: &Path, threads: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let (out_csv, metrics) = (temp("threads", "out.csv"), temp("threads", "metrics.json"));
+/// Run the binary on `csv` with the extra arguments `args` at `threads`
+/// worker threads; returns stdout, the `--out` CSV bytes and the
+/// `--metrics-out` report bytes. `case` names the temporary files.
+fn run_at(case: &str, csv: &Path, args: &[&str], threads: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let (out_csv, metrics) = (temp(case, "out.csv"), temp(case, "metrics.json"));
     let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
         .env("SMARTFEAT_THREADS", threads)
         .env_remove("SMARTFEAT_OBS_WALLCLOCK")
@@ -149,12 +150,13 @@ fn run_at(csv: &Path, threads: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
         .arg(&out_csv)
         .arg("--metrics-out")
         .arg(&metrics)
+        .args(args)
         .output()
         .expect("spawn smartfeat");
     assert_eq!(
         out.status.code(),
         Some(0),
-        "{threads} threads: {}",
+        "{case}, {threads} threads: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let written = std::fs::read(&out_csv).expect("--out written");
@@ -167,30 +169,43 @@ fn run_at(csv: &Path, threads: &str) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
 #[test]
 fn output_is_byte_identical_across_smartfeat_threads() {
     // SMARTFEAT_THREADS is the CLI's only thread setting, and it is read
-    // once per process, so each count needs its own process.
+    // once per process, so each count needs its own process. The beam
+    // case runs the batched CV scorer.
     let csv = temp("threads", "input.csv");
     std::fs::write(&csv, sample_csv()).expect("write csv");
-    let serial = run_at(&csv, "1");
-    let parallel = run_at(&csv, "4");
+    for (case, args) in [
+        ("threads_default", &[][..]),
+        ("threads_beam", &["--strategy", "beam"][..]),
+    ] {
+        let serial = run_at(case, &csv, args, "1");
+        let parallel = run_at(case, &csv, args, "4");
+        let header = serial.1.split(|&b| b == b'\n').next().unwrap_or_default();
+        assert!(
+            header.len() > "age,income,city,visits,label".len(),
+            "{case}: the run generated no feature: {}",
+            String::from_utf8_lossy(&serial.0)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&serial.0),
+            String::from_utf8_lossy(&parallel.0),
+            "{case}: stdout"
+        );
+        assert!(
+            serial.1 == parallel.1,
+            "{case}: --out CSV differs between 1 and 4 threads"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&serial.2),
+            String::from_utf8_lossy(&parallel.2),
+            "{case}: --metrics-out report"
+        );
+        if case == "threads_beam" {
+            let report = String::from_utf8_lossy(&serial.2);
+            assert!(
+                report.contains("\"ml.cv.fold\""),
+                "{case}: no CV fold ran: {report}"
+            );
+        }
+    }
     let _ = std::fs::remove_file(&csv);
-    let header = serial.1.split(|&b| b == b'\n').next().unwrap_or_default();
-    assert!(
-        header.len() > "age,income,city,visits,label".len(),
-        "the run generated no feature: {}",
-        String::from_utf8_lossy(&serial.0)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&serial.0),
-        String::from_utf8_lossy(&parallel.0),
-        "stdout"
-    );
-    assert!(
-        serial.1 == parallel.1,
-        "--out CSV differs between 1 and 4 threads"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&serial.2),
-        String::from_utf8_lossy(&parallel.2),
-        "--metrics-out report"
-    );
 }

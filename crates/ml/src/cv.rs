@@ -8,7 +8,7 @@
 //! inside each model's own task with no shared mutable state, so one model
 //! kind failing to train cannot poison — or race with — the others.
 
-use crate::error::Result;
+use crate::error::{MlError, Result};
 use crate::matrix::Matrix;
 use crate::metrics::{mean, median, roc_auc};
 use crate::model::ModelKind;
@@ -62,48 +62,60 @@ pub fn evaluate_models(
     seed: u64,
 ) -> Result<ModelScores> {
     let standardized = Standardizer::fit_transform(x_train, x_test).ok();
+    let split = Split {
+        x_train,
+        y_train,
+        x_test,
+        y_test,
+    };
     let threads = smartfeat_par::resolve_threads(0);
     let scores = smartfeat_par::par_map_indexed(threads, models.len(), |i| {
         let kind = models[i];
-        let (tr, te): (&Matrix, &Matrix) = if kind.wants_standardized_input() {
-            match &standardized {
-                Some((tr, te)) => (tr, te),
-                None => (x_train, x_test),
-            }
-        } else {
-            (x_train, x_test)
-        };
-        // Runs on pool workers: the run's work tally aggregates through
-        // order-independent counters, so this is determinism-safe.
-        let auc = smartfeat_obs::global::time("ml.eval.model", || {
-            score_one_model(kind, tr, y_train, te, y_test, seed, i)
-        });
-        (kind, auc)
+        (
+            kind,
+            score_model(kind, &split, standardized.as_ref(), seed, i),
+        )
     });
     Ok(ModelScores { scores })
 }
 
-/// Fit and score one model; a training or prediction failure scores 50.0
-/// (random guessing) — the paper's convention for e.g. CAAFE's Diabetes
-/// failure. Runs inside one pool task: all state is task-local, so the
-/// fallback is thread-safe by construction.
-fn score_one_model(
+/// One (train, test) split.
+struct Split<'a> {
+    x_train: &'a Matrix,
+    y_train: &'a [u8],
+    x_test: &'a Matrix,
+    y_test: &'a [u8],
+}
+
+/// Fit `kind` on `split`'s train half and score AUC (× 100) on its test
+/// half, under the `ml.eval.model` work unit; it reads the standardized
+/// split when the model wants it and standardization succeeded. A
+/// training or prediction failure scores 50.0 (random guessing) — the
+/// paper's convention for e.g. CAAFE's Diabetes failure. Runs inside one
+/// pool task: all state is task-local, so the fallback is thread-safe by
+/// construction, and the run's work tally aggregates through
+/// order-independent counters.
+fn score_model(
     kind: ModelKind,
-    x_train: &Matrix,
-    y_train: &[u8],
-    x_test: &Matrix,
-    y_test: &[u8],
+    split: &Split<'_>,
+    standardized: Option<&(Matrix, Matrix)>,
     seed: u64,
     index: usize,
 ) -> f64 {
-    let mut model = kind.build(seed.wrapping_add(index as u64 * 7919));
-    match model.fit(x_train, y_train) {
-        Ok(()) => match model.predict_proba(x_test) {
-            Ok(p) => roc_auc(y_test, &p) * 100.0,
+    let (x_train, x_test): (&Matrix, &Matrix) = match standardized {
+        Some((tr, te)) if kind.wants_standardized_input() => (tr, te),
+        _ => (split.x_train, split.x_test),
+    };
+    smartfeat_obs::global::time("ml.eval.model", || {
+        let mut model = kind.build(seed.wrapping_add(index as u64 * 7919));
+        match model.fit(x_train, split.y_train) {
+            Ok(()) => match model.predict_proba(x_test) {
+                Ok(p) => roc_auc(split.y_test, &p) * 100.0,
+                Err(_) => 50.0,
+            },
             Err(_) => 50.0,
-        },
-        Err(_) => 50.0,
-    }
+        }
+    })
 }
 
 /// [`evaluate_models`] over all five paper models.
@@ -117,38 +129,101 @@ pub fn evaluate_all_models(
     evaluate_models(&ModelKind::all(), x_train, y_train, x_test, y_test, seed)
 }
 
-/// K-fold cross-validated AUC (× 100) for a single model kind.
-///
-/// Folds run on the pool at the run context's thread count. They are
-/// independent — each derives its own seed from `seed + fold_id` — and
-/// fold AUCs are averaged in fold order, so the result is bit-identical
-/// for any thread count.
+/// K-fold cross-validated AUC (× 100) for a single model kind: the
+/// one-input case of [`kfold_cv_auc_many`], with the same errors.
 pub fn kfold_cv_auc(kind: ModelKind, x: &Matrix, y: &[u8], k: usize, seed: u64) -> Result<f64> {
-    let folds = smartfeat_frame::sample::kfold_indices(x.rows(), k, seed)
-        .map_err(|e| crate::error::MlError::InvalidParameter(e.to_string()))?;
+    // One input gives one result.
+    kfold_cv_auc_many(kind, std::slice::from_ref(x), y, k, seed)?
+        .pop()
+        .unwrap_or(Err(MlError::EmptyTrainingSet))
+}
+
+/// K-fold cross-validated AUC (× 100) of one model kind on each of `xs`,
+/// all against the labels `y`.
+///
+/// Every input shares the folds of `kfold_indices(y.len(), k, seed)`, and
+/// fold `f` seeds its model with `seed + f`. The `xs.len() × k`
+/// (input, fold) pairs run as one pool batch at the run context's thread
+/// count, and no fold opens a pool of its own for LR, NB or the DNN (RF
+/// and ET fit their trees on a nested pool). Each input's fold AUCs are
+/// averaged in fold order, so every score is bit-identical for any
+/// thread count and for any batch it shares.
+///
+/// The outer error is for the folds themselves (`k` out of range for
+/// `y.len()` rows). An input whose row count differs from `y.len()` or
+/// that holds a non-finite cell gets its own error, reported by its
+/// lowest fold, while the other inputs still score. A model that fails
+/// to train on a fold scores 50.0 there, as in [`evaluate_models`].
+pub fn kfold_cv_auc_many(
+    kind: ModelKind,
+    xs: &[Matrix],
+    y: &[u8],
+    k: usize,
+    seed: u64,
+) -> Result<Vec<Result<f64>>> {
+    let folds = smartfeat_frame::sample::kfold_indices(y.len(), k, seed)
+        .map_err(|e| MlError::InvalidParameter(e.to_string()))?;
+    let labels: Vec<(Vec<u8>, Vec<u8>)> = folds
+        .iter()
+        .map(|(train, valid)| {
+            (
+                train.iter().map(|&i| y[i]).collect(),
+                valid.iter().map(|&i| y[i]).collect(),
+            )
+        })
+        .collect();
+    let checks: Vec<Result<()>> = xs
+        .iter()
+        .map(|x| {
+            if x.rows() != y.len() {
+                Err(MlError::ShapeMismatch {
+                    rows: x.rows(),
+                    labels: y.len(),
+                })
+            } else if !x.is_finite() {
+                Err(MlError::NonFinite("cross-validation features"))
+            } else {
+                Ok(())
+            }
+        })
+        .collect();
+    let k = folds.len();
     let threads = smartfeat_par::resolve_threads(0);
-    let aucs = smartfeat_par::try_par_map_indexed(threads, folds.len(), |fold_id| {
-        smartfeat_obs::global::time("ml.cv.fold", || {
+    let aucs = smartfeat_par::par_map_indexed(threads, xs.len() * k, |task| {
+        let (input, fold_id) = (task / k, task % k);
+        checks[input].clone()?;
+        Ok(smartfeat_obs::global::time("ml.cv.fold", || {
+            let x = &xs[input];
             let (train_idx, valid_idx) = &folds[fold_id];
+            let (y_train, y_valid) = &labels[fold_id];
             let x_train = x.take_rows(train_idx);
             let x_valid = x.take_rows(valid_idx);
-            let y_train: Vec<u8> = train_idx.iter().map(|&i| y[i]).collect();
-            let y_valid: Vec<u8> = valid_idx.iter().map(|&i| y[i]).collect();
-            // A one-model batch runs serially on this fold's worker. The
-            // model itself may open a pool: RF and ET fit their trees at
-            // the run context's count, nested inside the fold pool.
-            evaluate_models(
-                &[kind],
-                &x_train,
-                &y_train,
-                &x_valid,
-                &y_valid,
+            let standardized = kind
+                .wants_standardized_input()
+                .then(|| Standardizer::fit_transform(&x_train, &x_valid).ok())
+                .flatten();
+            let split = Split {
+                x_train: &x_train,
+                y_train,
+                x_test: &x_valid,
+                y_test: y_valid,
+            };
+            score_model(
+                kind,
+                &split,
+                standardized.as_ref(),
                 seed.wrapping_add(fold_id as u64),
+                0,
             )
-            .map(|s| s.scores[0].1)
+        }))
+    });
+    Ok(aucs
+        .chunks(k)
+        .map(|input| {
+            let input: Result<Vec<f64>> = input.iter().cloned().collect();
+            input.map(|a| mean(&a))
         })
-    })?;
-    Ok(mean(&aucs))
+        .collect())
 }
 
 #[cfg(test)]

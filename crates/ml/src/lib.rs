@@ -29,7 +29,7 @@ pub mod preprocess;
 pub mod select;
 pub mod tree;
 
-pub use cv::{evaluate_all_models, evaluate_models, kfold_cv_auc, ModelScores};
+pub use cv::{evaluate_all_models, evaluate_models, kfold_cv_auc, kfold_cv_auc_many, ModelScores};
 pub use error::{MlError, Result};
 pub use extra_trees::ExtraTrees;
 pub use forest::RandomForest;

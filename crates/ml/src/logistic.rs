@@ -5,14 +5,16 @@ use crate::error::{MlError, Result};
 use crate::matrix::{dot, Matrix};
 use crate::model::Classifier;
 use smartfeat_frame::{StableHash, StableHasher, StableMap};
+use std::ops::Range;
 
 /// L2-regularized logistic regression.
 ///
 /// Deterministic (zero-initialized, full-batch), so it needs no seed.
 /// Training computes the sigmoid once per distinct row per iteration:
-/// rows with equal bit patterns share one probability, and the gradient
-/// is still summed over every row in row order, so the fitted weights
-/// are bit-identical to a per-row loop.
+/// rows with equal bit patterns share one probability. The gradient is
+/// still summed over every row in row order, a block of columns per row
+/// pass with the sums in locals, so the fitted weights are bit-identical
+/// to a per-row loop.
 #[derive(Debug, Clone)]
 pub struct LogisticRegression {
     /// Learning rate.
@@ -80,19 +82,15 @@ impl LogisticRegression {
         let mut grad = vec![0.0; d];
         let (codes, reps) = distinct_rows(x);
         let mut probs = vec![0.0; reps.len()];
+        let mut err = vec![0.0; n];
         for _ in 0..self.max_iter {
             for (p, &r) in probs.iter_mut().zip(&reps) {
                 *p = sigmoid(dot(x.row(r), &self.weights) + self.bias);
             }
-            grad.iter_mut().for_each(|g| *g = 0.0);
-            let mut grad_b = 0.0;
-            for (i, (&label, &c)) in y.iter().zip(&codes).enumerate() {
-                let err = probs[c as usize] - f64::from(label);
-                for (g, &v) in grad.iter_mut().zip(x.row(i)) {
-                    *g += err * v;
-                }
-                grad_b += err;
+            for ((e, &label), &c) in err.iter_mut().zip(y).zip(&codes) {
+                *e = probs[c as usize] - f64::from(label);
             }
+            let mut grad_b = sum_gradient(x, &err, &mut grad);
             let mut norm = 0.0;
             for (g, w) in grad.iter_mut().zip(&self.weights) {
                 *g = *g * inv_n + self.l2 * w;
@@ -110,6 +108,102 @@ impl LogisticRegression {
         }
         self.fitted = true;
         Ok(())
+    }
+}
+
+/// Columns summed per row pass in [`sum_gradient`].
+const GRAD_LANES: usize = 16;
+
+/// Bytes of matrix cells per row tile in [`sum_gradient`]: a tile's rows
+/// stay in cache while each lane block passes over them.
+const GRAD_TILE_BYTES: usize = 128 * 1024;
+
+/// Sum the unscaled gradient `grad[j] = Σ_i err[i] · x[i][j]` and return
+/// the bias gradient `Σ_i err[i]`. Rows go a tile at a time; within a
+/// tile, columns go [`GRAD_LANES`] at a time, one pass over the tile's
+/// rows per block with each lane's sum in a local, and the first block
+/// also carries the bias sum. Every sum starts at `0.0` and adds its terms
+/// in row order, so the result is bit-identical to one row-major loop
+/// accumulating into `grad` (rustc does not contract the multiply and add
+/// into an FMA).
+fn sum_gradient(x: &Matrix, err: &[f64], grad: &mut [f64]) -> f64 {
+    grad.iter_mut().for_each(|g| *g = 0.0);
+    let mut grad_b = 0.0;
+    let d = grad.len();
+    let tile = (GRAD_TILE_BYTES / (8 * d.max(1))).max(1);
+    for r0 in (0..err.len()).step_by(tile) {
+        let rows = r0..(r0 + tile).min(err.len());
+        // With no columns, one empty block still sums the bias.
+        for j0 in (0..d.max(1)).step_by(GRAD_LANES) {
+            let out = &mut grad[j0..(j0 + GRAD_LANES).min(d)];
+            if j0 == 0 {
+                lane_block_any::<true>(x, err, rows.clone(), j0, out, &mut grad_b);
+            } else {
+                lane_block_any::<false>(x, err, rows.clone(), j0, out, &mut grad_b);
+            }
+        }
+    }
+    grad_b
+}
+
+/// [`lane_block`] at the width of `out` (at most [`GRAD_LANES`]).
+fn lane_block_any<const BIAS: bool>(
+    x: &Matrix,
+    err: &[f64],
+    rows: Range<usize>,
+    j0: usize,
+    out: &mut [f64],
+    bias: &mut f64,
+) {
+    match out.len() {
+        0 => lane_block::<0, BIAS>(x, err, rows, j0, out, bias),
+        1 => lane_block::<1, BIAS>(x, err, rows, j0, out, bias),
+        2 => lane_block::<2, BIAS>(x, err, rows, j0, out, bias),
+        3 => lane_block::<3, BIAS>(x, err, rows, j0, out, bias),
+        4 => lane_block::<4, BIAS>(x, err, rows, j0, out, bias),
+        5 => lane_block::<5, BIAS>(x, err, rows, j0, out, bias),
+        6 => lane_block::<6, BIAS>(x, err, rows, j0, out, bias),
+        7 => lane_block::<7, BIAS>(x, err, rows, j0, out, bias),
+        8 => lane_block::<8, BIAS>(x, err, rows, j0, out, bias),
+        9 => lane_block::<9, BIAS>(x, err, rows, j0, out, bias),
+        10 => lane_block::<10, BIAS>(x, err, rows, j0, out, bias),
+        11 => lane_block::<11, BIAS>(x, err, rows, j0, out, bias),
+        12 => lane_block::<12, BIAS>(x, err, rows, j0, out, bias),
+        13 => lane_block::<13, BIAS>(x, err, rows, j0, out, bias),
+        14 => lane_block::<14, BIAS>(x, err, rows, j0, out, bias),
+        15 => lane_block::<15, BIAS>(x, err, rows, j0, out, bias),
+        _ => lane_block::<GRAD_LANES, BIAS>(x, err, rows, j0, out, bias),
+    }
+}
+
+/// One pass over `rows` for columns `j0..j0 + W`: adds each row's
+/// `err[i] · x[i][j]` to `out[j - j0]` and, when `BIAS`, `err[i]` to
+/// `bias`, in row order. The sums live in locals for the whole pass.
+fn lane_block<const W: usize, const BIAS: bool>(
+    x: &Matrix,
+    err: &[f64],
+    rows: Range<usize>,
+    j0: usize,
+    out: &mut [f64],
+    bias: &mut f64,
+) {
+    let mut acc = [0.0; W];
+    acc.copy_from_slice(out);
+    let mut acc_b = *bias;
+    let (cells, d) = (x.as_slice(), x.cols());
+    for i in rows {
+        let e = err[i];
+        let lanes = &cells[i * d + j0..i * d + j0 + W];
+        for l in 0..W {
+            acc[l] += e * lanes[l];
+        }
+        if BIAS {
+            acc_b += e;
+        }
+    }
+    out.copy_from_slice(&acc);
+    if BIAS {
+        *bias = acc_b;
     }
 }
 

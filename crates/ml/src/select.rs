@@ -78,24 +78,20 @@ pub fn rfe_rank(x: &Matrix, y: &[u8]) -> Result<Vec<usize>> {
     let mut eliminated: Vec<usize> = Vec::with_capacity(d);
     while alive.len() > 1 {
         let sub = x.take_cols(&alive);
-        let weights = match fit_lr_weights(&sub, y) {
-            Some(w) => w,
-            // Degenerate training set: eliminate remaining arbitrarily
-            // (stable order) rather than failing the whole ranking.
-            None => {
-                let mut rest = alive.clone();
-                rest.reverse();
-                eliminated.extend(rest);
-                alive.clear();
-                break;
-            }
-        };
-        let (drop_pos, _) = weights
+        let weights = fit_lr_weights(&sub, y).unwrap_or_default();
+        let Some((drop_pos, _)) = weights
             .iter()
             .map(|w| w.abs())
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("alive is non-empty");
+        else {
+            // Degenerate training set (no weights): eliminate the rest
+            // arbitrarily (stable order) rather than failing the whole
+            // ranking.
+            eliminated.extend(alive.iter().rev());
+            alive.clear();
+            break;
+        };
         eliminated.push(alive.remove(drop_pos));
     }
     eliminated.extend(alive);
@@ -169,6 +165,15 @@ mod tests {
         let ranked = rank_features(SelectionMetric::Rfe, &x, &y, 0).unwrap();
         assert_eq!(ranked[0], 0);
         assert_eq!(ranked.len(), 3);
+    }
+
+    #[test]
+    fn rfe_on_a_degenerate_target_keeps_column_order() {
+        let (x, _) = layered_signal();
+        let single_class = vec![1u8; x.rows()];
+        assert_eq!(rfe_rank(&x, &single_class).unwrap(), vec![0, 1, 2]);
+        let one_column = x.take_cols(&[2]);
+        assert_eq!(rfe_rank(&one_column, &single_class).unwrap(), vec![0]);
     }
 
     #[test]

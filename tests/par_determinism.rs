@@ -8,7 +8,8 @@ use smartfeat::{SmartFeat, SmartFeatConfig, SmartFeatReport};
 use smartfeat_fm::SimulatedFm;
 use smartfeat_frame::csv;
 use smartfeat_ml::{
-    evaluate_models, kfold_cv_auc, Classifier, ExtraTrees, Matrix, ModelKind, RandomForest,
+    evaluate_models, kfold_cv_auc, kfold_cv_auc_many, Classifier, ExtraTrees, Matrix, MlError,
+    ModelKind, RandomForest,
 };
 use smartfeat_par::within;
 use smartfeat_rng::Rng;
@@ -99,6 +100,123 @@ fn kfold_cv_is_bit_identical_across_thread_counts() {
             }
         }
     }
+}
+
+/// One n×1 input per column of `x`, plus a coarse copy of column 0 with
+/// few distinct values, so the batch holds repeated-row inputs too.
+fn one_column_inputs(x: &Matrix) -> Vec<Matrix> {
+    let mut inputs: Vec<Matrix> = (0..x.cols())
+        .map(|j| Matrix::new(x.col(j), x.rows(), 1).expect("n×1"))
+        .collect();
+    let coarse: Vec<f64> = x.col(0).iter().map(|v| v.floor()).collect();
+    inputs.push(Matrix::new(coarse, x.rows(), 1).expect("n×1"));
+    inputs
+}
+
+#[test]
+fn kfold_cv_many_matches_one_input_calls_across_thread_counts() {
+    for seed in SEEDS {
+        let (x, y) = dense_data(seed.wrapping_add(5), 150, 3);
+        let mut inputs = one_column_inputs(&x);
+        inputs.push(x);
+        for kind in [ModelKind::LR, ModelKind::NB, ModelKind::RF] {
+            let alone: Vec<u64> = inputs
+                .iter()
+                .map(|x| {
+                    within(1, || kfold_cv_auc(kind, x, &y, 3, seed))
+                        .expect("scores")
+                        .to_bits()
+                })
+                .collect();
+            for threads in [1, 2, 4, 8] {
+                let batch: Vec<u64> =
+                    within(threads, || kfold_cv_auc_many(kind, &inputs, &y, 3, seed))
+                        .expect("folds")
+                        .into_iter()
+                        .map(|auc| auc.expect("scores").to_bits())
+                        .collect();
+                assert_eq!(batch, alone, "seed {seed}, {kind}, {threads} threads");
+            }
+        }
+    }
+}
+
+#[test]
+fn kfold_cv_many_isolates_a_bad_input() {
+    let (x, y) = dense_data(3, 90, 2);
+    let mut inputs = one_column_inputs(&x);
+    let mut poisoned = inputs[0].clone();
+    poisoned.set(17, 0, f64::NAN);
+    inputs.insert(1, poisoned);
+    inputs.push(Matrix::zeros(89, 1));
+    for threads in [1, 4] {
+        let scores = within(threads, || {
+            kfold_cv_auc_many(ModelKind::LR, &inputs, &y, 3, 8)
+        })
+        .expect("folds");
+        assert_eq!(scores.len(), inputs.len());
+        assert!(
+            matches!(scores[1], Err(MlError::NonFinite(_))),
+            "{:?}",
+            scores[1]
+        );
+        assert!(
+            matches!(
+                scores[inputs.len() - 1],
+                Err(MlError::ShapeMismatch {
+                    rows: 89,
+                    labels: 90
+                })
+            ),
+            "{:?}",
+            scores[inputs.len() - 1]
+        );
+        for (i, score) in scores.iter().enumerate() {
+            if i != 1 && i != inputs.len() - 1 {
+                let want = kfold_cv_auc(ModelKind::LR, &inputs[i], &y, 3, 8).expect("scores");
+                assert_eq!(
+                    score.as_ref().map(|a| a.to_bits()),
+                    Ok(want.to_bits()),
+                    "input {i}"
+                );
+            }
+        }
+    }
+    assert!(matches!(
+        kfold_cv_auc(ModelKind::LR, &inputs[1], &y, 3, 8),
+        Err(MlError::NonFinite(_))
+    ));
+}
+
+#[test]
+fn kfold_cv_with_fewer_positives_than_folds_scores_or_errs() {
+    let (x, _) = dense_data(11, 40, 2);
+    let inputs = one_column_inputs(&x);
+    for positives in [0usize, 1, 2] {
+        let mut y = vec![0u8; 40];
+        for label in y.iter_mut().take(positives) {
+            *label = 1;
+        }
+        for kind in [ModelKind::LR, ModelKind::NB, ModelKind::RF] {
+            for k in [3, 4, 5] {
+                let scores = within(2, || kfold_cv_auc_many(kind, &inputs, &y, k, 1))
+                    .expect("40 rows split into k folds");
+                for score in scores {
+                    let auc = score.expect("a failed fold fit scores 50.0");
+                    assert!((0.0..=100.0).contains(&auc), "{kind}, k = {k}: {auc}");
+                }
+            }
+        }
+    }
+    let y: Vec<u8> = (0..40).map(|i| u8::from(i < 2)).collect();
+    assert!(matches!(
+        kfold_cv_auc_many(ModelKind::LR, &inputs, &y, 41, 1),
+        Err(MlError::InvalidParameter(_))
+    ));
+    assert_eq!(
+        kfold_cv_auc_many(ModelKind::LR, &[], &y, 3, 1),
+        Ok(Vec::new())
+    );
 }
 
 #[test]

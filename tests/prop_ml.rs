@@ -5,7 +5,7 @@ use smartfeat_repro::ml::logistic::{sigmoid, LogisticRegression};
 use smartfeat_repro::ml::matrix::dot;
 use smartfeat_repro::ml::metrics::{accuracy, log_loss, median};
 use smartfeat_repro::ml::preprocess::Standardizer;
-use smartfeat_repro::ml::roc_auc;
+use smartfeat_repro::ml::{roc_auc, MlError};
 use smartfeat_repro::prelude::*;
 use smartfeat_repro::rng::check;
 use smartfeat_repro::rng::Rng;
@@ -183,6 +183,13 @@ fn rows_from_pool(rng: &mut Rng, pool: &[Vec<f64>], n: usize) -> Matrix {
     Matrix::from_rows(rows).unwrap()
 }
 
+/// Widths that cover every gradient lane-block shape (16 columns per
+/// block): no columns, so only the bias trains (0), a lone partial block
+/// (1–9, 12, 15), one full block (16), a full block plus a tail (17),
+/// several full blocks plus a tail (37), and rows wide enough that a fit
+/// spans several row tiles (600 columns give 27-row tiles).
+const LANE_WIDTHS: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 37, 600];
+
 #[test]
 fn logistic_regression_matches_per_row_reference_bit_for_bit() {
     check::cases(96, |rng| {
@@ -243,20 +250,63 @@ fn logistic_regression_matches_per_row_reference_bit_for_bit() {
                 rows_from_pool(rng, &pool, n)
             }
         };
-        // Both classes present, as `fit` requires.
-        let mut y: Vec<u8> = (0..x.rows()).map(|_| rng.gen_range(0..2u8)).collect();
-        y[0] = 0;
-        y[1] = 1;
-        let (weights, bias, iters) = reference_lr(&lr, &x, &y);
+        let iters = assert_fit_matches_reference(&mut lr, &x, rng, shape);
         if shape == 5 {
             assert!(iters < lr.max_iter, "early stop never fired");
         }
-        lr.fit(&x, &y).unwrap();
-        assert_eq!(bits(lr.weights()), bits(&weights), "shape {shape}");
-        assert_eq!(lr.bias().to_bits(), bias.to_bits(), "shape {shape}");
-        let expected: Vec<f64> = (0..x.rows())
-            .map(|i| sigmoid(dot(x.row(i), &weights) + bias))
-            .collect();
-        assert_eq!(bits(&lr.predict_proba(&x).unwrap()), bits(&expected));
     });
+    // Every gradient lane-block width, with n = 1, 2 or odd, `±0.0`
+    // cells and repeated rows.
+    check::cases(96, |rng| {
+        let mut lr = LogisticRegression::default_params();
+        lr.max_iter = rng.gen_range(1..120usize);
+        let d = LANE_WIDTHS[rng.gen_range(0..LANE_WIDTHS.len())];
+        let n = match rng.gen_range(0..3u32) {
+            0 => 1,
+            1 => 2,
+            _ => 2 * rng.gen_range(1..40usize) + 1,
+        };
+        let cells = [0.0, -0.0, 0.5, -2.25, 3.0];
+        let pool: Vec<Vec<f64>> = (0..rng.gen_range(1..8usize))
+            .map(|_| {
+                (0..d)
+                    .map(|_| match rng.gen_range(0..3u32) {
+                        0 => cells[rng.gen_range(0..cells.len())],
+                        _ => rng.gen_range(-2.0..2.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let x = rows_from_pool(rng, &pool, n);
+        if n == 1 {
+            // One row holds one class, which `fit` rejects.
+            assert_eq!(lr.fit(&x, &[1]), Err(MlError::SingleClass), "d = {d}");
+            return;
+        }
+        assert_fit_matches_reference(&mut lr, &x, rng, d as u32);
+    });
+}
+
+/// Fit `lr` on `x` with random labels holding both classes and assert its
+/// weights, bias and probabilities are bit-equal to [`reference_lr`]'s.
+/// Returns the reference's iteration count.
+fn assert_fit_matches_reference(
+    lr: &mut LogisticRegression,
+    x: &Matrix,
+    rng: &mut Rng,
+    case: u32,
+) -> usize {
+    // Both classes present, as `fit` requires.
+    let mut y: Vec<u8> = (0..x.rows()).map(|_| rng.gen_range(0..2u8)).collect();
+    y[0] = 0;
+    y[1] = 1;
+    let (weights, bias, iters) = reference_lr(lr, x, &y);
+    lr.fit(x, &y).unwrap();
+    assert_eq!(bits(lr.weights()), bits(&weights), "case {case}");
+    assert_eq!(lr.bias().to_bits(), bias.to_bits(), "case {case}");
+    let expected: Vec<f64> = (0..x.rows())
+        .map(|i| sigmoid(dot(x.row(i), &weights) + bias))
+        .collect();
+    assert_eq!(bits(&lr.predict_proba(x).unwrap()), bits(&expected));
+    iters
 }

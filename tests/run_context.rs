@@ -19,7 +19,8 @@ use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig};
 use smartfeat_fm::SimulatedFm;
 use smartfeat_frame::json::JsonValue;
 use smartfeat_ml::{
-    evaluate_all_models, kfold_cv_auc, Classifier, ExtraTrees, Matrix, ModelKind, RandomForest,
+    evaluate_all_models, kfold_cv_auc, kfold_cv_auc_many, Classifier, ExtraTrees, Matrix,
+    ModelKind, RandomForest,
 };
 use smartfeat_par::{PoolStats, RunContext, WorkStat};
 use smartfeat_rng::Rng;
@@ -293,6 +294,109 @@ fn evaluate_all_models_records_one_fit_per_model_kind() {
         assert_eq!(work.get(name).map(|w| w.count), Some(1), "{name}: {work:?}");
     }
     assert_eq!(work["ml.eval.model"].count, ModelKind::all().len() as u64);
+}
+
+#[test]
+fn cv_batch_is_one_pool_batch_of_inputs_times_folds() {
+    let (x, y) = toy_data(90, 4);
+    let inputs: Vec<Matrix> = (0..3)
+        .map(|j| Matrix::new(x.col(j), x.rows(), 1).expect("n×1"))
+        .collect();
+    for threads in [1usize, 2, 4, 8] {
+        let (pool, work) = counted(threads, || {
+            kfold_cv_auc_many(ModelKind::LR, &inputs, &y, 4, 2).expect("folds");
+        });
+        let spawned = if threads == 1 { 0 } else { threads as u64 };
+        assert_eq!(
+            pool,
+            PoolStats {
+                batches: 1,
+                tasks: 12,
+                workers_spawned: spawned
+            },
+            "{threads} threads: no fold opens a pool of its own"
+        );
+        for name in ["ml.cv.fold", "ml.eval.model", "ml.lr.fit"] {
+            assert_eq!(work[name].count, 12, "{name}, {threads} threads");
+        }
+    }
+}
+
+/// A run of `kind` on 40 rows of insurance data under `tweak`, with the
+/// FM seeds of the strategy trace goldens: the names of the features it
+/// generated and the work counts of its metrics report.
+fn run_work(
+    kind: SearchStrategyKind,
+    tweak: impl FnOnce(&mut SmartFeatConfig),
+) -> (Vec<String>, BTreeMap<String, u64>) {
+    let ds = smartfeat_datasets::insurance::generate(40, 5);
+    let selector = SimulatedFm::gpt4(13);
+    let generator = SimulatedFm::gpt35(14);
+    let mut config = SmartFeatConfig::default();
+    config.search.strategy = kind;
+    config.observability.enabled = true;
+    tweak(&mut config);
+    let report = SmartFeat::new(&selector, &generator, config)
+        .run(&ds.frame, &ds.agenda("RF"))
+        .expect("pipeline runs");
+    let metrics = report.metrics.as_ref().expect("metrics enabled");
+    let work = match metrics.get("work") {
+        Some(JsonValue::Object(fields)) => fields
+            .iter()
+            .map(|(name, count)| (name.clone(), count.as_u64().unwrap_or(0)))
+            .collect(),
+        other => panic!("no work section: {other:?}"),
+    };
+    let features = report
+        .new_feature_names()
+        .into_iter()
+        .map(String::from)
+        .collect();
+    (features, work)
+}
+
+#[test]
+fn evolution_scores_only_members_it_ranks() {
+    // One generation ranks the seed population once: six seeds with one
+    // column each, three folds per column. Its three offspring keep a
+    // column each but are never ranked, so they are never scored.
+    let (features, work) = run_work(SearchStrategyKind::Evolutionary, |c| {
+        c.search.population = 6;
+        c.search.generations = 1;
+    });
+    assert!(
+        features.iter().any(|f| f == "Age_of_car_minus_Age"),
+        "an offspring column was kept: {features:?}"
+    );
+    assert_eq!(work.get("ml.lr.fit"), Some(&(6 * 3)), "{work:?}");
+    let (_, work) = run_work(SearchStrategyKind::Evolutionary, |c| {
+        c.search.population = 6;
+        c.search.generations = 2;
+    });
+    assert_eq!(
+        work.get("ml.lr.fit"),
+        Some(&((6 + 3) * 3)),
+        "the second ranking scores the first generation's offspring: {work:?}"
+    );
+}
+
+#[test]
+fn react_scores_a_turn_only_for_the_next_observation() {
+    // Turn 0 keeps nothing and turn 1 keeps one column, which only a
+    // third turn's observation reads.
+    let (features, work) = run_work(SearchStrategyKind::React, |c| c.search.react_turns = 2);
+    assert_eq!(features.len(), 1, "turn 1 kept one column: {features:?}");
+    assert!(
+        !work.contains_key("ml.lr.fit"),
+        "the last turn was scored: {work:?}"
+    );
+    let (features, work) = run_work(SearchStrategyKind::React, |c| c.search.react_turns = 3);
+    assert_eq!(features.len(), 2, "{features:?}");
+    assert_eq!(
+        work.get("ml.lr.fit"),
+        Some(&3),
+        "one column, three folds: {work:?}"
+    );
 }
 
 /// The `pool` and `work` sections of one observed run's metrics report.
