@@ -10,8 +10,7 @@
 use std::process::exit;
 
 use smartfeat::{
-    build_role_fms, BackendKind, DataAgenda, SearchConfig, SearchStrategyKind, SmartFeat,
-    SmartFeatConfig,
+    build_role_fms, BackendKind, DataAgenda, SearchStrategyKind, SmartFeat, SmartFeatConfig,
 };
 use smartfeat_fm::{FoundationModel, Transcribing};
 use smartfeat_frame::csv;
@@ -65,16 +64,9 @@ struct Args {
     out: Option<String>,
     descriptions: Vec<(String, String)>,
     model: String,
-    seed: u64,
-    budget: usize,
-    search: SearchConfig,
-    backend: Option<BackendKind>,
-    cascade: bool,
-    drop_heuristic: bool,
-    fm_removal: bool,
     transcript: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
+    /// Built from the flags and validated before any file is read.
+    config: SmartFeatConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -83,16 +75,11 @@ fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut descriptions = Vec::new();
     let mut model = "RF".to_string();
-    let mut seed = 42u64;
-    let mut budget = 10usize;
-    let mut search = SearchConfig::default();
-    let mut backend = None;
-    let mut cascade = false;
-    let mut drop_heuristic = true;
-    let mut fm_removal = false;
     let mut transcript = false;
-    let mut trace_out = None;
-    let mut metrics_out = None;
+    let mut config = SmartFeatConfig {
+        seed: 42,
+        ..SmartFeatConfig::default()
+    };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = |what: &str| -> Result<String, String> {
@@ -115,18 +102,18 @@ fn parse_args() -> Result<Args, String> {
             }
             "--model" => model = value("--model")?,
             "--seed" => {
-                seed = value("--seed")?
+                config.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--budget" => {
-                budget = value("--budget")?
+                config.sampling_budget = value("--budget")?
                     .parse()
                     .map_err(|e| format!("bad --budget: {e}"))?;
             }
             "--strategy" => {
                 let name = value("--strategy")?;
-                search.strategy = SearchStrategyKind::parse(&name).ok_or_else(|| {
+                config.search.strategy = SearchStrategyKind::parse(&name).ok_or_else(|| {
                     format!(
                         "unknown --strategy {name:?}; choose from {}",
                         SearchStrategyKind::all()
@@ -136,69 +123,64 @@ fn parse_args() -> Result<Args, String> {
                 })?;
             }
             "--beam-width" => {
-                search.beam_width = value("--beam-width")?
+                config.search.beam_width = value("--beam-width")?
                     .parse()
                     .map_err(|e| format!("bad --beam-width: {e}"))?;
             }
             "--beam-depth" => {
-                search.beam_depth = value("--beam-depth")?
+                config.search.beam_depth = value("--beam-depth")?
                     .parse()
                     .map_err(|e| format!("bad --beam-depth: {e}"))?;
             }
             "--generations" => {
-                search.generations = value("--generations")?
+                config.search.generations = value("--generations")?
                     .parse()
                     .map_err(|e| format!("bad --generations: {e}"))?;
             }
             "--population" => {
-                search.population = value("--population")?
+                config.search.population = value("--population")?
                     .parse()
                     .map_err(|e| format!("bad --population: {e}"))?;
             }
             "--react-turns" => {
-                search.react_turns = value("--react-turns")?
+                config.search.react_turns = value("--react-turns")?
                     .parse()
                     .map_err(|e| format!("bad --react-turns: {e}"))?;
             }
             "--fm-budget" => {
-                search.fm_call_budget = value("--fm-budget")?
+                config.search.fm_call_budget = value("--fm-budget")?
                     .parse()
                     .map_err(|e| format!("bad --fm-budget: {e}"))?;
             }
             "--backend" => {
                 let name = value("--backend")?;
-                backend = Some(BackendKind::parse(&name).ok_or_else(|| {
+                config.backend = Some(BackendKind::parse(&name).ok_or_else(|| {
                     format!(
                         "unknown --backend {name:?}; choose from {}",
                         BackendKind::all().map(BackendKind::name).join(", ")
                     )
                 })?);
             }
-            "--cascade" => cascade = true,
-            "--no-drop" => drop_heuristic = false,
-            "--fm-removal" => fm_removal = true,
+            "--cascade" => config.cascade.enabled = true,
+            "--no-drop" => config.drop_heuristic = false,
+            "--fm-removal" => config.fm_feature_removal = true,
             "--transcript" => transcript = true,
-            "--trace-out" => trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
+            "--trace-out" => config.observability.trace_out = Some(value("--trace-out")?),
+            "--metrics-out" => config.observability.metrics_out = Some(value("--metrics-out")?),
             other => return Err(format!("unknown argument {other}")),
         }
     }
+    let csv = csv.ok_or("--csv is required")?;
+    let target = target.ok_or("--target is required")?;
+    config.validate().map_err(|e| e.to_string())?;
     Ok(Args {
-        csv: csv.ok_or("--csv is required")?,
-        target: target.ok_or("--target is required")?,
+        csv,
+        target,
         out,
         descriptions,
         model,
-        seed,
-        budget,
-        search,
-        backend,
-        cascade,
-        drop_heuristic,
-        fm_removal,
         transcript,
-        trace_out,
-        metrics_out,
+        config,
     })
 }
 
@@ -242,28 +224,11 @@ fn main() {
         .collect();
     let agenda = DataAgenda::from_frame(&df, &pairs, &args.target, &args.model);
 
-    let config = SmartFeatConfig {
-        sampling_budget: args.budget,
-        search: args.search,
-        backend: args.backend,
-        cascade: smartfeat::CascadeConfig {
-            enabled: args.cascade,
-            ..smartfeat::CascadeConfig::default()
-        },
-        drop_heuristic: args.drop_heuristic,
-        fm_feature_removal: args.fm_removal,
-        observability: smartfeat::config::ObservabilityConfig {
-            enabled: false,
-            trace_out: args.trace_out.clone(),
-            metrics_out: args.metrics_out.clone(),
-        },
-        seed: args.seed,
-        ..SmartFeatConfig::default()
-    };
-    let (selector_fm, generator_fm) = build_role_fms(&config);
+    let (selector_fm, generator_fm) = build_role_fms(&args.config);
     let selector = Transcribing::new(selector_fm);
     let generator = Transcribing::new(generator_fm);
-    let report = match SmartFeat::new(&selector, &generator, config).run(&df, &agenda) {
+    let run = SmartFeat::new(&selector, &generator, args.config.clone()).run(&df, &agenda);
+    let report = match run {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pipeline failed: {e}");
@@ -297,10 +262,10 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.metrics_out {
+    if let Some(path) = &args.config.observability.metrics_out {
         println!("Metrics report written to {path}");
     }
-    if let Some(path) = &args.trace_out {
+    if let Some(path) = &args.config.observability.trace_out {
         println!("Trace written to {path}");
     }
 

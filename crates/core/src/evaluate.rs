@@ -12,6 +12,9 @@ use crate::report::SkipReason;
 /// Fewest overlapping rows the affine-duplicate check accepts as evidence.
 const MIN_PAIRS: usize = 3;
 
+/// Null fraction above which a generated column is rejected.
+pub const MAX_NULL_FRACTION: f64 = 0.5;
+
 /// Check one freshly-generated column against the frame it would join.
 /// Returns the reason to skip it, or `None` if it passes.
 ///
@@ -23,13 +26,9 @@ const MIN_PAIRS: usize = 3;
 /// [`CROSS_LANES`] existing columns per row pass. Any other pair takes
 /// the general path, which materializes the candidate's `f64` cells on
 /// first use.
-pub fn check_new_column(
-    col: &Column,
-    df: &DataFrame,
-    max_null_fraction: f64,
-) -> Option<SkipReason> {
+pub fn check_new_column(col: &Column, df: &DataFrame) -> Option<SkipReason> {
     let null_fraction = col.null_fraction();
-    if null_fraction > max_null_fraction {
+    if null_fraction > MAX_NULL_FRACTION {
         return Some(SkipReason::HighNull(null_fraction));
     }
     if col.is_constant() {
@@ -137,13 +136,9 @@ mod oracle {
     use crate::report::SkipReason;
 
     /// `check_new_column` with the reference scan, serial.
-    pub(super) fn check(
-        col: &Column,
-        df: &DataFrame,
-        max_null_fraction: f64,
-    ) -> Option<SkipReason> {
+    pub(super) fn check(col: &Column, df: &DataFrame) -> Option<SkipReason> {
         let null_fraction = col.null_fraction();
-        if null_fraction > max_null_fraction {
+        if null_fraction > super::MAX_NULL_FRACTION {
             return Some(SkipReason::HighNull(null_fraction));
         }
         if col.is_constant() {
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn passes_a_good_column() {
         let c = Column::from_f64("new", vec![9.0, 1.0, 7.0, 3.0]);
-        assert_eq!(check_new_column(&c, &base(), 0.5), None);
+        assert_eq!(check_new_column(&c, &base()), None);
     }
 
     #[test]
@@ -228,19 +223,19 @@ mod tests {
         // 2x + 1 of column "a": same information, rescaled.
         let c = Column::from_f64("a_scaled", vec![3.0, 5.0, 7.0, 9.0]);
         assert!(matches!(
-            check_new_column(&c, &base(), 0.5),
+            check_new_column(&c, &base()),
             Some(SkipReason::Duplicate(n)) if n == "a"
         ));
         // 2024 − a (the paper's F2 shape): kept.
         let f2 = Column::from_f64("year", vec![2023.0, 2022.0, 2021.0, 2020.0]);
-        assert_eq!(check_new_column(&f2, &base(), 0.5), None);
+        assert_eq!(check_new_column(&f2, &base()), None);
     }
 
     #[test]
     fn rejects_high_null() {
         let c = Column::from_floats("new", vec![Some(1.0), None, None, None]);
         assert!(matches!(
-            check_new_column(&c, &base(), 0.5),
+            check_new_column(&c, &base()),
             Some(SkipReason::HighNull(f)) if f == 0.75
         ));
     }
@@ -249,7 +244,7 @@ mod tests {
     fn rejects_constant() {
         let c = Column::from_i64("new", vec![7, 7, 7, 7]);
         assert_eq!(
-            check_new_column(&c, &base(), 0.5),
+            check_new_column(&c, &base()),
             Some(SkipReason::SingleValued)
         );
     }
@@ -258,7 +253,7 @@ mod tests {
     fn rejects_name_clash() {
         let c = Column::from_f64("a", vec![9.0, 8.0, 7.0, 6.0]);
         assert!(matches!(
-            check_new_column(&c, &base(), 0.5),
+            check_new_column(&c, &base()),
             Some(SkipReason::Duplicate(n)) if n == "a"
         ));
     }
@@ -268,7 +263,7 @@ mod tests {
         // Same values as integer column "a" but stored as floats.
         let c = Column::from_f64("a_copy", vec![1.0, 2.0, 3.0, 4.0]);
         assert!(matches!(
-            check_new_column(&c, &base(), 0.5),
+            check_new_column(&c, &base()),
             Some(SkipReason::Duplicate(n)) if n == "a"
         ));
     }
@@ -282,13 +277,13 @@ mod tests {
         .unwrap();
         let same = Column::from_floats("y", vec![Some(1.0), None, Some(3.0)]);
         assert!(matches!(
-            check_new_column(&same, &df, 0.5),
+            check_new_column(&same, &df),
             Some(SkipReason::Duplicate(_))
         ));
         // Only two overlapping pairs with "x": too little evidence for the
         // affine-duplicate check, so the column passes.
         let different = Column::from_floats("z", vec![Some(1.0), Some(9.0), Some(2.0)]);
-        assert_eq!(check_new_column(&different, &df, 0.5), None);
+        assert_eq!(check_new_column(&different, &df), None);
     }
 
     #[test]
@@ -303,7 +298,7 @@ mod tests {
         let c = Column::from_i64("copy", vec![1, 2, 3, 4]);
         for threads in [1usize, 2, 4, 8] {
             assert!(matches!(
-                smartfeat_par::within(threads, || check_new_column(&c, &df, 0.5)),
+                smartfeat_par::within(threads, || check_new_column(&c, &df)),
                 Some(SkipReason::Duplicate(n)) if n == "first"
             ));
         }
@@ -312,10 +307,10 @@ mod tests {
     /// The view-based scan's verdict equals the reference scan's at 1, 2
     /// and 4 threads.
     fn assert_matches_oracle(col: &Column, df: &DataFrame) -> Option<SkipReason> {
-        let expected = oracle::check(col, df, 0.5);
+        let expected = oracle::check(col, df);
         for threads in [1usize, 2, 4] {
             assert_eq!(
-                smartfeat_par::within(threads, || check_new_column(col, df, 0.5)),
+                smartfeat_par::within(threads, || check_new_column(col, df)),
                 expected,
                 "candidate {col:?} at {threads} threads against {df:?}"
             );
@@ -546,7 +541,7 @@ mod tests {
     fn all_null_column_rejected_as_high_null() {
         let c = Column::from_floats("new", vec![None, None, None, None]);
         assert!(matches!(
-            check_new_column(&c, &base(), 0.5),
+            check_new_column(&c, &base()),
             Some(SkipReason::HighNull(_))
         ));
     }

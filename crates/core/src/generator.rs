@@ -11,10 +11,9 @@
 //! explicitly — and binary candidates likewise carry their full spec.
 
 use smartfeat_fm::FoundationModel;
-use smartfeat_frame::ops::{BinaryOp, DatePart, NormKind, UnaryFn};
+use smartfeat_frame::ops::{one_hot_limit, BinaryOp, DatePart, NormKind, UnaryFn};
 use smartfeat_obs::Recorder;
 
-use crate::config::SmartFeatConfig;
 use crate::error::{CoreError, Result};
 use crate::fmout::{self, FunctionSpec};
 use crate::operators::{Candidate, OperatorSpec};
@@ -35,15 +34,14 @@ pub enum Generated {
 /// the paper, for its "comparable performance and better efficiency").
 pub struct FunctionGenerator<'a> {
     fm: &'a dyn FoundationModel,
-    config: &'a SmartFeatConfig,
     rec: Recorder,
 }
 
 impl<'a> FunctionGenerator<'a> {
-    /// Create a generator over `fm` with `config`. Pass
-    /// [`Recorder::disabled`] when telemetry is off.
-    pub fn new(fm: &'a dyn FoundationModel, config: &'a SmartFeatConfig, rec: Recorder) -> Self {
-        FunctionGenerator { fm, config, rec }
+    /// Create a generator over `fm`. Pass [`Recorder::disabled`] when
+    /// telemetry is off.
+    pub fn new(fm: &'a dyn FoundationModel, rec: Recorder) -> Self {
+        FunctionGenerator { fm, rec }
     }
 
     /// Produce the transformation for one candidate.
@@ -172,7 +170,7 @@ impl<'a> FunctionGenerator<'a> {
             })),
             "dummies" => Ok(Generated::Function(TransformFunction::Dummies {
                 col: first_input()?,
-                limit: self.config.one_hot_limit,
+                limit: one_hot_limit(),
             })),
             "frequency" => Ok(Generated::Function(TransformFunction::FrequencyEncode {
                 col: first_input()?,
@@ -272,11 +270,6 @@ impl<'a> FunctionGenerator<'a> {
                 }))
             }
             "row_completion" => {
-                if !self.config.allow_row_completion {
-                    return Err(CoreError::RowCompletionUnavailable(
-                        "row-level completion disabled by configuration".into(),
-                    ));
-                }
                 let knowledge = spec.params.get("knowledge").cloned().unwrap_or_default();
                 let key_cols = if spec.inputs.is_empty() {
                     candidate.columns.clone()
@@ -349,8 +342,7 @@ mod tests {
     #[test]
     fn bucketize_age_gets_domain_boundaries() {
         let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig::default();
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
         let cand = unary("Bucketized_Age", "Age", "bucketize", "age bands");
         match gen.generate(&agenda(), &cand).unwrap() {
             Generated::Function(TransformFunction::Bucketize {
@@ -367,8 +359,7 @@ mod tests {
     #[test]
     fn years_since_lowers_to_affine() {
         let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig::default();
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
         let cand = unary(
             "YearsSince_Age_of_car",
             "Age_of_car",
@@ -387,8 +378,7 @@ mod tests {
     #[test]
     fn binary_constructed_without_fm_call() {
         let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig::default();
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
         let cand = Candidate {
             name: "Age_minus_Age_of_car".into(),
             columns: vec!["Age".into(), "Age_of_car".into()],
@@ -410,8 +400,7 @@ mod tests {
     #[test]
     fn highorder_constructed_without_fm_call() {
         let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig::default();
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
         let cand = Candidate {
             name: "GroupBy_City_mean_Claim".into(),
             columns: vec!["City".into(), "Claim".into()],
@@ -434,8 +423,7 @@ mod tests {
     #[test]
     fn external_lookup_lowers_to_row_completion() {
         let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig::default();
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
         let cand = Candidate {
             name: "City_population_density".into(),
             columns: vec!["City".into()],
@@ -454,33 +442,9 @@ mod tests {
     }
 
     #[test]
-    fn external_lookup_disabled_by_config() {
-        let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig {
-            allow_row_completion: false,
-            ..SmartFeatConfig::default()
-        };
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
-        let cand = Candidate {
-            name: "City_population_density".into(),
-            columns: vec!["City".into()],
-            description: "population density".into(),
-            spec: OperatorSpec::ExternalLookup {
-                knowledge: "city_population_density".into(),
-            },
-            family: OperatorFamily::Extractor,
-        };
-        assert!(matches!(
-            gen.generate(&agenda(), &cand),
-            Err(CoreError::RowCompletionUnavailable(_))
-        ));
-    }
-
-    #[test]
     fn unknown_knowledge_becomes_source_suggestion() {
         let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig::default();
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
         let cand = Candidate {
             name: "City_crime_rate".into(),
             columns: vec!["City".into()],
@@ -499,8 +463,7 @@ mod tests {
     #[test]
     fn weighted_index_round_trip() {
         let fm = SimulatedFm::gpt35(0);
-        let cfg = SmartFeatConfig::default();
-        let gen = FunctionGenerator::new(&fm, &cfg, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
         let cand = Candidate {
             name: "Perf_index".into(),
             columns: vec!["Age".into(), "Age_of_car".into()],

@@ -199,7 +199,7 @@ impl<'a> SmartFeat<'a> {
             rec: rec.clone(),
         };
         let selector = OperatorSelector::new(self.selector_fm, &self.config, rec.clone());
-        let generator = FunctionGenerator::new(self.generator_fm, &self.config, rec.clone());
+        let generator = FunctionGenerator::new(self.generator_fm, rec.clone());
 
         let strategy = self.config.search.strategy;
         {
@@ -424,18 +424,12 @@ impl<'a> SmartFeat<'a> {
                 }
             };
             if func.needs_fm() {
-                staged.push(
-                    match transform::apply(
-                        &func,
-                        &state.frame,
-                        &cand.name,
-                        Some(self.generator_fm),
-                        self.config.row_completion_max_distinct,
-                    ) {
-                        Ok(columns) => Staged::Ready { func, columns },
-                        Err(e) => Staged::Failed(e.to_string()),
-                    },
-                );
+                let applied =
+                    transform::apply(&func, &state.frame, &cand.name, Some(self.generator_fm));
+                staged.push(match applied {
+                    Ok(columns) => Staged::Ready { func, columns },
+                    Err(e) => Staged::Failed(e.to_string()),
+                });
             } else {
                 staged.push(Staged::Pending);
                 pure.push((i, func));
@@ -448,11 +442,10 @@ impl<'a> SmartFeat<'a> {
         // this serial frame (see the obs determinism contract).
         let transforms_span = state.rec.span("realize.transforms");
         let frame = &state.frame;
-        let max_distinct = self.config.row_completion_max_distinct;
         let threads = smartfeat_par::resolve_threads(0);
         let applied = smartfeat_par::par_map_indexed(threads, pure.len(), |j| {
             let (i, func) = &pure[j];
-            transform::apply(func, frame, &cands[*i].name, None, max_distinct)
+            transform::apply(func, frame, &cands[*i].name, None)
         });
         for ((i, func), result) in pure.into_iter().zip(applied) {
             staged[i] = match result {
@@ -488,8 +481,7 @@ impl<'a> SmartFeat<'a> {
             for col in columns {
                 if self.config.feature_filter {
                     let eval_span = state.rec.span("stage.evaluate");
-                    let verdict =
-                        check_new_column(&col, &state.frame, self.config.max_null_fraction);
+                    let verdict = check_new_column(&col, &state.frame);
                     drop(eval_span);
                     if let Some(reason) = verdict {
                         state.rec.event(

@@ -5,7 +5,6 @@
 //! prompt serializes it, and every successfully generated feature is
 //! appended to it so later iterations can build on earlier ones.
 
-use smartfeat_frame::json::{JsonError, JsonValue};
 use smartfeat_frame::DataFrame;
 
 use crate::config::OperatorFamily;
@@ -17,27 +16,6 @@ pub enum Origin {
     Original,
     /// Generated by the named operator family.
     Generated(OperatorFamily),
-}
-
-impl Origin {
-    /// Serialize: `"Original"` or `{"Generated": "<family>"}`.
-    pub fn to_json(&self) -> JsonValue {
-        match self {
-            Origin::Original => JsonValue::Str("Original".into()),
-            Origin::Generated(f) => JsonValue::object([("Generated", f.to_json())]),
-        }
-    }
-
-    /// Inverse of [`Origin::to_json`].
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        if v.as_str() == Some("Original") {
-            return Ok(Origin::Original);
-        }
-        if let Some(f) = v.get("Generated") {
-            return Ok(Origin::Generated(OperatorFamily::from_json(f)?));
-        }
-        Err(JsonError::decode(format!("unknown origin: {v}")))
-    }
 }
 
 /// One feature's entry in the data agenda.
@@ -70,50 +48,6 @@ impl FeatureDescription {
             head.push_str(&self.description);
         }
         head
-    }
-
-    /// Serialize as a JSON object (`distinct: null` when unknown).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("name", self.name.as_str().into()),
-            ("dtype", self.dtype.as_str().into()),
-            (
-                "distinct",
-                match self.distinct {
-                    Some(d) => d.into(),
-                    None => JsonValue::Null,
-                },
-            ),
-            ("description", self.description.as_str().into()),
-            ("origin", self.origin.to_json()),
-        ])
-    }
-
-    /// Inverse of [`FeatureDescription::to_json`].
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let get_str = |key: &str| -> Result<String, JsonError> {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| JsonError::decode(format!("missing or non-string field: {key}")))
-        };
-        let distinct = match v.get("distinct") {
-            None | Some(JsonValue::Null) => None,
-            Some(d) => Some(
-                d.as_usize()
-                    .ok_or_else(|| JsonError::decode("non-integer field: distinct"))?,
-            ),
-        };
-        Ok(FeatureDescription {
-            name: get_str("name")?,
-            dtype: get_str("dtype")?,
-            distinct,
-            description: get_str("description")?,
-            origin: Origin::from_json(
-                v.get("origin")
-                    .ok_or_else(|| JsonError::decode("missing field: origin"))?,
-            )?,
-        })
     }
 }
 
@@ -229,50 +163,6 @@ impl DataAgenda {
         }
         out
     }
-
-    /// Serialize the full agenda as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            (
-                "features",
-                JsonValue::Array(self.features.iter().map(|f| f.to_json()).collect()),
-            ),
-            ("target", self.target.as_str().into()),
-            ("model", self.model.as_str().into()),
-        ])
-    }
-
-    /// Emit the compact JSON text of [`DataAgenda::to_json`].
-    pub fn to_json_string(&self) -> String {
-        self.to_json().emit()
-    }
-
-    /// Inverse of [`DataAgenda::to_json`].
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let features = v
-            .get("features")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("missing or non-array field: features"))?
-            .iter()
-            .map(FeatureDescription::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let get_str = |key: &str| -> Result<String, JsonError> {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| JsonError::decode(format!("missing or non-string field: {key}")))
-        };
-        Ok(DataAgenda {
-            features,
-            target: get_str("target")?,
-            model: get_str("model")?,
-        })
-    }
-
-    /// Parse the JSON text emitted by [`DataAgenda::to_json_string`].
-    pub fn from_json_string(text: &str) -> Result<Self, JsonError> {
-        DataAgenda::from_json(&JsonValue::parse(text)?)
-    }
 }
 
 #[cfg(test)]
@@ -351,40 +241,6 @@ mod tests {
             a.original_names(),
             vec!["Age".to_string(), "City".to_string()]
         );
-    }
-
-    #[test]
-    fn agenda_json_roundtrip() {
-        let mut a = DataAgenda::from_frame(
-            &frame(),
-            &[("Age", "age in years"), ("City", "home \"city\"\nUS only")],
-            "Safe",
-            "RF",
-        );
-        a.push_generated(
-            "Bucketized_Age",
-            "int",
-            None,
-            "age bands",
-            OperatorFamily::Unary,
-        );
-        let text = a.to_json_string();
-        let back = DataAgenda::from_json_string(&text).unwrap();
-        assert_eq!(back, a);
-        // Generated origin and the None distinct survive the trip.
-        let b = back.feature("Bucketized_Age").unwrap();
-        assert_eq!(b.origin, Origin::Generated(OperatorFamily::Unary));
-        assert_eq!(b.distinct, None);
-    }
-
-    #[test]
-    fn agenda_from_json_rejects_malformed() {
-        assert!(DataAgenda::from_json_string("{}").is_err());
-        assert!(DataAgenda::from_json_string("not json").is_err());
-        assert!(DataAgenda::from_json_string(
-            r#"{"features": [{"name": "x"}], "target": "t", "model": "RF"}"#
-        )
-        .is_err());
     }
 
     #[test]

@@ -18,6 +18,12 @@ use smartfeat_frame::{Column, DataFrame};
 use crate::error::{CoreError, Result};
 use crate::prompts;
 
+/// Row completion is attempted only when the key columns have at most
+/// this many distinct value combinations: the cost guard the paper
+/// describes as "provide users with several examples and let them decide
+/// … considering the associated cost".
+pub const ROW_COMPLETION_MAX_DISTINCT: usize = 64;
+
 /// Bucket boundaries: explicit, or data-derived quartiles.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Boundaries {
@@ -156,14 +162,13 @@ impl TransformFunction {
 /// Execute a transform, producing the new column(s) named `out_name`
 /// (dummies derive their own suffixed names).
 ///
-/// `fm` is only consulted for [`TransformFunction::RowCompletion`];
-/// `max_distinct` bounds its key cardinality (cost guard).
+/// `fm` is only consulted for [`TransformFunction::RowCompletion`], whose
+/// key cardinality [`ROW_COMPLETION_MAX_DISTINCT`] bounds (cost guard).
 pub fn apply(
     t: &TransformFunction,
     df: &DataFrame,
     out_name: &str,
     fm: Option<&dyn FoundationModel>,
-    max_distinct: usize,
 ) -> Result<Vec<Column>> {
     for c in t.input_columns() {
         if !df.has_column(c) {
@@ -266,7 +271,7 @@ pub fn apply(
             let fm = fm.ok_or_else(|| {
                 CoreError::RowCompletionUnavailable("no foundation model handle provided".into())
             })?;
-            row_completion(df, key_cols, out_name, fm, max_distinct)
+            row_completion(df, key_cols, out_name, fm)
         }
     }
 }
@@ -299,12 +304,11 @@ fn row_completion(
     key_cols: &[String],
     out_name: &str,
     fm: &dyn FoundationModel,
-    max_distinct: usize,
 ) -> Result<Vec<Column>> {
     let (row_slots, n_distinct) = group_slots(df, key_cols)?;
-    if n_distinct > max_distinct {
+    if n_distinct > ROW_COMPLETION_MAX_DISTINCT {
         return Err(CoreError::RowCompletionUnavailable(format!(
-            "{n_distinct} distinct key combinations exceed the completion budget of {max_distinct}"
+            "{n_distinct} distinct key combinations exceed the completion budget of {ROW_COMPLETION_MAX_DISTINCT}"
         )));
     }
     let cols: Vec<&Column> = key_cols
@@ -361,7 +365,7 @@ mod tests {
             col: "Age".into(),
             boundaries: Boundaries::Given(vec![21.0, 45.0, 65.0]),
         };
-        let out = apply(&t, &frame(), "Bucketized_Age", None, 64).unwrap();
+        let out = apply(&t, &frame(), "Bucketized_Age", None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), Value::Int(0));
         assert_eq!(out[0].get(3), Value::Int(3));
@@ -373,7 +377,7 @@ mod tests {
             col: "Age".into(),
             boundaries: Boundaries::Auto,
         };
-        let out = apply(&t, &frame(), "b", None, 64).unwrap();
+        let out = apply(&t, &frame(), "b", None).unwrap();
         // Quartiles of a 4-value column give ≥ 3 distinct buckets.
         assert!(out[0].cardinality() >= 3, "{:?}", out[0]);
         assert_eq!(out[0].null_count(), 0);
@@ -387,7 +391,7 @@ mod tests {
             scale: -1.0,
             offset: 2024.0,
         };
-        let out = apply(&t, &frame(), "Manufacturing_year", None, 64).unwrap();
+        let out = apply(&t, &frame(), "Manufacturing_year", None).unwrap();
         assert_eq!(out[0].get(0), Value::Float(2018.0));
         assert_eq!(out[0].get(3), Value::Float(2010.0));
     }
@@ -399,7 +403,7 @@ mod tests {
             agg_col: "Claim".into(),
             func: AggFunc::Mean,
         };
-        let out = apply(&t, &frame(), "GroupBy_City_mean_Claim", None, 64).unwrap();
+        let out = apply(&t, &frame(), "GroupBy_City_mean_Claim", None).unwrap();
         assert_eq!(out[0].get(0), Value::Float(1.0)); // SF: both claims
         assert_eq!(out[0].get(1), Value::Float(0.0));
     }
@@ -416,7 +420,7 @@ mod tests {
             weights: vec![1.0, -1.0],
             normalize: false,
         };
-        let out = apply(&t, &df, "idx", None, 64).unwrap();
+        let out = apply(&t, &df, "idx", None).unwrap();
         assert_eq!(out[0].get(0), Value::Float(-1.0));
         assert!(out[0].is_null(1));
     }
@@ -429,7 +433,7 @@ mod tests {
             normalize: false,
         };
         assert!(matches!(
-            apply(&t, &frame(), "x", None, 64),
+            apply(&t, &frame(), "x", None),
             Err(CoreError::InvalidTransform(_))
         ));
     }
@@ -441,7 +445,7 @@ mod tests {
             kind: NormKind::MinMax,
         };
         assert!(matches!(
-            apply(&t, &frame(), "x", None, 64),
+            apply(&t, &frame(), "x", None),
             Err(CoreError::MissingColumn(_))
         ));
     }
@@ -454,7 +458,7 @@ mod tests {
             key_cols: vec!["City".into()],
             knowledge: "city_population_density".into(),
         };
-        let out = apply(&t, &frame(), "City_population_density", Some(&fm), 64).unwrap();
+        let out = apply(&t, &frame(), "City_population_density", Some(&fm)).unwrap();
         assert_eq!(out[0].get(0), Value::Float(7272.0)); // SF
         assert_eq!(out[0].get(1), Value::Float(3276.0)); // LA
         assert_eq!(out[0].get(2), Value::Float(3608.0)); // SEA
@@ -469,20 +473,31 @@ mod tests {
             knowledge: "city_population_density".into(),
         };
         assert!(matches!(
-            apply(&t, &frame(), "x", None, 64),
+            apply(&t, &frame(), "x", None),
             Err(CoreError::RowCompletionUnavailable(_))
         ));
     }
 
     #[test]
-    fn row_completion_distinct_budget_enforced() {
-        let fm = SimulatedFm::gpt35(0);
+    fn row_completion_runs_up_to_the_distinct_key_cap() {
+        // One FM call per distinct key, up to the cap; one key over it and
+        // completion is refused before any call.
+        assert_eq!(ROW_COMPLETION_MAX_DISTINCT, 64);
         let t = TransformFunction::RowCompletion {
             key_cols: vec!["City".into()],
             knowledge: "city_population_density".into(),
         };
+        let cities = |n: usize| {
+            let names = (0..n).map(|i| Some(format!("City{i}"))).collect();
+            DataFrame::from_columns(vec![Column::from_strs("City", names)]).unwrap()
+        };
+        let fm = SimulatedFm::gpt35(0);
+        let out = apply(&t, &cities(64), "x", Some(&fm)).unwrap();
+        assert_eq!(out[0].len(), 64);
+        assert_eq!(fm.meter().snapshot().calls, 64, "one call per distinct key");
+        let fm = SimulatedFm::gpt35(0);
         assert!(matches!(
-            apply(&t, &frame(), "x", Some(&fm), 2),
+            apply(&t, &cities(65), "x", Some(&fm)),
             Err(CoreError::RowCompletionUnavailable(_))
         ));
         assert_eq!(fm.meter().snapshot().calls, 0, "no calls spent over budget");
@@ -503,7 +518,6 @@ mod tests {
             &df,
             "ignored",
             None,
-            64,
         )
         .unwrap();
         assert_eq!(d.len(), 2);
@@ -515,7 +529,6 @@ mod tests {
             &df,
             "D",
             None,
-            64,
         )
         .unwrap();
         assert_eq!(parts.len(), 2);

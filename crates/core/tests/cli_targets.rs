@@ -3,7 +3,8 @@
 //! without exactly two distinct non-null values. Each case exits 1 with a
 //! message naming the target, prints no run summary and writes no
 //! metrics report, so no FM call was billed. `--help`/`-h` print the
-//! option list and exit 0; a bad argument exits 2 and points at `--help`.
+//! option list and exit 0; a bad argument, or flags that make an invalid
+//! configuration, exit 2 and point at `--help` before any file is read.
 //! A run's output does not depend on `SMARTFEAT_THREADS`.
 
 use std::path::{Path, PathBuf};
@@ -99,6 +100,59 @@ fn unknown_argument_exits_two_and_points_at_help() {
     );
     assert!(stderr.contains("smartfeat --help"), "{stderr}");
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn invalid_configuration_exits_two_before_reading_the_csv() {
+    // The CSV path does not exist: a run that read it would exit 1 with
+    // "error reading", so exit 2 shows the configuration was checked first.
+    let missing = temp("invalid_config", "missing.csv");
+    let _ = std::fs::remove_file(&missing);
+    for (flags, message) in [
+        (
+            &["--backend", "gpt-4", "--cascade"][..],
+            "backend and cascade are mutually exclusive",
+        ),
+        (&["--budget", "0"][..], "sampling_budget must be positive"),
+        (
+            &["--beam-width", "0"][..],
+            "search.beam_width must be positive",
+        ),
+        (
+            &["--beam-depth", "0"][..],
+            "search.beam_depth must be positive",
+        ),
+        (
+            &["--generations", "0"][..],
+            "search.generations must be positive",
+        ),
+        (
+            &["--population", "1"][..],
+            "search.population must be at least 2",
+        ),
+        (
+            &["--react-turns", "0"][..],
+            "search.react_turns must be positive",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
+            .arg("--csv")
+            .arg(&missing)
+            .args(["--target", "label"])
+            .args(flags)
+            .output()
+            .expect("spawn smartfeat");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: smartfeat --csv"),
+            "{flags:?}: {stderr}"
+        );
+        assert!(stderr.contains("smartfeat --help"), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("error reading"), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?}");
+    }
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! A small hand-rolled JSON value: parse and emit, no external crates.
 //!
-//! This replaces `serde`/`serde_json` for the repository's configuration
-//! and schema serialization (the hermetic-build policy forbids registry
-//! dependencies). It supports the full JSON grammar — objects, arrays,
-//! strings with escapes (including `\uXXXX` pairs), numbers, booleans,
-//! and null — which is far more than the repo's own emitters produce,
-//! so round-trips through foreign JSON also work.
+//! This replaces `serde`/`serde_json` for the repository's reports: the
+//! metrics report, the trace and sfcheck's JSON and SARIF output are
+//! emitted with it, and the tests and tools that read them back parse
+//! with it (the hermetic-build policy forbids registry dependencies).
+//! It supports the full JSON grammar — objects, arrays, strings with
+//! escapes (including `\uXXXX` pairs), numbers, booleans, and null —
+//! which is far more than the repo's own emitters produce, so
+//! round-trips through foreign JSON also work.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,7 +15,7 @@ use std::fmt;
 /// A parsed JSON document.
 ///
 /// Objects use a [`BTreeMap`] so emission is deterministic (keys sorted),
-/// which keeps serialized configs diff-stable across runs.
+/// which keeps emitted reports diff-stable across runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -191,7 +193,7 @@ impl fmt::Display for JsonValue {
     }
 }
 
-/// A parse or decode failure, with a byte offset into the input.
+/// A parse failure, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
@@ -207,17 +209,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-impl JsonError {
-    /// A decode-level error (missing field, wrong type) not tied to a
-    /// source position.
-    pub fn decode(message: impl Into<String>) -> JsonError {
-        JsonError {
-            message: message.into(),
-            offset: 0,
-        }
-    }
-}
 
 fn emit_number(n: f64, out: &mut String) {
     if n.is_finite() {

@@ -7,6 +7,7 @@
 use smartfeat_rng::Rng;
 
 use crate::error::{MlError, Result};
+use crate::forest::{ensemble_importances, ensemble_predict_proba};
 use crate::matrix::Matrix;
 use crate::model::Classifier;
 use crate::tree::{DecisionTree, MaxFeatures, SplitMode, TreeParams};
@@ -46,22 +47,7 @@ impl ExtraTrees {
 
     /// Mean normalized impurity-decrease importances across trees.
     pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        let mut out = vec![0.0; self.n_features];
-        for tree in &self.trees {
-            for (o, &v) in out.iter_mut().zip(tree.importances()) {
-                *o += v;
-            }
-        }
-        let sum: f64 = out.iter().sum();
-        if sum > 0.0 {
-            for v in &mut out {
-                *v /= sum;
-            }
-        }
-        Ok(out)
+        ensemble_importances(&self.trees, self.n_features)
     }
 }
 
@@ -91,26 +77,7 @@ impl Classifier for ExtraTrees {
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.n_features {
-            return Err(MlError::FeatureMismatch {
-                fitted: self.n_features,
-                given: x.cols(),
-            });
-        }
-        let mut out = vec![0.0; x.rows()];
-        for tree in &self.trees {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o += tree.predict_one(x.row(i));
-            }
-        }
-        let k = self.trees.len() as f64;
-        for o in &mut out {
-            *o /= k;
-        }
-        Ok(out)
+        ensemble_predict_proba(&self.trees, self.n_features, x)
     }
 }
 

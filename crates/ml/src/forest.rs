@@ -49,23 +49,7 @@ impl RandomForest {
     /// Mean normalized impurity-decrease importances across trees —
     /// the Table 6 "FI" (Gini) metric.
     pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        let d = self.n_features;
-        let mut out = vec![0.0; d];
-        for tree in &self.trees {
-            for (o, &v) in out.iter_mut().zip(tree.importances()) {
-                *o += v;
-            }
-        }
-        let sum: f64 = out.iter().sum();
-        if sum > 0.0 {
-            for v in &mut out {
-                *v /= sum;
-            }
-        }
-        Ok(out)
+        ensemble_importances(&self.trees, self.n_features)
     }
 }
 
@@ -100,27 +84,60 @@ impl Classifier for RandomForest {
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.n_features {
-            return Err(MlError::FeatureMismatch {
-                fitted: self.n_features,
-                given: x.cols(),
-            });
-        }
-        let mut out = vec![0.0; x.rows()];
-        for tree in &self.trees {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o += tree.predict_one(x.row(i));
-            }
-        }
-        let k = self.trees.len() as f64;
-        for o in &mut out {
-            *o /= k;
-        }
-        Ok(out)
+        ensemble_predict_proba(&self.trees, self.n_features, x)
     }
+}
+
+/// Mean normalized impurity-decrease importances of a fitted ensemble
+/// over `n_features` inputs; shared by [`RandomForest`] and
+/// [`crate::extra_trees::ExtraTrees`]. Trees are summed in ensemble order.
+pub(crate) fn ensemble_importances(trees: &[DecisionTree], n_features: usize) -> Result<Vec<f64>> {
+    if trees.is_empty() {
+        return Err(MlError::NotFitted);
+    }
+    let mut out = vec![0.0; n_features];
+    for tree in trees {
+        for (o, &v) in out.iter_mut().zip(tree.importances()) {
+            *o += v;
+        }
+    }
+    let sum: f64 = out.iter().sum();
+    if sum > 0.0 {
+        for v in &mut out {
+            *v /= sum;
+        }
+    }
+    Ok(out)
+}
+
+/// Mean of the trees' leaf probabilities per row of `x`, summed in
+/// ensemble order; shared by [`RandomForest`] and
+/// [`crate::extra_trees::ExtraTrees`].
+pub(crate) fn ensemble_predict_proba(
+    trees: &[DecisionTree],
+    n_features: usize,
+    x: &Matrix,
+) -> Result<Vec<f64>> {
+    if trees.is_empty() {
+        return Err(MlError::NotFitted);
+    }
+    if x.cols() != n_features {
+        return Err(MlError::FeatureMismatch {
+            fitted: n_features,
+            given: x.cols(),
+        });
+    }
+    let mut out = vec![0.0; x.rows()];
+    for tree in trees {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o += tree.predict_one(x.row(i));
+        }
+    }
+    let k = trees.len() as f64;
+    for o in &mut out {
+        *o /= k;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,20 +1,16 @@
 //! Cascade-routing integration layer.
 //!
-//! 1. `config_without_cascade_keys_reproduces_single_model_bytes` — a
-//!    config JSON serialized before `backend`/`cascade` existed must load
-//!    as the single-model default AND reproduce the default pipeline's
-//!    report digest byte-for-byte (the PR-7 compatibility contract).
-//! 2. `cascade_metrics_report_per_family_routing_stats` — a cascade run
+//! 1. `cascade_metrics_report_per_family_routing_stats` — a cascade run
 //!    emits a `routing` section in the JSON metrics report whose per-call
 //!    totals reconcile exactly with the FM usage meters; single-model
 //!    runs emit no `routing` key at all.
-//! 3. `cascade_is_byte_identical_under_thread_matrix` — all four search
+//! 2. `cascade_is_byte_identical_under_thread_matrix` — all four search
 //!    strategies under the cascade produce byte-identical fingerprints
 //!    (report digest + metrics report bytes) at 1, 4 and 8 threads, run
 //!    serially and concurrently (`common::assert_thread_invariant`).
-//! 4. `single_backend_override_serves_both_roles` — `--backend`-style
+//! 3. `single_backend_override_serves_both_roles` — `--backend`-style
 //!    configs run end to end on one family.
-//! 5. `empty_ladder_is_invalid_config_before_any_fm_call` — a config
+//! 4. `empty_ladder_is_invalid_config_before_any_fm_call` — a config
 //!    `validate()` rejects still builds an FM pair without panicking, and
 //!    the run refuses it with a typed error.
 
@@ -37,38 +33,6 @@ fn run_with_config(config: SmartFeatConfig) -> SmartFeatReport {
     SmartFeat::new(&selector, &generator, config)
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs")
-}
-
-#[test]
-fn config_without_cascade_keys_reproduces_single_model_bytes() {
-    // Strip the PR-8 keys the way a pre-cascade serializer would have:
-    // they simply would not be in the object.
-    let text = SmartFeatConfig::default().to_json_string();
-    let mut v = JsonValue::parse(&text).expect("default config parses");
-    let JsonValue::Object(map) = &mut v else {
-        panic!("config JSON is an object");
-    };
-    assert!(map.remove("backend").is_some(), "backend key serialized");
-    assert!(map.remove("cascade").is_some(), "cascade key serialized");
-    let back = SmartFeatConfig::from_json_string(&v.to_string()).expect("old-shape config loads");
-    assert_eq!(
-        back,
-        SmartFeatConfig::default(),
-        "a config without backend/cascade keys must load as the single-model default"
-    );
-
-    let mut old = String::new();
-    let mut new = String::new();
-    digest(&run_with_config(back), "Safe", &mut old);
-    digest(
-        &run_with_config(SmartFeatConfig::default()),
-        "Safe",
-        &mut new,
-    );
-    assert_eq!(
-        old, new,
-        "pre-cascade config shape must reproduce the default report byte-for-byte"
-    );
 }
 
 fn cascade_config() -> SmartFeatConfig {
