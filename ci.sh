@@ -6,19 +6,9 @@
 # dependencies).
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
-# Steps: build test crates fmt clippy doc sfcheck sarif fix artifacts
-#        perf
+# Steps: build test crates fmt clippy doc sfcheck artifacts perf
 set -euo pipefail
 cd "$(dirname "$0")"
-
-# One EXIT trap over a cleanup registry, so a failing step (e.g. the
-# --fix idempotency check) never leaves stale temp files behind.
-CLEANUP_PATHS=()
-cleanup() {
-  local p
-  for p in ${CLEANUP_PATHS[@]+"${CLEANUP_PATHS[@]}"}; do rm -rf "$p"; done
-}
-trap cleanup EXIT
 
 step_build() {
   echo "==> tier-1: release build"
@@ -62,44 +52,6 @@ step_sfcheck() {
   cargo run -p sfcheck --offline
 }
 
-step_sarif() {
-  echo "==> sfcheck: SARIF artifact"
-  cargo run -q -p sfcheck --offline -- --sarif > sfcheck.sarif.json
-  echo "    wrote sfcheck.sarif.json ($(wc -c < sfcheck.sarif.json) bytes)"
-}
-
-step_fix() {
-  echo "==> sfcheck: --fix idempotency (double pass on a temp copy)"
-  local tmp here copied first second
-  tmp="$(mktemp -d)"
-  CLEANUP_PATHS+=("$tmp")
-  # Copy the whole tree (sans build products / VCS) so --fix never touches
-  # the real checkout here; the copy must scan the same files and
-  # manifests as the checkout, and the second pass must apply zero fixes.
-  tar --exclude=target --exclude=.git -cf - . | tar -xf - -C "$tmp"
-  here="$(cargo run -q -p sfcheck --offline -- --root . | tail -1)"
-  copied="$(cargo run -q -p sfcheck --offline -- --root "$tmp" | tail -1)"
-  echo "    checkout: $here"
-  echo "    copy:     $copied"
-  if [ "${here##*(}" != "${copied##*(}" ]; then
-    echo "    ERROR: the temp copy does not scan the same files and manifests" >&2
-    exit 1
-  fi
-  first="$(cargo run -q -p sfcheck --offline -- --fix --root "$tmp" | tail -1)"
-  second="$(cargo run -q -p sfcheck --offline -- --fix --root "$tmp" | tail -1)"
-  echo "    first:  $first"
-  echo "    second: $second"
-  case "$second" in
-    *"applied 0 fix(es) in 0 file(s)"*) ;;
-    *) echo "    ERROR: second --fix pass was not a no-op" >&2; exit 1 ;;
-  esac
-  if ! diff -rq --exclude=target --exclude=.git . "$tmp" > /dev/null; then
-    echo "    ERROR: --fix modified a clean tree" >&2
-    diff -rq --exclude=target --exclude=.git . "$tmp" >&2 || true
-    exit 1
-  fi
-}
-
 step_artifacts() {
   echo "==> observability artifacts: cascade and beam CLI runs (metrics + trace JSON)"
   mkdir -p ci-artifacts
@@ -141,7 +93,7 @@ step_perf() {
   cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 }
 
-ALL_STEPS=(build test crates fmt clippy doc sfcheck sarif fix artifacts perf)
+ALL_STEPS=(build test crates fmt clippy doc sfcheck artifacts perf)
 
 main() {
   local steps=("$@") s

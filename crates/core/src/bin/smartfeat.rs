@@ -58,6 +58,18 @@ environment:
                         for every value)
 ";
 
+/// The config field each flag sets, as `validate()` names it, so a
+/// validation error names the flag the user typed instead.
+const FLAG_OF_FIELD: [(&str, &str); 7] = [
+    ("sampling_budget", "--budget"),
+    ("search.beam_width", "--beam-width"),
+    ("search.beam_depth", "--beam-depth"),
+    ("search.generations", "--generations"),
+    ("search.population", "--population"),
+    ("search.react_turns", "--react-turns"),
+    ("backend and cascade", "--backend and --cascade"),
+];
+
 struct Args {
     csv: String,
     target: String,
@@ -172,7 +184,16 @@ fn parse_args() -> Result<Args, String> {
     }
     let csv = csv.ok_or("--csv is required")?;
     let target = target.ok_or("--target is required")?;
-    config.validate().map_err(|e| e.to_string())?;
+    config.validate().map_err(|e| {
+        let message = e.to_string();
+        match FLAG_OF_FIELD
+            .iter()
+            .find(|(field, _)| message.contains(field))
+        {
+            Some((field, flag)) => message.replacen(field, flag, 1),
+            None => message,
+        }
+    })?;
     Ok(Args {
         csv,
         target,

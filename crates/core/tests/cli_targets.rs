@@ -111,28 +111,22 @@ fn invalid_configuration_exits_two_before_reading_the_csv() {
     for (flags, message) in [
         (
             &["--backend", "gpt-4", "--cascade"][..],
-            "backend and cascade are mutually exclusive",
+            "--backend and --cascade are mutually exclusive",
         ),
-        (&["--budget", "0"][..], "sampling_budget must be positive"),
-        (
-            &["--beam-width", "0"][..],
-            "search.beam_width must be positive",
-        ),
-        (
-            &["--beam-depth", "0"][..],
-            "search.beam_depth must be positive",
-        ),
+        (&["--budget", "0"][..], "--budget must be positive"),
+        (&["--beam-width", "0"][..], "--beam-width must be positive"),
+        (&["--beam-depth", "0"][..], "--beam-depth must be positive"),
         (
             &["--generations", "0"][..],
-            "search.generations must be positive",
+            "--generations must be positive",
         ),
         (
             &["--population", "1"][..],
-            "search.population must be at least 2",
+            "--population must be at least 2",
         ),
         (
             &["--react-turns", "0"][..],
-            "search.react_turns must be positive",
+            "--react-turns must be positive",
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))

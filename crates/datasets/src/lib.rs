@@ -60,14 +60,6 @@ pub fn by_name(name: &str, rows: usize, seed: u64) -> Option<Dataset> {
     }
 }
 
-/// All eight datasets at their paper sizes.
-pub fn all_paper_size(seed: u64) -> Vec<Dataset> {
-    PAPER_ROWS
-        .iter()
-        .map(|(name, rows)| by_name(name, *rows, seed).expect("known dataset"))
-        .collect()
-}
-
 /// All eight datasets scaled to `fraction` of their paper sizes (minimum
 /// 200 rows) — for fast benchmark/smoke runs.
 pub fn all_scaled(fraction: f64, seed: u64) -> Vec<Dataset> {

@@ -73,11 +73,6 @@ impl<M: FoundationModel> Transcribing<M> {
         }
         out
     }
-
-    /// Unwrap the inner model.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
 }
 
 impl<M: FoundationModel> FoundationModel for Transcribing<M> {

@@ -1,7 +1,7 @@
 //! A small hand-rolled JSON value: parse and emit, no external crates.
 //!
 //! This replaces `serde`/`serde_json` for the repository's reports: the
-//! metrics report, the trace and sfcheck's JSON and SARIF output are
+//! metrics report, the trace and sfcheck's JSON report are
 //! emitted with it, and the tests and tools that read them back parse
 //! with it (the hermetic-build policy forbids registry dependencies).
 //! It supports the full JSON grammar — objects, arrays, strings with
@@ -39,14 +39,6 @@ impl JsonValue {
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// This value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }

@@ -146,6 +146,32 @@ mod tests {
         }
     }
 
+    /// Every pair of trees predicts differently on the training matrix:
+    /// a tree seeded with the ensemble seed instead of its own
+    /// `Stream::Tree(i)` would draw another tree's random thresholds, and
+    /// the ensemble would average copies.
+    #[test]
+    fn every_tree_draws_its_own_stream() {
+        let (x, mut y) = ring_data();
+        // Flip every seventh label so the boundary is noisy.
+        for label in y.iter_mut().step_by(7) {
+            *label ^= 1;
+        }
+        let mut et = ExtraTrees::default_params(5);
+        et.n_trees = 8;
+        et.fit(&x, &y).unwrap();
+        let preds: Vec<Vec<f64>> = et
+            .trees
+            .iter()
+            .map(|t| t.predict_proba(&x).unwrap())
+            .collect();
+        for a in 0..preds.len() {
+            for b in a + 1..preds.len() {
+                assert_ne!(preds[a], preds[b], "trees {a} and {b} predict alike");
+            }
+        }
+    }
+
     #[test]
     fn importances_normalized() {
         let (x, y) = ring_data();

@@ -232,6 +232,32 @@ mod tests {
         assert_ne!(a.predict_proba(&x).unwrap(), b.predict_proba(&x).unwrap());
     }
 
+    /// Every pair of trees predicts differently on the training matrix:
+    /// a tree seeded with the ensemble seed instead of its own
+    /// `Stream::Tree(i)` would repeat another tree's bootstrap draw and
+    /// splits, and the ensemble would average copies.
+    #[test]
+    fn every_tree_draws_its_own_stream() {
+        let (x, mut y) = noisy_threshold_data(4);
+        // Flip every seventh label so no tree fits the data exactly.
+        for label in y.iter_mut().step_by(7) {
+            *label ^= 1;
+        }
+        let mut rf = RandomForest::default_params(5);
+        rf.n_trees = 8;
+        rf.fit(&x, &y).unwrap();
+        let preds: Vec<Vec<f64>> = rf
+            .trees
+            .iter()
+            .map(|t| t.predict_proba(&x).unwrap())
+            .collect();
+        for a in 0..preds.len() {
+            for b in a + 1..preds.len() {
+                assert_ne!(preds[a], preds[b], "trees {a} and {b} predict alike");
+            }
+        }
+    }
+
     #[test]
     fn not_fitted_errors() {
         let rf = RandomForest::default_params(0);

@@ -199,7 +199,6 @@ pub fn lock_or_poison<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T
 /// results **in input order**. With `threads <= 1` (or fewer than two
 /// items) the serial loop runs on the calling thread. A panic in `f`
 /// propagates to the caller after the remaining workers drain.
-// sfcheck:parallel-entry
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -212,7 +211,6 @@ where
 /// [`par_map`] over the index range `0..n`: `f(i)` for each index, results
 /// in index order. This is the primitive the seeded-work callers use
 /// (index → derived seed → independent computation).
-// sfcheck:parallel-entry
 pub fn par_map_indexed<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -276,7 +274,6 @@ where
 /// `Result`, and the **lowest-index** error is returned — matching what
 /// the serial loop would report — even if a later item failed first in
 /// wall-clock time.
-// sfcheck:parallel-entry
 pub fn try_par_map_indexed<R, E, F>(threads: usize, n: usize, f: F) -> Result<Vec<R>, E>
 where
     R: Send,

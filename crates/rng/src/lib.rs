@@ -93,8 +93,8 @@ const _: () = assert!(
 /// This is the sanctioned way to give each item of a parallel region its
 /// own RNG stream: derive `Rng::seed_from_u64(seed_jump(base,
 /// Stream::Tree(i)))` from the item index `i`, never share or re-use one
-/// stream across items (the `rng-seed-discipline` lint enforces this).
-// sfcheck:seed-derivation
+/// stream across items (the forest and extra-trees unit tests
+/// `every_tree_draws_its_own_stream` pin this at the two pool sites).
 pub fn seed_jump(base: u64, stream: Stream) -> u64 {
     match stream {
         Stream::Tree(i) => jump(base, TREE.start.wrapping_add(i)),

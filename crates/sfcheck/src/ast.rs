@@ -9,8 +9,7 @@
 //! its children, so a walk never loses a nested call or closure.
 //!
 //! Every node carries a byte [`Span`] into the source file plus the
-//! 1-based line/column of its first token, so findings and `--fix`
-//! rewrites anchor exactly. [`dump`] renders a deterministic, indented
+//! 1-based line/column of its first token, so findings anchor exactly. [`dump`] renders a deterministic, indented
 //! text form of the tree (the golden-AST tests pin it for representative
 //! workspace files).
 
@@ -46,9 +45,6 @@ pub struct Item {
     pub pos: Pos,
     /// Flattened attribute texts, e.g. `cfg(test)`, `test`, `derive(Debug)`.
     pub attrs: Vec<String>,
-    /// `// sfcheck:<name>` marker comments attached directly above the
-    /// item (e.g. `parallel-entry`, `seed-derivation`).
-    pub markers: Vec<String>,
 }
 
 impl Item {
@@ -613,9 +609,6 @@ fn dump_item(item: &Item, depth: usize, out: &mut String) {
     }
     if !item.attrs.is_empty() {
         let _ = write!(out, " attrs=[{}]", item.attrs.join(","));
-    }
-    if !item.markers.is_empty() {
-        let _ = write!(out, " markers=[{}]", item.markers.join(","));
     }
     out.push('\n');
     match &item.kind {

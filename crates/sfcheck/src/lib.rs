@@ -9,21 +9,19 @@
 //!
 //! Most lints are per-file token rules ([`lints`]); the determinism
 //! sources (wall clock, environment, hash-iteration order) are banned
-//! where they are read. The two cross-file lints ([`dataflow`]) run over
-//! the workspace symbol table ([`resolve`]) and call graph
-//! ([`callgraph`]). See [`lints`] for the lint suite and its inline
-//! waivers, and DESIGN.md §10 for the workflow.
+//! where they are read. The cross-file lint ([`dataflow`]) runs over the
+//! workspace symbol table ([`resolve`]) and call graph ([`callgraph`]).
+//! See [`lints`] for the lint suite and its inline waivers, and DESIGN.md
+//! §10 for the workflow.
 
 pub mod ast;
 pub mod callgraph;
 pub mod dataflow;
-pub mod fix;
 pub mod lexer;
 pub mod lints;
 pub mod parser;
 pub mod report;
 pub mod resolve;
-pub mod sarif;
 pub mod walker;
 
 use std::collections::BTreeMap;
@@ -64,17 +62,12 @@ impl std::error::Error for SfError {}
 pub struct CheckOptions {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Include the `fixes` section for mechanical lints.
-    pub fix_dry_run: bool,
 }
 
 impl CheckOptions {
     /// Default options for a root.
     pub fn new(root: impl Into<PathBuf>) -> CheckOptions {
-        CheckOptions {
-            root: root.into(),
-            fix_dry_run: false,
-        }
+        CheckOptions { root: root.into() }
     }
 }
 
@@ -87,8 +80,6 @@ pub struct Outcome {
     pub waived: Vec<Waived>,
     /// The full JSON report document.
     pub report: JsonValue,
-    /// The SARIF 2.1.0 document for the same run.
-    pub sarif: JsonValue,
 }
 
 impl Outcome {
@@ -162,20 +153,16 @@ pub fn run_check(opts: &CheckOptions) -> Result<Outcome, SfError> {
     findings.sort();
     waived.sort();
 
-    let input = report::ReportInput {
+    let report = report::build(&report::ReportInput {
         findings: &findings,
         waived: &waived,
         files_scanned,
         manifests_scanned,
-        fix_dry_run: opts.fix_dry_run,
-    };
-    let report = report::build(&input);
-    let sarif = sarif::build(&input);
+    });
     Ok(Outcome {
         findings,
         waived,
         report,
-        sarif,
     })
 }
 

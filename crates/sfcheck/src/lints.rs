@@ -6,8 +6,7 @@
 //! | D2 | `hash-collections` | no `HashMap`/`HashSet` in non-test code |
 //! | D3 | `env-dependence` | env reads only at the sanctioned resolution points |
 //! | P1 | `panic-hygiene` | no `unwrap`/`expect`/`panic!` in core/frame library code |
-//! | W1 | `waiver-syntax` | every waiver names a known lint and gives a reason; every marker is spelled right |
-//! | F1 | `rng-seed-discipline` | rng streams in parallel regions derive per item |
+//! | W1 | `waiver-syntax` | every waiver names a known lint and gives a reason |
 //! | F2 | `panic-reachability` | no panic site reachable from the public pipeline API |
 //! | L1 | `lock-confinement` | no `Mutex`/`RwLock` in library code outside `crates/par` |
 //!
@@ -15,9 +14,9 @@
 //! order, environment) where it is read, so no such value exists to flow
 //! into an output; the thread count and the wall-mode `volatile` fields
 //! are pinned by runtime tests instead (DESIGN.md §15).
-//! F1–F2 are the cross-file dataflow lints ([`crate::dataflow`]); they run
-//! over the workspace symbol table and call graph rather than per-file
-//! tokens, but their findings waive identically.
+//! F2 is the cross-file dataflow lint ([`crate::dataflow`]); it runs over
+//! the workspace symbol table and call graph rather than per-file tokens,
+//! but its findings waive identically.
 //! L1 is a per-file token rule: FM and recorder state is single-threaded
 //! and owned by the serial control path, so the pool's run context in
 //! `crates/par` is the only place a lock may live (DESIGN.md §8).
@@ -40,13 +39,12 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::walker::{FileClass, SourceFile};
 
 /// Identifiers of every shipped lint, in report order.
-pub const LINT_IDS: [&str; 8] = [
+pub const LINT_IDS: [&str; 7] = [
     "env-dependence",
     "hash-collections",
     "lock-confinement",
     "panic-hygiene",
     "panic-reachability",
-    "rng-seed-discipline",
     "waiver-syntax",
     "wall-clock",
 ];
@@ -66,8 +64,6 @@ pub struct Finding {
     pub message: String,
     /// The trimmed source line.
     pub snippet: String,
-    /// A mechanical replacement line for `--fix-dry-run`, when one exists.
-    pub suggestion: Option<String>,
 }
 
 /// A finding suppressed by an inline waiver, kept for the report.
@@ -126,19 +122,17 @@ fn collect_waivers(file: &str, lines: &[&str], tokens: &[Token]) -> (Vec<Waiver>
             r.split_once(')')
                 .map(|(list, reason)| (list.trim().to_string(), reason.trim().to_string()))
         });
-        let bad = |message: String, suggestion: Option<String>| Finding {
+        let bad = |message: String| Finding {
             file: file.to_string(),
             line: tok.line,
             col: tok.col,
             lint: "waiver-syntax",
             message,
             snippet: snippet_at(lines, tok.line),
-            suggestion,
         };
         let Some((list, reason)) = parsed else {
             findings.push(bad(
                 "malformed waiver: expected `sfcheck:allow(<lint>[, <lint>…]) <reason>`".into(),
-                None,
             ));
             continue;
         };
@@ -150,41 +144,25 @@ fn collect_waivers(file: &str, lines: &[&str], tokens: &[Token]) -> (Vec<Waiver>
         if lints.is_empty() {
             findings.push(bad(
                 "malformed waiver: empty lint list in `sfcheck:allow(…)`".into(),
-                None,
             ));
             continue;
         }
-        let unknown: Vec<&String> = lints
-            .iter()
-            .filter(|l| !LINT_IDS.contains(&l.as_str()))
-            .collect();
-        if let Some(first) = unknown.first() {
-            // Underscore-for-hyphen typos are machine-fixable: suggest the
-            // line with every such lint name normalized.
-            let mut fixed_line = snippet_at(lines, tok.line);
-            let mut fixable = true;
-            for u in &unknown {
-                let normalized = u.replace('_', "-");
-                if LINT_IDS.contains(&normalized.as_str()) {
-                    fixed_line = fixed_line.replace(u.as_str(), &normalized);
-                } else {
-                    fixable = false;
-                }
-            }
-            findings.push(bad(
-                format!("waiver names unknown lint `{first}`"),
-                fixable.then_some(fixed_line),
-            ));
+        if let Some(unknown) = lints.iter().find(|l| !LINT_IDS.contains(&l.as_str())) {
+            // An underscore-for-hyphen typo names the lint it meant.
+            let hyphenated = unknown.replace('_', "-");
+            let hint = if LINT_IDS.contains(&hyphenated.as_str()) {
+                format!("; write `{hyphenated}`")
+            } else {
+                String::new()
+            };
+            findings.push(bad(format!("waiver names unknown lint `{unknown}`{hint}")));
             continue;
         }
         if reason.is_empty() {
-            findings.push(bad(
-                format!(
-                    "waiver for `{}` is missing its mandatory reason",
-                    lints.join(", ")
-                ),
-                None,
-            ));
+            findings.push(bad(format!(
+                "waiver for `{}` is missing its mandatory reason",
+                lints.join(", ")
+            )));
             continue;
         }
         waivers.push(Waiver {
@@ -194,43 +172,6 @@ fn collect_waivers(file: &str, lines: &[&str], tokens: &[Token]) -> (Vec<Waiver>
         });
     }
     (waivers, findings)
-}
-
-/// The plain `// sfcheck:<name>` markers. The parser accepts any name,
-/// so a marker spelled with underscores attaches to nothing and silently
-/// turns off the pass that reads it.
-const MARKERS: [&str; 2] = ["parallel-entry", "seed-derivation"];
-
-/// W1 `waiver-syntax`, marker half: a [`MARKERS`] name written in a
-/// comment with underscores for its hyphens is a finding, with a
-/// mechanical fix to the hyphenated marker.
-fn marker_typos(file: &str, lines: &[&str], tokens: &[Token]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for tok in tokens {
-        if tok.kind != TokenKind::LineComment || !tok.text.contains("sfcheck:") {
-            continue;
-        }
-        for marker in MARKERS {
-            let typo = format!("sfcheck:{}", marker.replace('-', "_"));
-            let Some(at) = tok.text.find(&typo) else {
-                continue;
-            };
-            let fixed = format!("sfcheck:{marker}");
-            let snippet = snippet_at(lines, tok.line);
-            findings.push(Finding {
-                file: file.to_string(),
-                line: tok.line,
-                col: tok.col + at as u32,
-                lint: "waiver-syntax",
-                message: format!(
-                    "marker typo: `{typo}` is not a recognized marker; write `{fixed}`"
-                ),
-                suggestion: Some(snippet.replacen(&typo, &fixed, 1)),
-                snippet,
-            });
-        }
-    }
-    findings
 }
 
 fn snippet_at(lines: &[&str], line: u32) -> String {
@@ -352,7 +293,6 @@ pub fn scan_rust_raw(file: &SourceFile, tokens: &[Token]) -> (Vec<Finding>, Vec<
 
     let mut raw: Vec<Finding> = Vec::new();
     raw.append(&mut waiver_findings);
-    raw.extend(marker_typos(&file.rel_path, &lines, tokens));
     wall_clock_lint(file, &lines, &regions, &code, &mut raw);
     hash_collections_lint(file, &lines, &regions, &code, &mut raw);
     env_dependence_lint(file, &lines, &regions, &code, &mut raw);
@@ -388,7 +328,6 @@ fn push(
     tok: &Token,
     lint: &'static str,
     message: String,
-    suggestion: Option<String>,
 ) {
     out.push(Finding {
         file: file.rel_path.clone(),
@@ -397,7 +336,6 @@ fn push(
         lint,
         message,
         snippet: snippet_at(lines, tok.line),
-        suggestion,
     });
 }
 
@@ -437,7 +375,6 @@ fn wall_clock_lint(
                 "bare `Instant::now()` outside the obs wall-clock gate; route through \
                  `smartfeat_obs::global::stopwatch`/`time` so logical-clock mode holds"
                     .into(),
-                None,
             );
         } else if tok.text == "SystemTime" {
             push(
@@ -447,7 +384,6 @@ fn wall_clock_lint(
                 tok,
                 "wall-clock",
                 "`SystemTime` outside the obs wall-clock gate".into(),
-                None,
             );
         }
     }
@@ -488,7 +424,6 @@ fn lock_confinement_lint(
                  in a `RefCell` owned by the serial control path",
                 tok.text
             ),
-            None,
         );
     }
 }
@@ -511,15 +446,14 @@ fn hash_collections_lint(
             continue;
         }
         // Blessed deterministic alternatives: sorted `BTreeMap`/`BTreeSet`
-        // (the mechanical `--fix` replacement) or the fixed-seed,
-        // first-occurrence-ordered `smartfeat_frame::StableMap`/`StableSet`
-        // for hot paths. Neither trips this lint.
-        let (replacement, stable) = match tok.text.as_str() {
+        // or the fixed-seed, first-occurrence-ordered
+        // `smartfeat_frame::StableMap`/`StableSet` for hot paths. Neither
+        // trips this lint.
+        let (sorted, stable) = match tok.text.as_str() {
             "HashMap" => ("BTreeMap", "StableMap"),
             "HashSet" => ("BTreeSet", "StableSet"),
             _ => continue,
         };
-        let line_text = snippet_at(lines, tok.line);
         push(
             out,
             file,
@@ -528,13 +462,8 @@ fn hash_collections_lint(
             "hash-collections",
             format!(
                 "`{}` in non-test code; iteration order is nondeterministic — \
-                 use `{replacement}` or `smartfeat_frame::{stable}`",
+                 use `{sorted}` or `smartfeat_frame::{stable}`",
                 tok.text
-            ),
-            Some(
-                line_text
-                    .replace("HashMap", "BTreeMap")
-                    .replace("HashSet", "BTreeSet"),
             ),
         );
     }
@@ -572,7 +501,6 @@ fn env_dependence_lint(
                  (crates/par, crates/obs); thread/env effects must stay out of \
                  deterministic outputs"
                     .into(),
-                None,
             );
         }
     }
@@ -617,7 +545,7 @@ fn panic_hygiene_lint(
             None
         };
         if let Some(message) = finding {
-            push(out, file, lines, tok, "panic-hygiene", message, None);
+            push(out, file, lines, tok, "panic-hygiene", message);
         }
     }
 }
@@ -692,15 +620,12 @@ mod tests {
     }
 
     #[test]
-    fn hash_collections_fires_in_every_crate_with_suggestion() {
+    fn hash_collections_fires_in_every_crate_naming_the_alternatives() {
         let src = "use std::collections::HashMap;\nfn f() -> HashMap<u32, u32> { HashMap::new() }";
         let in_frame = lib_file("frame", "crates/frame/src/csv.rs", src);
         let result = scan_rust(&in_frame);
         assert_eq!(result.findings.len(), 3);
-        assert_eq!(
-            result.findings[0].suggestion.as_deref(),
-            Some("use std::collections::BTreeMap;")
-        );
+        assert!(result.findings[0].message.contains("`BTreeMap`"));
         assert!(result.findings[0]
             .message
             .contains("smartfeat_frame::StableMap"));
@@ -850,46 +775,15 @@ fn lib4() { panic!("boom"); }
     }
 
     #[test]
-    fn underscore_lint_typo_gets_a_machine_fix() {
+    fn underscore_lint_typo_names_the_hyphenated_lint() {
         let src = "// sfcheck:allow(panic_hygiene) reason text\n";
         let file = lib_file("frame", "crates/frame/src/frame.rs", src);
         let result = scan_rust(&file);
         assert_eq!(lints_of(&result), ["waiver-syntax"]);
         assert_eq!(
-            result.findings[0].suggestion.as_deref(),
-            Some("// sfcheck:allow(panic-hygiene) reason text")
+            result.findings[0].message,
+            "waiver names unknown lint `panic_hygiene`; write `panic-hygiene`"
         );
-    }
-
-    #[test]
-    fn misspelled_marker_is_a_waiver_syntax_finding_with_a_fix() {
-        // The underscore spelling attaches no marker, so the fn would
-        // silently drop out of the parallel entries `rng-seed-discipline`
-        // checks.
-        let src = "// sfcheck:parallel_entry\npub fn par_map(n: usize) {}\n";
-        let file = lib_file("par", "crates/par/src/lib.rs", src);
-        let result = scan_rust(&file);
-        assert_eq!(lints_of(&result), ["waiver-syntax"]);
-        assert_eq!((result.findings[0].line, result.findings[0].col), (1, 4));
-        assert_eq!(
-            result.findings[0].suggestion.as_deref(),
-            Some("// sfcheck:parallel-entry")
-        );
-    }
-
-    #[test]
-    fn every_plain_marker_typo_is_caught_but_strings_are_not() {
-        for marker in MARKERS {
-            let typo = marker.replace('-', "_");
-            let src = format!("/// sfcheck:{typo}\nfn f() {{ let s = \"// sfcheck:{typo}\"; }}\n");
-            let result = scan_rust(&lib_file("ml", "crates/ml/src/lib.rs", &src));
-            assert_eq!(lints_of(&result), ["waiver-syntax"], "{marker}");
-            let fix = result.findings[0]
-                .suggestion
-                .as_deref()
-                .expect("machine fix");
-            assert_eq!(fix, format!("/// sfcheck:{marker}"));
-        }
     }
 
     #[test]

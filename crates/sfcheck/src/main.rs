@@ -3,9 +3,6 @@
 //! ```text
 //! cargo run -p sfcheck --                 # human output, exit 1 on findings
 //! cargo run -p sfcheck -- --json          # deterministic JSON report
-//! cargo run -p sfcheck -- --sarif         # SARIF 2.1.0 document
-//! cargo run -p sfcheck -- --fix-dry-run   # include mechanical fixes in the report
-//! cargo run -p sfcheck -- --fix           # apply mechanical fixes to the tree
 //! ```
 //!
 //! Exit codes: `0` clean (every finding waived inline), `1` live findings,
@@ -15,31 +12,22 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sfcheck::report::human_line;
-use sfcheck::{fix, run_check, workspace_root_from, CheckOptions, SfError};
+use sfcheck::{run_check, workspace_root_from, CheckOptions, SfError};
 
 struct Cli {
     root: Option<PathBuf>,
     json: bool,
-    sarif: bool,
-    fix_dry_run: bool,
-    fix: bool,
 }
 
 fn parse_args() -> Result<Cli, SfError> {
     let mut cli = Cli {
         root: None,
         json: false,
-        sarif: false,
-        fix_dry_run: false,
-        fix: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => cli.json = true,
-            "--sarif" => cli.sarif = true,
-            "--fix-dry-run" => cli.fix_dry_run = true,
-            "--fix" => cli.fix = true,
             "--root" => {
                 cli.root =
                     Some(PathBuf::from(args.next().ok_or_else(|| {
@@ -50,7 +38,7 @@ fn parse_args() -> Result<Cli, SfError> {
                 println!(
                     "sfcheck: repo-invariant static analysis\n\
                      \n\
-                     USAGE: sfcheck [--root DIR] [--json] [--sarif] [--fix-dry-run] [--fix]\n\
+                     USAGE: sfcheck [--root DIR] [--json]\n\
                      \n\
                      Exit codes: 0 clean, 1 live findings, 2 tool error."
                 );
@@ -58,9 +46,6 @@ fn parse_args() -> Result<Cli, SfError> {
             }
             other => return Err(SfError::new(format!("unknown flag `{other}`"))),
         }
-    }
-    if cli.json && cli.sarif {
-        return Err(SfError::new("--json and --sarif are mutually exclusive"));
     }
     Ok(cli)
 }
@@ -75,38 +60,9 @@ fn run() -> Result<bool, SfError> {
             workspace_root_from(&cwd)?
         }
     };
-    let mut opts = CheckOptions::new(root.clone());
-    opts.fix_dry_run = cli.fix_dry_run;
+    let outcome = run_check(&CheckOptions::new(root))?;
 
-    let outcome = run_check(&opts)?;
-
-    if cli.fix {
-        let fixed = fix::apply(&root, &outcome.findings)?;
-        for note in &fixed.skipped {
-            eprintln!("sfcheck: fix skipped: {note}");
-        }
-        println!(
-            "sfcheck: applied {} fix(es) in {} file(s)",
-            fixed.applied, fixed.files_changed
-        );
-        // Re-check so the gate reflects the tree as rewritten.
-        let after = run_check(&opts)?;
-        let remaining = after
-            .findings
-            .iter()
-            .filter(|f| f.suggestion.is_some())
-            .count();
-        if remaining > 0 {
-            return Err(SfError::new(format!(
-                "{remaining} machine-applicable finding(s) survived --fix"
-            )));
-        }
-        return Ok(after.clean());
-    }
-
-    if cli.sarif {
-        println!("{}", outcome.sarif.emit());
-    } else if cli.json {
+    if cli.json {
         println!("{}", outcome.report.emit());
     } else {
         for f in &outcome.findings {

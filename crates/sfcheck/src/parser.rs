@@ -7,10 +7,10 @@
 //!    understand is consumed as [`crate::ast::Expr::Seq`] soup; every loop either
 //!    consumes a token or breaks. The rng-driven fuzz harness holds the
 //!    parser to this on arbitrary byte soup.
-//! 2. **Never lose a call or closure.** The semantic lints walk the tree
-//!    for call edges, rng constructors, and parallel-region closures, so
-//!    arguments of calls, macros, struct literals, match arms, and nested
-//!    blocks are all recursively parsed rather than skipped.
+//! 2. **Never lose a call or closure.** The semantic lint walks the tree
+//!    for call edges and panic sites, so arguments of calls, macros,
+//!    struct literals, match arms, and nested blocks are all recursively
+//!    parsed rather than skipped.
 //! 3. **Bindings where capture analysis needs them.** `let` patterns,
 //!    closure/fn parameters, `for` patterns, `if let`/`while let`
 //!    patterns, and match-arm patterns record the names they bind, so
@@ -27,42 +27,18 @@ use crate::ast::{
     UseTarget,
 };
 use crate::lexer::{Token, TokenKind};
-use std::collections::BTreeMap;
 
 /// Maximum recursion depth before the parser flattens the rest of the
 /// current construct (guards against pathological nesting in fuzz input).
 const MAX_DEPTH: u32 = 120;
 
-/// Marker-comment prefix: `// sfcheck:parallel-entry`, `// sfcheck:seed-derivation`.
-const MARKER_PREFIX: &str = "sfcheck:";
-
 /// Parse a token stream (as produced by [`crate::lexer::lex`], comments
 /// included) into a [`File`]. Infallible by construction.
 pub fn parse(tokens: &[Token]) -> File {
-    let mut code: Vec<Token> = Vec::with_capacity(tokens.len());
-    let mut markers: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    for t in tokens {
-        if t.is_code() {
-            code.push(t.clone());
-        } else if t.kind == TokenKind::LineComment {
-            // `// sfcheck:<name>` (not `allow(...)`) is a marker that
-            // attaches to the next item.
-            let body = t.text.trim_start_matches('/').trim();
-            if let Some(rest) = body.strip_prefix(MARKER_PREFIX) {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-                    .collect();
-                if !name.is_empty() && name != "allow" {
-                    markers.entry(code.len()).or_default().push(name);
-                }
-            }
-        }
-    }
+    let code: Vec<Token> = tokens.iter().filter(|t| t.is_code()).cloned().collect();
     let mut p = Parser {
         code,
         i: 0,
-        markers,
         depth: 0,
     };
     let items = p.items_until(None);
@@ -72,8 +48,6 @@ pub fn parse(tokens: &[Token]) -> File {
 struct Parser {
     code: Vec<Token>,
     i: usize,
-    /// Markers keyed by the code-token index they precede.
-    markers: BTreeMap<usize, Vec<String>>,
     depth: u32,
 }
 
@@ -189,17 +163,6 @@ impl Parser {
         }
     }
 
-    fn take_markers(&mut self, lo: usize, hi: usize) -> Vec<String> {
-        let keys: Vec<usize> = self.markers.range(lo..=hi).map(|(k, _)| *k).collect();
-        let mut out = Vec::new();
-        for k in keys {
-            if let Some(mut v) = self.markers.remove(&k) {
-                out.append(&mut v);
-            }
-        }
-        out
-    }
-
     // ---- attributes -------------------------------------------------------
 
     /// Parse any run of `#[…]` / `#![…]` attributes; outer attribute texts
@@ -274,7 +237,6 @@ impl Parser {
 
     /// Parse one item if the cursor is at something item-shaped.
     fn parse_item(&mut self) -> Option<Item> {
-        let start_idx = self.i;
         let start = self.offset_here();
         let pos = self.pos_here();
         let attrs = self.parse_attrs();
@@ -340,14 +302,11 @@ impl Parser {
             }
             _ => return None,
         };
-        let header_end = self.i.min(self.code.len());
-        let markers = self.take_markers(start_idx, header_end.saturating_sub(1));
         Some(Item {
             kind,
             span: self.span_from(start),
             pos,
             attrs,
-            markers,
         })
     }
 
@@ -1813,21 +1772,6 @@ mod tests {
             binds.contains(&vec!["i".to_string(), "item".to_string()]),
             "{binds:?}"
         );
-    }
-
-    #[test]
-    fn markers_attach_to_next_item() {
-        let src = "\
-/// Docs here.
-// sfcheck:parallel-entry
-pub fn par_map() {}
-
-pub fn unmarked() {}
-";
-        let file = parse_src(src);
-        assert_eq!(file.items.len(), 2);
-        assert_eq!(file.items[0].markers, ["parallel-entry"]);
-        assert!(file.items[1].markers.is_empty());
     }
 
     #[test]

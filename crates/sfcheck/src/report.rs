@@ -21,16 +21,6 @@ fn finding_json(f: &Finding) -> JsonValue {
     ])
 }
 
-fn fix_json(f: &Finding, replacement: &str) -> JsonValue {
-    JsonValue::object([
-        ("current", JsonValue::from(f.snippet.as_str())),
-        ("file", JsonValue::from(f.file.as_str())),
-        ("line", JsonValue::from(u64::from(f.line))),
-        ("lint", JsonValue::from(f.lint)),
-        ("replacement", JsonValue::from(replacement)),
-    ])
-}
-
 fn waived_json(w: &Waived) -> JsonValue {
     let mut obj = finding_json(&w.finding);
     if let JsonValue::Object(map) = &mut obj {
@@ -49,8 +39,6 @@ pub struct ReportInput<'a> {
     pub files_scanned: usize,
     /// Number of `Cargo.toml` manifests scanned.
     pub manifests_scanned: usize,
-    /// Whether to include the `fixes` section (`--fix-dry-run`).
-    pub fix_dry_run: bool,
 }
 
 /// Build the full report document.
@@ -70,7 +58,7 @@ pub fn build(input: &ReportInput<'_>) -> JsonValue {
         ("waived", JsonValue::from(input.waived.len())),
     ]);
 
-    let mut pairs = vec![
+    JsonValue::object([
         (
             "findings",
             JsonValue::Array(input.findings.iter().map(finding_json).collect()),
@@ -80,16 +68,7 @@ pub fn build(input: &ReportInput<'_>) -> JsonValue {
             "waived",
             JsonValue::Array(input.waived.iter().map(waived_json).collect()),
         ),
-    ];
-    if input.fix_dry_run {
-        let fixes: Vec<JsonValue> = input
-            .findings
-            .iter()
-            .filter_map(|f| f.suggestion.as_deref().map(|r| fix_json(f, r)))
-            .collect();
-        pairs.push(("fixes", JsonValue::Array(fixes)));
-    }
-    JsonValue::object(pairs)
+    ])
 }
 
 /// Render a finding for human (non-`--json`) output.
@@ -104,28 +83,21 @@ pub fn human_line(f: &Finding) -> String {
 mod tests {
     use super::*;
 
-    fn finding(with_suggestion: bool) -> Finding {
-        Finding {
+    #[test]
+    fn report_shape_and_determinism() {
+        let findings = [Finding {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 9,
             lint: "hash-collections",
             message: "msg".into(),
             snippet: "let m: HashMap<u32, u32> = HashMap::new();".into(),
-            suggestion: with_suggestion
-                .then(|| "let m: BTreeMap<u32, u32> = BTreeMap::new();".to_string()),
-        }
-    }
-
-    #[test]
-    fn report_shape_and_determinism() {
-        let findings = [finding(true)];
+        }];
         let input = ReportInput {
             findings: &findings,
             waived: &[],
             files_scanned: 10,
             manifests_scanned: 2,
-            fix_dry_run: false,
         };
         let a = build(&input).emit();
         let b = build(&input).emit();
@@ -150,30 +122,6 @@ mod tests {
                 .unwrap()
                 .as_u64(),
             Some(1)
-        );
-        assert!(parsed.get("fixes").is_none(), "no fixes without dry-run");
-    }
-
-    #[test]
-    fn fix_dry_run_lists_suggestions_only() {
-        let findings = [finding(true), {
-            let mut f = finding(false);
-            f.lint = "wall-clock";
-            f
-        }];
-        let input = ReportInput {
-            findings: &findings,
-            waived: &[],
-            files_scanned: 1,
-            manifests_scanned: 1,
-            fix_dry_run: true,
-        };
-        let parsed = JsonValue::parse(&build(&input).emit()).unwrap();
-        let fixes = parsed.get("fixes").unwrap().as_array().unwrap();
-        assert_eq!(fixes.len(), 1, "only mechanical lints carry fixes");
-        assert_eq!(
-            fixes[0].get("lint").unwrap().as_str(),
-            Some("hash-collections")
         );
     }
 }

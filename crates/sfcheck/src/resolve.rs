@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{self, File, Item, ItemKind, Param};
+use crate::ast::{self, File, Item, ItemKind};
 use crate::walker::{FileClass, SourceFile};
 
 /// Deterministic function ID: index into [`Workspace::fns`], which is
@@ -61,10 +61,6 @@ pub struct FnInfo {
     /// True for test code: test-classified files, `#[cfg(test)]` /
     /// `#[test]` items, or fns nested under such items.
     pub is_test: bool,
-    /// `// sfcheck:<name>` markers attached to the fn.
-    pub markers: Vec<String>,
-    /// Parameters (names, flattened types, `&mut` flags).
-    pub params: Vec<Param>,
     /// Byte span of the item.
     pub span: ast::Span,
     /// Line/column of the item.
@@ -258,8 +254,6 @@ fn collect_items(items: &[Item], path: &mut Vec<usize>, ctx: &mut CollectCtx<'_>
                     impl_ty: ctx.impl_ty.clone(),
                     is_pub: f.is_pub,
                     is_test: item_test,
-                    markers: item.markers.clone(),
-                    params: f.params.clone(),
                     span: item.span.clone(),
                     pos: item.pos,
                     item_path: path.clone(),
@@ -452,16 +446,6 @@ impl Workspace {
         }
         out
     }
-
-    /// Function IDs whose definitions carry the given marker.
-    pub fn marked(&self, marker: &str) -> Vec<FnId> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.markers.iter().any(|m| m == marker))
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -509,7 +493,7 @@ mod tests {
             ),
             src(
                 "crates/beta/src/lib.rs",
-                "// sfcheck:parallel-entry\npub fn helper() {}\n\
+                "pub fn helper() {}\n\
                  #[cfg(test)]\nmod tests { fn t() {} }",
             ),
         ];
@@ -532,7 +516,6 @@ mod tests {
         );
         assert!(ws.fns[4].is_test, "cfg(test) mod marks nested fns as test");
         assert!(!ws.fns[3].is_test);
-        assert_eq!(ws.marked("parallel-entry"), vec![3]);
     }
 
     #[test]
@@ -583,8 +566,6 @@ mod tests {
         let ws = two_crate_workspace();
         assert!(ws.body_of(0).is_some());
         assert!(ws.body_of(1).is_some(), "impl-associated fn body");
-        let assoc = &ws.fns[1];
-        assert_eq!(assoc.impl_ty.as_deref(), Some("T"));
-        assert!(assoc.params[0].name == "self");
+        assert_eq!(ws.fns[1].impl_ty.as_deref(), Some("T"));
     }
 }

@@ -127,16 +127,6 @@ fn mutex_field_in_the_cascade_is_lock_confinement() {
 }
 
 #[test]
-fn forest_tree_sharing_the_ensemble_seed_breaks_rng_seed_discipline() {
-    assert_fires(
-        "rng-seed-discipline",
-        "crates/ml/src/forest.rs",
-        "seed_jump(seed, Stream::Tree(i as u64))",
-        "seed",
-    );
-}
-
-#[test]
 fn unwrap_in_candidate_check_is_panic_reachable() {
     assert_fires(
         "panic-reachability",

@@ -1,7 +1,7 @@
-//! The gate itself, as a test: the repository must be sfcheck-clean, and
-//! the `--json` report must be byte-identical across runs and thread
-//! counts (the tool's own output obeys the determinism contract it
-//! enforces).
+//! The gate itself, as a test: the repository must be sfcheck-clean, the
+//! `--json` report must be byte-identical across runs and thread counts
+//! (the tool's own output obeys the determinism contract it enforces),
+//! and a bad command line is a tool error.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -73,33 +73,42 @@ fn run_cli(root: &Path, args: &[&str], threads: &str, want_exit: i32) -> Vec<u8>
     out.stdout
 }
 
-/// Run `flag` over the repository at 1, 4 and 8 threads plus a repeat
-/// at 1, assert all four outputs are byte-identical, and return the
-/// output as text.
-fn thread_matrix(flag: &str) -> String {
-    let root = workspace_root();
-    let one = run_cli(&root, &[flag], "1", 0);
-    for threads in ["4", "8", "1"] {
-        let again = run_cli(&root, &[flag], threads, 0);
-        assert_eq!(one, again, "{flag} differs between 1 and {threads} threads");
-    }
-    String::from_utf8(one).expect("output is UTF-8")
-}
-
 /// Golden matrix: the CLI binary, run end-to-end under different
-/// `SMARTFEAT_THREADS` settings, must print byte-identical JSON.
+/// `SMARTFEAT_THREADS` settings (1, 4, 8, then 1 again), must print
+/// byte-identical JSON.
 #[test]
 fn json_report_is_byte_identical_across_thread_counts() {
-    let text = thread_matrix("--json");
+    let root = workspace_root();
+    let one = run_cli(&root, &["--json"], "1", 0);
+    for threads in ["4", "8", "1"] {
+        let again = run_cli(&root, &["--json"], threads, 0);
+        assert_eq!(one, again, "--json differs between 1 and {threads} threads");
+    }
     // Sanity: the output is the report, not an empty stream.
-    assert!(text.contains("\"summary\""));
+    assert!(String::from_utf8(one)
+        .expect("output is UTF-8")
+        .contains("\"summary\""));
 }
 
-/// Same matrix for the SARIF document: byte-identical across repeated
-/// runs and across thread counts, and structurally a SARIF 2.1.0 file.
+/// The argv boundary: an unknown flag (including the removed report and
+/// rewrite flags) and a `--root` without its directory are tool errors
+/// (exit 2) that name the problem, before any scan runs.
 #[test]
-fn sarif_document_is_byte_identical_across_thread_counts() {
-    let text = thread_matrix("--sarif");
-    assert!(text.contains("\"version\":\"2.1.0\""));
-    assert!(text.contains("\"name\":\"sfcheck\""));
+fn bad_arguments_exit_two_naming_the_problem() {
+    for (args, message) in [
+        (&["--sarif"][..], "unknown flag `--sarif`"),
+        (&["--fix"][..], "unknown flag `--fix`"),
+        (&["--fix-dry-run"][..], "unknown flag `--fix-dry-run`"),
+        (&["--bogus"][..], "unknown flag `--bogus`"),
+        (&["--root"][..], "--root requires a directory"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sfcheck"))
+            .args(args)
+            .output()
+            .expect("sfcheck binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
 }
