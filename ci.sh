@@ -53,7 +53,7 @@ step_sfcheck() {
 }
 
 step_artifacts() {
-  echo "==> observability artifacts: cascade and beam CLI runs (metrics + trace JSON)"
+  echo "==> observability artifacts: cascade, beam and wall-clock CLI runs (metrics + trace JSON)"
   mkdir -p ci-artifacts
   printf '%s\n' \
     'age,bmi,smoker,children,label' \
@@ -81,6 +81,15 @@ step_artifacts() {
     exit 1
   fi
   echo "    wrote ci-artifacts/metrics-beam.json ($(wc -c < ci-artifacts/metrics-beam.json) bytes)"
+  # Wall-clock mode end to end: span nanoseconds land under `volatile`.
+  SMARTFEAT_OBS_WALLCLOCK=1 cargo run -q --offline -p smartfeat --bin smartfeat -- \
+    --csv ci-artifacts/smoke.csv --target label \
+    --metrics-out ci-artifacts/metrics-wall.json > /dev/null
+  if ! grep -q '"volatile":{[^}]*"span_ns":{[^}]*"realize.fm_walk"' ci-artifacts/metrics-wall.json; then
+    echo "    ERROR: wall-mode metrics lack volatile.span_ns.realize.fm_walk" >&2
+    exit 1
+  fi
+  echo "    wrote ci-artifacts/metrics-wall.json ($(wc -c < ci-artifacts/metrics-wall.json) bytes)"
 }
 
 step_perf() {

@@ -77,6 +77,8 @@ struct Args {
     descriptions: Vec<(String, String)>,
     model: String,
     transcript: bool,
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
     /// Built from the flags and validated before any file is read.
     config: SmartFeatConfig,
 }
@@ -88,6 +90,8 @@ fn parse_args() -> Result<Args, String> {
     let mut descriptions = Vec::new();
     let mut model = "RF".to_string();
     let mut transcript = false;
+    let mut metrics_out = None;
+    let mut trace_out = None;
     let mut config = SmartFeatConfig {
         seed: 42,
         ..SmartFeatConfig::default()
@@ -177,8 +181,8 @@ fn parse_args() -> Result<Args, String> {
             "--no-drop" => config.drop_heuristic = false,
             "--fm-removal" => config.fm_feature_removal = true,
             "--transcript" => transcript = true,
-            "--trace-out" => config.observability.trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => config.observability.metrics_out = Some(value("--metrics-out")?),
+            "--trace-out" => trace_out = Some(value("--trace-out")?),
+            "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -201,8 +205,18 @@ fn parse_args() -> Result<Args, String> {
         descriptions,
         model,
         transcript,
+        metrics_out,
+        trace_out,
         config,
     })
+}
+
+/// Write `text` to `path`, or report the failure and exit 1.
+fn write_or_exit(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error writing {path}: {e}");
+        exit(1);
+    }
 }
 
 fn main() {
@@ -273,20 +287,19 @@ fn main() {
     }
 
     if let Some(path) = args.out {
-        if let Err(e) = csv::write_csv_path(&report.frame, std::path::Path::new(&path)) {
-            eprintln!("error writing {path}: {e}");
-            exit(1);
-        }
+        write_or_exit(&path, &csv::write_csv_str(&report.frame));
         println!(
             "\nAugmented dataset ({} columns) written to {path}",
             report.frame.n_cols()
         );
     }
 
-    if let Some(path) = &args.config.observability.metrics_out {
+    if let Some(path) = &args.metrics_out {
+        write_or_exit(path, &format!("{}\n", report.metrics.emit()));
         println!("Metrics report written to {path}");
     }
-    if let Some(path) = &args.config.observability.trace_out {
+    if let Some(path) = &args.trace_out {
+        write_or_exit(path, &report.trace);
         println!("Trace written to {path}");
     }
 

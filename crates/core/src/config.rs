@@ -91,28 +91,6 @@ impl OperatorFamily {
     }
 }
 
-/// Observability settings: whether the run records structured telemetry
-/// and where the artifacts land. Off by default — the pipeline behaves
-/// exactly as before when disabled.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ObservabilityConfig {
-    /// Record spans, counters, and FM-budget telemetry for the run.
-    /// Implied by setting either output path.
-    pub enabled: bool,
-    /// Write the JSONL trace (one event per line) to this path.
-    pub trace_out: Option<String>,
-    /// Write the end-of-run JSON metrics report to this path.
-    pub metrics_out: Option<String>,
-}
-
-impl ObservabilityConfig {
-    /// Whether the run should record telemetry: explicitly enabled, or
-    /// implied by requesting an output artifact.
-    pub fn active(&self) -> bool {
-        self.enabled || self.trace_out.is_some() || self.metrics_out.is_some()
-    }
-}
-
 /// Which search strategy drives the propose→realize→evaluate→prune
 /// loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -244,9 +222,6 @@ pub struct SmartFeatConfig {
     /// EXTENSION (paper §5 future work): after generation, ask the FM
     /// which features are unlikely to help and remove them.
     pub fm_feature_removal: bool,
-    /// Structured-telemetry settings (off by default; see
-    /// [`ObservabilityConfig`]).
-    pub observability: ObservabilityConfig,
     /// Search-strategy settings (the paper's one-shot walk by default;
     /// see [`SearchConfig`]).
     pub search: SearchConfig,
@@ -271,7 +246,6 @@ impl Default for SmartFeatConfig {
             feature_filter: true,
             retry_malformed: 1,
             fm_feature_removal: false,
-            observability: ObservabilityConfig::default(),
             search: SearchConfig::default(),
             backend: None,
             cascade: CascadeConfig::default(),

@@ -30,8 +30,6 @@ pub enum CoreError {
     },
     /// Row-level completion was required but disabled or over budget.
     RowCompletionUnavailable(String),
-    /// Writing a run artifact (trace / metrics report) failed.
-    Io(String),
 }
 
 impl fmt::Display for CoreError {
@@ -55,7 +53,6 @@ impl fmt::Display for CoreError {
             CoreError::RowCompletionUnavailable(msg) => {
                 write!(f, "row-level completion unavailable: {msg}")
             }
-            CoreError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }

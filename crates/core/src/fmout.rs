@@ -100,15 +100,6 @@ impl DictValue {
         }
     }
 
-    /// Numeric view.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            DictValue::Num(n) => Some(*n),
-            DictValue::Str(s) => s.trim().parse().ok(),
-            _ => None,
-        }
-    }
-
     /// List view: a scalar string becomes a one-element list.
     pub fn as_list(&self) -> Vec<String> {
         match self {
@@ -349,7 +340,7 @@ mod tests {
         assert_eq!(d["cols"].as_list(), vec!["a", "b"]);
         assert_eq!(d["weights"].as_list(), vec!["1", "-1"]);
         assert_eq!(d["normalize"], DictValue::Bool(true));
-        assert_eq!(d["n"].as_num(), Some(3.5));
+        assert_eq!(d["n"], DictValue::Num(3.5));
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub struct FunctionGenerator<'a> {
 }
 
 impl<'a> FunctionGenerator<'a> {
-    /// Create a generator over `fm`. Pass [`Recorder::disabled`] when
-    /// telemetry is off.
+    /// Create a generator over `fm`, recording into `rec`.
     pub fn new(fm: &'a dyn FoundationModel, rec: Recorder) -> Self {
         FunctionGenerator { fm, rec }
     }
@@ -308,6 +307,7 @@ mod tests {
     use smartfeat_fm::SimulatedFm;
     use smartfeat_frame::ops::AggFunc;
     use smartfeat_frame::{Column, DataFrame};
+    use smartfeat_obs::ClockMode;
 
     fn agenda() -> DataAgenda {
         let df = DataFrame::from_columns(vec![
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn bucketize_age_gets_domain_boundaries() {
         let fm = SimulatedFm::gpt35(0);
-        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::new(ClockMode::Logical));
         let cand = unary("Bucketized_Age", "Age", "bucketize", "age bands");
         match gen.generate(&agenda(), &cand).unwrap() {
             Generated::Function(TransformFunction::Bucketize {
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn years_since_lowers_to_affine() {
         let fm = SimulatedFm::gpt35(0);
-        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::new(ClockMode::Logical));
         let cand = unary(
             "YearsSince_Age_of_car",
             "Age_of_car",
@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn binary_constructed_without_fm_call() {
         let fm = SimulatedFm::gpt35(0);
-        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::new(ClockMode::Logical));
         let cand = Candidate {
             name: "Age_minus_Age_of_car".into(),
             columns: vec!["Age".into(), "Age_of_car".into()],
@@ -400,7 +400,7 @@ mod tests {
     #[test]
     fn highorder_constructed_without_fm_call() {
         let fm = SimulatedFm::gpt35(0);
-        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::new(ClockMode::Logical));
         let cand = Candidate {
             name: "GroupBy_City_mean_Claim".into(),
             columns: vec!["City".into(), "Claim".into()],
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn external_lookup_lowers_to_row_completion() {
         let fm = SimulatedFm::gpt35(0);
-        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::new(ClockMode::Logical));
         let cand = Candidate {
             name: "City_population_density".into(),
             columns: vec!["City".into()],
@@ -444,7 +444,7 @@ mod tests {
     #[test]
     fn unknown_knowledge_becomes_source_suggestion() {
         let fm = SimulatedFm::gpt35(0);
-        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::new(ClockMode::Logical));
         let cand = Candidate {
             name: "City_crime_rate".into(),
             columns: vec!["City".into()],
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn weighted_index_round_trip() {
         let fm = SimulatedFm::gpt35(0);
-        let gen = FunctionGenerator::new(&fm, Recorder::disabled());
+        let gen = FunctionGenerator::new(&fm, Recorder::new(ClockMode::Logical));
         let cand = Candidate {
             name: "Perf_index".into(),
             columns: vec!["Age".into(), "Age_of_car".into()],

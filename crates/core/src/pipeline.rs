@@ -86,8 +86,7 @@ pub(crate) struct RunState {
     pub(crate) unary_transformed: BTreeSet<String>,
     /// Original features referenced by accepted non-unary candidates.
     pub(crate) referenced: BTreeSet<String>,
-    /// Run-scoped telemetry recorder (disabled unless the config's
-    /// observability section is active).
+    /// Run-scoped telemetry recorder.
     pub(crate) rec: Recorder,
 }
 
@@ -176,11 +175,7 @@ impl<'a> SmartFeat<'a> {
     }
 
     fn run_in_context(&self, df: &DataFrame, agenda: &DataAgenda) -> Result<SmartFeatReport> {
-        let rec = if self.config.observability.active() {
-            Recorder::from_env()
-        } else {
-            Recorder::disabled()
-        };
+        let rec = Recorder::from_env();
         let selector_before = self.selector_fm.meter().snapshot();
         let generator_before = self.generator_fm.meter().snapshot();
         let selector_routing_before = self.selector_fm.routing();
@@ -239,7 +234,7 @@ impl<'a> SmartFeat<'a> {
             crate::routing::routing_delta(&generator_routing_before, &self.generator_fm.routing()),
         );
 
-        let metrics = self.finish_observability(
+        Self::finish_observability(
             &rec,
             &state,
             &dropped_originals,
@@ -247,7 +242,7 @@ impl<'a> SmartFeat<'a> {
             &selector_usage,
             &generator_usage,
             &routing,
-        )?;
+        );
 
         Ok(SmartFeatReport {
             frame: state.frame,
@@ -259,18 +254,15 @@ impl<'a> SmartFeat<'a> {
             agenda: state.agenda,
             selector_usage,
             generator_usage,
-            metrics,
+            metrics: rec.report(),
+            trace: rec.trace_jsonl(),
         })
     }
 
     /// Close out telemetry for the run: bridge the exact FM-meter deltas
-    /// and the run context's pool/work counters into the recorder, derive
-    /// per-family outcome stats from the report state, then write the
-    /// trace / metrics artifacts the config asks for. Returns the metrics
-    /// report.
-    #[allow(clippy::too_many_arguments)]
+    /// and the run context's pool/work counters into the recorder, and
+    /// derive per-family outcome stats from the report state.
     fn finish_observability(
-        &self,
         rec: &Recorder,
         state: &RunState,
         dropped_originals: &[String],
@@ -278,10 +270,7 @@ impl<'a> SmartFeat<'a> {
         selector_usage: &smartfeat_fm::UsageSnapshot,
         generator_usage: &smartfeat_fm::UsageSnapshot,
         routing: &smartfeat_fm::RoutingSnapshot,
-    ) -> Result<Option<smartfeat_frame::json::JsonValue>> {
-        if !rec.is_enabled() {
-            return Ok(None);
-        }
+    ) {
         // Role-level FM usage is bridged from the meters so the report's
         // `fm.total` equals the `crates/fm` accounting exactly. Per-family
         // attribution accumulates separately under `families.<name>.fm`.
@@ -328,21 +317,6 @@ impl<'a> SmartFeat<'a> {
             "features.source_suggestions",
             state.source_suggestions.len() as u64,
         );
-
-        if let Some(path) = &self.config.observability.trace_out {
-            std::fs::write(path, rec.trace_jsonl()).map_err(|e| {
-                crate::error::CoreError::Io(format!("writing trace to {path}: {e}"))
-            })?;
-        }
-        let report = rec.report();
-        if let Some(path) = &self.config.observability.metrics_out {
-            let mut text = report.emit();
-            text.push('\n');
-            std::fs::write(path, text).map_err(|e| {
-                crate::error::CoreError::Io(format!("writing metrics to {path}: {e}"))
-            })?;
-        }
-        Ok(Some(report))
     }
 
     /// Realize a batch of candidates: generate each function, execute it,

@@ -112,10 +112,12 @@ pub struct SmartFeatReport {
     /// Function-generator FM usage during this run (includes row-level
     /// completions).
     pub generator_usage: UsageSnapshot,
-    /// The observability metrics report for this run (`None` when the
-    /// config's observability section is inactive). Same JSON document the
-    /// `--metrics-out` flag writes.
-    pub metrics: Option<smartfeat_frame::json::JsonValue>,
+    /// The observability metrics report for this run: the JSON document
+    /// the CLI's `--metrics-out` flag writes.
+    pub metrics: smartfeat_frame::json::JsonValue,
+    /// The run's JSONL trace, one event per line: the text the CLI's
+    /// `--trace-out` flag writes.
+    pub trace: String,
 }
 
 impl SmartFeatReport {
@@ -248,7 +250,8 @@ mod tests {
                 cost_usd: 0.002,
                 latency: Duration::from_secs(1),
             },
-            metrics: None,
+            metrics: smartfeat_frame::json::JsonValue::Null,
+            trace: String::new(),
         }
     }
 

@@ -70,8 +70,7 @@ pub enum Sample {
 }
 
 impl<'a> OperatorSelector<'a> {
-    /// Create a selector over `fm` with `config`. Pass
-    /// [`Recorder::disabled`] when telemetry is off.
+    /// Create a selector over `fm` with `config`, recording into `rec`.
     pub fn new(fm: &'a dyn FoundationModel, config: &'a SmartFeatConfig, rec: Recorder) -> Self {
         OperatorSelector { fm, config, rec }
     }
@@ -446,6 +445,7 @@ mod tests {
     use super::*;
     use smartfeat_fm::{FmConfig, ModelSpec, SimulatedFm};
     use smartfeat_frame::{Column, DataFrame};
+    use smartfeat_obs::ClockMode;
 
     fn insurance_agenda() -> DataAgenda {
         let df = DataFrame::from_columns(vec![
@@ -475,7 +475,7 @@ mod tests {
     fn unary_proposals_filtered_to_high_confidence() {
         let fm = SimulatedFm::gpt4(1);
         let cfg = SmartFeatConfig::default();
-        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         let cands = sel.propose_unary(&insurance_agenda(), "Age").unwrap();
         assert!(!cands.is_empty());
         assert!(cands.iter().any(|c| c.name == "Bucketized_Age"));
@@ -489,7 +489,7 @@ mod tests {
     fn unary_for_car_age_includes_years_since() {
         let fm = SimulatedFm::gpt4(1);
         let cfg = SmartFeatConfig::default();
-        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         let cands = sel
             .propose_unary(&insurance_agenda(), "Age_of_car")
             .unwrap();
@@ -503,7 +503,7 @@ mod tests {
     fn binary_sampling_yields_valid_candidates() {
         let fm = SimulatedFm::gpt4(7);
         let cfg = SmartFeatConfig::default();
-        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         let agenda = insurance_agenda();
         let mut got_candidate = false;
         for _ in 0..10 {
@@ -524,7 +524,7 @@ mod tests {
     fn highorder_sampling_parses_groupby() {
         let fm = SimulatedFm::gpt4(3);
         let cfg = SmartFeatConfig::default();
-        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         let agenda = insurance_agenda();
         let mut seen = 0;
         for _ in 0..10 {
@@ -551,7 +551,7 @@ mod tests {
     fn extractor_sampling_finds_city_lookup() {
         let fm = SimulatedFm::gpt4(5);
         let cfg = SmartFeatConfig::default();
-        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         match sel.sample_extractor(&insurance_agenda()).unwrap() {
             Sample::Candidate(c) => {
                 assert_eq!(c.family, OperatorFamily::Extractor);
@@ -576,7 +576,7 @@ mod tests {
             },
         );
         let cfg = SmartFeatConfig::default();
-        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         let agenda = insurance_agenda();
         let mut invalid = 0;
         for _ in 0..10 {
@@ -619,7 +619,7 @@ mod tests {
         }
         let cfg = SmartFeatConfig::default();
         let fm = Canned(smartfeat_fm::UsageMeter::new());
-        let sel = OperatorSelector::new(&fm, &cfg, Recorder::disabled());
+        let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         assert!(matches!(
             sel.sample_binary(&insurance_agenda()).unwrap(),
             Sample::Invalid(_)

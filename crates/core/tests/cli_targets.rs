@@ -5,7 +5,8 @@
 //! metrics report, so no FM call was billed. `--help`/`-h` print the
 //! option list and exit 0; a bad argument, or flags that make an invalid
 //! configuration, exit 2 and point at `--help` before any file is read.
-//! A run's output does not depend on `SMARTFEAT_THREADS`.
+//! A `--metrics-out` or `--trace-out` path that cannot be written exits
+//! 1 naming it. A run's output does not depend on `SMARTFEAT_THREADS`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -254,6 +255,32 @@ fn output_is_byte_identical_across_smartfeat_threads() {
                 "{case}: no CV fold ran: {report}"
             );
         }
+    }
+    let _ = std::fs::remove_file(&csv);
+}
+
+#[test]
+fn unwritable_observability_output_exits_one_naming_the_path() {
+    let csv = temp("unwritable", "input.csv");
+    std::fs::write(&csv, sample_csv()).expect("write csv");
+    let missing_dir = temp("unwritable", "no_such_dir");
+    let _ = std::fs::remove_dir_all(&missing_dir);
+    for flag in ["--metrics-out", "--trace-out"] {
+        let path = missing_dir.join("report.json");
+        let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
+            .arg("--csv")
+            .arg(&csv)
+            .args(["--target", "label", flag])
+            .arg(&path)
+            .output()
+            .expect("spawn smartfeat");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error writing {}: ", path.display())),
+            "{flag}: {stderr}"
+        );
+        assert!(!path.exists(), "{flag}: wrote into a missing directory");
     }
     let _ = std::fs::remove_file(&csv);
 }

@@ -18,18 +18,6 @@ pub fn approx_tokens(text: &str) -> usize {
     by_chars.max(by_words)
 }
 
-/// Token estimate for a serialized `name: value` row as the row-level
-/// completion path produces (Figure 1's left side).
-pub fn row_serialization_tokens(
-    n_attrs: usize,
-    avg_name_len: usize,
-    avg_value_len: usize,
-) -> usize {
-    // "name: value, " per attribute plus the masked tail "new_feat: ?".
-    let per_attr = avg_name_len + avg_value_len + 4;
-    approx_tokens(&"x".repeat(per_attr * n_attrs + avg_name_len + 3))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,12 +46,5 @@ mod tests {
         // One 40-char word: word estimate 1, char estimate 10.
         let t = approx_tokens(&"x".repeat(40));
         assert_eq!(t, 10);
-    }
-
-    #[test]
-    fn row_tokens_scale_with_attributes() {
-        let narrow = row_serialization_tokens(5, 8, 6);
-        let wide = row_serialization_tokens(20, 8, 6);
-        assert!(wide > narrow * 3);
     }
 }

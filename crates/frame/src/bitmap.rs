@@ -34,14 +34,6 @@ impl NullBitmap {
         NullBitmap { words, len }
     }
 
-    /// A bitmap of `len` rows, all null.
-    pub fn all_null(len: usize) -> Self {
-        NullBitmap {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
     /// Build from an iterator of validity flags.
     pub fn from_flags(flags: impl IntoIterator<Item = bool>) -> Self {
         let flags = flags.into_iter();
@@ -243,14 +235,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_valid_and_all_null() {
+    fn all_valid_counts_every_row() {
         let v = NullBitmap::all_valid(70);
         assert_eq!(v.len(), 70);
         assert_eq!(v.count_valid(), 70);
         assert!(v.is_valid(69));
-        let n = NullBitmap::all_null(70);
-        assert_eq!(n.count_valid(), 0);
-        assert!(!n.is_valid(0));
     }
 
     #[test]

@@ -372,60 +372,6 @@ impl Column {
         Column::new(name, ColumnData::from_opt_bools(values))
     }
 
-    /// Build a column by inferring a common dtype from dynamic values.
-    ///
-    /// Promotion rules: any `Str` ⇒ `Str` column (non-strings are rendered);
-    /// else any `Float` ⇒ `Float`; else any `Int` ⇒ `Int`; else `Bool`;
-    /// an all-null input becomes a `Float` column of nulls.
-    pub fn from_values(name: impl Into<String>, values: Vec<Value>) -> Self {
-        let mut has_str = false;
-        let mut has_float = false;
-        let mut has_int = false;
-        let mut has_bool = false;
-        for v in &values {
-            match v {
-                Value::Str(_) => has_str = true,
-                Value::Float(_) => has_float = true,
-                Value::Int(_) => has_int = true,
-                Value::Bool(_) => has_bool = true,
-                Value::Null => {}
-            }
-        }
-        let name = name.into();
-        if has_str {
-            let data = values
-                .into_iter()
-                .map(|v| match v {
-                    Value::Null => None,
-                    other => Some(other.render()),
-                })
-                .collect();
-            Column::from_strs(name, data)
-        } else if has_float || (has_int && has_bool) {
-            Column::from_floats(name, values.into_iter().map(|v| v.as_f64()).collect())
-        } else if has_int {
-            let data = values
-                .into_iter()
-                .map(|v| match v {
-                    Value::Int(i) => Some(i),
-                    _ => None,
-                })
-                .collect();
-            Column::from_ints(name, data)
-        } else if has_bool {
-            let data = values
-                .into_iter()
-                .map(|v| match v {
-                    Value::Bool(b) => Some(b),
-                    _ => None,
-                })
-                .collect();
-            Column::from_bools(name, data)
-        } else {
-            Column::new(name, ColumnData::from_opt_floats(vec![None; values.len()]))
-        }
-    }
-
     /// Column name.
     pub fn name(&self) -> &str {
         &self.name
@@ -846,31 +792,6 @@ mod tests {
         assert_eq!(c.null_count(), 1);
         assert!(c.is_null(1));
         assert_eq!(c.get(0), Value::Float(1.0));
-    }
-
-    #[test]
-    fn from_values_infers_str_on_mixed() {
-        let c = Column::from_values(
-            "m",
-            vec![Value::Int(1), Value::Str("a".into()), Value::Null],
-        );
-        assert_eq!(c.dtype(), DType::Str);
-        assert_eq!(c.get(0), Value::Str("1".into()));
-        assert!(c.is_null(2));
-    }
-
-    #[test]
-    fn from_values_promotes_int_plus_float() {
-        let c = Column::from_values("m", vec![Value::Int(1), Value::Float(2.5)]);
-        assert_eq!(c.dtype(), DType::Float);
-        assert_eq!(c.get(0), Value::Float(1.0));
-    }
-
-    #[test]
-    fn from_values_all_null_is_float() {
-        let c = Column::from_values("m", vec![Value::Null, Value::Null]);
-        assert_eq!(c.dtype(), DType::Float);
-        assert_eq!(c.null_count(), 2);
     }
 
     #[test]

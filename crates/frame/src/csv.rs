@@ -3,8 +3,6 @@
 //! Enough for the examples to load user datasets and for the harness to
 //! dump generated feature matrices; not a general-purpose CSV library.
 
-use std::collections::BTreeMap;
-
 use crate::column::Column;
 use crate::dtype::DType;
 use crate::error::{FrameError, Result};
@@ -215,11 +213,6 @@ pub fn read_csv_path(path: &std::path::Path) -> Result<DataFrame> {
     read_csv_str(&text)
 }
 
-/// Write a frame to a CSV file on disk.
-pub fn write_csv_path(df: &DataFrame, path: &std::path::Path) -> Result<()> {
-    std::fs::write(path, write_csv_str(df)).map_err(|e| FrameError::Csv(format!("{path:?}: {e}")))
-}
-
 /// Round-trip helper used by tests: frame → CSV → frame, comparing shapes,
 /// column names, dtypes, and rendered cells. Since the writer quotes string
 /// cells and the reader exempts quoted fields from inference, a round trip
@@ -246,17 +239,6 @@ pub fn roundtrip_equal(df: &DataFrame) -> bool {
         }
         Err(_) => false,
     }
-}
-
-/// Parse a `name=value,name=value` description of renames (tiny helper for
-/// the examples' CLI surface).
-pub fn parse_rename_spec(spec: &str) -> BTreeMap<String, String> {
-    spec.split(',')
-        .filter_map(|pair| {
-            let (a, b) = pair.split_once('=')?;
-            Some((a.trim().to_string(), b.trim().to_string()))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -323,13 +305,6 @@ mod tests {
     fn missing_trailing_newline_ok() {
         let df = read_csv_str("a\n1\n2").unwrap();
         assert_eq!(df.n_rows(), 2);
-    }
-
-    #[test]
-    fn rename_spec_parser() {
-        let m = parse_rename_spec("a=x, b=y");
-        assert_eq!(m["a"], "x");
-        assert_eq!(m["b"], "y");
     }
 
     #[test]

@@ -31,17 +31,6 @@ impl DType {
             DType::Bool => "bool",
         }
     }
-
-    /// Inverse of [`DType::name`]: parse a data-card / JSON type tag.
-    pub fn from_name(name: &str) -> Option<DType> {
-        match name {
-            "int" => Some(DType::Int),
-            "float" => Some(DType::Float),
-            "str" => Some(DType::Str),
-            "bool" => Some(DType::Bool),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for DType {
@@ -66,13 +55,5 @@ mod tests {
     fn display_names() {
         assert_eq!(DType::Float.to_string(), "float");
         assert_eq!(DType::Str.to_string(), "str");
-    }
-
-    #[test]
-    fn from_name_roundtrips() {
-        for d in [DType::Int, DType::Float, DType::Str, DType::Bool] {
-            assert_eq!(DType::from_name(d.name()), Some(d));
-        }
-        assert_eq!(DType::from_name("datetime"), None);
     }
 }

@@ -95,23 +95,6 @@ impl DataFrame {
         Ok(())
     }
 
-    /// Add a column, replacing any existing column of the same name.
-    pub fn upsert_column(&mut self, column: Column) -> Result<()> {
-        if let Some(&i) = self.index.get(column.name()) {
-            if !self.columns.is_empty() && column.len() != self.n_rows() {
-                return Err(FrameError::LengthMismatch {
-                    column: column.name().to_string(),
-                    expected: self.n_rows(),
-                    actual: column.len(),
-                });
-            }
-            self.columns[i] = column;
-            Ok(())
-        } else {
-            self.add_column(column)
-        }
-    }
-
     /// Remove a column by name, returning it.
     pub fn drop_column(&mut self, name: &str) -> Result<Column> {
         let i = *self
@@ -121,20 +104,6 @@ impl DataFrame {
         let col = self.columns.remove(i);
         self.rebuild_index();
         Ok(col)
-    }
-
-    /// Rename a column.
-    pub fn rename_column(&mut self, from: &str, to: &str) -> Result<()> {
-        if self.index.contains_key(to) && from != to {
-            return Err(FrameError::DuplicateColumn(to.to_string()));
-        }
-        let i = *self
-            .index
-            .get(from)
-            .ok_or_else(|| FrameError::ColumnNotFound(from.to_string()))?;
-        self.columns[i].set_name(to);
-        self.rebuild_index();
-        Ok(())
     }
 
     fn rebuild_index(&mut self) {
@@ -327,32 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn upsert_replaces() {
-        let mut df = sample();
-        df.upsert_column(Column::from_i64("a", vec![7, 8, 9]))
-            .unwrap();
-        assert_eq!(df.column("a").unwrap().get(0), Value::Int(7));
-        assert_eq!(df.n_cols(), 3);
-    }
-
-    #[test]
-    fn drop_and_rename_keep_index_consistent() {
+    fn drop_keeps_index_consistent() {
         let mut df = sample();
         df.drop_column("b").unwrap();
         assert!(!df.has_column("b"));
         assert_eq!(df.column("c").unwrap().get(0), Value::Str("x".into()));
-        df.rename_column("c", "cat").unwrap();
-        assert!(df.has_column("cat"));
-        assert!(df.column("c").is_err());
-    }
-
-    #[test]
-    fn rename_to_existing_rejected() {
-        let mut df = sample();
-        assert!(matches!(
-            df.rename_column("a", "b"),
-            Err(FrameError::DuplicateColumn(_))
-        ));
     }
 
     #[test]

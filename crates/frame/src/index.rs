@@ -310,11 +310,6 @@ impl<K: StableHash + Eq, V> StableMap<K, V> {
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }
-
-    /// Consume into entries in first-occurrence order.
-    pub fn into_entries(self) -> Vec<(K, V)> {
-        self.entries
-    }
 }
 
 impl<K: StableHash + Eq, V> FromIterator<(K, V)> for StableMap<K, V> {
@@ -471,6 +466,6 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(m.get("k1"), Some(&1));
-        assert_eq!(m.into_entries().len(), 2);
+        assert_eq!(m.len(), 2);
     }
 }

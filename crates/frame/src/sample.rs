@@ -68,13 +68,6 @@ pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Result<Vec<(Vec<usize>, V
     Ok(out)
 }
 
-/// Sample `k` distinct row indices without replacement.
-pub fn sample_rows(n: usize, k: usize, seed: u64) -> Vec<usize> {
-    let mut idx = permutation(n, seed);
-    idx.truncate(k.min(n));
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,16 +145,5 @@ mod tests {
     fn kfold_rejects_degenerate() {
         assert!(kfold_indices(10, 1, 0).is_err());
         assert!(kfold_indices(3, 5, 0).is_err());
-    }
-
-    #[test]
-    fn sample_rows_distinct() {
-        let s = sample_rows(50, 10, 9);
-        assert_eq!(s.len(), 10);
-        let mut t = s.clone();
-        t.sort_unstable();
-        t.dedup();
-        assert_eq!(t.len(), 10);
-        assert_eq!(sample_rows(5, 10, 0).len(), 5);
     }
 }

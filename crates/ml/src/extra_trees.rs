@@ -4,14 +4,11 @@
 //! scheme as [`crate::forest`]), so the fitted ensemble is bit-identical
 //! for any thread count.
 
-use smartfeat_rng::Rng;
-
-use crate::error::{MlError, Result};
-use crate::forest::{ensemble_importances, ensemble_predict_proba};
+use crate::error::Result;
+use crate::forest::{ensemble_importances, ensemble_predict_proba, fit_ensemble};
 use crate::matrix::Matrix;
 use crate::model::Classifier;
 use crate::tree::{DecisionTree, MaxFeatures, SplitMode, TreeParams};
-use smartfeat_rng::{seed_jump, Stream};
 
 /// Extra-trees ensemble: like a random forest but with uniform random
 /// split thresholds and the full training set per tree (sklearn's
@@ -53,26 +50,18 @@ impl ExtraTrees {
 
 impl Classifier for ExtraTrees {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
-        x.check_training(y)?;
-        if !x.is_finite() {
-            return Err(MlError::NonFinite("training features"));
-        }
         let mut params = self.tree_params;
         params.split_mode = SplitMode::Random;
+        self.trees = fit_ensemble(
+            "ml.extra_trees.fit",
+            x,
+            y,
+            self.n_trees,
+            params,
+            self.seed,
+            None,
+        )?;
         self.n_features = x.cols();
-        let all: Vec<usize> = (0..x.rows()).collect();
-        let seed = self.seed;
-        self.trees = smartfeat_obs::global::time("ml.extra_trees.fit", || {
-            smartfeat_par::try_par_map_indexed(
-                smartfeat_par::resolve_threads(0),
-                self.n_trees,
-                |i| {
-                    let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
-                    let mut tree = DecisionTree::new(params);
-                    tree.fit_indices(x, y, &all, &mut rng).map(|()| tree)
-                },
-            )
-        })?;
         Ok(())
     }
 
@@ -84,6 +73,7 @@ impl Classifier for ExtraTrees {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MlError;
     use crate::metrics::roc_auc;
 
     fn ring_data() -> (Matrix, Vec<u8>) {

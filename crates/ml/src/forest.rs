@@ -55,37 +55,66 @@ impl RandomForest {
 
 impl Classifier for RandomForest {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<()> {
-        x.check_training(y)?;
-        if !x.is_finite() {
-            return Err(MlError::NonFinite("training features"));
-        }
-        let n = x.rows();
-        let sample_size = ((n as f64 * self.bootstrap_fraction).round() as usize).max(1);
+        let sample_size = ((x.rows() as f64 * self.bootstrap_fraction).round() as usize).max(1);
+        self.trees = fit_ensemble(
+            "ml.forest.fit",
+            x,
+            y,
+            self.n_trees,
+            self.tree_params,
+            self.seed,
+            Some(sample_size),
+        )?;
         self.n_features = x.cols();
-        // Per-tree seeds jump off the ensemble seed by tree index —
-        // `seed_jump` reproduces the historical sequential SplitMix64
-        // stream exactly, so seeded forest artifacts are unchanged.
-        let seed = self.seed;
-        let params = self.tree_params;
-        self.trees = smartfeat_obs::global::time("ml.forest.fit", || {
-            smartfeat_par::try_par_map_indexed(
-                smartfeat_par::resolve_threads(0),
-                self.n_trees,
-                |i| {
-                    let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
-                    let indices: Vec<usize> =
-                        (0..sample_size).map(|_| rng.gen_range(0..n)).collect();
-                    let mut tree = DecisionTree::new(params);
-                    tree.fit_indices(x, y, &indices, &mut rng).map(|()| tree)
-                },
-            )
-        })?;
         Ok(())
     }
 
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>> {
         ensemble_predict_proba(&self.trees, self.n_features, x)
     }
+}
+
+/// Fit `n_trees` trees of `params` on `x`/`y` in parallel, timed under
+/// the `work` name; shared by [`RandomForest`] and
+/// [`crate::extra_trees::ExtraTrees`]. Tree `i` draws from its own RNG,
+/// seeded by jumping off `seed` along `Stream::Tree(i)`, so the ensemble
+/// is bit-identical for any thread count. With `bootstrap = Some(k)` the
+/// tree first draws `k` training rows with replacement from that RNG;
+/// with `None` every tree trains on all rows.
+pub(crate) fn fit_ensemble(
+    work: &'static str,
+    x: &Matrix,
+    y: &[u8],
+    n_trees: usize,
+    params: TreeParams,
+    seed: u64,
+    bootstrap: Option<usize>,
+) -> Result<Vec<DecisionTree>> {
+    x.check_training(y)?;
+    if !x.is_finite() {
+        return Err(MlError::NonFinite("training features"));
+    }
+    let n = x.rows();
+    let all: Vec<usize> = if bootstrap.is_none() {
+        (0..n).collect()
+    } else {
+        Vec::new()
+    };
+    smartfeat_obs::global::time(work, || {
+        smartfeat_par::try_par_map_indexed(smartfeat_par::resolve_threads(0), n_trees, |i| {
+            let mut rng = Rng::seed_from_u64(seed_jump(seed, Stream::Tree(i as u64)));
+            let drawn: Vec<usize>;
+            let rows = match bootstrap {
+                Some(k) => {
+                    drawn = (0..k).map(|_| rng.gen_range(0..n)).collect();
+                    &drawn
+                }
+                None => &all,
+            };
+            let mut tree = DecisionTree::new(params);
+            tree.fit_indices(x, y, rows, &mut rng).map(|()| tree)
+        })
+    })
 }
 
 /// Mean normalized impurity-decrease importances of a fitted ensemble

@@ -25,8 +25,8 @@
 //!    event stream. A violation shows up as a tick-count difference
 //!    between thread counts, which the differential suite rejects.
 //!
-//! Hermetic-build policy: this crate depends on `std` and
-//! `smartfeat-frame` (for the JSON writer) only.
+//! Hermetic-build policy: this crate depends on `std`, `smartfeat-frame`
+//! (for the JSON writer) and `smartfeat-par` (for the pool counters) only.
 
 pub mod global;
 
@@ -198,115 +198,78 @@ struct Inner {
 ///
 /// Cheap to clone (an `Rc` underneath) and owned by the run's serial
 /// control path: it is neither `Send` nor `Sync`, so the compiler rejects
-/// it in pool closures. The disabled recorder carries no allocation and
-/// every method is a no-op, so instrumented code paths cost one branch
-/// when observability is off.
-#[derive(Debug, Clone, Default)]
+/// it in pool closures.
+#[derive(Debug, Clone)]
 pub struct Recorder {
-    inner: Option<Rc<Inner>>,
+    inner: Rc<Inner>,
 }
 
 impl Recorder {
-    /// A recorder that records nothing. All methods are no-ops.
-    pub fn disabled() -> Recorder {
-        Recorder { inner: None }
-    }
-
-    /// An enabled recorder with an explicit clock mode.
+    /// A recorder with an explicit clock mode.
     pub fn new(mode: ClockMode) -> Recorder {
         Recorder {
-            inner: Some(Rc::new(Inner {
+            inner: Rc::new(Inner {
                 mode,
                 seq: Cell::new(0),
                 origin: Instant::now(),
                 state: RefCell::new(State::default()),
-            })),
+            }),
         }
     }
 
-    /// An enabled recorder whose clock mode comes from
-    /// [`ClockMode::from_env`].
+    /// A recorder whose clock mode comes from [`ClockMode::from_env`].
     pub fn from_env() -> Recorder {
         Recorder::new(ClockMode::from_env())
     }
 
-    /// Whether this recorder records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The active clock mode, if enabled.
-    pub fn mode(&self) -> Option<ClockMode> {
-        self.inner.as_ref().map(|i| i.mode)
-    }
-
     /// Current timestamp: the next logical tick, or nanoseconds since
-    /// recorder creation in wall mode. `0` when disabled.
+    /// recorder creation in wall mode.
     pub fn now(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => match inner.mode {
-                ClockMode::Logical => inner.seq.replace(inner.seq.get() + 1),
-                ClockMode::Wall => inner.origin.elapsed().as_nanos() as u64,
-            },
+        let inner = &self.inner;
+        match inner.mode {
+            ClockMode::Logical => inner.seq.replace(inner.seq.get() + 1),
+            ClockMode::Wall => inner.origin.elapsed().as_nanos() as u64,
         }
     }
 
     /// Increment the named counter.
     pub fn incr(&self, name: &str, by: u64) {
-        if let Some(inner) = &self.inner {
-            let mut state = inner.state.borrow_mut();
-            *state.counters.entry(name.to_string()).or_insert(0) += by;
-        }
-    }
-
-    /// Attribute one FM call's usage to `key` (a role or family label).
-    pub fn fm_call(&self, key: &str, usage: FmUsage) {
-        if let Some(inner) = &self.inner {
-            let mut state = inner.state.borrow_mut();
-            state.fm.entry(key.to_string()).or_default().add(usage);
-        }
+        let mut state = self.inner.state.borrow_mut();
+        *state.counters.entry(name.to_string()).or_insert(0) += by;
     }
 
     /// Replace the usage attributed to `key` with an exact total (used to
     /// bridge `smartfeat_fm::UsageMeter` deltas at end of run).
     pub fn set_fm_usage(&self, key: &str, usage: FmUsage) {
-        if let Some(inner) = &self.inner {
-            let mut state = inner.state.borrow_mut();
-            state.fm.insert(key.to_string(), usage);
-        }
+        self.inner
+            .state
+            .borrow_mut()
+            .fm
+            .insert(key.to_string(), usage);
     }
 
     /// Mutate one family's stats through `f`.
     pub fn family(&self, family: &str, f: impl FnOnce(&mut FamilyStats)) {
-        if let Some(inner) = &self.inner {
-            let mut state = inner.state.borrow_mut();
-            f(state.families.entry(family.to_string()).or_default());
-        }
+        let mut state = self.inner.state.borrow_mut();
+        f(state.families.entry(family.to_string()).or_default());
     }
 
     /// Record the pool counters of this run.
     pub fn set_pool(&self, pool: PoolStats) {
-        if let Some(inner) = &self.inner {
-            inner.state.borrow_mut().pool = pool;
-        }
+        self.inner.state.borrow_mut().pool = pool;
     }
 
     /// Record per-backend cascade routing stats for this run. Single-model
     /// runs never call this, so the report omits its `routing` key and
     /// stays byte-identical to pre-cascade reports.
     pub fn set_routing(&self, routing: BTreeMap<String, RouteUsage>) {
-        if let Some(inner) = &self.inner {
-            inner.state.borrow_mut().routing = routing;
-        }
+        self.inner.state.borrow_mut().routing = routing;
     }
 
     /// Record the [`global`] work tally of this run (counts are
     /// deterministic; nanoseconds surface only in wall mode).
     pub fn set_work(&self, work: BTreeMap<&'static str, global::WorkStat>) {
-        if let Some(inner) = &self.inner {
-            inner.state.borrow_mut().work = work;
-        }
+        self.inner.state.borrow_mut().work = work;
     }
 
     /// Emit one trace event: a JSONL line `{"kind": .., "t": .., ..fields}`.
@@ -314,16 +277,11 @@ impl Recorder {
     /// Must only be called from serial code — see the crate-level
     /// determinism contract.
     pub fn event(&self, kind: &str, fields: &[(&str, JsonValue)]) {
-        if self.inner.is_some() {
-            let t = self.now();
-            self.emit(t, kind, fields);
-        }
+        let t = self.now();
+        self.emit(t, kind, fields);
     }
 
     fn emit(&self, t: u64, kind: &str, fields: &[(&str, JsonValue)]) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
         let mut map = BTreeMap::new();
         map.insert("t".to_string(), JsonValue::from(t));
         map.insert("kind".to_string(), JsonValue::from(kind));
@@ -331,7 +289,7 @@ impl Recorder {
             map.insert((*k).to_string(), v.clone());
         }
         let line = JsonValue::Object(map).emit();
-        let mut state = inner.state.borrow_mut();
+        let mut state = self.inner.state.borrow_mut();
         state.trace.push_str(&line);
         state.trace.push('\n');
         state.events += 1;
@@ -341,13 +299,6 @@ impl Recorder {
     /// when the returned guard drops, aggregating count + elapsed
     /// (logical ticks or wall nanoseconds) under `name`.
     pub fn span(&self, name: &str) -> Span {
-        if self.inner.is_none() {
-            return Span {
-                rec: Recorder::disabled(),
-                name: String::new(),
-                start: 0,
-            };
-        }
         let start = self.now();
         self.emit(start, "span_start", &[("name", name.into())]);
         Span {
@@ -358,12 +309,9 @@ impl Recorder {
     }
 
     fn close_span(&self, name: &str, start: u64) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
         let end = self.now();
         self.emit(end, "span_end", &[("name", name.into())]);
-        let mut state = inner.state.borrow_mut();
+        let mut state = self.inner.state.borrow_mut();
         let agg = state.spans.entry(name.to_string()).or_default();
         agg.count += 1;
         agg.total += end.saturating_sub(start);
@@ -371,18 +319,12 @@ impl Recorder {
 
     /// The accumulated JSONL trace.
     pub fn trace_jsonl(&self) -> String {
-        match &self.inner {
-            None => String::new(),
-            Some(inner) => inner.state.borrow().trace.clone(),
-        }
+        self.inner.state.borrow().trace.clone()
     }
 
     /// Number of trace events emitted so far.
     pub fn events(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => inner.state.borrow().events,
-        }
+        self.inner.state.borrow().events
     }
 
     /// The end-of-run metrics report.
@@ -394,9 +336,7 @@ impl Recorder {
     /// nanoseconds, worker occupancy); without `clock`, `volatile` and
     /// the ticks, the two modes' reports are byte-identical.
     pub fn report(&self) -> JsonValue {
-        let Some(inner) = &self.inner else {
-            return JsonValue::Null;
-        };
+        let inner = &self.inner;
         let state = inner.state.borrow();
         let wall = inner.mode == ClockMode::Wall;
 
@@ -506,13 +446,6 @@ impl Recorder {
         }
         JsonValue::object(report)
     }
-
-    /// Compact JSON text of [`Recorder::report`], newline-terminated.
-    pub fn report_string(&self) -> String {
-        let mut out = self.report().emit();
-        out.push('\n');
-        out
-    }
 }
 
 /// RAII span guard returned by [`Recorder::span`]. Records a `span_end`
@@ -526,29 +459,13 @@ pub struct Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.rec.is_enabled() {
-            let rec = std::mem::take(&mut self.rec);
-            rec.close_span(&self.name, self.start);
-        }
+        self.rec.close_span(&self.name, self.start);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_recorder_is_a_noop() {
-        let rec = Recorder::disabled();
-        assert!(!rec.is_enabled());
-        rec.incr("x", 3);
-        rec.event("e", &[]);
-        let _span = rec.span("s");
-        assert_eq!(rec.now(), 0);
-        assert_eq!(rec.events(), 0);
-        assert_eq!(rec.trace_jsonl(), "");
-        assert_eq!(rec.report(), JsonValue::Null);
-    }
 
     #[test]
     fn logical_clock_ticks_monotonically() {
@@ -608,7 +525,7 @@ mod tests {
     #[test]
     fn fm_usage_totals_sum_roles() {
         let rec = Recorder::new(ClockMode::Logical);
-        rec.fm_call(
+        rec.set_fm_usage(
             "selector",
             FmUsage {
                 calls: 2,
@@ -738,7 +655,7 @@ mod tests {
         assert_eq!(entry.get("calls").unwrap().as_u64(), Some(10));
         assert_eq!(entry.get("escalations").unwrap().as_u64(), Some(3));
         // Keys are emitted sorted: routing sits between pool and spans.
-        let text = rec.report_string();
+        let text = rec.report().emit();
         let pool = text.find("\"pool\"").unwrap();
         let routing_pos = text.find("\"routing\"").unwrap();
         let spans = text.find("\"spans\"").unwrap();
@@ -753,7 +670,7 @@ mod tests {
             rec.incr("b", 2);
             let _s = rec.span("stage");
             drop(_s);
-            rec.report_string()
+            rec.report().emit()
         };
         assert_eq!(build(), build());
     }

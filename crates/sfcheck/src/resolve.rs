@@ -63,8 +63,6 @@ pub struct FnInfo {
     pub is_test: bool,
     /// Byte span of the item.
     pub span: ast::Span,
-    /// Line/column of the item.
-    pub pos: ast::Pos,
     /// Navigation path from `File::items` to the fn item (indices through
     /// `Mod`/`Impl` nesting), so the body can be fetched on demand.
     pub item_path: Vec<usize>,
@@ -255,7 +253,6 @@ fn collect_items(items: &[Item], path: &mut Vec<usize>, ctx: &mut CollectCtx<'_>
                     is_pub: f.is_pub,
                     is_test: item_test,
                     span: item.span.clone(),
-                    pos: item.pos,
                     item_path: path.clone(),
                 });
             }

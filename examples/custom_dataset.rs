@@ -74,7 +74,7 @@ fn main() {
 
     // 5. The augmented frame is a regular DataFrame — save it back out.
     let out_path = std::env::temp_dir().join("smartfeat_custom_example_out.csv");
-    csv::write_csv_path(&report.frame, &out_path).expect("csv writes");
+    std::fs::write(&out_path, csv::write_csv_str(&report.frame)).expect("csv writes");
     println!(
         "\nAugmented dataset ({} columns) written to {}",
         report.frame.n_cols(),

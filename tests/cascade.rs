@@ -47,17 +47,12 @@ fn cascade_config() -> SmartFeatConfig {
 
 #[test]
 fn cascade_metrics_report_per_family_routing_stats() {
-    let cascade_path = common::temp_path("smartfeat_cascade_metrics", "json");
-    let single_path = common::temp_path("smartfeat_single_metrics", "json");
-
-    let mut config = cascade_config();
-    config.observability.metrics_out = Some(cascade_path.display().to_string());
-    let report = run_with_config(config);
-    let metrics = std::fs::read_to_string(&cascade_path).expect("metrics written");
-    let _ = std::fs::remove_file(&cascade_path);
-    let v = JsonValue::parse(&metrics).expect("metrics parse");
-    let Some(JsonValue::Object(routing)) = v.get("routing") else {
-        panic!("cascade metrics must contain a routing object; got {metrics}");
+    let report = run_with_config(cascade_config());
+    let Some(JsonValue::Object(routing)) = report.metrics.get("routing") else {
+        panic!(
+            "cascade metrics must contain a routing object; got {}",
+            report.metrics.emit()
+        );
     };
     assert!(
         routing.len() >= 2,
@@ -88,14 +83,9 @@ fn cascade_metrics_report_per_family_routing_stats() {
         "routing calls must equal the summed role meter calls"
     );
 
-    let mut config = SmartFeatConfig::default();
-    config.observability.metrics_out = Some(single_path.display().to_string());
-    run_with_config(config);
-    let metrics = std::fs::read_to_string(&single_path).expect("metrics written");
-    let _ = std::fs::remove_file(&single_path);
-    let v = JsonValue::parse(&metrics).expect("metrics parse");
+    let single = run_with_config(SmartFeatConfig::default());
     assert!(
-        v.get("routing").is_none(),
+        single.metrics.get("routing").is_none(),
         "single-model runs must not grow a routing key (PR-7 byte compatibility)"
     );
 }
@@ -104,22 +94,19 @@ fn cascade_metrics_report_per_family_routing_stats() {
 /// report bytes of the last run.
 fn cascade_fingerprint() -> String {
     let mut out = String::new();
-    let metrics_path = common::temp_path("smartfeat_cascade_fp_metrics", "json");
     for kind in SearchStrategyKind::all() {
         let ds = smartfeat_datasets::insurance::generate(60, 7);
         let mut config = cascade_config();
         config.search.strategy = kind;
-        config.observability.metrics_out = Some(metrics_path.display().to_string());
         let (selector, generator) = build_role_fms(&config);
         let report = SmartFeat::new(&selector, &generator, config)
             .run(&ds.frame, &ds.agenda("RF"))
             .expect("pipeline runs");
         writeln!(out, "## cascade {}", kind.name()).expect("write header");
         digest(&report, ds.target, &mut out);
-        out.push_str(&std::fs::read_to_string(&metrics_path).expect("metrics written"));
+        out.push_str(&report.metrics.emit());
         out.push('\n');
     }
-    let _ = std::fs::remove_file(&metrics_path);
     out
 }
 

@@ -4,8 +4,6 @@
 #![allow(dead_code)]
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smartfeat::SmartFeatReport;
 use smartfeat_frame::csv;
@@ -45,14 +43,6 @@ pub fn assert_thread_invariant(label: &str, f: impl Fn() -> String + Sync) -> St
         }
     }
     serial.into_iter().next().expect("three serial runs")
-}
-
-/// A temp-file path unique to this process and call, so fingerprints
-/// that write files can run concurrently.
-pub fn temp_path(stem: &str, ext: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("{stem}_{}_{n}.{ext}", std::process::id()))
 }
 
 /// Downstream CV score of an engineered frame: logistic regression,

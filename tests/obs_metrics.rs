@@ -1,55 +1,69 @@
 //! Tier-1 observability guards.
 //!
-//! 1. `report_fm_totals_match_usage_meters` — the metrics report's `fm`
+//! 1. `default_run_records_metrics_and_trace` — every run records: a
+//!    default-config run's report carries the metrics document and a
+//!    JSONL trace whose every line parses.
+//! 2. `report_fm_totals_match_usage_meters` — the metrics report's `fm`
 //!    section must equal the `crates/fm` usage meters exactly: the report
 //!    is an *accounting bridge*, not a second estimate.
-//! 2. `metrics_report_is_byte_identical_across_thread_counts` — under the
+//! 3. `metrics_and_trace_files_are_written_and_parseable` — the bytes
+//!    `smartfeat --metrics-out` / `--trace-out` write parse back to the
+//!    documents the run returned.
+//! 4. `metrics_report_is_byte_identical_across_thread_counts` — under the
 //!    default logical clock, the metrics report and JSONL trace must be
 //!    byte-identical at 1, 4 and 8 threads, including when the three runs
 //!    overlap in one process (`common::assert_thread_invariant`).
 
 mod common;
 
-use smartfeat::config::ObservabilityConfig;
 use smartfeat::{SmartFeat, SmartFeatConfig, SmartFeatReport};
 use smartfeat_fm::SimulatedFm;
 use smartfeat_frame::json::JsonValue;
 
-fn run_pipeline(observability: ObservabilityConfig) -> SmartFeatReport {
+fn run_pipeline() -> SmartFeatReport {
     let ds = smartfeat_datasets::insurance::generate(80, 9);
     let selector = SimulatedFm::gpt4(9);
     let generator = SimulatedFm::gpt35(10);
-    let config = SmartFeatConfig {
-        observability,
-        ..SmartFeatConfig::default()
-    };
-    SmartFeat::new(&selector, &generator, config)
+    SmartFeat::new(&selector, &generator, SmartFeatConfig::default())
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs")
 }
 
-fn enabled_in_memory() -> ObservabilityConfig {
-    ObservabilityConfig {
-        enabled: true,
-        trace_out: None,
-        metrics_out: None,
-    }
-}
-
 #[test]
-fn metrics_absent_when_observability_off() {
-    let report = run_pipeline(ObservabilityConfig::default());
-    assert!(report.metrics.is_none(), "inactive config must not record");
+fn default_run_records_metrics_and_trace() {
+    let report = run_pipeline();
+    let metrics = &report.metrics;
+    for section in ["fm", "families", "spans"] {
+        assert!(
+            matches!(metrics.get(section), Some(JsonValue::Object(m)) if !m.is_empty()),
+            "default-config metrics lack a non-empty {section:?} section: {}",
+            metrics.emit()
+        );
+    }
+    assert_eq!(
+        metrics.get("clock").and_then(JsonValue::as_str),
+        Some("logical"),
+        "default clock is the deterministic logical counter"
+    );
+    assert!(!report.trace.is_empty(), "default-config run has no trace");
+    let mut lines = 0u64;
+    for line in report.trace.lines() {
+        let event = JsonValue::parse(line).expect("each trace line is valid JSON");
+        assert!(event.get("kind").is_some(), "trace event carries a kind");
+        assert!(event.get("t").is_some(), "trace event carries a timestamp");
+        lines += 1;
+    }
+    assert_eq!(
+        metrics.get("events").and_then(JsonValue::as_u64),
+        Some(lines),
+        "the report counts every trace line"
+    );
 }
 
 #[test]
 fn report_fm_totals_match_usage_meters() {
-    let report = run_pipeline(enabled_in_memory());
-    let metrics = report
-        .metrics
-        .as_ref()
-        .expect("metrics present when enabled");
-    let fm = metrics.get("fm").expect("fm section in report");
+    let report = run_pipeline();
+    let fm = report.metrics.get("fm").expect("fm section in report");
 
     let roles = [
         ("selector", &report.selector_usage),
@@ -107,56 +121,31 @@ fn report_fm_totals_match_usage_meters() {
     assert!(combined.calls > 0, "run must have made FM calls");
 }
 
+/// `smartfeat` writes `--metrics-out` as `report.metrics.emit()` plus a
+/// newline and `--trace-out` as `report.trace` (the CLI's own writes and
+/// their error path are checked in `crates/core/tests/cli_targets.rs`).
+/// Those bytes must parse back to exactly what the run returned.
 #[test]
 fn metrics_and_trace_files_are_written_and_parseable() {
-    let trace = common::temp_path("smartfeat_obs_files_trace", "jsonl");
-    let metrics = common::temp_path("smartfeat_obs_files_metrics", "json");
-    let report = run_pipeline(ObservabilityConfig {
-        enabled: false, // either output path alone activates the section
-        trace_out: Some(trace.display().to_string()),
-        metrics_out: Some(metrics.display().to_string()),
-    });
-
-    let metrics_text = std::fs::read_to_string(&metrics).expect("metrics file written");
-    let trace_text = std::fs::read_to_string(&trace).expect("trace file written");
-    let _ = std::fs::remove_file(&metrics);
-    let _ = std::fs::remove_file(&trace);
-
+    let report = run_pipeline();
+    let metrics_text = format!("{}\n", report.metrics.emit());
     let parsed = JsonValue::parse(&metrics_text).expect("metrics file is valid JSON");
     assert_eq!(
-        Some(&parsed),
-        report.metrics.as_ref(),
+        parsed, report.metrics,
         "file and in-report metrics documents diverge"
     );
-    assert_eq!(
-        parsed.get("clock").and_then(JsonValue::as_str),
-        Some("logical"),
-        "default clock is the deterministic logical counter"
-    );
-    assert!(!trace_text.is_empty());
-    for line in trace_text.lines() {
+    assert!(!report.trace.is_empty());
+    for line in report.trace.lines() {
         let event = JsonValue::parse(line).expect("each trace line is valid JSON");
-        assert!(event.get("kind").is_some(), "trace event carries a kind");
-        assert!(event.get("t").is_some(), "trace event carries a timestamp");
+        assert_eq!(event.emit(), line, "trace line does not round-trip");
     }
 }
 
-/// Metrics report + trace for one fully instrumented run, digested to a
-/// string. Thread counts come from the run context.
+/// Metrics report + trace for one run, digested to a string. Thread
+/// counts come from the run context.
 fn obs_fingerprint() -> String {
-    let trace = common::temp_path("smartfeat_obs_fp_trace", "jsonl");
-    let metrics = common::temp_path("smartfeat_obs_fp_metrics", "json");
-    let report = run_pipeline(ObservabilityConfig {
-        enabled: true,
-        trace_out: Some(trace.display().to_string()),
-        metrics_out: Some(metrics.display().to_string()),
-    });
-    let metrics_text = std::fs::read_to_string(&metrics).expect("metrics file written");
-    let trace_text = std::fs::read_to_string(&trace).expect("trace file written");
-    let _ = std::fs::remove_file(&metrics);
-    let _ = std::fs::remove_file(&trace);
-    let in_report = report.metrics.expect("metrics present when enabled").emit();
-    format!("{metrics_text}\n{trace_text}\n{in_report}\n")
+    let report = run_pipeline();
+    format!("{}\n{}\n", report.metrics.emit(), report.trace)
 }
 
 #[test]

@@ -11,39 +11,21 @@
 //! - ReAct never exceeds its turn budget;
 //! - every strategy stays within a positive `fm_call_budget`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use smartfeat::config::ObservabilityConfig;
 use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig, SmartFeatReport};
 use smartfeat_fm::SimulatedFm;
 use smartfeat_frame::json::JsonValue;
 use smartfeat_rng::check;
 
-/// Unique temp-file suffix per run (pid alone collides across cases).
-static RUN_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Run one pipeline with the trace captured; returns the report and the
-/// parsed trace events.
-fn run_traced(cfg: &mut SmartFeatConfig, fm_seed: u64) -> (SmartFeatReport, Vec<JsonValue>) {
-    let id = RUN_ID.fetch_add(1, Ordering::Relaxed);
-    let trace = std::env::temp_dir().join(format!(
-        "smartfeat_prop_search_{}_{id}.jsonl",
-        std::process::id()
-    ));
-    cfg.observability = ObservabilityConfig {
-        enabled: true,
-        trace_out: Some(trace.display().to_string()),
-        metrics_out: None,
-    };
+/// Run one pipeline; returns the report and its parsed trace events.
+fn run_traced(cfg: &SmartFeatConfig, fm_seed: u64) -> (SmartFeatReport, Vec<JsonValue>) {
     let ds = smartfeat_datasets::insurance::generate(40, 5);
     let selector = SimulatedFm::gpt4(fm_seed);
     let generator = SimulatedFm::gpt35(fm_seed.wrapping_add(1));
     let report = SmartFeat::new(&selector, &generator, cfg.clone())
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs");
-    let text = std::fs::read_to_string(&trace).expect("trace written");
-    let _ = std::fs::remove_file(&trace);
-    let events = text
+    let events = report
+        .trace
         .lines()
         .map(|l| JsonValue::parse(l).expect("trace line is JSON"))
         .collect();
@@ -75,7 +57,7 @@ fn beam_respects_width_and_never_revisits_pruned() {
         cfg.search.beam_depth = rng.gen_range(1..4usize);
         cfg.seed = rng.next_u64();
         let width = cfg.search.beam_width;
-        let (report, events) = run_traced(&mut cfg, rng.next_u64());
+        let (report, events) = run_traced(&cfg, rng.next_u64());
 
         let mut rounds = 0;
         for e in events.iter().filter(|e| kind_of(e) == "search.beam.round") {
@@ -127,7 +109,7 @@ fn evolution_population_invariant_and_parents_are_survivors() {
         cfg.search.generations = rng.gen_range(1..4usize);
         cfg.seed = rng.next_u64();
         let population = cfg.search.population;
-        let (_report, events) = run_traced(&mut cfg, rng.next_u64());
+        let (_report, events) = run_traced(&cfg, rng.next_u64());
 
         let generations: Vec<&JsonValue> = events
             .iter()
@@ -173,7 +155,7 @@ fn react_never_exceeds_its_turn_budget() {
         cfg.search.react_turns = rng.gen_range(1..7usize);
         cfg.seed = rng.next_u64();
         let turns = cfg.search.react_turns;
-        let (_report, events) = run_traced(&mut cfg, rng.next_u64());
+        let (_report, events) = run_traced(&cfg, rng.next_u64());
 
         let turn_events: Vec<&JsonValue> = events
             .iter()
@@ -206,7 +188,7 @@ fn every_strategy_stays_within_the_fm_call_budget() {
             // search stage, so the meter measures the budgeted spend.
             cfg.fm_feature_removal = false;
             cfg.seed = rng.next_u64();
-            let (report, _events) = run_traced(&mut cfg, rng.next_u64());
+            let (report, _events) = run_traced(&cfg, rng.next_u64());
             assert!(
                 report.selector_usage.calls <= budget,
                 "{} spent {} selector calls with fm_call_budget={budget}",

@@ -334,13 +334,11 @@ fn run_work(
     let generator = SimulatedFm::gpt35(14);
     let mut config = SmartFeatConfig::default();
     config.search.strategy = kind;
-    config.observability.enabled = true;
     tweak(&mut config);
     let report = SmartFeat::new(&selector, &generator, config)
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs");
-    let metrics = report.metrics.as_ref().expect("metrics enabled");
-    let work = match metrics.get("work") {
+    let work = match report.metrics.get("work") {
         Some(JsonValue::Object(fields)) => fields
             .iter()
             .map(|(name, count)| (name.clone(), count.as_u64().unwrap_or(0)))
@@ -406,12 +404,16 @@ fn run_counters(kind: SearchStrategyKind) -> String {
     let generator = SimulatedFm::gpt35(6);
     let mut config = SmartFeatConfig::default();
     config.search.strategy = kind;
-    config.observability.enabled = true;
     let report = SmartFeat::new(&selector, &generator, config)
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs");
-    let metrics = report.metrics.expect("metrics enabled");
-    let section = |key: &str| metrics.get(key).map(JsonValue::emit).unwrap_or_default();
+    let section = |key: &str| {
+        report
+            .metrics
+            .get(key)
+            .map(JsonValue::emit)
+            .unwrap_or_default()
+    };
     format!("pool={} work={}", section("pool"), section("work"))
 }
 

@@ -16,7 +16,6 @@ mod common;
 
 use std::path::PathBuf;
 
-use smartfeat::config::ObservabilityConfig;
 use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig};
 use smartfeat_fm::SimulatedFm;
 use smartfeat_frame::json::JsonValue;
@@ -45,27 +44,16 @@ fn in_slice(event: &JsonValue) -> bool {
 
 /// One strategy's search-trace slice: filtered lines with `t` removed.
 fn trace_slice(kind: SearchStrategyKind) -> String {
-    let trace = common::temp_path(
-        &format!("smartfeat_strategy_trace_{}", kind.name()),
-        "jsonl",
-    );
     let mut cfg = SmartFeatConfig::default();
     cfg.search.strategy = kind;
-    cfg.observability = ObservabilityConfig {
-        enabled: true,
-        trace_out: Some(trace.display().to_string()),
-        metrics_out: None,
-    };
     let ds = smartfeat_datasets::insurance::generate(40, 5);
     let selector = SimulatedFm::gpt4(13);
     let generator = SimulatedFm::gpt35(14);
-    SmartFeat::new(&selector, &generator, cfg)
+    let report = SmartFeat::new(&selector, &generator, cfg)
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs");
-    let text = std::fs::read_to_string(&trace).expect("trace written");
-    let _ = std::fs::remove_file(&trace);
     let mut out = String::new();
-    for line in text.lines() {
+    for line in report.trace.lines() {
         let event = JsonValue::parse(line).expect("trace line is JSON");
         if !in_slice(&event) {
             continue;
