@@ -13,7 +13,10 @@
 //! 2. `strategies_are_byte_identical_under_thread_matrix` — every search
 //!    strategy must produce a byte-identical fingerprint at 1, 4 and 8
 //!    threads, run serially and concurrently in one process
-//!    (`common::assert_thread_invariant`).
+//!    (`common::assert_thread_invariant`), and that fingerprint must match
+//!    `tests/golden/strategy_oracle_all.txt`, blessed before the strategies
+//!    shared one sample path. Regenerate it only when a strategy's
+//!    semantics intentionally change.
 
 mod common;
 
@@ -24,11 +27,29 @@ use common::digest;
 use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig};
 use smartfeat_fm::SimulatedFm;
 
-fn golden_path() -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("strategy_oracle_one_shot.txt")
+        .join(file)
+}
+
+/// Compare `fp` with the golden `file`, or write it under
+/// `SMARTFEAT_BLESS`.
+fn check_golden(file: &str, fp: &str, what: &str) {
+    let path = golden_path(file);
+    if std::env::var("SMARTFEAT_BLESS").is_ok() {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
+        std::fs::write(&path, fp).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing golden {}; regenerate with SMARTFEAT_BLESS=1 cargo test --test strategy_oracle",
+            path.display()
+        )
+    });
+    assert_eq!(golden, fp, "{what}");
 }
 
 /// The pre/post-refactor differential fingerprint: default config (the
@@ -61,21 +82,10 @@ fn one_shot_fingerprint() -> String {
 #[test]
 fn one_shot_matches_pre_refactor_golden() {
     let fp = common::assert_thread_invariant("one_shot", one_shot_fingerprint);
-    let path = golden_path();
-    if std::env::var("SMARTFEAT_BLESS").is_ok() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, &fp).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden {}; regenerate with SMARTFEAT_BLESS=1 cargo test --test strategy_oracle",
-            path.display()
-        )
-    });
-    assert_eq!(
-        golden, fp,
-        "one_shot through the strategy dispatch diverged from the pre-refactor pipeline bytes"
+    check_golden(
+        "strategy_oracle_one_shot.txt",
+        &fp,
+        "one_shot through the strategy dispatch diverged from the pre-refactor pipeline bytes",
     );
 }
 
@@ -115,4 +125,9 @@ fn strategies_are_byte_identical_under_thread_matrix() {
             kind.name()
         );
     }
+    check_golden(
+        "strategy_oracle_all.txt",
+        &fp,
+        "a strategy's report diverged from the blessed fingerprint",
+    );
 }
