@@ -37,6 +37,16 @@ impl OperatorMask {
         }
     }
 
+    /// Whether `family` is enabled.
+    pub fn enabled(&self, family: OperatorFamily) -> bool {
+        match family {
+            OperatorFamily::Unary => self.unary,
+            OperatorFamily::Binary => self.binary,
+            OperatorFamily::HighOrder => self.high_order,
+            OperatorFamily::Extractor => self.extractor,
+        }
+    }
+
     /// Exactly one family enabled — the Table 7 `+Family` columns.
     pub fn only(family: OperatorFamily) -> Self {
         let mut m = OperatorMask::none();

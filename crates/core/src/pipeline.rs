@@ -13,15 +13,12 @@ use smartfeat_fm::FoundationModel;
 use smartfeat_frame::{Column, ColumnData, DataFrame, NullBitmap};
 use smartfeat_obs::Recorder;
 
-use crate::config::SmartFeatConfig;
+use crate::config::{OperatorFamily, SmartFeatConfig};
 use crate::error::{CoreError, Result};
-use crate::evaluate::check_new_column;
-use crate::generator::{FunctionGenerator, Generated};
-use crate::operators::Candidate;
+use crate::generator::FunctionGenerator;
 use crate::report::{GeneratedFeature, SkipReason, SkippedFeature, SmartFeatReport};
 use crate::schema::DataAgenda;
 use crate::selector::OperatorSelector;
-use crate::transform::{self, TransformFunction};
 
 /// The SMARTFEAT tool: two FM handles (selector / generator roles) plus a
 /// configuration.
@@ -55,24 +52,6 @@ pub struct SmartFeat<'a> {
     pub(crate) config: SmartFeatConfig,
 }
 
-/// One candidate's progress through [`SmartFeat::realize_batch`]'s serial
-/// FM stage, before the parallel transform stage fills the gaps.
-enum Staged {
-    /// Generation failed or yielded only a source suggestion; the skip (or
-    /// suggestion) entry is already recorded. Nothing left to do.
-    Rejected,
-    /// A pure transform waiting on the parallel execution stage.
-    Pending,
-    /// Transform execution failed; the skip entry is recorded by the
-    /// commit stage so report order follows candidate order.
-    Failed(String),
-    /// Columns ready for the serial filter-and-commit stage.
-    Ready {
-        func: TransformFunction,
-        columns: Vec<Column>,
-    },
-}
-
 /// Internal mutable state of one run, threaded through the active
 /// search strategy ([`crate::search::search`]).
 pub(crate) struct RunState {
@@ -88,6 +67,18 @@ pub(crate) struct RunState {
     pub(crate) referenced: BTreeSet<String>,
     /// Run-scoped telemetry recorder.
     pub(crate) rec: Recorder,
+}
+
+impl RunState {
+    /// Record that `name` from `family` was considered but not kept.
+    pub(crate) fn skip(
+        &mut self,
+        name: impl Into<String>,
+        family: OperatorFamily,
+        reason: SkipReason,
+    ) {
+        self.skipped.push(SkippedFeature::new(name, family, reason));
+    }
 }
 
 /// Refuse a frame SMARTFEAT cannot score: no rows, or a target without
@@ -317,204 +308,6 @@ impl<'a> SmartFeat<'a> {
             "features.source_suggestions",
             state.source_suggestions.len() as u64,
         );
-    }
-
-    /// Realize a batch of candidates: generate each function, execute it,
-    /// filter the resulting column(s), and attach survivors. Returns, per
-    /// candidate, whether at least one column was kept.
-    pub(crate) fn realize_batch(
-        &self,
-        generator: &FunctionGenerator,
-        state: &mut RunState,
-        cands: &[Candidate],
-    ) -> Result<Vec<bool>> {
-        Ok(self
-            .realize_batch_kept(generator, state, cands)?
-            .into_iter()
-            .map(|names| !names.is_empty())
-            .collect())
-    }
-
-    /// Like [`SmartFeat::realize_batch`], but returns the kept column
-    /// names per candidate so score-guided strategies (beam, evolutionary)
-    /// can evaluate and prune exactly what each candidate contributed.
-    ///
-    /// Three stages keep the output bit-identical for every thread count:
-    ///
-    /// 1. **Serial FM walk** in candidate order — one generation
-    ///    round-trip per candidate, with FM-backed transforms (row
-    ///    completion) executed inline, so the generator FM's call sequence
-    ///    is a pure function of the candidate list and the oracle's state
-    ///    machine never observes the thread count.
-    /// 2. **Parallel pure transforms** — the remaining functions touch no
-    ///    FM and read only columns that predate the batch, so they run
-    ///    concurrently on the pool against the frame as it stood at batch
-    ///    start. Transforms read through the frame's zero-copy column
-    ///    views (`NumericView` / `KeysView`) instead of materialising
-    ///    per-candidate copies of the input columns.
-    /// 3. **Serial in-order commit** — filtering and attachment walk the
-    ///    candidates in order against the live frame, so duplicate
-    ///    detection sees earlier batch survivors exactly as a serial
-    ///    pipeline would, and report/agenda order never changes.
-    pub(crate) fn realize_batch_kept(
-        &self,
-        generator: &FunctionGenerator,
-        state: &mut RunState,
-        cands: &[Candidate],
-    ) -> Result<Vec<Vec<String>>> {
-        // Stage 1: serial FM walk.
-        let fm_walk_span = state.rec.span("realize.fm_walk");
-        let mut staged: Vec<Staged> = Vec::with_capacity(cands.len());
-        let mut pure: Vec<(usize, TransformFunction)> = Vec::new();
-        for (i, cand) in cands.iter().enumerate() {
-            state.rec.family(cand.family.name(), |f| f.candidates += 1);
-            let generated = match generator.generate(&state.agenda, cand) {
-                Ok(g) => g,
-                Err(crate::error::CoreError::InvalidTransform(msg))
-                | Err(crate::error::CoreError::RowCompletionUnavailable(msg)) => {
-                    state.skipped.push(SkippedFeature {
-                        name: cand.name.clone(),
-                        family: cand.family,
-                        reason: SkipReason::GenerationFailed(msg),
-                    });
-                    staged.push(Staged::Rejected);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let func = match generated {
-                Generated::Function(f) => f,
-                Generated::SourceSuggestion(src) => {
-                    state
-                        .source_suggestions
-                        .push((cand.name.clone(), src.clone()));
-                    state.skipped.push(SkippedFeature {
-                        name: cand.name.clone(),
-                        family: cand.family,
-                        reason: SkipReason::SourceOnly(src),
-                    });
-                    staged.push(Staged::Rejected);
-                    continue;
-                }
-            };
-            if func.needs_fm() {
-                let applied =
-                    transform::apply(&func, &state.frame, &cand.name, Some(self.generator_fm));
-                staged.push(match applied {
-                    Ok(columns) => Staged::Ready { func, columns },
-                    Err(e) => Staged::Failed(e.to_string()),
-                });
-            } else {
-                staged.push(Staged::Pending);
-                pure.push((i, func));
-            }
-        }
-        drop(fm_walk_span);
-
-        // Stage 2: parallel pure transforms. No events are emitted from
-        // the pool closures — only the span around the whole stage, from
-        // this serial frame (see the obs determinism contract).
-        let transforms_span = state.rec.span("realize.transforms");
-        let frame = &state.frame;
-        let threads = smartfeat_par::resolve_threads(0);
-        let applied = smartfeat_par::par_map_indexed(threads, pure.len(), |j| {
-            let (i, func) = &pure[j];
-            transform::apply(func, frame, &cands[*i].name, None)
-        });
-        for ((i, func), result) in pure.into_iter().zip(applied) {
-            staged[i] = match result {
-                Ok(columns) => Staged::Ready { func, columns },
-                Err(e) => Staged::Failed(e.to_string()),
-            };
-        }
-        drop(transforms_span);
-
-        // Stage 3: serial in-order filter and commit.
-        let commit_span = state.rec.span("realize.commit");
-        let mut accepted: Vec<Vec<String>> = Vec::with_capacity(cands.len());
-        for (cand, slot) in cands.iter().zip(staged) {
-            let (func, columns) = match slot {
-                Staged::Rejected => {
-                    accepted.push(Vec::new());
-                    continue;
-                }
-                // sfcheck:allow(panic-hygiene, panic-reachability) invariant: the loop above resolves every Pending
-                Staged::Pending => unreachable!("stage 2 fills every pending slot"),
-                Staged::Failed(msg) => {
-                    state.skipped.push(SkippedFeature {
-                        name: cand.name.clone(),
-                        family: cand.family,
-                        reason: SkipReason::TransformFailed(msg),
-                    });
-                    accepted.push(Vec::new());
-                    continue;
-                }
-                Staged::Ready { func, columns } => (func, columns),
-            };
-            let mut kept: Vec<String> = Vec::new();
-            for col in columns {
-                if self.config.feature_filter {
-                    let eval_span = state.rec.span("stage.evaluate");
-                    let verdict = check_new_column(&col, &state.frame);
-                    drop(eval_span);
-                    if let Some(reason) = verdict {
-                        state.rec.event(
-                            "candidate.skipped",
-                            &[
-                                ("family", cand.family.name().into()),
-                                ("name", col.name().into()),
-                                ("reason", reason.tag().into()),
-                            ],
-                        );
-                        state.skipped.push(SkippedFeature {
-                            name: col.name().to_string(),
-                            family: cand.family,
-                            reason,
-                        });
-                        continue;
-                    }
-                } else if state.frame.has_column(col.name()) {
-                    state.skipped.push(SkippedFeature {
-                        name: col.name().to_string(),
-                        family: cand.family,
-                        reason: SkipReason::Duplicate(col.name().to_string()),
-                    });
-                    continue;
-                }
-                let name = col.name().to_string();
-                let dtype = col.dtype().name().to_string();
-                let distinct = col.cardinality();
-                state.rec.event(
-                    "candidate.kept",
-                    &[
-                        ("family", cand.family.name().into()),
-                        ("name", name.as_str().into()),
-                    ],
-                );
-                state.frame.add_column(col)?;
-                state.agenda.push_generated(
-                    &name,
-                    &dtype,
-                    Some(distinct),
-                    &cand.description,
-                    cand.family,
-                );
-                state.generated.push(GeneratedFeature {
-                    name: name.clone(),
-                    family: cand.family,
-                    columns: cand.columns.clone(),
-                    description: cand.description.clone(),
-                    transform: format!("{func:?}"),
-                });
-                kept.push(name);
-            }
-            if !kept.is_empty() {
-                state.rec.family(cand.family.name(), |f| f.accepted += 1);
-            }
-            accepted.push(kept);
-        }
-        drop(commit_span);
-        Ok(accepted)
     }
 
     /// EXTENSION (paper §5 future work): ask the FM which features are

@@ -88,6 +88,17 @@ pub struct SkippedFeature {
     pub reason: SkipReason,
 }
 
+impl SkippedFeature {
+    /// The skip row for `name` from `family`.
+    pub fn new(name: impl Into<String>, family: OperatorFamily, reason: SkipReason) -> Self {
+        SkippedFeature {
+            name: name.into(),
+            family,
+            reason,
+        }
+    }
+}
+
 /// Full output of a SMARTFEAT run.
 #[derive(Debug, Clone)]
 pub struct SmartFeatReport {
@@ -217,16 +228,12 @@ mod tests {
                 },
             ],
             skipped: vec![
-                SkippedFeature {
-                    name: "bad".into(),
-                    family: OperatorFamily::Binary,
-                    reason: SkipReason::InvalidSample,
-                },
-                SkippedFeature {
-                    name: "dup".into(),
-                    family: OperatorFamily::Binary,
-                    reason: SkipReason::Duplicate("a".into()),
-                },
+                SkippedFeature::new("bad", OperatorFamily::Binary, SkipReason::InvalidSample),
+                SkippedFeature::new(
+                    "dup",
+                    OperatorFamily::Binary,
+                    SkipReason::Duplicate("a".into()),
+                ),
             ],
             dropped_originals: vec!["old".into()],
             fm_removed: vec![],

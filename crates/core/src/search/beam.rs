@@ -10,9 +10,8 @@
 //! one-shot walk.
 
 use crate::error::Result;
-use crate::selector::Sample;
 
-use super::{one_shot, SearchCtx};
+use super::{one_shot, Drawn, SearchCtx};
 
 /// Score-guided beam over the sampled operator families.
 pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
@@ -38,38 +37,10 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                     break;
                 }
                 pooled += 1;
-                match ctx.draw_sample(family)? {
-                    Sample::Exhausted => break,
-                    Sample::Invalid(_) => {
-                        errors += 1;
-                        ctx.state.skipped.push(crate::report::SkippedFeature {
-                            name: format!("<{} sample>", family.name()),
-                            family,
-                            reason: crate::report::SkipReason::InvalidSample,
-                        });
-                    }
-                    Sample::Candidate(cand) => {
-                        if !ctx.state.seen_keys.insert(cand.dedup_key()) {
-                            errors += 1;
-                            ctx.state.skipped.push(crate::report::SkippedFeature {
-                                name: cand.name.clone(),
-                                family,
-                                reason: crate::report::SkipReason::RepeatedSample,
-                            });
-                            continue;
-                        }
-                        let kept = ctx.sf.realize_batch_kept(
-                            ctx.generator,
-                            ctx.state,
-                            std::slice::from_ref(&cand),
-                        )?;
-                        if !kept[0].is_empty() {
-                            for col in &cand.columns {
-                                ctx.state.referenced.insert(col.clone());
-                            }
-                            kept_this_round.extend(kept[0].iter().cloned());
-                        }
-                    }
+                match ctx.draw(family)? {
+                    Drawn::Exhausted => break,
+                    Drawn::Skipped(_) => errors += 1,
+                    Drawn::Realized { kept, .. } => kept_this_round.extend(kept),
                 }
             }
         }

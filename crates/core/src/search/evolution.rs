@@ -16,10 +16,8 @@ use smartfeat_rng::{seed_jump, Rng, Stream};
 
 use crate::error::Result;
 use crate::operators::Candidate;
-use crate::report::{SkipReason, SkippedFeature};
-use crate::selector::Sample;
 
-use super::{one_shot, SearchCtx};
+use super::{one_shot, Drawn, SearchCtx};
 
 /// One population member: the candidate, what its realization kept and,
 /// once it has been ranked, its best kept column's score.
@@ -54,28 +52,14 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
     {
         let family = families[attempts % families.len()];
         attempts += 1;
-        match ctx.draw_sample(family)? {
-            Sample::Exhausted => continue,
-            Sample::Invalid(_) => {
-                errors += 1;
-                ctx.state.skipped.push(SkippedFeature {
-                    name: format!("<{} sample>", family.name()),
-                    family,
-                    reason: SkipReason::InvalidSample,
-                });
-            }
-            Sample::Candidate(cand) => {
-                if !ctx.state.seen_keys.insert(cand.dedup_key()) {
-                    errors += 1;
-                    ctx.state.skipped.push(SkippedFeature {
-                        name: cand.name.clone(),
-                        family,
-                        reason: SkipReason::RepeatedSample,
-                    });
-                    continue;
-                }
-                members.push(realize_member(ctx, *cand)?);
-            }
+        match ctx.draw(family)? {
+            Drawn::Exhausted => continue,
+            Drawn::Skipped(_) => errors += 1,
+            Drawn::Realized { cand, kept } => members.push(Member {
+                cand: *cand,
+                kept,
+                score: None,
+            }),
         }
     }
     drop(seed_span);
@@ -153,26 +137,10 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                     members[p].cand.name.clone(),
                 )
             };
-            match sample {
-                Sample::Exhausted => continue,
-                Sample::Invalid(_) => {
-                    errors += 1;
-                    ctx.state.skipped.push(SkippedFeature {
-                        name: format!("<{op} offspring>"),
-                        family: parent_family,
-                        reason: SkipReason::InvalidSample,
-                    });
-                }
-                Sample::Candidate(cand) => {
-                    if !ctx.state.seen_keys.insert(cand.dedup_key()) {
-                        errors += 1;
-                        ctx.state.skipped.push(SkippedFeature {
-                            name: cand.name.clone(),
-                            family: cand.family,
-                            reason: SkipReason::RepeatedSample,
-                        });
-                        continue;
-                    }
+            match ctx.take(sample, parent_family, &format!("<{op} offspring>"))? {
+                Drawn::Exhausted => continue,
+                Drawn::Skipped(_) => errors += 1,
+                Drawn::Realized { cand, kept } => {
                     ctx.state.rec.event(
                         "search.child",
                         &[
@@ -182,7 +150,11 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                             ("parents", parents.as_str().into()),
                         ],
                     );
-                    members.push(realize_member(ctx, *cand)?);
+                    members.push(Member {
+                        cand: *cand,
+                        kept,
+                        score: None,
+                    });
                     offspring += 1;
                 }
             }
@@ -212,25 +184,6 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
         );
     }
     Ok(())
-}
-
-/// Realize one candidate (a batch of one); it is scored when first
-/// ranked.
-fn realize_member(ctx: &mut SearchCtx<'_, '_>, cand: Candidate) -> Result<Member> {
-    let kept = ctx
-        .sf
-        .realize_batch_kept(ctx.generator, ctx.state, std::slice::from_ref(&cand))?
-        .swap_remove(0);
-    if !kept.is_empty() {
-        for col in &cand.columns {
-            ctx.state.referenced.insert(col.clone());
-        }
-    }
-    Ok(Member {
-        cand,
-        kept,
-        score: None,
-    })
 }
 
 /// Score every member not scored yet by its best kept column (0.0 when

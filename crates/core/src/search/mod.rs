@@ -15,15 +15,24 @@
 //! - `react` — an observe-think-act agent that feeds evaluation results
 //!   back to the FM and lets it pick the next move.
 //!
+//! A strategy owns only its control flow. What happens to a candidate is
+//! decided here, once, by [`SearchCtx`]'s helpers: `draw` asks the
+//! selector for one sample (with the malformed-response retries) and
+//! hands it to `take`, the one path every drawn sample — evolutionary
+//! offspring included — goes through. `take` records an invalid or
+//! repeated sample as a skip row (a repeat also emits `sample.repeated`),
+//! inserts the dedup key, realizes a fresh candidate as a batch of one
+//! and marks its input columns referenced. `propose` is the unary
+//! counterpart, and `realize` the only way a candidate becomes columns.
+//!
 //! # Determinism contract
 //!
 //! Every strategy must produce bit-identical reports for every thread
 //! count. The obligations (DESIGN.md §13):
 //!
 //! - FM calls, sampling decisions, and event emission happen only on the
-//!   serial control path; parallelism stays inside
-//!   `SmartFeat::realize_batch_kept` and the CV scorer, both of which
-//!   are ordered and thread-invariant.
+//!   serial control path; parallelism stays inside `SearchCtx::realize`
+//!   and the CV scorer, both of which are ordered and thread-invariant.
 //! - Randomness comes from [`smartfeat_rng::Rng`] streams derived from
 //!   `config.seed` via [`smartfeat_rng::seed_jump`], one
 //!   [`smartfeat_rng::Stream`] per purpose: `Stream::Score` for the
@@ -40,12 +49,17 @@ pub(crate) mod evolution;
 pub(crate) mod one_shot;
 pub(crate) mod react;
 
+use smartfeat_frame::Column;
+
 use crate::config::{OperatorFamily, SearchStrategyKind};
 use crate::error::{CoreError, Result};
-use crate::generator::FunctionGenerator;
+use crate::evaluate::check_new_column;
+use crate::generator::{FunctionGenerator, Generated};
+use crate::operators::Candidate;
 use crate::pipeline::{RunState, SmartFeat};
-use crate::report::{SkipReason, SkippedFeature};
+use crate::report::{GeneratedFeature, SkipReason};
 use crate::selector::{OperatorSelector, Sample};
+use crate::transform::{self, TransformFunction};
 
 /// Run the configured strategy's explore loop, the part of a run between
 /// the pipeline's setup and its drop-heuristic / removal epilogue. Each
@@ -57,6 +71,38 @@ pub(crate) fn search(kind: SearchStrategyKind, ctx: &mut SearchCtx<'_, '_>) -> R
         SearchStrategyKind::Evolutionary => evolution::search(ctx),
         SearchStrategyKind::React => react::search(ctx),
     }
+}
+
+/// What became of one drawn sample ([`SearchCtx::take`]).
+pub(crate) enum Drawn {
+    /// The FM declined to sample (extractor `kind: none`).
+    Exhausted,
+    /// An invalid or repeated sample, already recorded as a skip row with
+    /// this reason.
+    Skipped(SkipReason),
+    /// A fresh candidate, realized; `kept` names the columns it kept.
+    Realized {
+        cand: Box<Candidate>,
+        kept: Vec<String>,
+    },
+}
+
+/// One candidate's progress through [`SearchCtx::realize`]'s serial
+/// FM stage, before the parallel transform stage fills the gaps.
+enum Staged {
+    /// Generation failed or yielded only a source suggestion; the skip (or
+    /// suggestion) entry is already recorded. Nothing left to do.
+    Rejected,
+    /// A pure transform waiting on the parallel execution stage.
+    Pending,
+    /// Transform execution failed; the skip entry is recorded by the
+    /// commit stage so report order follows candidate order.
+    Failed(String),
+    /// Columns ready for the serial filter-and-commit stage.
+    Ready {
+        func: TransformFunction,
+        columns: Vec<Column>,
+    },
 }
 
 /// Everything a strategy needs: the tool (config + FM handles), the two
@@ -98,28 +144,82 @@ impl SearchCtx<'_, '_> {
 
     /// Draw one sample from `family` with the LangChain-style retry loop
     /// and the `stage.select` span — the exact call pattern of the
-    /// paper's sampling phase.
-    pub(crate) fn draw_sample(&mut self, family: OperatorFamily) -> Result<Sample> {
+    /// paper's sampling phase — and [`take`](Self::take) it, charging an
+    /// invalid sample to `<family sample>`.
+    pub(crate) fn draw(&mut self, family: OperatorFamily) -> Result<Drawn> {
         let mut sample = Sample::Invalid(String::new());
         let select_span = self.state.rec.span("stage.select");
         for _attempt in 0..=self.sf.config.retry_malformed {
-            sample = match family {
-                OperatorFamily::Binary => self.selector.sample_binary(&self.state.agenda)?,
-                OperatorFamily::HighOrder => self.selector.sample_highorder(&self.state.agenda)?,
-                OperatorFamily::Extractor => self.selector.sample_extractor(&self.state.agenda)?,
-                // Strategies route Unary to `one_shot::unary_phase`.
-                OperatorFamily::Unary => {
-                    return Err(CoreError::InvalidConfig(
-                        "unary features come from proposals, not sampling".into(),
-                    ))
-                }
-            };
+            sample = self.selector.sample(&self.state.agenda, family)?;
             if !matches!(sample, Sample::Invalid(_)) {
                 break;
             }
         }
         drop(select_span);
-        Ok(sample)
+        self.take(sample, family, &format!("<{} sample>", family.name()))
+    }
+
+    /// The one path of a drawn sample. An invalid sample becomes an
+    /// [`SkipReason::InvalidSample`] row named `invalid_name` and charged
+    /// to `family`; a candidate whose dedup key was seen before becomes a
+    /// [`SkipReason::RepeatedSample`] row and a `sample.repeated` event.
+    /// A fresh candidate is realized as a batch of one — each sample's
+    /// prompt depends on the agenda as enriched by earlier acceptances,
+    /// so sampling is serial across draws — and, when it kept a column,
+    /// its input columns count as referenced for the drop heuristic.
+    pub(crate) fn take(
+        &mut self,
+        sample: Sample,
+        family: OperatorFamily,
+        invalid_name: &str,
+    ) -> Result<Drawn> {
+        let cand = match sample {
+            Sample::Exhausted => return Ok(Drawn::Exhausted),
+            Sample::Invalid(_) => {
+                self.state
+                    .skip(invalid_name, family, SkipReason::InvalidSample);
+                return Ok(Drawn::Skipped(SkipReason::InvalidSample));
+            }
+            Sample::Candidate(cand) => cand,
+        };
+        if !self.state.seen_keys.insert(cand.dedup_key()) {
+            self.state.rec.event(
+                "sample.repeated",
+                &[
+                    ("family", cand.family.name().into()),
+                    ("name", cand.name.as_str().into()),
+                ],
+            );
+            self.state
+                .skip(&cand.name, cand.family, SkipReason::RepeatedSample);
+            return Ok(Drawn::Skipped(SkipReason::RepeatedSample));
+        }
+        let kept = self.realize(std::slice::from_ref(&*cand))?.swap_remove(0);
+        if !kept.is_empty() {
+            self.state.referenced.extend(cand.columns.iter().cloned());
+        }
+        Ok(Drawn::Realized { cand, kept })
+    }
+
+    /// Run the proposal strategy on original attribute `attr`: one
+    /// selector call, candidates already seen dropped, the rest realized
+    /// as one batch (their pure transforms run concurrently on the pool).
+    /// `attr` counts as unary-transformed once any column is kept.
+    /// Returns the kept column names.
+    pub(crate) fn propose(&mut self, attr: &str) -> Result<Vec<String>> {
+        let select_span = self.state.rec.span("stage.select");
+        let candidates = self.selector.propose_unary(&self.state.agenda, attr)?;
+        drop(select_span);
+        // Dedup serially: the seen-set is ordered state.
+        let fresh: Vec<Candidate> = candidates
+            .into_iter()
+            .filter(|cand| self.state.seen_keys.insert(cand.dedup_key()))
+            .collect();
+        let kept: Vec<String> = self.realize(&fresh)?.into_iter().flatten().collect();
+        if !kept.is_empty() {
+            self.state.unary_transformed.insert(attr.to_string());
+        }
+        Ok(kept)
     }
 
     /// Score realized feature columns: for each name, the 3-fold CV AUC
@@ -201,24 +301,179 @@ impl SearchCtx<'_, '_> {
             "search.pruned",
             &[("family", gone.family.name().into()), ("name", name.into())],
         );
-        self.state.skipped.push(SkippedFeature {
-            name: name.to_string(),
-            family: gone.family,
-            reason: SkipReason::Pruned,
-        });
+        self.state.skip(name, gone.family, SkipReason::Pruned);
     }
 
     /// Sampled operator families enabled by the config mask, in pipeline
     /// order.
     pub(crate) fn sampled_families(&self) -> Vec<OperatorFamily> {
-        let m = self.sf.config.operators;
-        [
-            (OperatorFamily::Binary, m.binary),
-            (OperatorFamily::HighOrder, m.high_order),
-            (OperatorFamily::Extractor, m.extractor),
-        ]
-        .into_iter()
-        .filter_map(|(f, on)| on.then_some(f))
-        .collect()
+        OperatorFamily::all()
+            .into_iter()
+            .filter(|&f| f != OperatorFamily::Unary && self.sf.config.operators.enabled(f))
+            .collect()
+    }
+
+    /// Realize a batch of candidates: generate each function, execute it,
+    /// filter the resulting column(s), and attach survivors. Returns the
+    /// kept column names per candidate, so score-guided strategies (beam,
+    /// evolutionary) can evaluate and prune exactly what each candidate
+    /// contributed.
+    ///
+    /// Three stages keep the output bit-identical for every thread count:
+    ///
+    /// 1. **Serial FM walk** in candidate order — one generation
+    ///    round-trip per candidate, with FM-backed transforms (row
+    ///    completion) executed inline, so the generator FM's call sequence
+    ///    is a pure function of the candidate list and the oracle's state
+    ///    machine never observes the thread count.
+    /// 2. **Parallel pure transforms** — the remaining functions touch no
+    ///    FM and read only columns that predate the batch, so they run
+    ///    concurrently on the pool against the frame as it stood at batch
+    ///    start. Transforms read through the frame's zero-copy column
+    ///    views (`NumericView` / `KeysView`) instead of materialising
+    ///    per-candidate copies of the input columns.
+    /// 3. **Serial in-order commit** — filtering and attachment walk the
+    ///    candidates in order against the live frame, so duplicate
+    ///    detection sees earlier batch survivors exactly as a serial
+    ///    pipeline would, and report/agenda order never changes.
+    pub(crate) fn realize(&mut self, cands: &[Candidate]) -> Result<Vec<Vec<String>>> {
+        let (generator, state) = (self.generator, &mut *self.state);
+        // Stage 1: serial FM walk.
+        let fm_walk_span = state.rec.span("realize.fm_walk");
+        let mut staged: Vec<Staged> = Vec::with_capacity(cands.len());
+        let mut pure: Vec<(usize, TransformFunction)> = Vec::new();
+        for (i, cand) in cands.iter().enumerate() {
+            state.rec.family(cand.family.name(), |f| f.candidates += 1);
+            let generated = match generator.generate(&state.agenda, cand) {
+                Ok(g) => g,
+                Err(CoreError::InvalidTransform(msg))
+                | Err(CoreError::RowCompletionUnavailable(msg)) => {
+                    state.skip(&cand.name, cand.family, SkipReason::GenerationFailed(msg));
+                    staged.push(Staged::Rejected);
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            let func = match generated {
+                Generated::Function(f) => f,
+                Generated::SourceSuggestion(src) => {
+                    state
+                        .source_suggestions
+                        .push((cand.name.clone(), src.clone()));
+                    state.skip(&cand.name, cand.family, SkipReason::SourceOnly(src));
+                    staged.push(Staged::Rejected);
+                    continue;
+                }
+            };
+            if func.needs_fm() {
+                let applied =
+                    transform::apply(&func, &state.frame, &cand.name, Some(self.sf.generator_fm));
+                staged.push(match applied {
+                    Ok(columns) => Staged::Ready { func, columns },
+                    Err(e) => Staged::Failed(e.to_string()),
+                });
+            } else {
+                staged.push(Staged::Pending);
+                pure.push((i, func));
+            }
+        }
+        drop(fm_walk_span);
+
+        // Stage 2: parallel pure transforms. No events are emitted from
+        // the pool closures — only the span around the whole stage, from
+        // this serial frame (see the obs determinism contract).
+        let transforms_span = state.rec.span("realize.transforms");
+        let frame = &state.frame;
+        let threads = smartfeat_par::resolve_threads(0);
+        let applied = smartfeat_par::par_map_indexed(threads, pure.len(), |j| {
+            let (i, func) = &pure[j];
+            transform::apply(func, frame, &cands[*i].name, None)
+        });
+        for ((i, func), result) in pure.into_iter().zip(applied) {
+            staged[i] = match result {
+                Ok(columns) => Staged::Ready { func, columns },
+                Err(e) => Staged::Failed(e.to_string()),
+            };
+        }
+        drop(transforms_span);
+
+        // Stage 3: serial in-order filter and commit.
+        let commit_span = state.rec.span("realize.commit");
+        let mut accepted: Vec<Vec<String>> = Vec::with_capacity(cands.len());
+        for (cand, slot) in cands.iter().zip(staged) {
+            let (func, columns) = match slot {
+                Staged::Rejected => {
+                    accepted.push(Vec::new());
+                    continue;
+                }
+                // sfcheck:allow(panic-hygiene, panic-reachability) invariant: the loop above resolves every Pending
+                Staged::Pending => unreachable!("stage 2 fills every pending slot"),
+                Staged::Failed(msg) => {
+                    state.skip(&cand.name, cand.family, SkipReason::TransformFailed(msg));
+                    accepted.push(Vec::new());
+                    continue;
+                }
+                Staged::Ready { func, columns } => (func, columns),
+            };
+            let mut kept: Vec<String> = Vec::new();
+            for col in columns {
+                if self.sf.config.feature_filter {
+                    let eval_span = state.rec.span("stage.evaluate");
+                    let verdict = check_new_column(&col, &state.frame);
+                    drop(eval_span);
+                    if let Some(reason) = verdict {
+                        state.rec.event(
+                            "candidate.skipped",
+                            &[
+                                ("family", cand.family.name().into()),
+                                ("name", col.name().into()),
+                                ("reason", reason.tag().into()),
+                            ],
+                        );
+                        state.skip(col.name(), cand.family, reason);
+                        continue;
+                    }
+                } else if state.frame.has_column(col.name()) {
+                    state.skip(
+                        col.name(),
+                        cand.family,
+                        SkipReason::Duplicate(col.name().to_string()),
+                    );
+                    continue;
+                }
+                let name = col.name().to_string();
+                let dtype = col.dtype().name().to_string();
+                let distinct = col.cardinality();
+                state.rec.event(
+                    "candidate.kept",
+                    &[
+                        ("family", cand.family.name().into()),
+                        ("name", name.as_str().into()),
+                    ],
+                );
+                state.frame.add_column(col)?;
+                state.agenda.push_generated(
+                    &name,
+                    &dtype,
+                    Some(distinct),
+                    &cand.description,
+                    cand.family,
+                );
+                state.generated.push(GeneratedFeature {
+                    name: name.clone(),
+                    family: cand.family,
+                    columns: cand.columns.clone(),
+                    description: cand.description.clone(),
+                    transform: format!("{func:?}"),
+                });
+                kept.push(name);
+            }
+            if !kept.is_empty() {
+                state.rec.family(cand.family.name(), |f| f.accepted += 1);
+            }
+            accepted.push(kept);
+        }
+        drop(commit_span);
+        Ok(accepted)
     }
 }

@@ -7,11 +7,8 @@
 
 use crate::config::OperatorFamily;
 use crate::error::Result;
-use crate::operators::Candidate;
-use crate::report::{SkipReason, SkippedFeature};
-use crate::selector::Sample;
 
-use super::SearchCtx;
+use super::{Drawn, SearchCtx};
 
 /// The default strategy: one proposal pass, one sampling pass per family.
 pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
@@ -41,20 +38,7 @@ pub(crate) fn unary_phase(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
         if !ctx.can_spend(1) {
             break;
         }
-        let select_span = ctx.state.rec.span("stage.select");
-        let candidates = ctx.selector.propose_unary(&ctx.state.agenda, &attr)?;
-        drop(select_span);
-        // Dedup serially (the seen-set is ordered state), then realize
-        // the attribute's surviving candidates as one batch: their
-        // pure transforms run concurrently on the pool.
-        let fresh: Vec<Candidate> = candidates
-            .into_iter()
-            .filter(|cand| ctx.state.seen_keys.insert(cand.dedup_key()))
-            .collect();
-        let accepted = ctx.sf.realize_batch(ctx.generator, ctx.state, &fresh)?;
-        if accepted.contains(&true) {
-            ctx.state.unary_transformed.insert(attr.clone());
-        }
+        ctx.propose(&attr)?;
     }
     Ok(())
 }
@@ -73,46 +57,10 @@ pub(crate) fn sampling_phase(ctx: &mut SearchCtx<'_, '_>, family: OperatorFamily
         // One sample, with LangChain-style retries when the response is
         // unparseable: re-ask up to `retry_malformed` times before the
         // failure counts against the error threshold.
-        let sample = ctx.draw_sample(family)?;
-        match sample {
-            Sample::Exhausted => break,
-            Sample::Invalid(_) => {
-                errors += 1;
-                ctx.state.skipped.push(SkippedFeature {
-                    name: format!("<{} sample>", family.name()),
-                    family,
-                    reason: SkipReason::InvalidSample,
-                });
-            }
-            Sample::Candidate(cand) => {
-                if !ctx.state.seen_keys.insert(cand.dedup_key()) {
-                    errors += 1;
-                    ctx.state.rec.event(
-                        "sample.repeated",
-                        &[
-                            ("family", family.name().into()),
-                            ("name", cand.name.as_str().into()),
-                        ],
-                    );
-                    ctx.state.skipped.push(SkippedFeature {
-                        name: cand.name.clone(),
-                        family,
-                        reason: SkipReason::RepeatedSample,
-                    });
-                    continue;
-                }
-                // A batch of one: each sample's prompt depends on the
-                // agenda as enriched by earlier acceptances, so the
-                // sampling loop is inherently serial across iterations.
-                let accepted =
-                    ctx.sf
-                        .realize_batch(ctx.generator, ctx.state, std::slice::from_ref(&cand))?[0];
-                if accepted {
-                    for col in &cand.columns {
-                        ctx.state.referenced.insert(col.clone());
-                    }
-                }
-            }
+        match ctx.draw(family)? {
+            Drawn::Exhausted => break,
+            Drawn::Skipped(_) => errors += 1,
+            Drawn::Realized { .. } => {}
         }
     }
     Ok(())

@@ -11,11 +11,10 @@ use std::collections::BTreeSet;
 
 use crate::config::OperatorFamily;
 use crate::error::Result;
-use crate::operators::Candidate;
-use crate::report::{SkipReason, SkippedFeature};
-use crate::selector::{ReactDecision, Sample};
+use crate::report::SkipReason;
+use crate::selector::ReactDecision;
 
-use super::SearchCtx;
+use super::{Drawn, SearchCtx};
 
 /// Observe-think-act agent over the operator space.
 pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
@@ -83,7 +82,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                     }
                     Some(attr) => {
                         explored.insert(attr.clone());
-                        kept = propose_step(ctx, &attr)?;
+                        kept = ctx.propose(&attr)?;
                         if kept.is_empty() {
                             failures += 1;
                             ("propose_unary", "nothing_kept".to_string())
@@ -95,7 +94,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                 }
             }
             ReactDecision::SampleFamily(family) => {
-                if !family_enabled(ctx, family) {
+                if !ctx.sf.config.operators.enabled(family) {
                     failures += 1;
                     ("sample", "family_disabled".to_string())
                 } else {
@@ -140,16 +139,6 @@ fn unexplored(ctx: &SearchCtx<'_, '_>, explored: &BTreeSet<String>) -> Vec<Strin
         .collect()
 }
 
-fn family_enabled(ctx: &SearchCtx<'_, '_>, family: OperatorFamily) -> bool {
-    let m = ctx.sf.config.operators;
-    match family {
-        OperatorFamily::Unary => m.unary,
-        OperatorFamily::Binary => m.binary,
-        OperatorFamily::HighOrder => m.high_order,
-        OperatorFamily::Extractor => m.extractor,
-    }
-}
-
 /// Render the observation block the FM sees at the top of each turn.
 #[allow(clippy::too_many_arguments)]
 fn observe(
@@ -189,64 +178,17 @@ fn observe(
     )
 }
 
-/// One unary-proposal action on `attr`; returns the kept column names.
-fn propose_step(ctx: &mut SearchCtx<'_, '_>, attr: &str) -> Result<Vec<String>> {
-    let select_span = ctx.state.rec.span("stage.select");
-    let candidates = ctx.selector.propose_unary(&ctx.state.agenda, attr)?;
-    drop(select_span);
-    let fresh: Vec<Candidate> = candidates
-        .into_iter()
-        .filter(|cand| ctx.state.seen_keys.insert(cand.dedup_key()))
-        .collect();
-    let kept: Vec<String> = ctx
-        .sf
-        .realize_batch_kept(ctx.generator, ctx.state, &fresh)?
-        .into_iter()
-        .flatten()
-        .collect();
-    if !kept.is_empty() {
-        ctx.state.unary_transformed.insert(attr.to_string());
-    }
-    Ok(kept)
-}
-
 /// One sampling action from `family`; returns the outcome tag and kept
 /// column names.
 fn sample_step(
     ctx: &mut SearchCtx<'_, '_>,
     family: OperatorFamily,
 ) -> Result<(String, Vec<String>)> {
-    match ctx.draw_sample(family)? {
-        Sample::Exhausted => Ok(("exhausted".to_string(), Vec::new())),
-        Sample::Invalid(_) => {
-            ctx.state.skipped.push(SkippedFeature {
-                name: format!("<{} sample>", family.name()),
-                family,
-                reason: SkipReason::InvalidSample,
-            });
-            Ok(("invalid_sample".to_string(), Vec::new()))
-        }
-        Sample::Candidate(cand) => {
-            if !ctx.state.seen_keys.insert(cand.dedup_key()) {
-                ctx.state.skipped.push(SkippedFeature {
-                    name: cand.name.clone(),
-                    family,
-                    reason: SkipReason::RepeatedSample,
-                });
-                return Ok(("repeated_sample".to_string(), Vec::new()));
-            }
-            let kept = ctx
-                .sf
-                .realize_batch_kept(ctx.generator, ctx.state, std::slice::from_ref(&cand))?
-                .swap_remove(0);
-            if kept.is_empty() {
-                Ok(("nothing_kept".to_string(), Vec::new()))
-            } else {
-                for col in &cand.columns {
-                    ctx.state.referenced.insert(col.clone());
-                }
-                Ok((format!("kept {}", kept.len()), kept))
-            }
-        }
-    }
+    Ok(match ctx.draw(family)? {
+        Drawn::Exhausted => ("exhausted".to_string(), Vec::new()),
+        Drawn::Skipped(SkipReason::RepeatedSample) => ("repeated_sample".to_string(), Vec::new()),
+        Drawn::Skipped(_) => ("invalid_sample".to_string(), Vec::new()),
+        Drawn::Realized { kept, .. } if kept.is_empty() => ("nothing_kept".to_string(), kept),
+        Drawn::Realized { kept, .. } => (format!("kept {}", kept.len()), kept),
+    })
 }

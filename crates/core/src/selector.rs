@@ -6,12 +6,14 @@
 //! - **Sampling strategy** (binary / high-order / extractor): one call
 //!   draws one candidate from the rich combination space.
 
+use std::collections::BTreeMap;
+
 use smartfeat_fm::FoundationModel;
 use smartfeat_frame::ops::{AggFunc, BinaryOp};
 use smartfeat_obs::Recorder;
 
 use crate::config::{OperatorFamily, SmartFeatConfig};
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::fmout::{self, Confidence};
 use crate::operators::{Candidate, OperatorSpec};
 use crate::prompts;
@@ -147,55 +149,28 @@ impl<'a> OperatorSelector<'a> {
         Ok(out)
     }
 
-    /// Sampling strategy: one binary arithmetic candidate.
-    pub fn sample_binary(&self, agenda: &DataAgenda) -> Result<Sample> {
-        let sample = self.sample_binary_inner(agenda)?;
-        self.note_sample(OperatorFamily::Binary, &sample);
-        Ok(sample)
-    }
-
-    fn sample_binary_inner(&self, agenda: &DataAgenda) -> Result<Sample> {
-        let prompt = prompts::binary_sample(agenda);
-        let response = self.fm.complete(&prompt)?;
-        self.note_fm(OperatorFamily::Binary, &response);
-        let Some(dict) = fmout::parse_dict(&response.text) else {
-            return Ok(Sample::Invalid(response.text));
+    /// Sampling strategy: one candidate from `family` — binary
+    /// arithmetic, GroupbyThenAgg, or an extractor. Unary features come
+    /// from proposals, so sampling `Unary` is an error.
+    pub fn sample(&self, agenda: &DataAgenda, family: OperatorFamily) -> Result<Sample> {
+        let (prompt, parse): (String, DictParser) = match family {
+            OperatorFamily::Binary => (prompts::binary_sample(agenda), parse_binary_dict),
+            OperatorFamily::HighOrder => (prompts::highorder_sample(agenda), parse_highorder_dict),
+            OperatorFamily::Extractor => (prompts::extractor_sample(agenda), parse_extractor_dict),
+            OperatorFamily::Unary => {
+                return Err(CoreError::InvalidConfig(
+                    "unary features come from proposals, not sampling".into(),
+                ))
+            }
         };
-        Ok(parse_binary_dict(agenda, &dict, &response.text))
-    }
-
-    /// Sampling strategy: one GroupbyThenAgg candidate.
-    pub fn sample_highorder(&self, agenda: &DataAgenda) -> Result<Sample> {
-        let sample = self.sample_highorder_inner(agenda)?;
-        self.note_sample(OperatorFamily::HighOrder, &sample);
-        Ok(sample)
-    }
-
-    fn sample_highorder_inner(&self, agenda: &DataAgenda) -> Result<Sample> {
-        let prompt = prompts::highorder_sample(agenda);
         let response = self.fm.complete(&prompt)?;
-        self.note_fm(OperatorFamily::HighOrder, &response);
-        let Some(dict) = fmout::parse_dict(&response.text) else {
-            return Ok(Sample::Invalid(response.text));
+        self.note_fm(family, &response);
+        let sample = match fmout::parse_dict(&response.text) {
+            Some(dict) => parse(agenda, &dict, &response.text),
+            None => Sample::Invalid(response.text),
         };
-        Ok(parse_highorder_dict(agenda, &dict, &response.text))
-    }
-
-    /// Sampling strategy: one extractor candidate.
-    pub fn sample_extractor(&self, agenda: &DataAgenda) -> Result<Sample> {
-        let sample = self.sample_extractor_inner(agenda)?;
-        self.note_sample(OperatorFamily::Extractor, &sample);
+        self.note_sample(family, &sample);
         Ok(sample)
-    }
-
-    fn sample_extractor_inner(&self, agenda: &DataAgenda) -> Result<Sample> {
-        let prompt = prompts::extractor_sample(agenda);
-        let response = self.fm.complete(&prompt)?;
-        self.note_fm(OperatorFamily::Extractor, &response);
-        let Some(dict) = fmout::parse_dict(&response.text) else {
-            return Ok(Sample::Invalid(response.text));
-        };
-        Ok(parse_extractor_dict(agenda, &dict, &response.text))
     }
 
     /// Evolutionary-search step: ask the FM to mutate one surviving
@@ -289,11 +264,15 @@ fn parse_offspring(agenda: &DataAgenda, text: &str) -> Sample {
     }
 }
 
+/// Validates one family's sampling dict (the raw FM text rides along for
+/// [`Sample::Invalid`]).
+type DictParser = fn(&DataAgenda, &BTreeMap<String, fmout::DictValue>, &str) -> Sample;
+
 /// Validate a binary-arithmetic dict into a candidate. Shared between the
 /// sampling strategy and evolutionary offspring parsing.
 fn parse_binary_dict(
     agenda: &DataAgenda,
-    dict: &std::collections::BTreeMap<String, fmout::DictValue>,
+    dict: &BTreeMap<String, fmout::DictValue>,
     raw: &str,
 ) -> Sample {
     let (Some(left), Some(op_text), Some(right)) = (
@@ -329,7 +308,7 @@ fn parse_binary_dict(
 /// Validate a GroupbyThenAgg dict into a candidate.
 fn parse_highorder_dict(
     agenda: &DataAgenda,
-    dict: &std::collections::BTreeMap<String, fmout::DictValue>,
+    dict: &BTreeMap<String, fmout::DictValue>,
     raw: &str,
 ) -> Sample {
     let group_cols: Vec<String> = dict
@@ -382,7 +361,7 @@ fn parse_highorder_dict(
 /// Validate an extractor dict into a candidate.
 fn parse_extractor_dict(
     agenda: &DataAgenda,
-    dict: &std::collections::BTreeMap<String, fmout::DictValue>,
+    dict: &BTreeMap<String, fmout::DictValue>,
     raw: &str,
 ) -> Sample {
     let kind = dict
@@ -507,7 +486,7 @@ mod tests {
         let agenda = insurance_agenda();
         let mut got_candidate = false;
         for _ in 0..10 {
-            match sel.sample_binary(&agenda).unwrap() {
+            match sel.sample(&agenda, OperatorFamily::Binary).unwrap() {
                 Sample::Candidate(c) => {
                     got_candidate = true;
                     assert_eq!(c.columns.len(), 2);
@@ -528,7 +507,7 @@ mod tests {
         let agenda = insurance_agenda();
         let mut seen = 0;
         for _ in 0..10 {
-            if let Sample::Candidate(c) = sel.sample_highorder(&agenda).unwrap() {
+            if let Sample::Candidate(c) = sel.sample(&agenda, OperatorFamily::HighOrder).unwrap() {
                 seen += 1;
                 assert!(c.name.starts_with("GroupBy_"));
                 match &c.spec {
@@ -552,7 +531,10 @@ mod tests {
         let fm = SimulatedFm::gpt4(5);
         let cfg = SmartFeatConfig::default();
         let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
-        match sel.sample_extractor(&insurance_agenda()).unwrap() {
+        match sel
+            .sample(&insurance_agenda(), OperatorFamily::Extractor)
+            .unwrap()
+        {
             Sample::Candidate(c) => {
                 assert_eq!(c.family, OperatorFamily::Extractor);
                 assert!(matches!(
@@ -580,7 +562,7 @@ mod tests {
         let agenda = insurance_agenda();
         let mut invalid = 0;
         for _ in 0..10 {
-            match sel.sample_highorder(&agenda).unwrap() {
+            match sel.sample(&agenda, OperatorFamily::HighOrder).unwrap() {
                 Sample::Invalid(_) => invalid += 1,
                 // A degraded output can coincidentally be a repetition of a
                 // valid one — the pipeline's dedup catches those instead.
@@ -621,7 +603,8 @@ mod tests {
         let fm = Canned(smartfeat_fm::UsageMeter::new());
         let sel = OperatorSelector::new(&fm, &cfg, Recorder::new(ClockMode::Logical));
         assert!(matches!(
-            sel.sample_binary(&insurance_agenda()).unwrap(),
+            sel.sample(&insurance_agenda(), OperatorFamily::Binary)
+                .unwrap(),
             Sample::Invalid(_)
         ));
     }

@@ -9,10 +9,12 @@
 //!   mutation/crossover parents are drawn from that generation's
 //!   survivors only;
 //! - ReAct never exceeds its turn budget;
-//! - every strategy stays within a positive `fm_call_budget`.
+//! - every strategy stays within a positive `fm_call_budget`;
+//! - every strategy emits one `sample.repeated` event per repeated-sample
+//!   skip row.
 
-use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig, SmartFeatReport};
-use smartfeat_fm::SimulatedFm;
+use smartfeat::{SearchStrategyKind, SkipReason, SmartFeat, SmartFeatConfig, SmartFeatReport};
+use smartfeat_fm::{FmError, FmResponse, FoundationModel, SimulatedFm, UsageMeter};
 use smartfeat_frame::json::JsonValue;
 use smartfeat_rng::check;
 
@@ -197,4 +199,64 @@ fn every_strategy_stays_within_the_fm_call_budget() {
             );
         }
     });
+}
+
+/// A selector FM that answers every ReAct decision with `sample_binary`
+/// and every other prompt — sampling, mutation, crossover — with the same
+/// binary dict, so after the first draw each strategy only repeats.
+struct Repeating(UsageMeter);
+
+impl FoundationModel for Repeating {
+    fn model_name(&self) -> &str {
+        "repeating"
+    }
+
+    fn complete(&self, prompt: &str) -> Result<FmResponse, FmError> {
+        let text = if prompt.contains("Decide the next exploration action") {
+            "{\"action\": \"sample_binary\"}"
+        } else {
+            "{\"family\": \"Binary\", \"left\": \"Age\", \"op\": \"*\", \
+             \"right\": \"Age_of_car\", \"description\": \"age times car age\"}"
+        };
+        Ok(FmResponse {
+            text: text.into(),
+            prompt_tokens: 1,
+            completion_tokens: 1,
+            cost_usd: 0.0,
+            latency: std::time::Duration::ZERO,
+        })
+    }
+
+    fn meter(&self) -> &UsageMeter {
+        &self.0
+    }
+}
+
+#[test]
+fn every_strategy_emits_one_event_per_repeated_sample() {
+    let ds = smartfeat_datasets::insurance::generate(40, 5);
+    for kind in SearchStrategyKind::all() {
+        let mut cfg = SmartFeatConfig::default();
+        cfg.search.strategy = kind;
+        let selector = Repeating(UsageMeter::new());
+        let generator = SimulatedFm::gpt35(2);
+        let report = SmartFeat::new(&selector, &generator, cfg)
+            .run(&ds.frame, &ds.agenda("RF"))
+            .expect("pipeline runs");
+        let rows: Vec<(String, String)> = report
+            .skipped
+            .iter()
+            .filter(|s| s.reason == SkipReason::RepeatedSample)
+            .map(|s| (s.family.name().to_string(), s.name.clone()))
+            .collect();
+        let events: Vec<(String, String)> = report
+            .trace
+            .lines()
+            .map(|l| JsonValue::parse(l).expect("trace line is JSON"))
+            .filter(|e| kind_of(e) == "sample.repeated")
+            .map(|e| (str_field(&e, "family").into(), str_field(&e, "name").into()))
+            .collect();
+        assert!(!rows.is_empty(), "{}: no sample repeated", kind.name());
+        assert_eq!(events, rows, "{}", kind.name());
+    }
 }
