@@ -211,6 +211,29 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Exit 1 naming `path` unless it can be opened for writing, so a
+/// mistyped output path fails before the CSV is read and any FM call is
+/// billed. An existing file is opened without truncating it; a new one
+/// is created and removed again, so a refused run leaves nothing behind.
+fn check_writable(path: &str) {
+    let existed = std::path::Path::new(path).exists();
+    match std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+    {
+        Ok(_) if !existed => {
+            let _ = std::fs::remove_file(path);
+        }
+        Ok(_) => {}
+        Err(e) => {
+            eprintln!("error writing {path}: {e}");
+            exit(1);
+        }
+    }
+}
+
 /// Write `text` to `path`, or report the failure and exit 1.
 fn write_or_exit(path: &str, text: &str) {
     if let Err(e) = std::fs::write(path, text) {
@@ -228,6 +251,13 @@ fn main() {
             exit(2);
         }
     };
+
+    for path in [&args.out, &args.metrics_out, &args.trace_out]
+        .into_iter()
+        .flatten()
+    {
+        check_writable(path);
+    }
 
     let df = match csv::read_csv_path(std::path::Path::new(&args.csv)) {
         Ok(df) => df,

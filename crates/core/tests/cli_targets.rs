@@ -5,8 +5,8 @@
 //! metrics report, so no FM call was billed. `--help`/`-h` print the
 //! option list and exit 0; a bad argument, or flags that make an invalid
 //! configuration, exit 2 and point at `--help` before any file is read.
-//! A `--metrics-out` or `--trace-out` path that cannot be written exits
-//! 1 naming it. A run's output does not depend on `SMARTFEAT_THREADS`.
+//! An `--out`, `--metrics-out` or `--trace-out` path that cannot be
+//! written exits 1 naming it before the run starts. A run's output does not depend on `SMARTFEAT_THREADS`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -265,7 +265,7 @@ fn unwritable_observability_output_exits_one_naming_the_path() {
     std::fs::write(&csv, sample_csv()).expect("write csv");
     let missing_dir = temp("unwritable", "no_such_dir");
     let _ = std::fs::remove_dir_all(&missing_dir);
-    for flag in ["--metrics-out", "--trace-out"] {
+    for flag in ["--out", "--metrics-out", "--trace-out"] {
         let path = missing_dir.join("report.json");
         let out = Command::new(env!("CARGO_BIN_EXE_smartfeat"))
             .arg("--csv")
@@ -280,6 +280,7 @@ fn unwritable_observability_output_exits_one_naming_the_path() {
             stderr.contains(&format!("error writing {}: ", path.display())),
             "{flag}: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{flag}: the pipeline ran");
         assert!(!path.exists(), "{flag}: wrote into a missing directory");
     }
     let _ = std::fs::remove_file(&csv);
