@@ -6,7 +6,7 @@
 # dependencies).
 #
 # Usage: ./ci.sh [step...]       (no arguments = every step, in order)
-# Steps: build test crates fmt clippy doc sfcheck artifacts perf
+# Steps: build test crates fmt clippy doc sfcheck artifacts examples perf
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -92,6 +92,19 @@ step_artifacts() {
   echo "    wrote ci-artifacts/metrics-wall.json ($(wc -c < ci-artifacts/metrics-wall.json) bytes)"
 }
 
+step_examples() {
+  # The other steps only compile the examples. They drive the public API
+  # end to end (strategy_frontier runs all four search strategies,
+  # cascade_frontier the cascade) and feed EXPERIMENTS.md tables, so each
+  # one must also run to a zero exit.
+  echo "==> examples: run every example in release mode"
+  local f
+  for f in examples/*.rs; do
+    echo "    $(basename "$f" .rs)"
+    cargo run -q --release --offline --example "$(basename "$f" .rs)" > /dev/null
+  done
+}
+
 step_perf() {
   # perfbench/ is its own cargo workspace (BENCHMARK.json runs it), so the
   # root `cargo test` never compiles it: this step catches an API change
@@ -102,7 +115,7 @@ step_perf() {
   cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 }
 
-ALL_STEPS=(build test crates fmt clippy doc sfcheck artifacts perf)
+ALL_STEPS=(build test crates fmt clippy doc sfcheck artifacts examples perf)
 
 main() {
   local steps=("$@") s

@@ -2,7 +2,7 @@
 //!
 //! The v1 ops materialized every input as a fresh `Vec<Option<f64>>` (or
 //! `Vec<Option<String>>`) before touching a single row. In the three-stage
-//! `realize_batch` that meant each parallel pure transform cloned whole
+//! `SearchCtx::realize` that meant each parallel pure transform cloned whole
 //! columns out of the shared frame. The v2 views borrow the column's value
 //! buffer and null bitmap directly: [`NumericView`] answers `get(i) →
 //! Option<f64>` by reading the buffers in place, and [`KeysView`] exposes
