@@ -71,7 +71,7 @@ pub(crate) struct RunState {
 
 impl RunState {
     /// Record that `name` from `family` was considered but not kept.
-    pub(crate) fn skip(
+    pub(crate) fn record_skip(
         &mut self,
         name: impl Into<String>,
         family: OperatorFamily,

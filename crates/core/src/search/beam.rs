@@ -37,7 +37,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                     break;
                 }
                 pooled += 1;
-                match ctx.draw(family)? {
+                match ctx.draw_sample(family)? {
                     Drawn::Exhausted => break,
                     Drawn::Skipped(_) => errors += 1,
                     Drawn::Realized { kept, .. } => kept_this_round.extend(kept),

@@ -52,7 +52,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
     {
         let family = families[attempts % families.len()];
         attempts += 1;
-        match ctx.draw(family)? {
+        match ctx.draw_sample(family)? {
             Drawn::Exhausted => continue,
             Drawn::Skipped(_) => errors += 1,
             Drawn::Realized { cand, kept } => members.push(Member {
@@ -137,7 +137,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                     members[p].cand.name.clone(),
                 )
             };
-            match ctx.take(sample, parent_family, &format!("<{op} offspring>"))? {
+            match ctx.take_sample(sample, parent_family, &format!("<{op} offspring>"))? {
                 Drawn::Exhausted => continue,
                 Drawn::Skipped(_) => errors += 1,
                 Drawn::Realized { cand, kept } => {

@@ -16,14 +16,15 @@
 //!   back to the FM and lets it pick the next move.
 //!
 //! A strategy owns only its control flow. What happens to a candidate is
-//! decided here, once, by [`SearchCtx`]'s helpers: `draw` asks the
-//! selector for one sample (with the malformed-response retries) and
-//! hands it to `take`, the one path every drawn sample — evolutionary
-//! offspring included — goes through. `take` records an invalid or
-//! repeated sample as a skip row (a repeat also emits `sample.repeated`),
-//! inserts the dedup key, realizes a fresh candidate as a batch of one
-//! and marks its input columns referenced. `propose` is the unary
-//! counterpart, and `realize` the only way a candidate becomes columns.
+//! decided here, once, by [`SearchCtx`]'s helpers: `draw_sample` asks
+//! the selector for one sample (with the malformed-response retries) and
+//! hands it to `take_sample`, the one path every drawn sample —
+//! evolutionary offspring included — goes through. `take_sample` records
+//! an invalid or repeated sample as a skip row (a repeat also emits
+//! `sample.repeated`), inserts the dedup key, realizes a fresh candidate
+//! as a batch of one and marks its input columns referenced.
+//! `propose_for` is the unary counterpart, and `realize` the only way a
+//! candidate becomes columns.
 //!
 //! # Determinism contract
 //!
@@ -73,7 +74,7 @@ pub(crate) fn search(kind: SearchStrategyKind, ctx: &mut SearchCtx<'_, '_>) -> R
     }
 }
 
-/// What became of one drawn sample ([`SearchCtx::take`]).
+/// What became of one drawn sample ([`SearchCtx::take_sample`]).
 pub(crate) enum Drawn {
     /// The FM declined to sample (extractor `kind: none`).
     Exhausted,
@@ -144,9 +145,9 @@ impl SearchCtx<'_, '_> {
 
     /// Draw one sample from `family` with the LangChain-style retry loop
     /// and the `stage.select` span — the exact call pattern of the
-    /// paper's sampling phase — and [`take`](Self::take) it, charging an
-    /// invalid sample to `<family sample>`.
-    pub(crate) fn draw(&mut self, family: OperatorFamily) -> Result<Drawn> {
+    /// paper's sampling phase — and [`take_sample`](Self::take_sample)
+    /// it, charging an invalid sample to `<family sample>`.
+    pub(crate) fn draw_sample(&mut self, family: OperatorFamily) -> Result<Drawn> {
         let mut sample = Sample::Invalid(String::new());
         let select_span = self.state.rec.span("stage.select");
         for _attempt in 0..=self.sf.config.retry_malformed {
@@ -156,7 +157,7 @@ impl SearchCtx<'_, '_> {
             }
         }
         drop(select_span);
-        self.take(sample, family, &format!("<{} sample>", family.name()))
+        self.take_sample(sample, family, &format!("<{} sample>", family.name()))
     }
 
     /// The one path of a drawn sample. An invalid sample becomes an
@@ -167,7 +168,7 @@ impl SearchCtx<'_, '_> {
     /// prompt depends on the agenda as enriched by earlier acceptances,
     /// so sampling is serial across draws — and, when it kept a column,
     /// its input columns count as referenced for the drop heuristic.
-    pub(crate) fn take(
+    pub(crate) fn take_sample(
         &mut self,
         sample: Sample,
         family: OperatorFamily,
@@ -177,7 +178,7 @@ impl SearchCtx<'_, '_> {
             Sample::Exhausted => return Ok(Drawn::Exhausted),
             Sample::Invalid(_) => {
                 self.state
-                    .skip(invalid_name, family, SkipReason::InvalidSample);
+                    .record_skip(invalid_name, family, SkipReason::InvalidSample);
                 return Ok(Drawn::Skipped(SkipReason::InvalidSample));
             }
             Sample::Candidate(cand) => cand,
@@ -191,7 +192,7 @@ impl SearchCtx<'_, '_> {
                 ],
             );
             self.state
-                .skip(&cand.name, cand.family, SkipReason::RepeatedSample);
+                .record_skip(&cand.name, cand.family, SkipReason::RepeatedSample);
             return Ok(Drawn::Skipped(SkipReason::RepeatedSample));
         }
         let kept = self.realize(std::slice::from_ref(&*cand))?.swap_remove(0);
@@ -206,7 +207,7 @@ impl SearchCtx<'_, '_> {
     /// as one batch (their pure transforms run concurrently on the pool).
     /// `attr` counts as unary-transformed once any column is kept.
     /// Returns the kept column names.
-    pub(crate) fn propose(&mut self, attr: &str) -> Result<Vec<String>> {
+    pub(crate) fn propose_for(&mut self, attr: &str) -> Result<Vec<String>> {
         let select_span = self.state.rec.span("stage.select");
         let candidates = self.selector.propose_unary(&self.state.agenda, attr)?;
         drop(select_span);
@@ -301,7 +302,8 @@ impl SearchCtx<'_, '_> {
             "search.pruned",
             &[("family", gone.family.name().into()), ("name", name.into())],
         );
-        self.state.skip(name, gone.family, SkipReason::Pruned);
+        self.state
+            .record_skip(name, gone.family, SkipReason::Pruned);
     }
 
     /// Sampled operator families enabled by the config mask, in pipeline
@@ -348,7 +350,7 @@ impl SearchCtx<'_, '_> {
                 Ok(g) => g,
                 Err(CoreError::InvalidTransform(msg))
                 | Err(CoreError::RowCompletionUnavailable(msg)) => {
-                    state.skip(&cand.name, cand.family, SkipReason::GenerationFailed(msg));
+                    state.record_skip(&cand.name, cand.family, SkipReason::GenerationFailed(msg));
                     staged.push(Staged::Rejected);
                     continue;
                 }
@@ -360,7 +362,7 @@ impl SearchCtx<'_, '_> {
                     state
                         .source_suggestions
                         .push((cand.name.clone(), src.clone()));
-                    state.skip(&cand.name, cand.family, SkipReason::SourceOnly(src));
+                    state.record_skip(&cand.name, cand.family, SkipReason::SourceOnly(src));
                     staged.push(Staged::Rejected);
                     continue;
                 }
@@ -409,7 +411,7 @@ impl SearchCtx<'_, '_> {
                 // sfcheck:allow(panic-hygiene, panic-reachability) invariant: the loop above resolves every Pending
                 Staged::Pending => unreachable!("stage 2 fills every pending slot"),
                 Staged::Failed(msg) => {
-                    state.skip(&cand.name, cand.family, SkipReason::TransformFailed(msg));
+                    state.record_skip(&cand.name, cand.family, SkipReason::TransformFailed(msg));
                     accepted.push(Vec::new());
                     continue;
                 }
@@ -430,11 +432,11 @@ impl SearchCtx<'_, '_> {
                                 ("reason", reason.tag().into()),
                             ],
                         );
-                        state.skip(col.name(), cand.family, reason);
+                        state.record_skip(col.name(), cand.family, reason);
                         continue;
                     }
                 } else if state.frame.has_column(col.name()) {
-                    state.skip(
+                    state.record_skip(
                         col.name(),
                         cand.family,
                         SkipReason::Duplicate(col.name().to_string()),

@@ -38,7 +38,7 @@ pub(crate) fn unary_phase(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
         if !ctx.can_spend(1) {
             break;
         }
-        ctx.propose(&attr)?;
+        ctx.propose_for(&attr)?;
     }
     Ok(())
 }
@@ -57,7 +57,7 @@ pub(crate) fn sampling_phase(ctx: &mut SearchCtx<'_, '_>, family: OperatorFamily
         // One sample, with LangChain-style retries when the response is
         // unparseable: re-ask up to `retry_malformed` times before the
         // failure counts against the error threshold.
-        match ctx.draw(family)? {
+        match ctx.draw_sample(family)? {
             Drawn::Exhausted => break,
             Drawn::Skipped(_) => errors += 1,
             Drawn::Realized { .. } => {}

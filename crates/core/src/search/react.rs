@@ -82,7 +82,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) -> Result<()> {
                     }
                     Some(attr) => {
                         explored.insert(attr.clone());
-                        kept = ctx.propose(&attr)?;
+                        kept = ctx.propose_for(&attr)?;
                         if kept.is_empty() {
                             failures += 1;
                             ("propose_unary", "nothing_kept".to_string())
@@ -184,7 +184,7 @@ fn sample_step(
     ctx: &mut SearchCtx<'_, '_>,
     family: OperatorFamily,
 ) -> Result<(String, Vec<String>)> {
-    Ok(match ctx.draw(family)? {
+    Ok(match ctx.draw_sample(family)? {
         Drawn::Exhausted => ("exhausted".to_string(), Vec::new()),
         Drawn::Skipped(SkipReason::RepeatedSample) => ("repeated_sample".to_string(), Vec::new()),
         Drawn::Skipped(_) => ("invalid_sample".to_string(), Vec::new()),
