@@ -38,7 +38,7 @@ impl OperatorMask {
     }
 
     /// Whether `family` is enabled.
-    pub fn enabled(&self, family: OperatorFamily) -> bool {
+    pub(crate) fn enabled(&self, family: OperatorFamily) -> bool {
         match family {
             OperatorFamily::Unary => self.unary,
             OperatorFamily::Binary => self.binary,

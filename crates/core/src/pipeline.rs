@@ -13,10 +13,10 @@ use smartfeat_fm::FoundationModel;
 use smartfeat_frame::{Column, ColumnData, DataFrame, NullBitmap};
 use smartfeat_obs::Recorder;
 
-use crate::config::{OperatorFamily, SmartFeatConfig};
+use crate::config::SmartFeatConfig;
 use crate::error::{CoreError, Result};
 use crate::generator::FunctionGenerator;
-use crate::report::{GeneratedFeature, SkipReason, SkippedFeature, SmartFeatReport};
+use crate::report::{GeneratedFeature, SkippedFeature, SmartFeatReport};
 use crate::schema::DataAgenda;
 use crate::selector::OperatorSelector;
 
@@ -67,18 +67,6 @@ pub(crate) struct RunState {
     pub(crate) referenced: BTreeSet<String>,
     /// Run-scoped telemetry recorder.
     pub(crate) rec: Recorder,
-}
-
-impl RunState {
-    /// Record that `name` from `family` was considered but not kept.
-    pub(crate) fn record_skip(
-        &mut self,
-        name: impl Into<String>,
-        family: OperatorFamily,
-        reason: SkipReason,
-    ) {
-        self.skipped.push(SkippedFeature::new(name, family, reason));
-    }
 }
 
 /// Refuse a frame SMARTFEAT cannot score: no rows, or a target without

@@ -90,7 +90,7 @@ pub struct SkippedFeature {
 
 impl SkippedFeature {
     /// The skip row for `name` from `family`.
-    pub fn new(name: impl Into<String>, family: OperatorFamily, reason: SkipReason) -> Self {
+    pub(crate) fn new(name: impl Into<String>, family: OperatorFamily, reason: SkipReason) -> Self {
         SkippedFeature {
             name: name.into(),
             family,

@@ -16,7 +16,7 @@
 //!   back to the FM and lets it pick the next move.
 //!
 //! A strategy owns only its control flow. What happens to a candidate is
-//! decided here, once, by [`SearchCtx`]'s helpers: `draw_sample` asks
+//! decided here, once, by `SearchCtx`'s helpers: `draw_sample` asks
 //! the selector for one sample (with the malformed-response retries) and
 //! hands it to `take_sample`, the one path every drawn sample —
 //! evolutionary offspring included — goes through. `take_sample` records
@@ -58,7 +58,7 @@ use crate::evaluate::check_new_column;
 use crate::generator::{FunctionGenerator, Generated};
 use crate::operators::Candidate;
 use crate::pipeline::{RunState, SmartFeat};
-use crate::report::{GeneratedFeature, SkipReason};
+use crate::report::{GeneratedFeature, SkipReason, SkippedFeature};
 use crate::selector::{OperatorSelector, Sample};
 use crate::transform::{self, TransformFunction};
 
@@ -177,8 +177,11 @@ impl SearchCtx<'_, '_> {
         let cand = match sample {
             Sample::Exhausted => return Ok(Drawn::Exhausted),
             Sample::Invalid(_) => {
-                self.state
-                    .record_skip(invalid_name, family, SkipReason::InvalidSample);
+                self.state.skipped.push(SkippedFeature::new(
+                    invalid_name,
+                    family,
+                    SkipReason::InvalidSample,
+                ));
                 return Ok(Drawn::Skipped(SkipReason::InvalidSample));
             }
             Sample::Candidate(cand) => cand,
@@ -191,8 +194,11 @@ impl SearchCtx<'_, '_> {
                     ("name", cand.name.as_str().into()),
                 ],
             );
-            self.state
-                .record_skip(&cand.name, cand.family, SkipReason::RepeatedSample);
+            self.state.skipped.push(SkippedFeature::new(
+                &cand.name,
+                cand.family,
+                SkipReason::RepeatedSample,
+            ));
             return Ok(Drawn::Skipped(SkipReason::RepeatedSample));
         }
         let kept = self.realize(std::slice::from_ref(&*cand))?.swap_remove(0);
@@ -303,7 +309,8 @@ impl SearchCtx<'_, '_> {
             &[("family", gone.family.name().into()), ("name", name.into())],
         );
         self.state
-            .record_skip(name, gone.family, SkipReason::Pruned);
+            .skipped
+            .push(SkippedFeature::new(name, gone.family, SkipReason::Pruned));
     }
 
     /// Sampled operator families enabled by the config mask, in pipeline
@@ -350,7 +357,11 @@ impl SearchCtx<'_, '_> {
                 Ok(g) => g,
                 Err(CoreError::InvalidTransform(msg))
                 | Err(CoreError::RowCompletionUnavailable(msg)) => {
-                    state.record_skip(&cand.name, cand.family, SkipReason::GenerationFailed(msg));
+                    state.skipped.push(SkippedFeature::new(
+                        &cand.name,
+                        cand.family,
+                        SkipReason::GenerationFailed(msg),
+                    ));
                     staged.push(Staged::Rejected);
                     continue;
                 }
@@ -362,7 +373,11 @@ impl SearchCtx<'_, '_> {
                     state
                         .source_suggestions
                         .push((cand.name.clone(), src.clone()));
-                    state.record_skip(&cand.name, cand.family, SkipReason::SourceOnly(src));
+                    state.skipped.push(SkippedFeature::new(
+                        &cand.name,
+                        cand.family,
+                        SkipReason::SourceOnly(src),
+                    ));
                     staged.push(Staged::Rejected);
                     continue;
                 }
@@ -411,7 +426,11 @@ impl SearchCtx<'_, '_> {
                 // sfcheck:allow(panic-hygiene, panic-reachability) invariant: the loop above resolves every Pending
                 Staged::Pending => unreachable!("stage 2 fills every pending slot"),
                 Staged::Failed(msg) => {
-                    state.record_skip(&cand.name, cand.family, SkipReason::TransformFailed(msg));
+                    state.skipped.push(SkippedFeature::new(
+                        &cand.name,
+                        cand.family,
+                        SkipReason::TransformFailed(msg),
+                    ));
                     accepted.push(Vec::new());
                     continue;
                 }
@@ -432,15 +451,17 @@ impl SearchCtx<'_, '_> {
                                 ("reason", reason.tag().into()),
                             ],
                         );
-                        state.record_skip(col.name(), cand.family, reason);
+                        state
+                            .skipped
+                            .push(SkippedFeature::new(col.name(), cand.family, reason));
                         continue;
                     }
                 } else if state.frame.has_column(col.name()) {
-                    state.record_skip(
+                    state.skipped.push(SkippedFeature::new(
                         col.name(),
                         cand.family,
                         SkipReason::Duplicate(col.name().to_string()),
-                    );
+                    ));
                     continue;
                 }
                 let name = col.name().to_string();
