@@ -89,6 +89,17 @@ step_artifacts() {
     echo "    ERROR: wall-mode metrics lack volatile.span_ns.realize.fm_walk" >&2
     exit 1
   fi
+  # The commit's duplicate checks and each transform kind are counted
+  # under `work`, so the split of realize.transforms and stage.evaluate
+  # cannot silently disappear.
+  if ! grep -q '"work":{[^}]*"evaluate.check"' ci-artifacts/metrics-wall.json; then
+    echo "    ERROR: wall-mode metrics lack evaluate.check work" >&2
+    exit 1
+  fi
+  if ! grep -q '"work":{[^}]*"transform\.' ci-artifacts/metrics-wall.json; then
+    echo "    ERROR: wall-mode metrics lack transform.<kind> work" >&2
+    exit 1
+  fi
   echo "    wrote ci-artifacts/metrics-wall.json ($(wc -c < ci-artifacts/metrics-wall.json) bytes)"
 }
 

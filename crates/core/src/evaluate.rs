@@ -4,13 +4,16 @@
 //! (High-cardinality dummy expansion is rejected earlier, at transform
 //! execution, by the cardinality guard.)
 
-use smartfeat_frame::stats::{Centred, CROSS_LANES};
+use smartfeat_frame::stats::{PearsonProbe, ProbeVerdict, CROSS_LANES};
 use smartfeat_frame::{Column, DataFrame};
 
 use crate::report::SkipReason;
 
 /// Fewest overlapping rows the affine-duplicate check accepts as evidence.
 const MIN_PAIRS: usize = 3;
+
+/// Pearson's `r` above which a column is a positive-affine duplicate.
+const DUPLICATE_R: f64 = 0.9999;
 
 /// Null fraction above which a generated column is rejected.
 pub const MAX_NULL_FRACTION: f64 = 0.5;
@@ -21,11 +24,12 @@ pub const MAX_NULL_FRACTION: f64 = 0.5;
 /// The duplicate scan walks the existing columns left to right, on the
 /// calling thread, and reports the **lowest-index** match. When the
 /// candidate and an existing column are both numeric without nulls, the
-/// correlation comes from [`Centred::pearson`]: both columns' moments are
-/// cached on the columns, so the pair costs one cross-term chain, read
-/// [`CROSS_LANES`] existing columns per row pass. Any other pair takes
-/// the general path, which materializes the candidate's `f64` cells on
-/// first use.
+/// verdict comes from [`PearsonProbe::exceeds`]: both columns' moments
+/// are cached on the columns, so the pair costs one cross-term chain,
+/// read [`CROSS_LANES`] existing columns per row pass, and the chain stops
+/// once the rows left cannot make the pair a duplicate. Only the verdict
+/// is kept, never `r`. Any other pair takes the general path, which
+/// materializes the candidate's `f64` cells on first use.
 pub fn check_new_column(col: &Column, df: &DataFrame) -> Option<SkipReason> {
     let null_fraction = col.null_fraction();
     if null_fraction > MAX_NULL_FRACTION {
@@ -44,27 +48,26 @@ pub fn check_new_column(col: &Column, df: &DataFrame) -> Option<SkipReason> {
     let existing = df.columns();
     let complete = |e: &Column| e.len() == col.len() && e.complete_moments().is_some();
     let lanes: Vec<&Column> = existing.iter().filter(|e| complete(e)).collect();
-    let centred = if lanes.is_empty() {
+    let probe = if lanes.is_empty() {
         None
     } else {
-        Centred::of(col)
+        PearsonProbe::of(col)
     };
     let mut numeric: Option<Vec<Option<f64>>> = None;
-    let mut block: Vec<Option<f64>> = Vec::new();
+    let mut block: Vec<ProbeVerdict> = Vec::new();
     let mut lane = 0;
     existing.iter().find_map(|e| {
-        let duplicate = match &centred {
-            Some(centred) if complete(e) => {
-                // The next block of lanes is correlated when the scan
-                // reaches its first column, so a match wastes at most
-                // one block.
+        let duplicate = match &probe {
+            Some(probe) if complete(e) => {
+                // The next block of lanes is probed when the scan reaches
+                // its first column, so a match wastes at most one block.
                 if lane % CROSS_LANES == 0 {
                     let end = (lane + CROSS_LANES).min(lanes.len());
-                    block = centred.pearson(&lanes[lane..end], MIN_PAIRS);
+                    block = probe.exceeds(&lanes[lane..end], MIN_PAIRS, DUPLICATE_R);
                 }
-                let r = block.get(lane % CROSS_LANES).copied().flatten();
+                let exceeds = block[lane % CROSS_LANES].exceeds;
                 lane += 1;
-                r.is_some_and(|r| r > 0.9999) || numeric_identical(col, e)
+                exceeds || numeric_identical(col, e)
             }
             _ => {
                 let numeric = col
@@ -98,7 +101,7 @@ fn duplicate_of(col: &Column, numeric: Option<&[Option<f64>]>, existing: &Column
                         .filter_map(|(i, y)| Some((a.get(i).copied().flatten()?, y?))),
                     MIN_PAIRS,
                 )
-                .is_some_and(|r| r > 0.9999)
+                .is_some_and(|r| r > DUPLICATE_R)
         }
         _ => rendered_identical(col, existing),
     }

@@ -47,22 +47,20 @@ impl<'a> FunctionGenerator<'a> {
     pub fn generate(&self, agenda: &DataAgenda, candidate: &Candidate) -> Result<Generated> {
         let generated = self.generate_inner(agenda, candidate);
         // Generator calls run on the serial FM walk, so event emission
-        // here is determinism-safe.
-        self.rec.event(
-            "generate.candidate",
-            &[
-                ("family", candidate.family.name().into()),
-                ("name", candidate.name.as_str().into()),
-                (
-                    "outcome",
-                    match &generated {
-                        Ok(Generated::Function(_)) => "function".into(),
-                        Ok(Generated::SourceSuggestion(_)) => "source_suggestion".into(),
-                        Err(_) => "error".into(),
-                    },
-                ),
-            ],
-        );
+        // here is determinism-safe. A function names the work tally entry
+        // its application will count under.
+        let (outcome, transform) = match &generated {
+            Ok(Generated::Function(f)) => ("function", Some(f.work_name())),
+            Ok(Generated::SourceSuggestion(_)) => ("source_suggestion", None),
+            Err(_) => ("error", None),
+        };
+        let mut fields = vec![
+            ("family", candidate.family.name().into()),
+            ("name", candidate.name.as_str().into()),
+            ("outcome", outcome.into()),
+        ];
+        fields.extend(transform.map(|t| ("transform", t.into())));
+        self.rec.event("generate.candidate", &fields);
         generated
     }
 

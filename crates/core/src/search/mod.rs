@@ -440,7 +440,9 @@ impl SearchCtx<'_, '_> {
             for col in columns {
                 if self.sf.config.feature_filter {
                     let eval_span = state.rec.span("stage.evaluate");
-                    let verdict = check_new_column(&col, &state.frame);
+                    let verdict = smartfeat_obs::global::time("evaluate.check", || {
+                        check_new_column(&col, &state.frame)
+                    });
                     drop(eval_span);
                     if let Some(reason) = verdict {
                         state.rec.event(
@@ -466,7 +468,8 @@ impl SearchCtx<'_, '_> {
                 }
                 let name = col.name().to_string();
                 let dtype = col.dtype().name().to_string();
-                let distinct = col.cardinality();
+                let distinct =
+                    smartfeat_obs::global::time("agenda.cardinality", || col.cardinality());
                 state.rec.event(
                     "candidate.kept",
                     &[

@@ -157,6 +157,24 @@ impl TransformFunction {
     pub fn needs_fm(&self) -> bool {
         matches!(self, TransformFunction::RowCompletion { .. })
     }
+
+    /// The name [`apply`] records this transform's work under in the run's
+    /// work tally: `transform.<kind>`.
+    pub fn work_name(&self) -> &'static str {
+        match self {
+            TransformFunction::Bucketize { .. } => "transform.bucketize",
+            TransformFunction::Normalize { .. } => "transform.normalize",
+            TransformFunction::UnaryMap { .. } => "transform.unary_map",
+            TransformFunction::Affine { .. } => "transform.affine",
+            TransformFunction::Dummies { .. } => "transform.dummies",
+            TransformFunction::FrequencyEncode { .. } => "transform.frequency_encode",
+            TransformFunction::DateSplit { .. } => "transform.date_split",
+            TransformFunction::Arithmetic { .. } => "transform.arithmetic",
+            TransformFunction::GroupbyAgg { .. } => "transform.groupby_agg",
+            TransformFunction::WeightedIndex { .. } => "transform.weighted_index",
+            TransformFunction::RowCompletion { .. } => "transform.row_completion",
+        }
+    }
 }
 
 /// Execute a transform, producing the new column(s) named `out_name`
@@ -164,7 +182,20 @@ impl TransformFunction {
 ///
 /// `fm` is only consulted for [`TransformFunction::RowCompletion`], whose
 /// key cardinality [`ROW_COMPLETION_MAX_DISTINCT`] bounds (cost guard).
+///
+/// Each call, failed or not, counts once under
+/// [`TransformFunction::work_name`] in the run's work tally. That is safe
+/// on pool workers, so it holds on every path that applies a transform.
 pub fn apply(
+    t: &TransformFunction,
+    df: &DataFrame,
+    out_name: &str,
+    fm: Option<&dyn FoundationModel>,
+) -> Result<Vec<Column>> {
+    smartfeat_obs::global::time(t.work_name(), || apply_untimed(t, df, out_name, fm))
+}
+
+fn apply_untimed(
     t: &TransformFunction,
     df: &DataFrame,
     out_name: &str,

@@ -23,17 +23,6 @@ impl NullBitmap {
         NullBitmap::default()
     }
 
-    /// A bitmap of `len` rows, all valid.
-    pub fn all_valid(len: usize) -> Self {
-        let mut words = vec![u64::MAX; len.div_ceil(64)];
-        if !len.is_multiple_of(64) {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
-        NullBitmap { words, len }
-    }
-
     /// Build from an iterator of validity flags.
     pub fn from_flags(flags: impl IntoIterator<Item = bool>) -> Self {
         let flags = flags.into_iter();
@@ -235,14 +224,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_valid_counts_every_row() {
-        let v = NullBitmap::all_valid(70);
-        assert_eq!(v.len(), 70);
-        assert_eq!(v.count_valid(), 70);
-        assert!(v.is_valid(69));
-    }
-
-    #[test]
     fn push_and_set_roundtrip() {
         let mut bm = NullBitmap::new();
         for i in 0..130 {
@@ -267,14 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_bits_zeroed_so_equality_is_wordwise() {
-        // all_valid(65) vs push-built: same logical content, equal words.
-        let a = NullBitmap::all_valid(65);
-        let b = NullBitmap::from_flags((0..65).map(|_| true));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn take_gathers() {
         let bm = NullBitmap::from_flags([true, false, true, true]);
         let t = bm.take(&[3, 1, 0]);
@@ -284,6 +257,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
-        NullBitmap::all_valid(3).is_valid(3);
+        NullBitmap::from_flags([true; 3]).is_valid(3);
     }
 }

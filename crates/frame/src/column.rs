@@ -523,13 +523,14 @@ impl Column {
     ///
     /// `Str` columns borrow their dictionary codes; `Bool` cells are their
     /// own code; `Int` and `Float` columns number their distinct packed
-    /// values (floats by bit pattern) in first-occurrence order. Bits and
-    /// renders draw the same distinctions for the reasons given on
-    /// [`Column::cardinality`].
+    /// values (floats by bit pattern) in first-occurrence order, `Int`
+    /// through a dense table when the values span at most `4·rows + 1024`.
+    /// Bits and renders draw the same distinctions for the reasons given
+    /// on [`Column::cardinality`].
     pub fn key_codes(&self) -> KeyCodes<'_> {
         match &self.data {
             ColumnData::Int { values, validity } => {
-                let (codes, n) = packed_codes(values, validity, |v| v as u64);
+                let (codes, n) = int_codes(values, validity);
                 KeyCodes::new(Cow::Owned(codes), validity, n)
             }
             ColumnData::Float { values, validity } => {
@@ -705,6 +706,53 @@ impl Column {
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// The most entries a dense code-indexed table may have for a column of
+/// `rows` rows: `4·rows + 1024`, so such a table costs a few times the
+/// column's own codes at most. Wider key spaces go through a
+/// [`StableMap`].
+pub(crate) fn dense_table_limit(rows: usize) -> u64 {
+    4 * rows as u64 + 1024
+}
+
+/// [`packed_codes`] for `Int` values: the same first-occurrence numbering,
+/// through a table indexed by `v − min` when the present values span at
+/// most [`dense_table_limit`] entries, and through the hash index
+/// otherwise.
+fn int_codes(values: &[i64], validity: &NullBitmap) -> (Vec<u32>, usize) {
+    const UNSEEN: u32 = u32::MAX;
+    let range = values
+        .iter()
+        .zip(validity.iter())
+        .filter(|&(_, ok)| ok)
+        .fold(None, |range, (&v, _)| match range {
+            None => Some((v, v)),
+            Some((lo, hi)) => Some((v.min(lo), v.max(hi))),
+        });
+    let Some((lo, hi)) =
+        range.filter(|(lo, hi)| hi.abs_diff(*lo) < dense_table_limit(values.len()))
+    else {
+        return packed_codes(values, validity, |v| v as u64);
+    };
+    let mut code_of = vec![UNSEEN; hi.abs_diff(lo) as usize + 1];
+    let mut n = 0;
+    let codes = values
+        .iter()
+        .zip(validity.iter())
+        .map(|(&v, ok)| {
+            if !ok {
+                return 0;
+            }
+            let code = &mut code_of[v.abs_diff(lo) as usize];
+            if *code == UNSEEN {
+                *code = n;
+                n += 1;
+            }
+            *code
+        })
+        .collect();
+    (codes, n as usize)
 }
 
 /// Number the distinct present values under a key function in

@@ -213,38 +213,18 @@ pub fn read_csv_path(path: &std::path::Path) -> Result<DataFrame> {
     read_csv_str(&text)
 }
 
-/// Round-trip helper used by tests: frame → CSV → frame, comparing shapes,
-/// column names, dtypes, and rendered cells. Since the writer quotes string
-/// cells and the reader exempts quoted fields from inference, a round trip
-/// must preserve every column's dtype exactly.
-pub fn roundtrip_equal(df: &DataFrame) -> bool {
-    match read_csv_str(&write_csv_str(df)) {
-        Ok(back) => {
-            if back.n_rows() != df.n_rows() || back.n_cols() != df.n_cols() {
-                return false;
-            }
-            for (a, b) in df.columns().iter().zip(back.columns()) {
-                if a.name() != b.name() || a.dtype() != b.dtype() {
-                    return false;
-                }
-            }
-            for i in 0..df.n_rows() {
-                let a: Vec<String> = df.columns().iter().map(|c| c.get(i).render()).collect();
-                let b: Vec<String> = back.columns().iter().map(|c| c.get(i).render()).collect();
-                if a != b {
-                    return false;
-                }
-            }
-            true
-        }
-        Err(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dtype::DType;
+
+    /// Frame → CSV → frame gives back every column: names, dtypes and
+    /// cells. The writer quotes string cells and the reader exempts
+    /// quoted fields from inference, so no dtype may drift.
+    fn assert_roundtrips(df: &DataFrame) {
+        let back = read_csv_str(&write_csv_str(df)).unwrap();
+        assert_eq!(back.columns(), df.columns());
+    }
 
     #[test]
     fn read_infers_types() {
@@ -298,7 +278,7 @@ mod tests {
             Column::from_floats("v", vec![Some(1.5), None]),
         ])
         .unwrap();
-        assert!(roundtrip_equal(&df));
+        assert_roundtrips(&df);
     }
 
     #[test]
@@ -331,7 +311,7 @@ mod tests {
             Value::Str("02139".into())
         );
         assert_eq!(back.column("n").unwrap().dtype(), DType::Int);
-        assert!(roundtrip_equal(&df));
+        assert_roundtrips(&df);
     }
 
     #[test]
@@ -360,15 +340,15 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_equal_detects_dtype_drift() {
-        // Sanity-check the helper itself: hand-built CSV without quotes
-        // collapses numeric-looking strings to Int (and drops the leading
-        // zero), exactly the drift the quoting contract prevents.
+    fn unquoted_numeric_text_drifts_but_written_text_does_not() {
+        // Hand-built CSV without quotes collapses numeric-looking strings
+        // to Int (and drops the leading zero), exactly the drift the
+        // writer's quoting prevents.
         let df = DataFrame::from_columns(vec![Column::from_str_slice("zip", &["02139"])]).unwrap();
         let lossy = read_csv_str("zip\n02139\n").unwrap();
         assert_eq!(lossy.column("zip").unwrap().dtype(), DType::Int);
         assert_eq!(lossy.column("zip").unwrap().get(0), Value::Int(2139));
-        assert!(roundtrip_equal(&df));
+        assert_roundtrips(&df);
     }
 
     #[test]
@@ -378,6 +358,6 @@ mod tests {
             Column::from_floats("f", vec![Some(1.0), Some(2.5), None]),
         ])
         .unwrap();
-        assert!(roundtrip_equal(&df));
+        assert_roundtrips(&df);
     }
 }

@@ -259,18 +259,6 @@ impl<K: StableHash + Eq, V> StableMap<K, V> {
         self.probe(key).1.map(|i| &self.entries[i].1)
     }
 
-    /// Mutably borrow the value for `key`, if present.
-    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
-    where
-        K: Borrow<Q>,
-        Q: StableHash + Eq + ?Sized,
-    {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.probe(key).1.map(|i| &mut self.entries[i].1)
-    }
-
     /// True if `key` is present.
     pub fn contains_key<Q>(&self, key: &Q) -> bool
     where
@@ -425,8 +413,7 @@ mod tests {
         let mut m: StableMap<String, u32> = StableMap::new();
         m.insert("hello".to_string(), 5);
         assert!(m.contains_key("hello"));
-        assert_eq!(m.get_mut("hello").map(|v| std::mem::replace(v, 9)), Some(5));
-        assert_eq!(m.get("hello"), Some(&9));
+        assert_eq!(m.get("hello"), Some(&5));
     }
 
     #[test]

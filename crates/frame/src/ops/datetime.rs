@@ -134,26 +134,6 @@ pub fn date_part(col: &Column, part: DatePart, out_name: &str) -> Result<Column>
     ))
 }
 
-/// Heuristic: does this string column look like dates? (≥80 % of non-null
-/// cells parse.) Used by the operator selector's context detection.
-pub fn looks_like_dates(col: &Column) -> bool {
-    if col.is_numeric() {
-        return false;
-    }
-    let keys = col.keys_view();
-    let (mut non_null, mut parsed) = (0usize, 0usize);
-    for key in keys.iter().flatten() {
-        non_null += 1;
-        if Date::parse(key).is_some() {
-            parsed += 1;
-        }
-    }
-    if non_null == 0 {
-        return false;
-    }
-    parsed * 5 >= non_null * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,25 +185,6 @@ mod tests {
     fn date_part_rejects_numeric() {
         let c = Column::from_i64("x", vec![1]);
         assert!(date_part(&c, DatePart::Year, "y").is_err());
-    }
-
-    #[test]
-    fn looks_like_dates_threshold() {
-        let mostly = Column::from_str_slice(
-            "d",
-            &[
-                "2020-01-01",
-                "2020-01-02",
-                "oops",
-                "2020-01-04",
-                "2020-01-05",
-            ],
-        );
-        assert!(looks_like_dates(&mostly));
-        let rarely = Column::from_str_slice("d", &["a", "b", "2020-01-01"]);
-        assert!(!looks_like_dates(&rarely));
-        let numeric = Column::from_i64("x", vec![20200101]);
-        assert!(!looks_like_dates(&numeric));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The high-order *GroupbyThenAgg* operator:
 //! `df.groupby(group_cols)[agg_col].transform(func)`.
 
-use crate::column::Column;
+use crate::column::{dense_table_limit, Column};
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
 use crate::index::StableMap;
-use crate::view::KeyCodes;
+use crate::stats::sum_zero;
+use crate::view::{KeyCodes, NumericView};
 
 /// Aggregation functions the FM may choose for the high-order operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,8 +104,9 @@ impl AggFunc {
 /// aggregate. Rows with a null group key or (for non-count aggregates) an
 /// all-null group get null.
 ///
-/// Rows are grouped by [`group_slots`]. Output is a per-row lookup of its
-/// own slot's aggregate, so slot numbering never leaks into results —
+/// Rows are grouped by [`group_slots`], and each group's values fold in
+/// row order into one accumulator per group. Output is a per-row lookup of its own
+/// slot's aggregate, so slot numbering never leaks into results —
 /// determinism holds by construction.
 pub fn groupby_transform(
     df: &DataFrame,
@@ -119,24 +121,113 @@ pub fn groupby_transform(
         ));
     }
     let (row_slots, n_groups) = group_slots(df, group_cols)?;
-
-    // One pass to bucket the aggregation values, one to aggregate.
     let values = df.column(agg_col)?.numeric_view()?;
-    let mut group_values: Vec<Vec<f64>> = vec![Vec::new(); n_groups];
-    for (i, slot) in row_slots.iter().enumerate() {
-        if let Some(s) = slot {
-            if let Some(v) = values.get(i) {
-                group_values[*s as usize].push(v);
+    let aggregates = slot_aggregates(func, &row_slots, n_groups, &values);
+    Ok(Column::from_float_iter(
+        out_name,
+        row_slots
+            .iter()
+            .map(|slot| slot.and_then(|s| aggregates[s as usize])),
+    ))
+}
+
+/// Each slot's `func` over the present `values` of its rows: the bits
+/// [`AggFunc::evaluate`] gives over the slot's values in row order.
+///
+/// Accumulators stream in row order, one per slot, from the neutral
+/// elements `evaluate` folds from: sums from `-0.0` (as `f64::sum`), `Min`
+/// and `Max` from `±∞`. `Std` takes a second pass for the squared
+/// deviations from each slot's mean. `Median` places the values in one
+/// flat buffer, slot by slot in row order, and evaluates each slot's run.
+fn slot_aggregates(
+    func: AggFunc,
+    slots: &[Option<u32>],
+    n_slots: usize,
+    values: &NumericView<'_>,
+) -> Vec<Option<f64>> {
+    let count = fold_slots(slots, n_slots, values, 0usize, |n, _, _| n + 1);
+    let folded = match func {
+        AggFunc::Count => return count.iter().map(|&n| Some(n as f64)).collect(),
+        AggFunc::Median => return medians(slots, &count, values),
+        AggFunc::Min => fold_slots(slots, n_slots, values, f64::INFINITY, |acc, _, v| {
+            acc.min(v)
+        }),
+        AggFunc::Max => fold_slots(slots, n_slots, values, f64::NEG_INFINITY, |acc, _, v| {
+            acc.max(v)
+        }),
+        AggFunc::Sum => fold_slots(slots, n_slots, values, sum_zero(), |acc, _, v| acc + v),
+        AggFunc::Mean | AggFunc::Std => {
+            let sums = fold_slots(slots, n_slots, values, sum_zero(), |acc, _, v| acc + v);
+            let means: Vec<f64> = sums
+                .iter()
+                .zip(&count)
+                .map(|(s, &n)| s / n as f64)
+                .collect();
+            if func == AggFunc::Mean {
+                means
+            } else {
+                let devs = fold_slots(slots, n_slots, values, sum_zero(), |acc, s, v| {
+                    acc + (v - means[s]).powi(2)
+                });
+                devs.iter()
+                    .zip(&count)
+                    .map(|(dev, &n)| (dev / n as f64).sqrt())
+                    .collect()
             }
         }
-    }
-    let aggregates: Vec<Option<f64>> = group_values.iter().map(|vs| func.evaluate(vs)).collect();
+    };
+    folded
+        .into_iter()
+        .zip(&count)
+        .map(|(v, &n)| (n > 0 && v.is_finite()).then_some(v))
+        .collect()
+}
 
-    let data = row_slots
+/// One accumulator per slot, starting at `init`, folded with
+/// `op(acc, slot, value)` over every row that has a slot and a present
+/// value, in row order.
+fn fold_slots<A: Copy>(
+    slots: &[Option<u32>],
+    n_slots: usize,
+    values: &NumericView<'_>,
+    init: A,
+    mut op: impl FnMut(A, usize, f64) -> A,
+) -> Vec<A> {
+    let mut acc = vec![init; n_slots];
+    // `enumerate` keeps the view iterator's own `fold` loop.
+    values.iter().enumerate().for_each(|(i, v)| {
+        if let (Some(v), Some(s)) = (v, slots[i]) {
+            let s = s as usize;
+            acc[s] = op(acc[s], s, v);
+        }
+    });
+    acc
+}
+
+/// Each slot's median: the slots' values laid out in one buffer, slot
+/// after slot, each slot's run in row order, then [`AggFunc::evaluate`]
+/// over each run.
+fn medians(slots: &[Option<u32>], count: &[usize], values: &NumericView<'_>) -> Vec<Option<f64>> {
+    let mut next: Vec<usize> = count
         .iter()
-        .map(|slot| slot.and_then(|s| aggregates[s as usize]))
+        .scan(0, |start, &n| {
+            let here = *start;
+            *start += n;
+            Some(here)
+        })
         .collect();
-    Ok(Column::from_floats(out_name, data))
+    let mut flat = vec![0.0; count.iter().sum()];
+    values.iter().enumerate().for_each(|(i, v)| {
+        if let (Some(v), Some(s)) = (v, slots[i]) {
+            flat[next[s as usize]] = v;
+            next[s as usize] += 1;
+        }
+    });
+    // After the fill each slot's cursor sits at the end of its run.
+    next.iter()
+        .zip(count)
+        .map(|(&end, &n)| AggFunc::Median.evaluate(&flat[end - n..end]))
+        .collect()
 }
 
 /// Give each row of `df` a dense group slot for its composite key over
@@ -145,56 +236,68 @@ pub fn groupby_transform(
 ///
 /// Keys are tuples of [`Column::key_codes`], never rendered strings, so
 /// two rows share a slot exactly when every key cell renders alike, and
-/// no choice of cell text can make two distinct tuples meet. One key
-/// column maps code → slot through a plain vector; several probe a
-/// [`StableMap`] through one reused buffer, allocating only on first sight
-/// of a group.
+/// no choice of cell text can make two distinct tuples meet. Slots are
+/// built one key column at a time: each step maps `(slot, code)` to a new
+/// slot, numbered as rows first show the pair, so the final numbering is
+/// the tuples' first-occurrence order.
 pub fn group_slots<S: AsRef<str>>(
     df: &DataFrame,
     key_cols: &[S],
 ) -> Result<(Vec<Option<u32>>, usize)> {
-    let keys: Vec<KeyCodes<'_>> = key_cols
-        .iter()
-        .map(|c| df.column(c.as_ref()).map(Column::key_codes))
-        .collect::<Result<_>>()?;
-    if let [only] = keys.as_slice() {
-        const UNSEEN: u32 = u32::MAX;
-        let mut slot_for_code = vec![UNSEEN; only.n_codes()];
-        let mut n_groups = 0u32;
-        let slots = only
-            .iter()
-            .map(|code| {
-                code.map(|c| {
-                    let slot = &mut slot_for_code[c as usize];
-                    if *slot == UNSEEN {
-                        *slot = n_groups;
-                        n_groups += 1;
-                    }
-                    *slot
-                })
-            })
-            .collect();
-        return Ok((slots, n_groups as usize));
+    let rows = df.n_rows();
+    let mut slots = vec![Some(0); rows];
+    let mut n_slots = usize::from(rows > 0);
+    for col in key_cols {
+        let key = df.column(col.as_ref())?.key_codes();
+        n_slots = refine_slots(&mut slots, n_slots, &key);
     }
-    let mut slot_of: StableMap<Vec<u32>, u32> = StableMap::new();
-    let mut buf = Vec::with_capacity(keys.len());
-    let slots = (0..df.n_rows())
-        .map(|i| {
-            buf.clear();
-            for key in &keys {
-                buf.push(key.get(i)?);
+    Ok((slots, n_slots))
+}
+
+/// Split `n_slots` slots by one more key column: `(slot, code)` pairs get
+/// new slots in first-occurrence order, through a dense table when there
+/// are at most [`dense_table_limit`] pairs and a [`StableMap`] otherwise.
+/// A null code nulls the row's slot. Returns the new number of slots.
+fn refine_slots(slots: &mut [Option<u32>], n_slots: usize, key: &KeyCodes<'_>) -> usize {
+    const UNSEEN: u32 = u32::MAX;
+    let n_codes = key.n_codes() as u64;
+    let pairs = n_slots as u64 * n_codes;
+    if pairs <= dense_table_limit(slots.len()) {
+        let mut slot_of = vec![UNSEEN; pairs as usize];
+        let mut n = 0;
+        assign_slots(slots, key, |pair| {
+            let slot = &mut slot_of[pair as usize];
+            if *slot == UNSEEN {
+                *slot = n;
+                n += 1;
             }
-            Some(match slot_of.get(buf.as_slice()) {
-                Some(&s) => s,
-                None => {
-                    let s = slot_of.len() as u32;
-                    slot_of.insert(buf.clone(), s);
-                    s
-                }
-            })
-        })
-        .collect();
-    Ok((slots, slot_of.len()))
+            *slot
+        });
+        n as usize
+    } else {
+        let mut slot_of: StableMap<u64, u32> = StableMap::new();
+        assign_slots(slots, key, |pair| {
+            let next = slot_of.len() as u32;
+            *slot_of.entry_or_insert_with(pair, || next)
+        });
+        slot_of.len()
+    }
+}
+
+/// Replace each row's slot by `slot_of(slot · n_codes + code)`, in row
+/// order, or by `None` where the slot or the code is null.
+fn assign_slots(
+    slots: &mut [Option<u32>],
+    key: &KeyCodes<'_>,
+    mut slot_of: impl FnMut(u64) -> u32,
+) {
+    let n_codes = key.n_codes() as u64;
+    for (slot, code) in slots.iter_mut().zip(key.iter()) {
+        *slot = match (*slot, code) {
+            (Some(s), Some(c)) => Some(slot_of(u64::from(s) * n_codes + u64::from(c))),
+            _ => None,
+        };
+    }
 }
 
 #[cfg(test)]

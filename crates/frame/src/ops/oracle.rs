@@ -6,13 +6,13 @@
 //! tests below hold the two to bit-identical output over random frames of
 //! every key dtype.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use smartfeat_rng::{check, Rng};
 
 use super::encode::frequency_encode;
 use super::groupby::{groupby_transform, AggFunc};
-use crate::column::Column;
+use crate::column::{dense_table_limit, Column, ColumnData};
 use crate::frame::DataFrame;
 
 /// `groupby_transform` over rendered keys.
@@ -64,9 +64,12 @@ const PLANTED: [f64; 8] = [
 /// A random key column of any dtype, with nulls and many repeats. `Str`
 /// cells may contain U+001F, the old composite-key separator; half the
 /// time the column is `take`-derived, so a `Str` book holds unused codes.
+/// `Int` keys come from `-3..3` or, for the hash-indexed codes, from a
+/// pool of values that spans more than [`dense_table_limit`], with
+/// `i64::MIN` and `i64::MAX` in it.
 fn random_key_column(rng: &mut Rng, name: &str, n: usize) -> Column {
     let null = |rng: &mut Rng| rng.gen_range(0.0..1.0) < 0.15;
-    let col = match rng.gen_range(0..4u32) {
+    let col = match rng.gen_range(0..5u32) {
         0 => Column::from_ints(
             name,
             (0..n)
@@ -85,6 +88,7 @@ fn random_key_column(rng: &mut Rng, name: &str, n: usize) -> Column {
                 .map(|_| (!null(rng)).then(|| rng.gen_range(0.0..1.0) < 0.5))
                 .collect(),
         ),
+        3 => wide_int_column(rng, name, n),
         _ => Column::from_strs(
             name,
             (0..n)
@@ -100,6 +104,58 @@ fn random_key_column(rng: &mut Rng, name: &str, n: usize) -> Column {
     }
 }
 
+/// An `Int` key column, with nulls, drawn from a pool of `n + 4` values
+/// that holds `i64::MIN` and `i64::MAX`: a span wider than any dense
+/// table, and about `0.6·n` distinct values.
+fn wide_int_column(rng: &mut Rng, name: &str, n: usize) -> Column {
+    let mut pool = vec![i64::MIN, i64::MAX, -1, 0];
+    pool.extend((0..n).map(|_| rng.next_u64() as i64));
+    Column::from_ints(
+        name,
+        (0..n)
+            .map(|_| {
+                rng.gen_bool(0.85)
+                    .then(|| pool[rng.gen_range(0..pool.len())])
+            })
+            .collect(),
+    )
+}
+
+/// Whether `key_codes` numbers an `Int` column's values through the hash
+/// index: their span exceeds the dense table's limit.
+fn int_codes_hashed(col: &Column) -> Option<bool> {
+    let ColumnData::Int { values, validity } = col.data() else {
+        return None;
+    };
+    let present = || {
+        values
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| validity.is_valid(i))
+            .map(|(_, &v)| v)
+    };
+    let (lo, hi) = (present().min()?, present().max()?);
+    Some(hi.abs_diff(lo) >= dense_table_limit(col.len()))
+}
+
+/// For each key column after the first, whether `group_slots` splits the
+/// slots of the keys before it through the hash index: the distinct
+/// present tuples so far, times the column's code count, exceed the dense
+/// table's limit.
+fn slot_steps_hashed(keys: &[&Column]) -> Vec<bool> {
+    let rows = keys.first().map_or(0, |k| k.len());
+    let rendered: Vec<Vec<Option<String>>> = keys.iter().map(|k| k.to_keys()).collect();
+    (1..keys.len())
+        .map(|j| {
+            let tuples: BTreeSet<Vec<&String>> = (0..rows)
+                .filter_map(|i| rendered[..j].iter().map(|k| k[i].as_ref()).collect())
+                .collect();
+            let pairs = tuples.len() as u64 * keys[j].key_codes().n_codes() as u64;
+            pairs > dense_table_limit(rows)
+        })
+        .collect()
+}
+
 fn assert_bits_eq(got: &Column, expected: &[Option<f64>], what: &str) {
     let got = got.to_f64();
     assert_eq!(got.len(), expected.len(), "{what}: length");
@@ -110,18 +166,41 @@ fn assert_bits_eq(got: &Column, expected: &[Option<f64>], what: &str) {
 
 #[test]
 fn groupby_matches_rendered_oracle() {
-    check::cases(96, |rng| {
-        let n = rng.gen_range(1..60usize);
-        let n_keys = rng.gen_range(1..4usize);
+    let (mut int_dense, mut int_hashed) = (0, 0);
+    let (mut slots_dense, mut slots_hashed) = (0, 0);
+    check::cases(160, |rng| {
+        // A large frame leads with two wide `Int` keys, so their slots
+        // compose through the hash index.
+        let large = rng.gen_bool(0.2);
+        let (n, n_keys) = if large {
+            (rng.gen_range(100..300usize), rng.gen_range(2..4usize))
+        } else {
+            (rng.gen_range(1..60usize), rng.gen_range(1..4usize))
+        };
         let names = ["g0", "g1", "g2"];
         let mut columns: Vec<Column> = names[..n_keys]
             .iter()
-            .map(|name| random_key_column(rng, name, n))
+            .enumerate()
+            .map(|(j, name)| {
+                if large && j < 2 {
+                    wide_int_column(rng, name, n)
+                } else {
+                    random_key_column(rng, name, n)
+                }
+            })
             .collect();
         columns.push(Column::from_floats(
             "v",
             (0..n)
-                .map(|_| (rng.gen_range(0.0..1.0) < 0.85).then(|| rng.gen_range(-100.0..100.0)))
+                .map(|_| {
+                    // Planted cells: a group of `-0.0` alone sums to
+                    // `-0.0` only from `f64::sum`'s neutral element, and
+                    // infinities make non-finite aggregates.
+                    (rng.gen_range(0.0..1.0) < 0.85).then(|| match rng.gen_range(0..5u32) {
+                        0 => PLANTED[rng.gen_range(0..PLANTED.len())],
+                        _ => rng.gen_range(-100.0..100.0),
+                    })
+                })
                 .collect(),
         ));
         let df = DataFrame::from_columns(columns).unwrap();
@@ -129,12 +208,37 @@ fn groupby_matches_rendered_oracle() {
             .iter()
             .map(|g| df.column(g).unwrap())
             .collect();
+        for hashed in group.iter().filter_map(|g| int_codes_hashed(g)) {
+            *(if hashed {
+                &mut int_hashed
+            } else {
+                &mut int_dense
+            }) += 1;
+        }
+        for hashed in slot_steps_hashed(&group) {
+            *(if hashed {
+                &mut slots_hashed
+            } else {
+                &mut slots_dense
+            }) += 1;
+        }
         for func in AggFunc::all() {
             let got = groupby_transform(&df, &names[..n_keys], "v", func, "out").unwrap();
             let expected = groupby_rendered(&group, df.column("v").unwrap(), func);
             assert_bits_eq(&got, &expected, &format!("{} over {df:?}", func.name()));
         }
     });
+    // Both the dense and the hashed path of `Int` key codes and of the
+    // slot composition run often enough for the agreement to mean
+    // something.
+    assert!(
+        int_dense >= 25 && int_hashed >= 50,
+        "{int_dense} / {int_hashed}"
+    );
+    assert!(
+        slots_dense >= 60 && slots_hashed >= 15,
+        "{slots_dense} / {slots_hashed}"
+    );
 }
 
 #[test]

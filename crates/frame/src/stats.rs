@@ -82,7 +82,7 @@ where
 
 /// `f64::sum` folds from its own neutral element (`-0.0`); starting a
 /// sum from the same one keeps a mean bit-identical to `.sum()`.
-fn sum_zero() -> f64 {
+pub(crate) fn sum_zero() -> f64 {
     std::iter::empty::<f64>().sum()
 }
 
@@ -132,10 +132,158 @@ pub const CROSS_LANES: usize = 8;
 /// Rows of each lane the kernel centres into its scratch block at a time.
 pub const CROSS_CHUNK_ROWS: usize = 256;
 
+/// Relative slack the early-stopping rule of [`PearsonProbe::exceeds`]
+/// leaves below the threshold for rounding (see DESIGN §12).
+const STOP_MARGIN: f64 = 1e-6;
+
+/// What [`PearsonProbe::exceeds`] decided for one column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeVerdict {
+    /// Pearson's `r` exceeds the threshold: the answer
+    /// `pearson_pairs(…).is_some_and(|r| r > threshold)` gives.
+    pub exceeds: bool,
+    /// Rows summed before the verdict: fewer than the column's length when
+    /// the rest could no longer lift `r` above the threshold, 0 for a
+    /// column the probe cannot read.
+    pub rows_read: usize,
+}
+
+/// A complete numeric column to test against many complete columns for a
+/// correlation above a threshold: the duplicate scan's kernel.
+///
+/// It sums what [`Centred::pearson`] sums, chunk by chunk, but keeps only
+/// the verdict, so it can stop summing a column as soon as the verdict is
+/// settled. The candidate is centred one chunk at a time, never copied
+/// whole.
+#[derive(Debug)]
+pub struct PearsonProbe<'a> {
+    view: NumericView<'a>,
+    moments: Moments,
+}
+
+impl<'a> PearsonProbe<'a> {
+    /// Probe `col`; `None` unless it is numeric with no nulls.
+    pub fn of(col: &'a Column) -> Option<PearsonProbe<'a>> {
+        let moments = col.complete_moments()?;
+        Some(PearsonProbe {
+            view: col.numeric_view().ok()?,
+            moments,
+        })
+    }
+
+    /// Whether Pearson's `r` of this column (as `x`) against each of
+    /// `others` (as `y`) exceeds `threshold`, with `pearson_pairs`'
+    /// `min_pairs` rule. A column that has nulls, is not numeric, or
+    /// differs in length never exceeds it.
+    ///
+    /// Lanes are read as in [`Centred::pearson`], and a lane that runs to
+    /// the end sums the same `sxy` in the same order, so its verdict is
+    /// that of the bit-identical `r`. After each chunk but the last, a
+    /// lane stops, not exceeding, once Cauchy–Schwarz bounds the rest:
+    /// `sxy_k + √(rest_x · rest_y) < (threshold − 1e-6) · √(Sxx · Syy)`,
+    /// where `rest` is the total centred sum of squares minus its prefix,
+    /// plus `rows · ε` of the total for rounding. A non-finite bound or
+    /// limit never stops a lane. A block stops once all its lanes have.
+    pub fn exceeds(
+        &self,
+        others: &[&Column],
+        min_pairs: usize,
+        threshold: f64,
+    ) -> Vec<ProbeVerdict> {
+        let rows = self.view.len();
+        let Moments { mean, sum_sq: sxx } = self.moments;
+        let slack = rows as f64 * f64::EPSILON;
+        let rest = |total: f64, prefix: f64| (total - prefix).max(0.0) + slack * total;
+        let lanes = complete_lanes(others, rows);
+        let mut out = Vec::with_capacity(others.len());
+        let mut xs = vec![0.0f64; CROSS_CHUNK_ROWS];
+        let mut block = vec![[0.0f64; CROSS_LANES]; CROSS_CHUNK_ROWS];
+        for group in lanes.chunks(CROSS_LANES) {
+            let mut limit = [f64::NAN; CROSS_LANES];
+            let mut read = [0usize; CROSS_LANES];
+            let mut live = [false; CROSS_LANES];
+            for (lane, slot) in group.iter().enumerate() {
+                if let Some((_, m)) = slot {
+                    let l = (threshold - STOP_MARGIN) * (sxx * m.sum_sq).sqrt();
+                    limit[lane] = if l.is_finite() { l } else { f64::NAN };
+                    read[lane] = rows;
+                    live[lane] = true;
+                }
+            }
+            let (mut sxy, mut syy, mut sxx_k) = ([0.0f64; CROSS_LANES], [0.0f64; CROSS_LANES], 0.0);
+            for start in (0..rows).step_by(CROSS_CHUNK_ROWS) {
+                if !live.contains(&true) {
+                    break;
+                }
+                let end = (start + CROSS_CHUNK_ROWS).min(rows);
+                let (xs, block) = (&mut xs[..end - start], &mut block[..end - start]);
+                centre_chunk(&self.view, mean, start, xs);
+                for (lane, slot) in group.iter().enumerate() {
+                    if let (true, Some((view, m))) = (live[lane], slot) {
+                        centre_into(view, m.mean, start, block, lane);
+                    }
+                }
+                for (x, ys) in xs.iter().zip(block.iter()) {
+                    for (acc, y) in sxy.iter_mut().zip(ys) {
+                        *acc += x * y;
+                    }
+                }
+                if end == rows {
+                    break;
+                }
+                sxx_k = xs.iter().fold(sxx_k, |s, x| s + x.powi(2));
+                for (lane, slot) in group.iter().enumerate() {
+                    let (true, Some((_, m))) = (live[lane], slot) else {
+                        continue;
+                    };
+                    syy[lane] = block.iter().fold(syy[lane], |s, ys| s + ys[lane].powi(2));
+                    let bound = sxy[lane] + (rest(sxx, sxx_k) * rest(m.sum_sq, syy[lane])).sqrt();
+                    // `NaN < x` is false: a NaN bound or limit never stops.
+                    if bound < limit[lane] {
+                        live[lane] = false;
+                        read[lane] = end;
+                    }
+                }
+            }
+            out.extend(group.iter().enumerate().map(|(lane, slot)| {
+                let exceeds = match slot {
+                    Some((_, m)) if live[lane] => {
+                        finish_pearson(rows, min_pairs, sxy[lane], sxx, m.sum_sq)
+                            .is_some_and(|r| r > threshold)
+                    }
+                    _ => false,
+                };
+                ProbeVerdict {
+                    exceeds,
+                    rows_read: read[lane],
+                }
+            }));
+        }
+        out
+    }
+}
+
+/// The columns of `others` the cross-term kernels can read: numeric,
+/// without nulls, `rows` long, each with its view and cached moments.
+fn complete_lanes<'c>(
+    others: &[&'c Column],
+    rows: usize,
+) -> Vec<Option<(NumericView<'c>, Moments)>> {
+    others
+        .iter()
+        .map(|c| {
+            let moments = c.complete_moments().filter(|_| c.len() == rows)?;
+            Some((c.numeric_view().ok()?, moments))
+        })
+        .collect()
+}
+
 /// A complete numeric column, centred once, to correlate against many
 /// complete columns: [`Centred::pearson`] computes only the cross term
 /// `Σ (x − mx)(y − my)` per column and takes both sums of squares from
-/// the columns' cached [`Moments`].
+/// the columns' cached [`Moments`]. The duplicate scan runs
+/// [`PearsonProbe`]; this is the reference its verdicts are tested
+/// against.
 #[derive(Debug)]
 pub struct Centred {
     centred: Vec<f64>,
@@ -163,13 +311,7 @@ impl Centred {
     /// block is padded with zero lanes, so it runs the same loop.
     pub fn pearson(&self, others: &[&Column], min_pairs: usize) -> Vec<Option<f64>> {
         let rows = self.centred.len();
-        let lanes: Vec<Option<(NumericView<'_>, Moments)>> = others
-            .iter()
-            .map(|c| {
-                let moments = c.complete_moments().filter(|_| c.len() == rows)?;
-                Some((c.numeric_view().ok()?, moments))
-            })
-            .collect();
+        let lanes = complete_lanes(others, rows);
         let mut out = Vec::with_capacity(others.len());
         let mut block = vec![[0.0f64; CROSS_LANES]; CROSS_CHUNK_ROWS];
         for group in lanes.chunks(CROSS_LANES) {
@@ -212,21 +354,41 @@ fn centre_into(
     block: &mut [[f64; CROSS_LANES]],
     lane: usize,
 ) {
-    let end = start + block.len();
+    centre_rows(
+        view,
+        mean,
+        start,
+        block.iter_mut().map(|row| &mut row[lane]),
+    );
+}
+
+/// Write rows `start..start + xs.len()` of `view`, minus `mean`, into `xs`.
+fn centre_chunk(view: &NumericView<'_>, mean: f64, start: usize, xs: &mut [f64]) {
+    centre_rows(view, mean, start, xs.iter_mut());
+}
+
+/// Write `view`'s rows from `start` on, minus `mean`, into `targets`, one
+/// row per target.
+fn centre_rows<'t>(
+    view: &NumericView<'_>,
+    mean: f64,
+    start: usize,
+    targets: impl Iterator<Item = &'t mut f64>,
+) {
     match *view {
         NumericView::Int { values, .. } => {
-            for (row, &v) in block.iter_mut().zip(&values[start..end]) {
-                row[lane] = v as f64 - mean;
+            for (t, &v) in targets.zip(&values[start..]) {
+                *t = v as f64 - mean;
             }
         }
         NumericView::Float { values, .. } => {
-            for (row, &v) in block.iter_mut().zip(&values[start..end]) {
-                row[lane] = v - mean;
+            for (t, &v) in targets.zip(&values[start..]) {
+                *t = v - mean;
             }
         }
         NumericView::Bool { values, .. } => {
-            for (row, &v) in block.iter_mut().zip(&values[start..end]) {
-                row[lane] = f64::from(u8::from(v)) - mean;
+            for (t, &v) in targets.zip(&values[start..]) {
+                *t = f64::from(u8::from(v)) - mean;
             }
         }
     }

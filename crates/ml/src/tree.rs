@@ -137,7 +137,8 @@ impl DecisionTree {
     }
 
     /// Fit on all rows.
-    pub fn fit_all(&mut self, x: &Matrix, y: &[u8], rng: &mut Rng) -> Result<()> {
+    #[cfg(test)]
+    fn fit_all(&mut self, x: &Matrix, y: &[u8], rng: &mut Rng) -> Result<()> {
         x.check_training(y)?;
         let indices: Vec<usize> = (0..x.rows()).collect();
         self.fit_indices(x, y, &indices, rng)
@@ -255,7 +256,8 @@ impl DecisionTree {
     }
 
     /// Number of tree nodes (splits + leaves).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 }

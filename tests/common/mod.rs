@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 
 use smartfeat::SmartFeatReport;
-use smartfeat_frame::csv;
+use smartfeat_frame::{csv, DataFrame};
 use smartfeat_ml::{kfold_cv_auc, Matrix, ModelKind};
 
 /// Thread counts of the matrix.
@@ -84,4 +84,25 @@ pub fn digest(report: &SmartFeatReport, target: &str, out: &mut String) {
         frame_auc(&report.frame, target).to_bits()
     )
     .expect("write digest");
+}
+
+/// Frame → CSV → frame, comparing shapes, column names, dtypes, and
+/// rendered cells. Since the writer quotes string cells and the reader
+/// exempts quoted fields from inference, a round trip must preserve every
+/// column's dtype exactly.
+pub fn roundtrip_equal(df: &DataFrame) -> bool {
+    let Ok(back) = csv::read_csv_str(&csv::write_csv_str(df)) else {
+        return false;
+    };
+    let rendered = |frame: &DataFrame, i: usize| -> Vec<String> {
+        frame.columns().iter().map(|c| c.get(i).render()).collect()
+    };
+    back.n_rows() == df.n_rows()
+        && back.n_cols() == df.n_cols()
+        && df
+            .columns()
+            .iter()
+            .zip(back.columns())
+            .all(|(a, b)| a.name() == b.name() && a.dtype() == b.dtype())
+        && (0..df.n_rows()).all(|i| rendered(df, i) == rendered(&back, i))
 }

@@ -3,6 +3,8 @@
 //! fidelity. Driven by the in-repo `smartfeat_rng::check` harness, so
 //! every case is seeded and replayable.
 
+mod common;
+
 use std::collections::BTreeMap;
 
 use smartfeat_repro::frame::bitmap::{BitmapBuilder, NullBitmap};
@@ -10,7 +12,9 @@ use smartfeat_repro::frame::csv;
 use smartfeat_repro::frame::ops::{
     bucketize, clip, groupby_transform, normalize, AggFunc, NormKind,
 };
-use smartfeat_repro::frame::stats::{pearson_pairs, Centred, CROSS_CHUNK_ROWS, CROSS_LANES};
+use smartfeat_repro::frame::stats::{
+    pearson_pairs, Centred, PearsonProbe, CROSS_CHUNK_ROWS, CROSS_LANES,
+};
 use smartfeat_repro::frame::{DType, StableMap};
 use smartfeat_repro::prelude::*;
 use smartfeat_repro::rng::check;
@@ -212,7 +216,7 @@ fn csv_roundtrip_preserves_dtypes() {
             Column::from_floats("f", floats),
         ])
         .expect("consistent lengths");
-        assert!(csv::roundtrip_equal(&df), "dtype drift through CSV");
+        assert!(common::roundtrip_equal(&df), "dtype drift through CSV");
         let back = csv::read_csv_str(&csv::write_csv_str(&df)).expect("parses");
         assert_eq!(back.column("code").expect("exists").dtype(), DType::Str);
     });
@@ -445,4 +449,126 @@ fn cross_term_kernel_is_bit_identical_to_pearson_pairs() {
     // Both a defined r and each `None` cause occur often enough for the
     // bit comparison to mean something.
     assert!(some >= 500 && none >= 100, "{some} / {none}");
+}
+
+/// The duplicate scan's threshold.
+const DUPLICATE_R: f64 = 0.9999;
+
+/// One complete column for the early-stopping probe: any shape of
+/// [`complete_numeric`], a near-duplicate of `base` whose noise puts `r`
+/// on either side of [`DUPLICATE_R`], or a column that is constant until
+/// its last chunk. The flag says which is a near-duplicate.
+fn probe_column(rng: &mut Rng, name: &str, rows: usize, base: &[f64]) -> (Column, bool) {
+    match rng.gen_range(0..4usize) {
+        0 => {
+            // r ≈ 1/√(1 + h²/(3·a²·var(base))) for uniform noise in ±h;
+            // var(base) ≈ 3333, so h ≈ 1.4·a puts r at the threshold.
+            let (a, b) = (rng.gen_range(0.5..20.0), rng.gen_range(-50.0..50.0));
+            let h = a * rng.gen_range(0.5..3.0);
+            let cells = base.iter().map(|x| a * x + b + rng.gen_range(-h..h));
+            (Column::from_f64(name, cells.collect()), true)
+        }
+        1 => {
+            let last = rows - 1 - (rows - 1) % CROSS_CHUNK_ROWS;
+            let cells = (0..rows).map(|i| {
+                if i < last {
+                    7
+                } else {
+                    rng.gen_range(-9..10i64)
+                }
+            });
+            (Column::from_i64(name, cells.collect()), false)
+        }
+        _ => (complete_numeric(rng, name, rows, base), false),
+    }
+}
+
+/// `PearsonProbe::exceeds` gives every lane the verdict
+/// `pearson_pairs(…).is_some_and(|r| r > 0.9999)` gives, whether the lane
+/// stopped early or ran to the end: 1–17 lanes, Int/Float/Bool storage,
+/// n = 3 and row counts that cross several chunks, `±inf` cells, zero
+/// variance, near-duplicates on both sides of the threshold, and
+/// columns whose variance sits in the last chunk. A column with a null
+/// never exceeds.
+#[test]
+fn early_stopping_probe_agrees_with_pearson_pairs() {
+    let sizes = [
+        3,
+        CROSS_CHUNK_ROWS + 1,
+        2 * CROSS_CHUNK_ROWS + 45,
+        3 * CROSS_CHUNK_ROWS + 77,
+        5 * CROSS_CHUNK_ROWS + 13,
+    ];
+    let (mut stopped, mut ran) = (0, 0);
+    let (mut near_above, mut near_below) = (0, 0);
+    check::cases(40, |rng| {
+        let rows = match rng.gen_range(0..4usize) {
+            0 => rng.gen_range(3..40usize),
+            _ => sizes[rng.gen_range(0..sizes.len())],
+        };
+        let base: Vec<f64> = (0..rows).map(|_| rng.gen_range(-100.0..100.0)).collect();
+        let shape = rng.gen_range(0..5usize);
+        let cand = match shape {
+            0 | 1 => Column::from_f64("cand", base.clone()),
+            2 => Column::from_i64("cand", base.iter().map(|x| x.round() as i64).collect()),
+            3 => Column::from_bools("cand", base.iter().map(|x| Some(*x > 0.0)).collect()),
+            _ => probe_column(rng, "cand", rows, &base).0,
+        };
+        let probe = PearsonProbe::of(&cand).expect("complete candidate");
+        for count in 1..=2 * CROSS_LANES + 1 {
+            let (mut others, near): (Vec<Column>, Vec<bool>) = (0..count)
+                .map(|i| probe_column(rng, &format!("e{i}"), rows, &base))
+                .unzip();
+            let with_null = rng.gen_range(0..2 * count);
+            if with_null < count {
+                let cells = (0..rows).map(|i| (i % 5 != 1).then_some(i as f64));
+                others[with_null] = Column::from_floats("nulls", cells.collect());
+            }
+            let refs: Vec<&Column> = others.iter().collect();
+            let got = probe.exceeds(&refs, 3, DUPLICATE_R);
+            assert_eq!(got.len(), count);
+            let x = cand.numeric_view().expect("numeric candidate");
+            for ((e, verdict), near) in others.iter().zip(&got).zip(near) {
+                let y = e.numeric_view().expect("numeric column");
+                let expected = e.null_count() == 0 && {
+                    let pairs = x.iter().zip(y.iter()).filter_map(|(a, b)| Some((a?, b?)));
+                    pearson_pairs(pairs, 3).is_some_and(|r| r > DUPLICATE_R)
+                };
+                assert_eq!(
+                    verdict.exceeds,
+                    expected,
+                    "{rows} rows, {count} columns: {:?} candidate vs {:?} {} after {} rows",
+                    cand.dtype(),
+                    e.dtype(),
+                    e.name(),
+                    verdict.rows_read
+                );
+                if e.null_count() > 0 {
+                    continue;
+                }
+                if verdict.rows_read < rows {
+                    stopped += 1;
+                } else {
+                    ran += 1;
+                }
+                if near && shape <= 2 && rows > 3 {
+                    if expected {
+                        near_above += 1;
+                    } else {
+                        near_below += 1;
+                    }
+                }
+            }
+        }
+    });
+    // Both ways a verdict is reached, and both sides of the threshold
+    // among near-duplicates, occur often enough to mean something.
+    assert!(
+        stopped >= 1000 && ran >= 1000,
+        "{stopped} stopped / {ran} ran"
+    );
+    assert!(
+        near_above >= 100 && near_below >= 100,
+        "{near_above} above / {near_below} below"
+    );
 }

@@ -1,7 +1,8 @@
 //! Property-based tests over the frame substrate's invariants, driven by
 //! the in-repo `smartfeat_rng::check` harness.
 
-use smartfeat_repro::frame::csv;
+mod common;
+
 use smartfeat_repro::frame::ops::{
     binary_op, bucketize, groupby_transform, normalize, AggFunc, BinaryOp, NormKind,
 };
@@ -121,7 +122,7 @@ fn csv_roundtrip_preserves_rendered_cells() {
         .unwrap();
         // Quoted string cells make the round trip lossless even for empty
         // strings and numeric-looking text, and dtypes must survive too.
-        assert!(csv::roundtrip_equal(&df));
+        assert!(common::roundtrip_equal(&df));
     });
 }
 

@@ -459,3 +459,71 @@ fn run_opens_its_own_context_inside_an_outer_one() {
     );
     assert!(outer_work.is_empty(), "{outer_work:?}");
 }
+
+/// A one-shot run on 200 rows of insurance data at `threads` threads: the
+/// counts of its work tally, and how many times its trace names each
+/// event kind and each `transform` of a `generate.candidate` event.
+fn run_tally(threads: usize) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+    let ds = smartfeat_datasets::insurance::generate(200, 9);
+    let selector = SimulatedFm::gpt4(21);
+    let generator = SimulatedFm::gpt35(22);
+    let report = smartfeat_par::within(threads, || {
+        SmartFeat::new(&selector, &generator, SmartFeatConfig::default())
+            .run(&ds.frame, &ds.agenda("RF"))
+            .expect("pipeline runs")
+    });
+    let work = match report.metrics.get("work") {
+        Some(JsonValue::Object(fields)) => fields
+            .iter()
+            .map(|(name, count)| (name.clone(), count.as_u64().unwrap_or(0)))
+            .collect(),
+        other => panic!("no work section: {other:?}"),
+    };
+    let mut trace: BTreeMap<String, u64> = BTreeMap::new();
+    for line in report.trace.lines() {
+        let event = JsonValue::parse(line).expect("trace line parses");
+        let field = |key: &str| event.get(key).and_then(JsonValue::as_str).map(String::from);
+        let kind = field("kind").expect("every event has a kind");
+        if let Some(transform) = field("transform") {
+            *trace.entry(transform).or_default() += 1;
+        }
+        *trace.entry(kind).or_default() += 1;
+    }
+    (work, trace)
+}
+
+#[test]
+fn transform_and_evaluation_work_is_counted_per_application() {
+    let (work, trace) = run_tally(1);
+    let transforms: BTreeMap<&String, &u64> = work
+        .iter()
+        .filter(|(name, _)| name.starts_with("transform."))
+        .collect();
+    let generated: BTreeMap<&String, &u64> = trace
+        .iter()
+        .filter(|(name, _)| name.starts_with("transform."))
+        .collect();
+    // Every function the generator hands out is applied once, on the FM
+    // walk (row completion) or on the pool, and counted under its kind.
+    assert_eq!(transforms, generated, "work {work:?}");
+    for kind in [
+        "transform.groupby_agg",
+        "transform.arithmetic",
+        "transform.row_completion",
+    ] {
+        assert!(
+            transforms.contains_key(&kind.to_string()),
+            "{kind}: {work:?}"
+        );
+    }
+    let kept = trace["candidate.kept"];
+    assert_eq!(
+        work["evaluate.check"],
+        kept + trace["candidate.skipped"],
+        "one check per committed column"
+    );
+    assert_eq!(work["agenda.cardinality"], kept, "one per kept column");
+    for threads in [4usize, 8] {
+        assert_eq!(run_tally(threads).0, work, "{threads} threads");
+    }
+}
