@@ -65,7 +65,7 @@ pub fn check_new_column(col: &Column, df: &DataFrame) -> Option<SkipReason> {
                     let end = (lane + CROSS_LANES).min(lanes.len());
                     block = probe.exceeds(&lanes[lane..end], MIN_PAIRS, DUPLICATE_R);
                 }
-                let exceeds = block[lane % CROSS_LANES].exceeds;
+                let exceeds = block.get(lane % CROSS_LANES).is_some_and(|v| v.exceeds);
                 lane += 1;
                 exceeds || numeric_identical(col, e)
             }

@@ -105,9 +105,9 @@ impl AggFunc {
 /// all-null group get null.
 ///
 /// Rows are grouped by [`group_slots`], and each group's values fold in
-/// row order into one accumulator per group. Output is a per-row lookup of its own
-/// slot's aggregate, so slot numbering never leaks into results —
-/// determinism holds by construction.
+/// row order into one accumulator per group. Output is a per-row lookup
+/// of its own slot's aggregate, so slot numbering never leaks into
+/// results — determinism holds by construction.
 pub fn groupby_transform(
     df: &DataFrame,
     group_cols: &[&str],

@@ -217,7 +217,7 @@ impl<'a> PearsonProbe<'a> {
                 }
                 let end = (start + CROSS_CHUNK_ROWS).min(rows);
                 let (xs, block) = (&mut xs[..end - start], &mut block[..end - start]);
-                centre_chunk(&self.view, mean, start, xs);
+                centre_rows(&self.view, mean, start, xs.iter_mut());
                 for (lane, slot) in group.iter().enumerate() {
                     if let (true, Some((view, m))) = (live[lane], slot) {
                         centre_into(view, m.mean, start, block, lane);
@@ -360,11 +360,6 @@ fn centre_into(
         start,
         block.iter_mut().map(|row| &mut row[lane]),
     );
-}
-
-/// Write rows `start..start + xs.len()` of `view`, minus `mean`, into `xs`.
-fn centre_chunk(view: &NumericView<'_>, mean: f64, start: usize, xs: &mut [f64]) {
-    centre_rows(view, mean, start, xs.iter_mut());
 }
 
 /// Write `view`'s rows from `start` on, minus `mean`, into `targets`, one
