@@ -100,6 +100,14 @@ step_artifacts() {
     echo "    ERROR: wall-mode metrics lack transform.<kind> work" >&2
     exit 1
   fi
+  # Each FM role's answered calls are counted too, so the run shows its
+  # own FM time without an outside wrapper.
+  for role in selector generator; do
+    if ! grep -q "\"work\":{[^}]*\"fm\.$role\"" ci-artifacts/metrics-wall.json; then
+      echo "    ERROR: wall-mode metrics lack fm.$role work" >&2
+      exit 1
+    fi
+  done
   echo "    wrote ci-artifacts/metrics-wall.json ($(wc -c < ci-artifacts/metrics-wall.json) bytes)"
 }
 

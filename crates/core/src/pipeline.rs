@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use smartfeat_fm::FoundationModel;
+use smartfeat_fm::{FmError, FmResponse, FoundationModel, UsageMeter};
 use smartfeat_frame::{Column, ColumnData, DataFrame, NullBitmap};
 use smartfeat_obs::Recorder;
 
@@ -67,6 +67,37 @@ pub(crate) struct RunState {
     pub(crate) referenced: BTreeSet<String>,
     /// Run-scoped telemetry recorder.
     pub(crate) rec: Recorder,
+}
+
+/// An FM role whose answered calls land in the run's work tally under
+/// `work`: the count is deterministic, the time volatile.
+struct TalliedFm<'a> {
+    inner: &'a dyn FoundationModel,
+    work: &'static str,
+}
+
+impl FoundationModel for TalliedFm<'_> {
+    fn model_name(&self) -> &str {
+        self.inner.model_name()
+    }
+
+    fn complete(&self, prompt: &str) -> std::result::Result<FmResponse, FmError> {
+        let watch = smartfeat_obs::global::stopwatch(self.work);
+        let response = self.inner.complete(prompt);
+        if response.is_err() {
+            // A refused call is not an answer: drop it unrecorded.
+            std::mem::forget(watch);
+        }
+        response
+    }
+
+    fn meter(&self) -> &UsageMeter {
+        self.inner.meter()
+    }
+
+    fn routing(&self) -> Option<smartfeat_fm::RoutingSnapshot> {
+        self.inner.routing()
+    }
 }
 
 /// Refuse a frame SMARTFEAT cannot score: no rows, or a target without
@@ -145,12 +176,22 @@ impl<'a> SmartFeat<'a> {
     ///
     /// The run executes inside its own `smartfeat_par` run context, so its
     /// pool and work counters count only its own work, even when other
-    /// runs share the process.
+    /// runs share the process. Each FM call the run has answered counts
+    /// there too, as `fm.selector` or `fm.generator`.
     pub fn run(&self, df: &DataFrame, agenda: &DataAgenda) -> Result<SmartFeatReport> {
         self.config.validate()?;
         check_target(df, &agenda.target)?;
+        let selector = TalliedFm {
+            inner: self.selector_fm,
+            work: "fm.selector",
+        };
+        let generator = TalliedFm {
+            inner: self.generator_fm,
+            work: "fm.generator",
+        };
+        let tallied = SmartFeat::new(&selector, &generator, self.config.clone());
         let threads = smartfeat_par::resolve_threads(0);
-        smartfeat_par::within(threads, || self.run_in_context(df, agenda))
+        smartfeat_par::within(threads, || tallied.run_in_context(df, agenda))
     }
 
     fn run_in_context(&self, df: &DataFrame, agenda: &DataAgenda) -> Result<SmartFeatReport> {

@@ -10,7 +10,7 @@ use smartfeat_rng::Rng;
 use crate::backend::KnowledgeCoverage;
 use crate::cost::ModelSpec;
 use crate::knowledge::{self, Concept};
-use crate::parse::{field_after, FeatureInfo, PromptContext};
+use crate::parse::{field_after, ConceptMemo, FeatureInfo, PromptContext};
 use crate::stats::{CallRecord, RoutingSnapshot, UsageMeter};
 use crate::token::approx_tokens;
 
@@ -172,6 +172,8 @@ struct OracleState {
     rng: Rng,
     last_text: Option<String>,
     calls: usize,
+    /// Each card feature's concepts, detected once per model.
+    concepts: ConceptMemo,
 }
 
 impl SimulatedFm {
@@ -192,6 +194,7 @@ impl SimulatedFm {
                 rng: Rng::seed_from_u64(seed),
                 last_text: None,
                 calls: 0,
+                concepts: ConceptMemo::new(),
             }),
         }
     }
@@ -218,8 +221,8 @@ impl SimulatedFm {
         )
     }
 
-    fn answer(&self, prompt: &str, rng: &mut Rng) -> String {
-        let ctx = PromptContext::parse(prompt);
+    fn answer(&self, prompt: &str, rng: &mut Rng, concepts: &mut ConceptMemo) -> String {
+        let ctx = PromptContext::parse_with(prompt, concepts);
         let kind = prompt_kind(prompt);
         let text = match kind {
             "unary_proposal" => answer_unary(prompt, &ctx),
@@ -276,8 +279,13 @@ impl FoundationModel for SimulatedFm {
         state.calls += 1;
 
         // Split borrow of state fields.
-        let OracleState { rng, last_text, .. } = &mut *state;
-        let mut text = self.answer(prompt, rng);
+        let OracleState {
+            rng,
+            last_text,
+            concepts,
+            ..
+        } = &mut *state;
+        let mut text = self.answer(prompt, rng, concepts);
         if self.config.error_rate > 0.0 && rng.gen_f64() < self.config.error_rate {
             text = self.degrade(text, rng, last_text);
         }
@@ -366,7 +374,7 @@ fn answer_unary(prompt: &str, ctx: &PromptContext) -> String {
             proposals.push((op.to_string(), level, why));
         }
     };
-    for c in &concepts {
+    for c in concepts {
         match c {
             Concept::Age => {
                 add(
@@ -1138,7 +1146,8 @@ fn answer_funcgen(prompt: &str, ctx: &PromptContext) -> String {
             let bounds = feature_meta
                 .and_then(|f| {
                     f.concepts()
-                        .into_iter()
+                        .iter()
+                        .copied()
                         .find_map(knowledge::bucket_boundaries)
                 })
                 .map(|b| {
@@ -1261,7 +1270,7 @@ fn answer_removal(ctx: &PromptContext) -> String {
             // sampling artifact (e.g. a census weight) is noise as far as
             // the model can tell. Whole-word match: "weighted index"
             // features must not trip this.
-            let opaque = concepts == vec![Concept::Generic]
+            let opaque = concepts == [Concept::Generic]
                 && crate::knowledge::words(&f.description)
                     .iter()
                     .any(|w| w == "weight" || w == "weights");
@@ -1338,6 +1347,37 @@ mod tests {
         let r = fm().complete(&prompt).unwrap();
         assert!(r.text.contains("bucketize (certain)"), "{}", r.text);
         assert!(r.text.contains("21"));
+    }
+
+    #[test]
+    fn concepts_are_detected_once_per_feature() {
+        let fm = fm();
+        let mut prompts: Vec<String> = ["Age", "Age_of_car", "Make_Model", "Claim", "City"]
+            .iter()
+            .map(|a| format!("{CARD}Consider the unary operators on the attribute '{a}'."))
+            .collect();
+        for task in [
+            "Propose one binary arithmetic feature for predicting Safe.",
+            "Generate a groupby feature for predicting Safe.",
+            "Propose one extractor feature for predicting Safe.",
+            "Name the features unlikely to help predict Safe.",
+        ] {
+            prompts.push(format!("{CARD}{task}"));
+            prompts.push(format!("{CARD}{task}"));
+        }
+        for prompt in &prompts {
+            fm.complete(prompt).unwrap();
+        }
+        assert_eq!(fm.meter().snapshot().calls, prompts.len());
+        // Five card features, each detected once across 13 prompts.
+        assert_eq!(fm.state.borrow().concepts.len(), 5);
+        fm.complete("Dataset features:\n- Age (int): age of the driver\nhello")
+            .unwrap();
+        assert_eq!(
+            fm.state.borrow().concepts.len(),
+            6,
+            "a new description is a new pair"
+        );
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! structure the oracle answers unhelpfully — exactly what a real model
 //! does when under-prompted.
 
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
 use crate::knowledge::{detect, Concept};
 
 /// One feature as described inside a prompt's data card.
@@ -21,12 +24,54 @@ pub struct FeatureInfo {
     pub distinct: Option<usize>,
     /// Free-text description (may be empty for the names-only ablation).
     pub description: String,
+    /// `detect(name, description)`, filled once by the parse.
+    concepts: Rc<[Concept]>,
+}
+
+/// Concepts per (name, description) pair, detected once and shared by
+/// every later parse that reads the same pair. [`detect`] is a pure
+/// function of the pair, so a hit returns exactly what a fresh detection
+/// would. A [`crate::SimulatedFm`] keeps one memo for its lifetime.
+#[derive(Debug, Default)]
+pub struct ConceptMemo {
+    // By name, then by description: a hit looks both up by `&str`.
+    by_name: BTreeMap<String, BTreeMap<String, Rc<[Concept]>>>,
+}
+
+impl ConceptMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        ConceptMemo::default()
+    }
+
+    /// The concepts of `(name, description)`, detected on first sight.
+    pub fn concepts(&mut self, name: &str, description: &str) -> Rc<[Concept]> {
+        if let Some(found) = self.by_name.get(name).and_then(|d| d.get(description)) {
+            return Rc::clone(found);
+        }
+        let found: Rc<[Concept]> = detect(name, description).into();
+        self.by_name
+            .entry(name.to_string())
+            .or_default()
+            .insert(description.to_string(), Rc::clone(&found));
+        found
+    }
+
+    /// Number of distinct (name, description) pairs detected so far.
+    pub fn len(&self) -> usize {
+        self.by_name.values().map(BTreeMap::len).sum()
+    }
+
+    /// True if nothing was detected yet.
+    pub fn is_empty(&self) -> bool {
+        self.by_name.is_empty()
+    }
 }
 
 impl FeatureInfo {
     /// Concepts the simulated model associates with this feature.
-    pub fn concepts(&self) -> Vec<Concept> {
-        detect(&self.name, &self.description)
+    pub fn concepts(&self) -> &[Concept] {
+        &self.concepts
     }
 
     /// True if the declared type is numeric.
@@ -109,7 +154,8 @@ pub struct PromptContext {
 }
 
 impl PromptContext {
-    /// Parse the data-card section of a prompt.
+    /// Parse the data-card section of a prompt with a fresh
+    /// [`ConceptMemo`].
     ///
     /// Recognized lines:
     /// - `- Name (dtype, distinct=N): description`
@@ -118,7 +164,19 @@ impl PromptContext {
     /// - `- Name`
     /// - `Prediction target: Y`
     /// - `Downstream model: RF`
+    ///
+    /// The type annotation is the first ` (int|float|str|bool[, distinct=N])`
+    /// followed by `:` or the end of the line, so a name may itself hold
+    /// `(`, `)` or `:` (`Age (years) (int): …`). A line without one splits
+    /// at the first `:` outside parentheses, and a `(` there starts the
+    /// dtype.
     pub fn parse(prompt: &str) -> PromptContext {
+        PromptContext::parse_with(prompt, &mut ConceptMemo::new())
+    }
+
+    /// [`PromptContext::parse`], taking each feature's concepts from
+    /// `memo`.
+    pub fn parse_with(prompt: &str, memo: &mut ConceptMemo) -> PromptContext {
         let mut ctx = PromptContext::default();
         for line in prompt.lines() {
             let line = line.trim();
@@ -133,8 +191,14 @@ impl PromptContext {
             let Some(body) = line.strip_prefix("- ") else {
                 continue;
             };
-            if let Some(info) = parse_feature_line(body) {
-                ctx.features.push(info);
+            if let Some((name, dtype, distinct, description)) = parse_feature_line(body) {
+                ctx.features.push(FeatureInfo {
+                    name: name.to_string(),
+                    dtype: dtype.to_string(),
+                    distinct,
+                    description: description.to_string(),
+                    concepts: memo.concepts(name, description),
+                });
             }
         }
         ctx
@@ -156,58 +220,82 @@ impl PromptContext {
     }
 }
 
-fn parse_feature_line(body: &str) -> Option<FeatureInfo> {
-    // Split off the description at the first ": " outside parentheses.
-    let (head, description) = split_head(body);
-    let head = head.trim();
-    if head.is_empty() {
-        return None;
-    }
-    // Head is `Name` or `Name (dtype)` or `Name (dtype, distinct=N)`.
-    if let Some(open) = head.find('(') {
-        let name = head[..open].trim().to_string();
-        let inner = head[open + 1..].trim_end_matches(')');
-        let mut dtype = String::new();
-        let mut distinct = None;
-        for part in inner.split(',') {
-            let part = part.trim();
-            if let Some(n) = part.strip_prefix("distinct=") {
-                distinct = n.trim().parse().ok();
-            } else if !part.is_empty() && dtype.is_empty() {
-                dtype = part.to_string();
+/// A card line's name, dtype, distinct count and description.
+fn parse_feature_line(body: &str) -> Option<(&str, &str, Option<usize>, &str)> {
+    let (name, dtype, distinct, description) = match find_annotation(body) {
+        Some((start, dtype, distinct, rest)) => {
+            let description = rest.strip_prefix(':').unwrap_or(rest);
+            (body[..start].trim(), dtype, distinct, description.trim())
+        }
+        None => {
+            // Split off the description at the first ":" outside
+            // parentheses; a `(` in the head starts `dtype, distinct=N`.
+            let (head, description) = split_head(body);
+            let head = head.trim();
+            let (name, inner) = match head.split_once('(') {
+                Some((name, inner)) => (name.trim(), inner.trim_end_matches(')')),
+                None => (head, ""),
+            };
+            let mut dtype = "";
+            let mut distinct = None;
+            for part in inner.split(',') {
+                let part = part.trim();
+                if let Some(n) = part.strip_prefix("distinct=") {
+                    distinct = n.trim().parse().ok();
+                } else if !part.is_empty() && dtype.is_empty() {
+                    dtype = part;
+                }
+            }
+            (name, dtype, distinct, description)
+        }
+    };
+    (!name.is_empty()).then_some((name, dtype, distinct, description))
+}
+
+/// The first ` (<dtype>[, distinct=N])` annotation in `body` that is
+/// followed by `:` or the end of the line, as `(start, dtype, distinct,
+/// rest)`: `start` is the offset of its leading space and `rest` the text
+/// after its `)`.
+fn find_annotation(body: &str) -> Option<(usize, &str, Option<usize>, &str)> {
+    let mut from = 0;
+    while let Some(found) = body[from..].find(" (") {
+        let start = from + found;
+        let inner_start = start + 2;
+        if let Some(len) = body[inner_start..].find(')') {
+            let rest = &body[inner_start + len + 1..];
+            if rest.is_empty() || rest.starts_with(':') {
+                if let Some((dtype, distinct)) = annotation(&body[inner_start..inner_start + len]) {
+                    return Some((start, dtype, distinct, rest));
+                }
             }
         }
-        (!name.is_empty()).then_some(FeatureInfo {
-            name,
-            dtype,
-            distinct,
-            description,
-        })
-    } else {
-        Some(FeatureInfo {
-            name: head.to_string(),
-            dtype: String::new(),
-            distinct: None,
-            description,
-        })
+        from = inner_start;
     }
+    None
+}
+
+/// `<int|float|str|bool>[, distinct=N]` as its dtype and count.
+fn annotation(inner: &str) -> Option<(&str, Option<usize>)> {
+    let (dtype, distinct) = match inner.split_once(", distinct=") {
+        Some((dtype, n)) => (dtype, Some(n.parse().ok()?)),
+        None => (inner, None),
+    };
+    matches!(dtype, "int" | "float" | "str" | "bool").then_some((dtype, distinct))
 }
 
 /// Split `Name (…): desc` into head and description, ignoring colons
 /// inside the parenthesized type annotation.
-fn split_head(body: &str) -> (&str, String) {
+fn split_head(body: &str) -> (&str, &str) {
     let mut depth = 0usize;
     for (i, c) in body.char_indices() {
         match c {
             '(' => depth += 1,
             ')' => depth = depth.saturating_sub(1),
-            ':' if depth == 0 => {
-                return (&body[..i], body[i + 1..].trim().to_string());
-            }
+            ':' if depth == 0 => return (&body[..i], body[i + 1..].trim()),
             _ => {}
         }
     }
-    (body, String::new())
+    (body, "")
 }
 
 /// Extract the quoted or brace-free value following a marker phrase, e.g.
@@ -322,6 +410,29 @@ mod tests {
         let ctx = PromptContext::parse(line);
         let f = ctx.feature("Ratio").unwrap();
         assert_eq!(f.description, "wins: losses ratio");
+    }
+
+    #[test]
+    fn names_may_hold_parentheses_and_colons() {
+        let card = "- Age (years) (int, distinct=47): Age of the policyholder\n\
+                    - Income: USD (float): yearly income\n\
+                    - Ratio (a:b) (float)\n\
+                    - Score (raw) (custom): old rule";
+        let ctx = PromptContext::parse(card);
+        let names: Vec<&str> = ctx.features.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["Age (years)", "Income: USD", "Ratio (a:b)", "Score"]
+        );
+        let age = &ctx.features[0];
+        assert_eq!((age.dtype.as_str(), age.distinct), ("int", Some(47)));
+        assert_eq!(age.description, "Age of the policyholder");
+        assert_eq!(ctx.features[1].description, "yearly income");
+        assert_eq!(ctx.features[2].dtype, "float");
+        assert!(ctx.features[2].description.is_empty());
+        // No ` (dtype)` annotation: the first `(` starts the dtype.
+        assert_eq!(ctx.features[3].dtype, "raw) (custom");
+        assert_eq!(ctx.features[3].description, "old rule");
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! swapped `HashMap` for `BTreeMap` to satisfy the determinism contract.
 //! It is deterministic by *construction*, not by sortedness:
 //!
-//! - the hash function is a fixed-seed FNV-1a with a SplitMix64-style
-//!   finalizer — no per-process `RandomState`, so probe sequences are
-//!   identical across runs, platforms, and thread counts;
+//! - the hash function is fixed-seed: bytes absorb by FNV-1a, a `u64`
+//!   word by one folded 128-bit multiply, and a SplitMix64-style
+//!   finalizer scrambles the state — no per-process `RandomState`, so
+//!   probe sequences are identical across runs, platforms, and thread
+//!   counts;
 //! - iteration walks the insertion-ordered entry vector, never the slot
 //!   table, so iteration order is the first-occurrence order of the keys
 //!   and cannot depend on hash values at all.
@@ -30,6 +32,8 @@ const EMPTY: u32 = u32::MAX;
 /// probe layout is this crate's, not literally FNV's.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x5EED_1DE3_2024_0006;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd multiplier of the folded word absorption.
+const FOLD_MUL: u64 = 0xa076_1d64_78bd_642f;
 
 /// Streaming fixed-seed hasher fed by [`StableHash`] implementations.
 #[derive(Debug, Clone)]
@@ -50,12 +54,15 @@ impl StableHasher {
         }
     }
 
-    /// Feed a u64 as 8 little-endian bytes.
+    /// Feed a u64 in one step: a 64×64→128-bit multiply whose halves
+    /// fold together by XOR. Unlike a plain xor-multiply, a flip of the
+    /// word's top bit also reaches the low half through the high one.
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let m = u128::from(self.state ^ v) * u128::from(FOLD_MUL);
+        self.state = (m as u64) ^ ((m >> 64) as u64);
     }
 
-    /// SplitMix64-style finalizer: scrambles the FNV state so low-entropy
+    /// SplitMix64-style finalizer: scrambles the state so low-entropy
     /// keys still spread across power-of-two tables.
     fn finish(&self) -> u64 {
         let mut z = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -433,6 +440,23 @@ mod tests {
         assert_eq!(hash_of("smartfeat"), hash_of("smartfeat"));
         assert_eq!(hash_of(&42i64), hash_of(&42i64));
         assert_ne!(hash_of("a"), hash_of("b"));
+    }
+
+    #[test]
+    fn word_pairs_with_flipped_top_bits_hash_apart() {
+        // (a, b) and (−a, −b) style keys differ only in both top bits; a
+        // plain xor-multiply word step maps them to one hash.
+        let mut rng = smartfeat_rng::Rng::seed_from_u64(7);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..10_000 {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            let top = 1u64 << 63;
+            assert!(seen.insert(hash_of(&(a, b))), "({a}, {b})");
+            assert!(
+                seen.insert(hash_of(&(a ^ top, b ^ top))),
+                "({a}, {b}) flipped"
+            );
+        }
     }
 
     #[test]

@@ -145,3 +145,55 @@ fn budget_exhaustion_surfaces_as_error() {
         .run(&ds.frame, &ds.agenda("RF"));
     assert!(result.is_err(), "3-call budget cannot finish a full run");
 }
+
+/// 300 rows of `age,income,city,label` data under the given header line.
+fn census_csv(header: &str) -> String {
+    let mut text = format!("{header}\n");
+    for i in 0..300u32 {
+        let age = 18 + (i * 7) % 60;
+        let income = 15_000 + (i * 3_517) % 90_000;
+        let city = ["SF", "LA", "NY", "Seattle", "Chicago"][(i % 5) as usize];
+        let label = u8::from(age > 40 && income > 50_000 || (i % 7 == 0));
+        text.push_str(&format!("{age},{income},{city},{label}\n"));
+    }
+    text
+}
+
+/// Per family, the kept count and the kinds of the kept transforms of a
+/// one-shot run over `csv`, with no column descriptions.
+fn family_kinds(csv: &str) -> std::collections::BTreeMap<&'static str, Vec<String>> {
+    let df = smartfeat_repro::frame::csv::read_csv_str(csv).expect("csv parses");
+    let agenda = DataAgenda::from_frame(&df, &[], "Label", "RF");
+    let selector = SimulatedFm::gpt4(42);
+    let generator = SimulatedFm::gpt35(43);
+    let report = SmartFeat::new(&selector, &generator, SmartFeatConfig::default())
+        .run(&df, &agenda)
+        .expect("pipeline runs");
+    let mut out: std::collections::BTreeMap<&'static str, Vec<String>> = Default::default();
+    for g in &report.generated {
+        let kind = g
+            .transform
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .next()
+            .unwrap_or_default();
+        out.entry(g.family.name())
+            .or_default()
+            .push(kind.to_string());
+    }
+    for kinds in out.values_mut() {
+        kinds.sort();
+    }
+    out
+}
+
+#[test]
+fn column_names_with_parentheses_and_colons_are_read_whole() {
+    // The data card annotates each name as `Name (dtype, distinct=N)`, so
+    // a name holding `(` or `:` must not be cut at it: the FM would then
+    // propose features on columns that do not exist.
+    let plain = family_kinds(&census_csv("Age,Income,City,Label"));
+    let marked = family_kinds(&census_csv("Age (years),Income: USD,City,Label"));
+    let kept: usize = plain.values().map(Vec::len).sum();
+    assert!(kept > 4, "{plain:?}");
+    assert_eq!(marked, plain);
+}

@@ -91,3 +91,64 @@ fn prompt_context_parser_total() {
         }
     });
 }
+
+/// Column names the memo property draws from: some recur across cards,
+/// and some hold `(` or `:` themselves.
+const CARD_NAMES: &[&str] = &[
+    "Age",
+    "Age (years)",
+    "Income: USD",
+    "City",
+    "FSW.1",
+    "Glucose",
+    "Ratio (a:b)",
+    "Make_Model",
+];
+
+/// Descriptions a recurring name may carry; empty is the names-only
+/// ablation.
+const CARD_DESCRIPTIONS: &[&str] = &[
+    "",
+    "age of the policyholder in years",
+    "yearly income in USD",
+    "city where the customer lives",
+    "plasma glucose concentration: fasting",
+    "wins (per season)",
+];
+
+/// Parsing through one warm concept memo equals a fresh parse, and every
+/// feature's concepts are exactly `knowledge::detect` of its name and
+/// description.
+#[test]
+fn warm_concept_memo_parses_like_a_fresh_one() {
+    use smartfeat_repro::fm::knowledge::detect;
+    use smartfeat_repro::fm::parse::{ConceptMemo, PromptContext};
+    check::cases(32, |rng| {
+        let mut memo = ConceptMemo::new();
+        for _ in 0..rng.gen_range(1..=6usize) {
+            let mut card = String::from("Dataset features:\n");
+            for _ in 0..rng.gen_range(1..=6usize) {
+                let name = CARD_NAMES[rng.gen_range(0..CARD_NAMES.len())];
+                let desc = CARD_DESCRIPTIONS[rng.gen_range(0..CARD_DESCRIPTIONS.len())];
+                let dtype = ["int", "float", "str", "bool"][rng.gen_range(0..4usize)];
+                card.push_str(&format!("- {name} ({dtype}"));
+                if rng.gen_bool(0.5) {
+                    card.push_str(&format!(", distinct={}", rng.gen_range(1..500usize)));
+                }
+                card.push(')');
+                if !desc.is_empty() {
+                    card.push_str(&format!(": {desc}"));
+                }
+                card.push('\n');
+            }
+            card.push_str("Prediction target: Label\n");
+            let warm = PromptContext::parse_with(&card, &mut memo);
+            let fresh = PromptContext::parse(&card);
+            assert_eq!(warm.features, fresh.features, "{card}");
+            for f in &warm.features {
+                assert!(CARD_NAMES.contains(&f.name.as_str()), "{card}");
+                assert_eq!(f.concepts(), detect(&f.name, &f.description), "{card}");
+            }
+        }
+    });
+}

@@ -10,13 +10,15 @@
 //!    model, identically at any thread count.
 //! 4. `SmartFeat::run` opens its own context: overlapping runs report the
 //!    same `pool`/`work` sections as the same runs one after another.
+//! 5. A run counts each FM call it was answered under its role,
+//!    `fm.selector` or `fm.generator`.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use smartfeat::{SearchStrategyKind, SmartFeat, SmartFeatConfig};
-use smartfeat_fm::SimulatedFm;
+use smartfeat::{build_role_fms, SearchStrategyKind, SmartFeat, SmartFeatConfig, SmartFeatReport};
+use smartfeat_fm::{FoundationModel, SimulatedFm};
 use smartfeat_frame::json::JsonValue;
 use smartfeat_ml::{
     evaluate_all_models, kfold_cv_auc, kfold_cv_auc_many, Classifier, ExtraTrees, Matrix,
@@ -37,6 +39,17 @@ fn counted(threads: usize, f: impl FnOnce()) -> (PoolStats, BTreeMap<&'static st
 /// Work counts only: the deterministic half of a tally.
 fn counts(work: &BTreeMap<&'static str, WorkStat>) -> BTreeMap<&'static str, u64> {
     work.iter().map(|(k, v)| (*k, v.count)).collect()
+}
+
+/// The work counts of a run's metrics report.
+fn work_counts(report: &SmartFeatReport) -> BTreeMap<String, u64> {
+    match report.metrics.get("work") {
+        Some(JsonValue::Object(fields)) => fields
+            .iter()
+            .map(|(name, count)| (name.clone(), count.as_u64().unwrap_or(0)))
+            .collect(),
+        other => panic!("no work section: {other:?}"),
+    }
 }
 
 /// A small separable classification problem.
@@ -338,13 +351,7 @@ fn run_work(
     let report = SmartFeat::new(&selector, &generator, config)
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs");
-    let work = match report.metrics.get("work") {
-        Some(JsonValue::Object(fields)) => fields
-            .iter()
-            .map(|(name, count)| (name.clone(), count.as_u64().unwrap_or(0)))
-            .collect(),
-        other => panic!("no work section: {other:?}"),
-    };
+    let work = work_counts(&report);
     let features = report
         .new_feature_names()
         .into_iter()
@@ -472,13 +479,7 @@ fn run_tally(threads: usize) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
             .run(&ds.frame, &ds.agenda("RF"))
             .expect("pipeline runs")
     });
-    let work = match report.metrics.get("work") {
-        Some(JsonValue::Object(fields)) => fields
-            .iter()
-            .map(|(name, count)| (name.clone(), count.as_u64().unwrap_or(0)))
-            .collect(),
-        other => panic!("no work section: {other:?}"),
-    };
+    let work = work_counts(&report);
     let mut trace: BTreeMap<String, u64> = BTreeMap::new();
     for line in report.trace.lines() {
         let event = JsonValue::parse(line).expect("trace line parses");
@@ -525,5 +526,62 @@ fn transform_and_evaluation_work_is_counted_per_application() {
     assert_eq!(work["agenda.cardinality"], kept, "one per kept column");
     for threads in [4usize, 8] {
         assert_eq!(run_tally(threads).0, work, "{threads} threads");
+    }
+}
+
+/// Per role (selector, then generator) of a run of `config` at `threads`
+/// threads: its `fm.*` work count, its meter calls and its escalations.
+fn fm_tally(config: &SmartFeatConfig, threads: usize) -> [(u64, usize, usize); 2] {
+    let ds = smartfeat_datasets::insurance::generate(80, 5);
+    let (selector, generator) = build_role_fms(config);
+    let report = smartfeat_par::within(threads, || {
+        SmartFeat::new(&selector, &generator, config.clone())
+            .run(&ds.frame, &ds.agenda("RF"))
+            .expect("pipeline runs")
+    });
+    let work = work_counts(&report);
+    let escalations = |fm: &dyn FoundationModel| -> usize {
+        fm.routing()
+            .unwrap_or_default()
+            .values()
+            .map(|s| s.escalations)
+            .sum()
+    };
+    [
+        (
+            work["fm.selector"],
+            report.selector_usage.calls,
+            escalations(&*selector),
+        ),
+        (
+            work["fm.generator"],
+            report.generator_usage.calls,
+            escalations(&*generator),
+        ),
+    ]
+}
+
+#[test]
+fn fm_work_counts_each_answered_call_per_role() {
+    let single = SmartFeatConfig::default();
+    let mut cascade = SmartFeatConfig::default();
+    cascade.cascade.enabled = true;
+    for (label, config) in [("single", single), ("cascade", cascade)] {
+        let tally = fm_tally(&config, 1);
+        for (count, calls, escalations) in tally {
+            assert!(count > 0, "{label}: {tally:?}");
+            // The meter bills every rung a cascade call climbs; the run
+            // counts the one answer it got back.
+            assert_eq!(count as usize, calls - escalations, "{label}: {tally:?}");
+        }
+        let escalated: usize = tally.iter().map(|t| t.2).sum();
+        assert_eq!(escalated > 0, label == "cascade", "{tally:?}");
+        for threads in [4usize, 8] {
+            assert_eq!(
+                fm_tally(&config, threads),
+                tally,
+                "{label}, {threads} threads"
+            );
+        }
     }
 }
