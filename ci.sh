@@ -115,13 +115,35 @@ step_examples() {
   # The other steps only compile the examples. They drive the public API
   # end to end (strategy_frontier runs all four search strategies,
   # cascade_frontier the cascade) and feed EXPERIMENTS.md tables, so each
-  # one must also run to a zero exit.
+  # one must also run to a zero exit. The two frontier examples read no
+  # clock, so their stdout must also equal tests/golden/<name>.txt byte
+  # for byte; strategy_frontier is checked at 1 and 4 threads.
   echo "==> examples: run every example in release mode"
-  local f
+  local f name threads out
+  out=$(mktemp)
   for f in examples/*.rs; do
-    echo "    $(basename "$f" .rs)"
-    cargo run -q --release --offline --example "$(basename "$f" .rs)" > /dev/null
+    name=$(basename "$f" .rs)
+    case "$name" in
+      strategy_frontier) threads="1 4" ;;
+      cascade_frontier) threads="1" ;;
+      *) threads="" ;;
+    esac
+    if [ -z "$threads" ]; then
+      echo "    $name"
+      cargo run -q --release --offline --example "$name" > /dev/null
+      continue
+    fi
+    for t in $threads; do
+      echo "    $name (SMARTFEAT_THREADS=$t, diffed against tests/golden/$name.txt)"
+      SMARTFEAT_THREADS=$t cargo run -q --release --offline --example "$name" > "$out"
+      if ! diff -u "tests/golden/$name.txt" "$out"; then
+        echo "    ERROR: $name stdout differs from tests/golden/$name.txt" >&2
+        rm -f "$out"
+        exit 1
+      fi
+    done
   done
+  rm -f "$out"
 }
 
 step_perf() {
