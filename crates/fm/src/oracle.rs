@@ -172,7 +172,8 @@ struct OracleState {
     rng: Rng,
     last_text: Option<String>,
     calls: usize,
-    /// Each card feature's concepts, detected once per model.
+    /// Each card feature's concepts, detected once per model on the
+    /// first answer that reads them.
     concepts: ConceptMemo,
 }
 
@@ -221,7 +222,7 @@ impl SimulatedFm {
         )
     }
 
-    fn answer(&self, prompt: &str, rng: &mut Rng, concepts: &mut ConceptMemo) -> String {
+    fn answer(&self, prompt: &str, rng: &mut Rng, concepts: &ConceptMemo) -> String {
         let ctx = PromptContext::parse_with(prompt, concepts);
         let kind = prompt_kind(prompt);
         let text = match kind {
@@ -1371,13 +1372,48 @@ mod tests {
         assert_eq!(fm.meter().snapshot().calls, prompts.len());
         // Five card features, each detected once across 13 prompts.
         assert_eq!(fm.state.borrow().concepts.len(), 5);
-        fm.complete("Dataset features:\n- Age (int): age of the driver\nhello")
-            .unwrap();
+        fm.complete(
+            "Dataset features:\n- Age (int): age of the driver\n\
+             Consider the unary operators on the attribute 'Age'.",
+        )
+        .unwrap();
         assert_eq!(
             fm.state.borrow().concepts.len(),
             6,
             "a new description is a new pair"
         );
+    }
+
+    #[test]
+    fn generator_detects_only_the_columns_it_reads() {
+        let fm = SimulatedFm::gpt35(42);
+        let funcgen = |name: &str, column: &str, hint: &str| {
+            format!(
+                "{CARD}Provide an executable transformation function for the feature '{name}'.\n\
+                 Feature name: {name}\n\
+                 Relevant columns: {column}\n\
+                 Feature description: derived from {column}\n\
+                 Operator hint: {hint}\n"
+            )
+        };
+        // Only bucketize reads its input column's concepts.
+        for (name, column, hint) in [
+            ("Normalized_Claim", "Claim", "normalize"),
+            ("Dummies_City", "City", "dummies"),
+            ("Log_Age_of_car", "Age_of_car", "log"),
+        ] {
+            fm.complete(&funcgen(name, column, hint)).unwrap();
+        }
+        assert!(fm.state.borrow().concepts.is_empty());
+        let bucketize = funcgen("Bucketized_Age", "Age", "bucketize");
+        for _ in 0..3 {
+            let r = fm.complete(&bucketize).unwrap();
+            assert!(r.text.contains("boundaries=18,21"), "{}", r.text);
+        }
+        // Of the five card features, only `Age` was read, and it was
+        // detected once.
+        assert_eq!(fm.state.borrow().concepts.len(), 1);
+        assert_eq!(fm.meter().snapshot().calls, 6);
     }
 
     #[test]

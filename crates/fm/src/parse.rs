@@ -8,13 +8,14 @@
 //! structure the oracle answers unhelpfully — exactly what a real model
 //! does when under-prompted.
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::knowledge::{detect, Concept};
 
 /// One feature as described inside a prompt's data card.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FeatureInfo {
     /// Column name.
     pub name: String,
@@ -24,19 +25,36 @@ pub struct FeatureInfo {
     pub distinct: Option<usize>,
     /// Free-text description (may be empty for the names-only ablation).
     pub description: String,
-    /// `detect(name, description)`, filled once by the parse.
-    concepts: Rc<[Concept]>,
+    /// The memo's entry for `(name, description)`, looked up on the first
+    /// [`FeatureInfo::concepts`] call.
+    concepts: OnceCell<Rc<[Concept]>>,
+    memo: ConceptMemo,
 }
 
-/// Concepts per (name, description) pair, detected once and shared by
-/// every later parse that reads the same pair. [`detect`] is a pure
-/// function of the pair, so a hit returns exactly what a fresh detection
-/// would. A [`crate::SimulatedFm`] keeps one memo for its lifetime.
-#[derive(Debug, Default)]
-pub struct ConceptMemo {
-    // By name, then by description: a hit looks both up by `&str`.
-    by_name: BTreeMap<String, BTreeMap<String, Rc<[Concept]>>>,
+/// Two cards' features are equal when their card lines are: the concepts
+/// are a function of the name and description.
+impl PartialEq for FeatureInfo {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.dtype == other.dtype
+            && self.distinct == other.distinct
+            && self.description == other.description
+    }
 }
+
+/// Concepts per (name, description) pair, detected the first time an
+/// answer reads them and shared by every later read of the same pair.
+/// [`detect`] is a pure function of the pair, so a hit returns exactly
+/// what a fresh detection would. Clones share one table: a
+/// [`crate::SimulatedFm`] keeps one memo for its lifetime, and each
+/// parsed [`FeatureInfo`] holds a handle to it.
+#[derive(Debug, Clone, Default)]
+pub struct ConceptMemo {
+    by_name: Rc<RefCell<ByName>>,
+}
+
+/// Concepts by name, then by description: a hit looks both up by `&str`.
+type ByName = BTreeMap<String, BTreeMap<String, Rc<[Concept]>>>;
 
 impl ConceptMemo {
     /// An empty memo.
@@ -45,12 +63,13 @@ impl ConceptMemo {
     }
 
     /// The concepts of `(name, description)`, detected on first sight.
-    pub fn concepts(&mut self, name: &str, description: &str) -> Rc<[Concept]> {
-        if let Some(found) = self.by_name.get(name).and_then(|d| d.get(description)) {
+    pub fn concepts(&self, name: &str, description: &str) -> Rc<[Concept]> {
+        let mut by_name = self.by_name.borrow_mut();
+        if let Some(found) = by_name.get(name).and_then(|d| d.get(description)) {
             return Rc::clone(found);
         }
         let found: Rc<[Concept]> = detect(name, description).into();
-        self.by_name
+        by_name
             .entry(name.to_string())
             .or_default()
             .insert(description.to_string(), Rc::clone(&found));
@@ -59,19 +78,22 @@ impl ConceptMemo {
 
     /// Number of distinct (name, description) pairs detected so far.
     pub fn len(&self) -> usize {
-        self.by_name.values().map(BTreeMap::len).sum()
+        self.by_name.borrow().values().map(BTreeMap::len).sum()
     }
 
     /// True if nothing was detected yet.
     pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
+        self.by_name.borrow().is_empty()
     }
 }
 
 impl FeatureInfo {
-    /// Concepts the simulated model associates with this feature.
+    /// Concepts the simulated model associates with this feature: the
+    /// memo's entry for its name and description, detected on the first
+    /// read of the pair.
     pub fn concepts(&self) -> &[Concept] {
-        &self.concepts
+        self.concepts
+            .get_or_init(|| self.memo.concepts(&self.name, &self.description))
     }
 
     /// True if the declared type is numeric.
@@ -171,12 +193,13 @@ impl PromptContext {
     /// at the first `:` outside parentheses, and a `(` there starts the
     /// dtype.
     pub fn parse(prompt: &str) -> PromptContext {
-        PromptContext::parse_with(prompt, &mut ConceptMemo::new())
+        PromptContext::parse_with(prompt, &ConceptMemo::new())
     }
 
     /// [`PromptContext::parse`], taking each feature's concepts from
-    /// `memo`.
-    pub fn parse_with(prompt: &str, memo: &mut ConceptMemo) -> PromptContext {
+    /// `memo` when an answer first reads them. A feature no answer reads
+    /// is never detected.
+    pub fn parse_with(prompt: &str, memo: &ConceptMemo) -> PromptContext {
         let mut ctx = PromptContext::default();
         for line in prompt.lines() {
             let line = line.trim();
@@ -197,7 +220,8 @@ impl PromptContext {
                     dtype: dtype.to_string(),
                     distinct,
                     description: description.to_string(),
-                    concepts: memo.concepts(name, description),
+                    concepts: OnceCell::new(),
+                    memo: memo.clone(),
                 });
             }
         }

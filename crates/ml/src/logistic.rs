@@ -6,6 +6,7 @@ use crate::matrix::{dot, Matrix};
 use crate::model::Classifier;
 use smartfeat_frame::{StableHash, StableHasher, StableMap};
 use std::ops::Range;
+use std::slice;
 
 /// L2-regularized logistic regression.
 ///
@@ -14,7 +15,8 @@ use std::ops::Range;
 /// rows with equal bit patterns share one probability. The gradient is
 /// still summed over every row in row order, a block of columns per row
 /// pass with the sums in locals, so the fitted weights are bit-identical
-/// to a per-row loop.
+/// to a per-row loop. One-column fits take a fused arm with the same
+/// arithmetic: one pass over the rows per iteration, no error buffer.
 #[derive(Debug, Clone)]
 pub struct LogisticRegression {
     /// Learning rate.
@@ -74,20 +76,32 @@ impl LogisticRegression {
         if !x.is_finite() {
             return Err(MlError::NonFinite("training features"));
         }
+        let (codes, reps) = distinct_rows(x);
+        if x.cols() == 1 {
+            self.descend_one_column(x.as_slice(), y, &codes, &reps);
+        } else {
+            self.descend(x, y, &codes, &reps);
+        }
+        self.fitted = true;
+        Ok(())
+    }
+
+    /// Gradient descent over any number of columns: the sigmoid once per
+    /// distinct row, then the gradient over every row by [`sum_gradient`].
+    fn descend(&mut self, x: &Matrix, y: &[u8], codes: &[u32], reps: &[usize]) {
         let n = x.rows();
         let d = x.cols();
         let inv_n = 1.0 / n as f64;
         self.weights = vec![0.0; d];
         self.bias = 0.0;
         let mut grad = vec![0.0; d];
-        let (codes, reps) = distinct_rows(x);
         let mut probs = vec![0.0; reps.len()];
         let mut err = vec![0.0; n];
         for _ in 0..self.max_iter {
-            for (p, &r) in probs.iter_mut().zip(&reps) {
+            for (p, &r) in probs.iter_mut().zip(reps) {
                 *p = sigmoid(dot(x.row(r), &self.weights) + self.bias);
             }
-            for ((e, &label), &c) in err.iter_mut().zip(y).zip(&codes) {
+            for ((e, &label), &c) in err.iter_mut().zip(y).zip(codes) {
                 *e = probs[c as usize] - f64::from(label);
             }
             let mut grad_b = sum_gradient(x, &err, &mut grad);
@@ -106,8 +120,44 @@ impl LogisticRegression {
                 break;
             }
         }
-        self.fitted = true;
-        Ok(())
+    }
+
+    /// [`Self::descend`] for one column `xs` (the search scorer's fits),
+    /// with the weight and bias in scalars. The distinct values sit in one
+    /// contiguous vector, and one pass over the rows forms each row's error
+    /// `probs[code] - y` and adds it to both gradient sums, with no error
+    /// buffer. Every operation is the general loop's, in the same order:
+    /// `z` is [`dot`] of the one-cell row (so a zero product keeps the
+    /// sign `dot` gives it), both sums start at `0.0` and add their terms
+    /// in row order with a plain multiply and add, and the norm starts
+    /// from `0.0 + g²`, which equals `g²` because a square is never
+    /// `-0.0`. So the weight and bias are bit-identical to [`Self::descend`]'s.
+    fn descend_one_column(&mut self, xs: &[f64], y: &[u8], codes: &[u32], reps: &[usize]) {
+        let inv_n = 1.0 / xs.len() as f64;
+        let values: Vec<f64> = reps.iter().map(|&r| xs[r]).collect();
+        let mut probs = vec![0.0; values.len()];
+        let (mut w, mut b) = (0.0, 0.0);
+        for _ in 0..self.max_iter {
+            for (p, v) in probs.iter_mut().zip(&values) {
+                *p = sigmoid(dot(slice::from_ref(v), slice::from_ref(&w)) + b);
+            }
+            let (mut g, mut g_b) = (0.0, 0.0);
+            for ((&v, &label), &c) in xs.iter().zip(y).zip(codes) {
+                let e = probs[c as usize] - f64::from(label);
+                g += e * v;
+                g_b += e;
+            }
+            g = g * inv_n + self.l2 * w;
+            g_b *= inv_n;
+            let norm = g * g + g_b * g_b;
+            w -= self.learning_rate * g;
+            b -= self.learning_rate * g_b;
+            if norm.sqrt() < self.tol {
+                break;
+            }
+        }
+        self.weights = vec![w];
+        self.bias = b;
     }
 }
 

@@ -124,7 +124,7 @@ fn warm_concept_memo_parses_like_a_fresh_one() {
     use smartfeat_repro::fm::knowledge::detect;
     use smartfeat_repro::fm::parse::{ConceptMemo, PromptContext};
     check::cases(32, |rng| {
-        let mut memo = ConceptMemo::new();
+        let memo = ConceptMemo::new();
         for _ in 0..rng.gen_range(1..=6usize) {
             let mut card = String::from("Dataset features:\n");
             for _ in 0..rng.gen_range(1..=6usize) {
@@ -142,7 +142,7 @@ fn warm_concept_memo_parses_like_a_fresh_one() {
                 card.push('\n');
             }
             card.push_str("Prediction target: Label\n");
-            let warm = PromptContext::parse_with(&card, &mut memo);
+            let warm = PromptContext::parse_with(&card, &memo);
             let fresh = PromptContext::parse(&card);
             assert_eq!(warm.features, fresh.features, "{card}");
             for f in &warm.features {

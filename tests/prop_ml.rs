@@ -185,9 +185,11 @@ fn rows_from_pool(rng: &mut Rng, pool: &[Vec<f64>], n: usize) -> Matrix {
 
 /// Widths that cover every gradient lane-block shape (16 columns per
 /// block): no columns, so only the bias trains (0), a lone partial block
-/// (1–9, 12, 15), one full block (16), a full block plus a tail (17),
+/// (2–9, 12, 15), one full block (16), a full block plus a tail (17),
 /// several full blocks plus a tail (37), and rows wide enough that a fit
-/// spans several row tiles (600 columns give 27-row tiles).
+/// spans several row tiles (600 columns give 27-row tiles). One column
+/// (1) reaches no lane block: it takes the one-column arm, and stays here
+/// as that arm's small-n case.
 const LANE_WIDTHS: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 37, 600];
 
 #[test]
@@ -250,7 +252,8 @@ fn logistic_regression_matches_per_row_reference_bit_for_bit() {
                 rows_from_pool(rng, &pool, n)
             }
         };
-        let iters = assert_fit_matches_reference(&mut lr, &x, rng, shape);
+        let y = labels(rng, x.rows(), 0.5);
+        let iters = assert_fit_matches_reference(&mut lr, &x, &y, shape);
         if shape == 5 {
             assert!(iters < lr.max_iter, "early stop never fired");
         }
@@ -283,25 +286,70 @@ fn logistic_regression_matches_per_row_reference_bit_for_bit() {
             assert_eq!(lr.fit(&x, &[1]), Err(MlError::SingleClass), "d = {d}");
             return;
         }
-        assert_fit_matches_reference(&mut lr, &x, rng, d as u32);
+        let y = labels(rng, n, 0.5);
+        assert_fit_matches_reference(&mut lr, &x, &y, d as u32);
+    });
+    // The search scorer's fits: one standardized column of 500–4,000
+    // rows holding 1 to n distinct values, 5–50% positives, the default
+    // `max_iter` and `tol` (or no iterations at all), and planted `±0.0`,
+    // the standardizer's `±1e6` clamp bounds and subnormals.
+    check::cases(24, |rng| {
+        let mut lr = LogisticRegression::default_params();
+        if rng.gen_bool(0.15) {
+            lr.max_iter = 0;
+        }
+        let n = rng.gen_range(500..=4000usize);
+        let k = match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(1..=3usize),
+            1 => rng.gen_range(4..=n / 8),
+            2 => rng.gen_range(n / 8..=n / 2),
+            _ => n,
+        };
+        let planted = [
+            0.0,
+            -0.0,
+            1e6,
+            -1e6,
+            5e-324,
+            -2.5e-310,
+            f64::MIN_POSITIVE / 8.0,
+        ];
+        let mut pool: Vec<f64> = (0..k).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        for _ in 0..rng.gen_range(0..=4usize) {
+            pool[rng.gen_range(0..k)] = planted[rng.gen_range(0..planted.len())];
+        }
+        let cells: Vec<f64> = if k == n {
+            pool
+        } else {
+            (0..n).map(|_| pool[rng.gen_range(0..k)]).collect()
+        };
+        let x = Matrix::new(cells, n, 1).unwrap();
+        let share = rng.gen_range(0.05..0.5);
+        let y = labels(rng, n, share);
+        assert_fit_matches_reference(&mut lr, &x, &y, 100 + k as u32);
     });
 }
 
-/// Fit `lr` on `x` with random labels holding both classes and assert its
-/// weights, bias and probabilities are bit-equal to [`reference_lr`]'s.
-/// Returns the reference's iteration count.
+/// `n` labels, each positive with probability `share`, with rows 0 and 1
+/// holding both classes as `fit` requires.
+fn labels(rng: &mut Rng, n: usize, share: f64) -> Vec<u8> {
+    let mut y: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_f64() < share)).collect();
+    y[0] = 0;
+    y[1] = 1;
+    y
+}
+
+/// Fit `lr` on `x` and `y` and assert its weights, bias and probabilities
+/// are bit-equal to [`reference_lr`]'s. Returns the reference's iteration
+/// count.
 fn assert_fit_matches_reference(
     lr: &mut LogisticRegression,
     x: &Matrix,
-    rng: &mut Rng,
+    y: &[u8],
     case: u32,
 ) -> usize {
-    // Both classes present, as `fit` requires.
-    let mut y: Vec<u8> = (0..x.rows()).map(|_| rng.gen_range(0..2u8)).collect();
-    y[0] = 0;
-    y[1] = 1;
-    let (weights, bias, iters) = reference_lr(lr, x, &y);
-    lr.fit(x, &y).unwrap();
+    let (weights, bias, iters) = reference_lr(lr, x, y);
+    lr.fit(x, y).unwrap();
     assert_eq!(bits(lr.weights()), bits(&weights), "case {case}");
     assert_eq!(lr.bias().to_bits(), bias.to_bits(), "case {case}");
     let expected: Vec<f64> = (0..x.rows())
