@@ -90,7 +90,7 @@ step_artifacts() {
     exit 1
   fi
   # The commit's duplicate checks and each transform kind are counted
-  # under `work`, so the split of realize.transforms and stage.evaluate
+  # under `work`, so the split of realize.fm_walk and stage.evaluate
   # cannot silently disappear.
   if ! grep -q '"work":{[^}]*"evaluate.check"' ci-artifacts/metrics-wall.json; then
     echo "    ERROR: wall-mode metrics lack evaluate.check work" >&2

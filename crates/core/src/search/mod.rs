@@ -32,8 +32,8 @@
 //! count. The obligations (DESIGN.md §13):
 //!
 //! - FM calls, sampling decisions, and event emission happen only on the
-//!   serial control path; parallelism stays inside `SearchCtx::realize`
-//!   and the CV scorer, both of which are ordered and thread-invariant.
+//!   serial control path; parallelism stays inside the CV scorer, which
+//!   is ordered and thread-invariant.
 //! - Randomness comes from [`smartfeat_rng::Rng`] streams derived from
 //!   `config.seed` via [`smartfeat_rng::seed_jump`], one
 //!   [`smartfeat_rng::Stream`] per purpose: `Stream::Score` for the
@@ -88,18 +88,16 @@ pub(crate) enum Drawn {
     },
 }
 
-/// One candidate's progress through [`SearchCtx::realize`]'s serial
-/// FM stage, before the parallel transform stage fills the gaps.
+/// One candidate's outcome from [`SearchCtx::realize`]'s FM walk, held
+/// for the commit pass.
 enum Staged {
     /// Generation failed or yielded only a source suggestion; the skip (or
     /// suggestion) entry is already recorded. Nothing left to do.
     Rejected,
-    /// A pure transform waiting on the parallel execution stage.
-    Pending,
     /// Transform execution failed; the skip entry is recorded by the
-    /// commit stage so report order follows candidate order.
+    /// commit pass so report order follows candidate order.
     Failed(String),
-    /// Columns ready for the serial filter-and-commit stage.
+    /// Columns ready for the commit pass.
     Ready {
         func: TransformFunction,
         columns: Vec<Column>,
@@ -210,9 +208,8 @@ impl SearchCtx<'_, '_> {
 
     /// Run the proposal strategy on original attribute `attr`: one
     /// selector call, candidates already seen dropped, the rest realized
-    /// as one batch (their pure transforms run concurrently on the pool).
-    /// `attr` counts as unary-transformed once any column is kept.
-    /// Returns the kept column names.
+    /// as one batch. `attr` counts as unary-transformed once any column
+    /// is kept. Returns the kept column names.
     pub(crate) fn propose_for(&mut self, attr: &str) -> Result<Vec<String>> {
         let select_span = self.state.rec.span("stage.select");
         let candidates = self.selector.propose_unary(&self.state.agenda, attr)?;
@@ -328,30 +325,25 @@ impl SearchCtx<'_, '_> {
     /// evolutionary) can evaluate and prune exactly what each candidate
     /// contributed.
     ///
-    /// Three stages keep the output bit-identical for every thread count:
+    /// Two serial passes, both in candidate order:
     ///
-    /// 1. **Serial FM walk** in candidate order — one generation
-    ///    round-trip per candidate, with FM-backed transforms (row
-    ///    completion) executed inline, so the generator FM's call sequence
-    ///    is a pure function of the candidate list and the oracle's state
-    ///    machine never observes the thread count.
-    /// 2. **Parallel pure transforms** — the remaining functions touch no
-    ///    FM and read only columns that predate the batch, so they run
-    ///    concurrently on the pool against the frame as it stood at batch
-    ///    start. Transforms read through the frame's zero-copy column
-    ///    views (`NumericView` / `KeysView`) instead of materialising
+    /// 1. **FM walk** — one generation round-trip per candidate, then the
+    ///    function runs at once against the frame as it stood at batch
+    ///    start (row completion calls the generator FM from here). The
+    ///    generation prompt renders the whole agenda, so nothing is
+    ///    committed until every candidate of the batch is generated.
+    ///    Transforms read through the frame's zero-copy column views
+    ///    (`NumericView` / `KeysView`) instead of materialising
     ///    per-candidate copies of the input columns.
-    /// 3. **Serial in-order commit** — filtering and attachment walk the
-    ///    candidates in order against the live frame, so duplicate
-    ///    detection sees earlier batch survivors exactly as a serial
-    ///    pipeline would, and report/agenda order never changes.
+    /// 2. **Commit** — filtering and attachment against the live frame, so
+    ///    duplicate detection sees earlier batch survivors and report and
+    ///    agenda order follow the candidates.
     pub(crate) fn realize(&mut self, cands: &[Candidate]) -> Result<Vec<Vec<String>>> {
         let (generator, state) = (self.generator, &mut *self.state);
-        // Stage 1: serial FM walk.
+        // Pass 1: generate and apply each function.
         let fm_walk_span = state.rec.span("realize.fm_walk");
         let mut staged: Vec<Staged> = Vec::with_capacity(cands.len());
-        let mut pure: Vec<(usize, TransformFunction)> = Vec::new();
-        for (i, cand) in cands.iter().enumerate() {
+        for cand in cands {
             state.rec.family(cand.family.name(), |f| f.candidates += 1);
             let generated = match generator.generate(&state.agenda, cand) {
                 Ok(g) => g,
@@ -382,39 +374,16 @@ impl SearchCtx<'_, '_> {
                     continue;
                 }
             };
-            if func.needs_fm() {
-                let applied =
-                    transform::apply(&func, &state.frame, &cand.name, Some(self.sf.generator_fm));
-                staged.push(match applied {
+            staged.push(
+                match transform::apply(&func, &state.frame, &cand.name, self.sf.generator_fm) {
                     Ok(columns) => Staged::Ready { func, columns },
                     Err(e) => Staged::Failed(e.to_string()),
-                });
-            } else {
-                staged.push(Staged::Pending);
-                pure.push((i, func));
-            }
+                },
+            );
         }
         drop(fm_walk_span);
 
-        // Stage 2: parallel pure transforms. No events are emitted from
-        // the pool closures — only the span around the whole stage, from
-        // this serial frame (see the obs determinism contract).
-        let transforms_span = state.rec.span("realize.transforms");
-        let frame = &state.frame;
-        let threads = smartfeat_par::resolve_threads(0);
-        let applied = smartfeat_par::par_map_indexed(threads, pure.len(), |j| {
-            let (i, func) = &pure[j];
-            transform::apply(func, frame, &cands[*i].name, None)
-        });
-        for ((i, func), result) in pure.into_iter().zip(applied) {
-            staged[i] = match result {
-                Ok(columns) => Staged::Ready { func, columns },
-                Err(e) => Staged::Failed(e.to_string()),
-            };
-        }
-        drop(transforms_span);
-
-        // Stage 3: serial in-order filter and commit.
+        // Pass 2: in-order filter and commit.
         let commit_span = state.rec.span("realize.commit");
         let mut accepted: Vec<Vec<String>> = Vec::with_capacity(cands.len());
         for (cand, slot) in cands.iter().zip(staged) {
@@ -423,8 +392,6 @@ impl SearchCtx<'_, '_> {
                     accepted.push(Vec::new());
                     continue;
                 }
-                // sfcheck:allow(panic-hygiene, panic-reachability) invariant: the loop above resolves every Pending
-                Staged::Pending => unreachable!("stage 2 fills every pending slot"),
                 Staged::Failed(msg) => {
                     state.skipped.push(SkippedFeature::new(
                         &cand.name,

@@ -153,11 +153,6 @@ impl TransformFunction {
         }
     }
 
-    /// True if execution requires an FM handle.
-    pub fn needs_fm(&self) -> bool {
-        matches!(self, TransformFunction::RowCompletion { .. })
-    }
-
     /// The name [`apply`] records this transform's work under in the run's
     /// work tally: `transform.<kind>`.
     pub fn work_name(&self) -> &'static str {
@@ -184,13 +179,12 @@ impl TransformFunction {
 /// key cardinality [`ROW_COMPLETION_MAX_DISTINCT`] bounds (cost guard).
 ///
 /// Each call, failed or not, counts once under
-/// [`TransformFunction::work_name`] in the run's work tally. That is safe
-/// on pool workers, so it holds on every path that applies a transform.
+/// [`TransformFunction::work_name`] in the run's work tally.
 pub fn apply(
     t: &TransformFunction,
     df: &DataFrame,
     out_name: &str,
-    fm: Option<&dyn FoundationModel>,
+    fm: &dyn FoundationModel,
 ) -> Result<Vec<Column>> {
     smartfeat_obs::global::time(t.work_name(), || apply_untimed(t, df, out_name, fm))
 }
@@ -199,7 +193,7 @@ fn apply_untimed(
     t: &TransformFunction,
     df: &DataFrame,
     out_name: &str,
-    fm: Option<&dyn FoundationModel>,
+    fm: &dyn FoundationModel,
 ) -> Result<Vec<Column>> {
     for c in t.input_columns() {
         if !df.has_column(c) {
@@ -299,9 +293,6 @@ fn apply_untimed(
             Ok(vec![Column::from_floats(out_name, data)])
         }
         TransformFunction::RowCompletion { key_cols, .. } => {
-            let fm = fm.ok_or_else(|| {
-                CoreError::RowCompletionUnavailable("no foundation model handle provided".into())
-            })?;
             row_completion(df, key_cols, out_name, fm)
         }
     }
@@ -390,13 +381,22 @@ mod tests {
         .unwrap()
     }
 
+    /// [`apply`] for a closed-form transform: the FM handle it is given
+    /// answers no call.
+    fn apply_pure(t: &TransformFunction, df: &DataFrame, out_name: &str) -> Result<Vec<Column>> {
+        let fm = SimulatedFm::gpt35(0);
+        let out = apply(t, df, out_name, &fm);
+        assert_eq!(fm.meter().snapshot().calls, 0, "{t:?} called the FM");
+        out
+    }
+
     #[test]
     fn bucketize_given() {
         let t = TransformFunction::Bucketize {
             col: "Age".into(),
             boundaries: Boundaries::Given(vec![21.0, 45.0, 65.0]),
         };
-        let out = apply(&t, &frame(), "Bucketized_Age", None).unwrap();
+        let out = apply_pure(&t, &frame(), "Bucketized_Age").unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), Value::Int(0));
         assert_eq!(out[0].get(3), Value::Int(3));
@@ -408,7 +408,7 @@ mod tests {
             col: "Age".into(),
             boundaries: Boundaries::Auto,
         };
-        let out = apply(&t, &frame(), "b", None).unwrap();
+        let out = apply_pure(&t, &frame(), "b").unwrap();
         // Quartiles of a 4-value column give ≥ 3 distinct buckets.
         assert!(out[0].cardinality() >= 3, "{:?}", out[0]);
         assert_eq!(out[0].null_count(), 0);
@@ -422,7 +422,7 @@ mod tests {
             scale: -1.0,
             offset: 2024.0,
         };
-        let out = apply(&t, &frame(), "Manufacturing_year", None).unwrap();
+        let out = apply_pure(&t, &frame(), "Manufacturing_year").unwrap();
         assert_eq!(out[0].get(0), Value::Float(2018.0));
         assert_eq!(out[0].get(3), Value::Float(2010.0));
     }
@@ -434,7 +434,7 @@ mod tests {
             agg_col: "Claim".into(),
             func: AggFunc::Mean,
         };
-        let out = apply(&t, &frame(), "GroupBy_City_mean_Claim", None).unwrap();
+        let out = apply_pure(&t, &frame(), "GroupBy_City_mean_Claim").unwrap();
         assert_eq!(out[0].get(0), Value::Float(1.0)); // SF: both claims
         assert_eq!(out[0].get(1), Value::Float(0.0));
     }
@@ -451,7 +451,7 @@ mod tests {
             weights: vec![1.0, -1.0],
             normalize: false,
         };
-        let out = apply(&t, &df, "idx", None).unwrap();
+        let out = apply_pure(&t, &df, "idx").unwrap();
         assert_eq!(out[0].get(0), Value::Float(-1.0));
         assert!(out[0].is_null(1));
     }
@@ -464,7 +464,7 @@ mod tests {
             normalize: false,
         };
         assert!(matches!(
-            apply(&t, &frame(), "x", None),
+            apply_pure(&t, &frame(), "x"),
             Err(CoreError::InvalidTransform(_))
         ));
     }
@@ -476,7 +476,7 @@ mod tests {
             kind: NormKind::MinMax,
         };
         assert!(matches!(
-            apply(&t, &frame(), "x", None),
+            apply_pure(&t, &frame(), "x"),
             Err(CoreError::MissingColumn(_))
         ));
     }
@@ -489,24 +489,12 @@ mod tests {
             key_cols: vec!["City".into()],
             knowledge: "city_population_density".into(),
         };
-        let out = apply(&t, &frame(), "City_population_density", Some(&fm)).unwrap();
+        let out = apply(&t, &frame(), "City_population_density", &fm).unwrap();
         assert_eq!(out[0].get(0), Value::Float(7272.0)); // SF
         assert_eq!(out[0].get(1), Value::Float(3276.0)); // LA
         assert_eq!(out[0].get(2), Value::Float(3608.0)); // SEA
         assert_eq!(out[0].get(3), Value::Float(7272.0)); // SF again, cached
         assert_eq!(fm.meter().snapshot().calls, 3, "distinct-value caching");
-    }
-
-    #[test]
-    fn row_completion_requires_fm() {
-        let t = TransformFunction::RowCompletion {
-            key_cols: vec!["City".into()],
-            knowledge: "city_population_density".into(),
-        };
-        assert!(matches!(
-            apply(&t, &frame(), "x", None),
-            Err(CoreError::RowCompletionUnavailable(_))
-        ));
     }
 
     #[test]
@@ -523,12 +511,12 @@ mod tests {
             DataFrame::from_columns(vec![Column::from_strs("City", names)]).unwrap()
         };
         let fm = SimulatedFm::gpt35(0);
-        let out = apply(&t, &cities(64), "x", Some(&fm)).unwrap();
+        let out = apply(&t, &cities(64), "x", &fm).unwrap();
         assert_eq!(out[0].len(), 64);
         assert_eq!(fm.meter().snapshot().calls, 64, "one call per distinct key");
         let fm = SimulatedFm::gpt35(0);
         assert!(matches!(
-            apply(&t, &cities(65), "x", Some(&fm)),
+            apply(&t, &cities(65), "x", &fm),
             Err(CoreError::RowCompletionUnavailable(_))
         ));
         assert_eq!(fm.meter().snapshot().calls, 0, "no calls spent over budget");
@@ -541,25 +529,23 @@ mod tests {
             Column::from_str_slice("D", &["2020-05-04", "2021-01-01"]),
         ])
         .unwrap();
-        let d = apply(
+        let d = apply_pure(
             &TransformFunction::Dummies {
                 col: "Sex".into(),
                 limit: 10,
             },
             &df,
             "ignored",
-            None,
         )
         .unwrap();
         assert_eq!(d.len(), 2);
-        let parts = apply(
+        let parts = apply_pure(
             &TransformFunction::DateSplit {
                 col: "D".into(),
                 parts: vec![DatePart::Year, DatePart::Month],
             },
             &df,
             "D",
-            None,
         )
         .unwrap();
         assert_eq!(parts.len(), 2);
@@ -575,11 +561,5 @@ mod tests {
             func: AggFunc::Max,
         };
         assert_eq!(t.input_columns(), vec!["a", "b", "v"]);
-        assert!(!t.needs_fm());
-        let rc = TransformFunction::RowCompletion {
-            key_cols: vec!["c".into()],
-            knowledge: "k".into(),
-        };
-        assert!(rc.needs_fm());
     }
 }

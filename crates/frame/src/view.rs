@@ -1,9 +1,9 @@
 //! Zero-copy column views.
 //!
 //! The v1 ops materialized every input as a fresh `Vec<Option<f64>>` (or
-//! `Vec<Option<String>>`) before touching a single row. In the three-stage
-//! `SearchCtx::realize` that meant each parallel pure transform cloned whole
-//! columns out of the shared frame. The v2 views borrow the column's value
+//! `Vec<Option<String>>`) before touching a single row. In
+//! `SearchCtx::realize` that meant each transform cloned whole columns out
+//! of the shared frame. The v2 views borrow the column's value
 //! buffer and null bitmap directly: [`NumericView`] answers `get(i) →
 //! Option<f64>` by reading the buffers in place, and [`KeysView`] exposes
 //! categorical cells as `&str` borrowed from the interned dictionary.

@@ -83,7 +83,7 @@ fn row_completion_cache_bounds_calls_by_cardinality() {
         key_cols: vec!["City".into()],
         knowledge: "city_population_density".into(),
     };
-    let cols = apply(&t, &ds.frame, "density", Some(&fm)).expect("applies");
+    let cols = apply(&t, &ds.frame, "density", &fm).expect("applies");
     let distinct_cities = ds.frame.column("City").unwrap().cardinality();
     assert_eq!(fm.meter().snapshot().calls, distinct_cities);
     assert_eq!(cols[0].null_count(), 0);

@@ -405,7 +405,7 @@ fn react_scores_a_turn_only_for_the_next_observation() {
 }
 
 /// The `pool` and `work` sections of one observed run's metrics report.
-fn run_counters(kind: SearchStrategyKind) -> String {
+fn run_counters(kind: SearchStrategyKind) -> (JsonValue, JsonValue) {
     let ds = smartfeat_datasets::insurance::generate(80, 5);
     let selector = SimulatedFm::gpt4(5);
     let generator = SimulatedFm::gpt35(6);
@@ -414,21 +414,15 @@ fn run_counters(kind: SearchStrategyKind) -> String {
     let report = SmartFeat::new(&selector, &generator, config)
         .run(&ds.frame, &ds.agenda("RF"))
         .expect("pipeline runs");
-    let section = |key: &str| {
-        report
-            .metrics
-            .get(key)
-            .map(JsonValue::emit)
-            .unwrap_or_default()
-    };
-    format!("pool={} work={}", section("pool"), section("work"))
+    let section = |key: &str| report.metrics.get(key).cloned().expect("section present");
+    (section("pool"), section("work"))
 }
 
 #[test]
 fn overlapping_runs_report_only_their_own_pool_and_work() {
     let kinds = SearchStrategyKind::all();
-    let serial: Vec<String> = kinds.iter().map(|&k| run_counters(k)).collect();
-    let overlapped: Vec<String> = std::thread::scope(|s| {
+    let serial: Vec<_> = kinds.iter().map(|&k| run_counters(k)).collect();
+    let overlapped: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = kinds
             .iter()
             .map(|&k| s.spawn(move || run_counters(k)))
@@ -439,11 +433,26 @@ fn overlapping_runs_report_only_their_own_pool_and_work() {
             .collect()
     });
     for ((kind, alone), together) in kinds.iter().zip(&serial).zip(&overlapped) {
+        let (pool, work) = alone;
         assert!(
-            alone.contains("\"batches\"") && !alone.contains("\"batches\":0"),
-            "{}: the run counted no batches: {alone}",
-            kind.name()
+            matches!(work, JsonValue::Object(fields) if !fields.is_empty()),
+            "{}: the run counted no work: {}",
+            kind.name(),
+            work.emit()
         );
+        let batches = pool.get("batches").and_then(JsonValue::as_u64);
+        if *kind == SearchStrategyKind::OneShot {
+            // Realizing candidates is serial, and one-shot scores nothing.
+            assert_eq!(batches, Some(0), "one-shot opened a pool: {}", pool.emit());
+        } else {
+            // The CV scorer's batches.
+            assert!(
+                batches.is_some_and(|b| b > 0),
+                "{}: the run counted no batches: {}",
+                kind.name(),
+                pool.emit()
+            );
+        }
         assert_eq!(
             alone,
             together,
@@ -455,9 +464,9 @@ fn overlapping_runs_report_only_their_own_pool_and_work() {
 
 #[test]
 fn run_opens_its_own_context_inside_an_outer_one() {
-    let alone = run_counters(SearchStrategyKind::OneShot);
+    let alone = run_counters(SearchStrategyKind::Beam);
     let (outer_pool, outer_work) = counted(4, || {
-        assert_eq!(run_counters(SearchStrategyKind::OneShot), alone);
+        assert_eq!(run_counters(SearchStrategyKind::Beam), alone);
     });
     assert_eq!(
         outer_pool,
@@ -505,7 +514,7 @@ fn transform_and_evaluation_work_is_counted_per_application() {
         .filter(|(name, _)| name.starts_with("transform."))
         .collect();
     // Every function the generator hands out is applied once, on the FM
-    // walk (row completion) or on the pool, and counted under its kind.
+    // walk, and counted under its kind.
     assert_eq!(transforms, generated, "work {work:?}");
     for kind in [
         "transform.groupby_agg",

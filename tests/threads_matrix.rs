@@ -14,7 +14,9 @@ use smartfeat_rng::Rng;
 
 /// Everything downstream of the pool, digested to a string: full
 /// pipeline runs, forest and extra-trees fits, a k-fold CV score and a
-/// five-model evaluation — every `par_map` call site outside sfcheck.
+/// five-model evaluation. The ml calls reach every `par_map` call site
+/// outside sfcheck; a default (one-shot) run scores nothing and opens no
+/// pool.
 /// Thread counts come from the run context
 /// (`SmartFeatConfig::default()` and the models leave them at auto).
 fn fingerprint() -> String {
